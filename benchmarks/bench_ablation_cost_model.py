@@ -11,7 +11,7 @@ wins on time.
 import pytest
 
 from repro.analysis.cost_model import LatencyModel
-from repro.feedback import optimize_region
+from repro.compiler import CompilerSession
 from repro.gpu.registers import ptxas_info
 from repro.gpu.timing import estimate_time
 from repro.codegen import generate_kernel
@@ -54,8 +54,8 @@ def _run(latency, budget_regs):
     fn = build_module(parse_program(SRC)).functions[0]
     region = fn.regions()[0]
     base_regs = ptxas_info(generate_kernel(region, fn.symtab)).registers
-    optimize_region(
-        fn.symtab and region,
+    CompilerSession().optimize_region(
+        region,
         fn.symtab,
         register_limit=base_regs + budget_regs,
         latency=latency,

@@ -7,10 +7,13 @@ blind fixed budgets, on the seismic flagship.
 """
 
 from repro.bench import load_all
-from repro.feedback import FeedbackCompiler, optimize_region
+from repro.compiler import CompilerSession
+from repro.feedback import FeedbackCompiler
 from repro.ir import build_module
 from repro.lang import parse_program
 from repro.transforms import apply_safara
+
+session = CompilerSession()
 
 
 def _seismic_region():
@@ -24,7 +27,7 @@ def test_feedback_vs_one_shot(benchmark):
     def run():
         # Full iterative feedback.
         fn_a, region_a = _seismic_region()
-        full, fb_full = optimize_region(region_a, fn_a.symtab)
+        full, fb_full = session.optimize_region(region_a, fn_a.symtab)
 
         # One feedback round only.
         fn_b, region_b = _seismic_region()
@@ -52,7 +55,7 @@ def test_feedback_adapts_to_tight_limits(benchmark):
         results = {}
         for limit in (None, 160, 112):
             fn, region = _seismic_region()
-            report, _ = optimize_region(region, fn.symtab, register_limit=limit)
+            report, _ = session.optimize_region(region, fn.symtab, register_limit=limit)
             results[limit or 255] = report
         return results
 

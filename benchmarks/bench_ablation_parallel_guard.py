@@ -7,7 +7,7 @@ and the GPU starves.  SAFARA's guard refuses the rotation and keeps the
 loop parallel.  This bench quantifies that cliff.
 """
 
-from repro.compiler import BASE, CARR_KENNEDY, SAFARA_ONLY, compile_source, time_program
+from repro.compiler import BASE, CARR_KENNEDY, SAFARA_ONLY, CompilerSession
 
 FIG3_SRC = """
 kernel fig3(double a[sz], const double b[sz], int SIZE, int sz) {
@@ -22,12 +22,14 @@ ENV = {"SIZE": (1 << 20) - 2, "sz": 1 << 20}
 
 
 def test_carr_kennedy_sequentialises_and_pays(benchmark):
+    session = CompilerSession()
+
     def run():
         times = {}
         for cfg in (BASE, SAFARA_ONLY, CARR_KENNEDY):
-            prog = compile_source(FIG3_SRC, cfg)
+            prog = session.compile_source(FIG3_SRC, cfg)
             times[cfg.name] = (
-                time_program(prog, ENV).total_ms,
+                session.time_program(prog, ENV).total_ms,
                 prog.kernels[0].vir.launch.total_threads(ENV),
             )
         return times

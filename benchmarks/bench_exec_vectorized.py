@@ -124,15 +124,15 @@ def render(rows: list[dict]) -> str:
             f"{str(r['identical']).lower():<9} "
             f"{str(r['stats_equal']).lower():<5}"
         )
-    vec = [r["speedup"] for r in rows if r["executor"] == "vector"]
+    vec = [r["speedup"] for r in rows if r["executor"] == "codegen"]
     if vec:
         geomean = math.exp(sum(math.log(s) for s in vec) / len(vec))
         lines.append("")
         lines.append(
-            f"geomean speedup over {len(vec)} vectorized kernels: "
+            f"geomean speedup over {len(vec)} generated-code kernels: "
             f"{geomean:.1f}x"
         )
-    fallbacks = [r for r in rows if r["executor"] != "vector"]
+    fallbacks = [r for r in rows if r["executor"] != "codegen"]
     for r in fallbacks:
         lines.append(f"fallback {r['name']}: {r['reason']}")
     return "\n".join(lines)
@@ -152,7 +152,7 @@ def test_quick() -> None:
     rows = sweep(scale=1)
     assert all(r["identical"] for r in rows), rows
     assert all(r["stats_equal"] for r in rows), rows
-    assert any(r["executor"] == "vector" for r in rows)
+    assert any(r["executor"] == "codegen" for r in rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -182,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     bad = [r for r in rows if not (r["identical"] and r["stats_equal"])]
     if bad:
         print(f"\nFAIL: {len(bad)} benchmark(s) diverged", file=sys.stderr)
+        return 1
+    if not any(r["executor"] == "codegen" for r in rows):
+        print("\nFAIL: no benchmark ran on generated code", file=sys.stderr)
         return 1
     if not opts.quick:
         RESULTS.parent.mkdir(exist_ok=True)

@@ -10,7 +10,7 @@ model scores the occupancy/reuse trade-off.
 """
 
 from repro.bench import load_all
-from repro.compiler import SMALL_DIM_SAFARA, compile_source, time_program
+from repro.compiler import SMALL_DIM_SAFARA, CompilerSession
 from dataclasses import replace
 
 LIMITS = [32, 48, 64, 96, 128, 255]
@@ -19,6 +19,7 @@ LIMITS = [32, 48, 64, 96, 128, 255]
 def test_register_limit_sweep(benchmark):
     spec_suite, _ = load_all()
     spec = spec_suite.get("355.seismic")
+    session = CompilerSession()
 
     def run():
         results = {}
@@ -28,8 +29,8 @@ def test_register_limit_sweep(benchmark):
                 name=f"limit{limit}",
                 register_limit=limit,
             )
-            prog = compile_source(spec.source, config)
-            t = time_program(prog, dict(spec.env), launches=spec.launches)
+            prog = session.compile_source(spec.source, config)
+            t = session.time_program(prog, dict(spec.env), launches=spec.launches)
             results[limit] = (t.total_ms, prog.max_registers)
         return results
 

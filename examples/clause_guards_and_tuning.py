@@ -14,17 +14,17 @@ Two topics from the paper beyond the core algorithm:
    register cap (the `ptxas --maxrregcount` analogue) we sweep the
    trade-off curve on the seismic flagship.
 
-(``compile_guarded``/``compile_source``/``time_program`` are
-default-``CompilerSession`` shims; see ``docs/pipeline.md`` for the
-session API they delegate to.)
+Everything goes through one ``CompilerSession`` (``docs/pipeline.md``).
 
 Run:  python examples/clause_guards_and_tuning.py
 """
 
 from repro.bench import load_all
-from repro.compiler import SMALL_DIM_SAFARA, compile_guarded, compile_source, time_program
+from repro.compiler import SMALL_DIM_SAFARA, CompilerSession
 from repro.ir import build_module
 from repro.lang import parse_program
+
+session = CompilerSession()
 
 GUARDED_SRC = """
 kernel blend(const double u[1:nz][1:ny][1:nx], const double v[1:mz][1:my][1:mx],
@@ -42,7 +42,7 @@ kernel blend(const double u[1:nz][1:ny][1:nx], const double v[1:mz][1:my][1:mx],
 def main() -> None:
     print("=== 1. runtime clause verification (two-version scheme) ===")
     fn = build_module(parse_program(GUARDED_SRC)).functions[0]
-    guarded = compile_guarded(fn.regions()[0], fn.symtab, name="blend")
+    guarded = session.compile_guarded(fn.regions()[0], fn.symtab, name="blend")
     print(f"optimized : {guarded.optimized_info.summary()}")
     print(f"fallback  : {guarded.fallback_info.summary()}")
 
@@ -62,8 +62,8 @@ def main() -> None:
     best = None
     for limit in (32, 48, 64, 96, 128, 255):
         config = SMALL_DIM_SAFARA.derive(name=f"cap{limit}", register_limit=limit)
-        prog = compile_source(spec.source, config)
-        t = time_program(prog, dict(spec.env), launches=spec.launches)
+        prog = session.compile_source(spec.source, config)
+        t = session.time_program(prog, dict(spec.env), launches=spec.launches)
         marker = ""
         if best is None or t.total_ms < best[1]:
             best = (limit, t.total_ms)

@@ -11,14 +11,15 @@ example:
 * shows how the same kernel compiles for a Kepler-class vs a Fermi-class
   device (no read-only cache, 63-register limit) and how SAFARA adapts.
 
-(``compile_source``/``time_program`` are default-``CompilerSession``
-shims; see ``docs/pipeline.md`` for the session API they delegate to.)
+Compiles go through one ``CompilerSession`` (``docs/pipeline.md``).
 
 Run:  python examples/device_exploration.py
 """
 
-from repro.compiler import SMALL_DIM_SAFARA, compile_source, time_program
+from repro.compiler import SMALL_DIM_SAFARA, CompilerSession
 from repro.gpu import FERMI_LIKE, KEPLER_K20XM, compute_occupancy, measure_all
+
+session = CompilerSession()
 
 SRC = """
 kernel sweep(const double f1[1:nz][1:ny][1:nx], const double f2[1:nz][1:ny][1:nx],
@@ -57,9 +58,9 @@ def main() -> None:
     print("\n=== the same kernel on two device generations ===")
     for arch in (KEPLER_K20XM, FERMI_LIKE):
         config = SMALL_DIM_SAFARA.with_arch(arch)
-        prog = compile_source(SRC, config)
+        prog = session.compile_source(SRC, config)
         k = prog.kernels[0]
-        t = time_program(prog, ENV, launches=50)
+        t = session.time_program(prog, ENV, launches=50)
         loads = [
             i for i in k.vir.instrs if i.op.value == "ld"
         ]

@@ -11,17 +11,18 @@ transformation machinery:
   replaces it only in the *sequential* inner loop;
 * the per-step PTXAS feedback trace.
 
-(``compile_function``/``optimize_region`` are default-``CompilerSession``
-shims; see ``docs/pipeline.md`` for the session API they delegate to.)
+Compilation and the feedback loop go through one ``CompilerSession``
+(``docs/pipeline.md``).
 
 Run:  python examples/paper_walkthrough.py
 """
 
 from repro.analysis import analyze_loops, classify_access, find_reuse_groups
-from repro.compiler import CARR_KENNEDY, compile_function
-from repro.feedback import optimize_region
+from repro.compiler import CARR_KENNEDY, CompilerSession
 from repro.ir import build_module, format_function
 from repro.lang import parse_program
+
+session = CompilerSession()
 
 FIG3 = """
 kernel fig3(double a[sz], const double b[sz], int SIZE, int sz) {
@@ -59,7 +60,7 @@ def main() -> None:
     print(format_function(fn))
 
     banner("Figure 4: after classic Carr-Kennedy — the loop is now SEQUENTIAL")
-    compile_function(fn, CARR_KENNEDY)
+    session.compile_function(fn, CARR_KENNEDY)
     print(format_function(fn))
     from repro.ir import Loop
 
@@ -88,7 +89,7 @@ def main() -> None:
     )
 
     banner("Figure 6: after SAFARA (feedback-driven)")
-    report, feedback = optimize_region(region, fn5.symtab)
+    report, feedback = session.optimize_region(region, fn5.symtab)
     print(format_function(fn5))
     print("\nPTXAS feedback trace:")
     for step, ptxas in enumerate(feedback.history):

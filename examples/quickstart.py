@@ -10,10 +10,9 @@ Walks the paper's machinery end to end on a small seismic-style kernel:
 4. estimate execution time on the simulated Tesla K20Xm;
 5. verify that every configuration computes identical results.
 
-``compile_source`` / ``time_program`` used here are shims over the
-process-wide default ``CompilerSession`` — the session API
-(``docs/pipeline.md``) is the primary entrypoint and adds caching
-(including a persistent disk tier), batching, and statistics.
+Compiling and timing go through a ``CompilerSession``
+(``docs/pipeline.md``), which adds caching (including a persistent disk
+tier), batching, and statistics.
 
 Run:  python examples/quickstart.py
 """
@@ -26,12 +25,13 @@ from repro.compiler import (
     SAFARA_ONLY,
     SMALL_DIM,
     SMALL_DIM_SAFARA,
-    compile_source,
-    time_program,
+    CompilerSession,
 )
 from repro.gpu.interpreter import run_kernel
 from repro.ir import build_module
 from repro.lang import parse_program
+
+session = CompilerSession()
 
 SOURCE = """
 kernel wave(const double p0[1:nz][1:ny][1:nx], const double p1[1:nz][1:ny][1:nx],
@@ -64,9 +64,9 @@ def main() -> None:
     configs = [BASE, SAFARA_ONLY, SMALL_DIM, SMALL_DIM_SAFARA]
     base_ms = None
     for config in configs:
-        program = compile_source(SOURCE, config)
+        program = session.compile_source(SOURCE, config)
         kernel = program.kernels[0]
-        timing = time_program(program, PROBLEM, launches=100)
+        timing = session.time_program(program, PROBLEM, launches=100)
         ms = timing.total_ms
         if base_ms is None:
             base_ms = ms
@@ -92,9 +92,7 @@ def main() -> None:
     def run(config):
         fn = build_module(parse_program(SOURCE)).functions[0]
         if config is not None:
-            from repro.compiler import compile_function
-
-            compile_function(fn, config)
+            session.compile_function(fn, config)
         args = {
             "p0": p0.copy(), "p1": p1.copy(), "p2": np.zeros(shape),
             "vel": vel.copy(), "dt": 0.001, **small,

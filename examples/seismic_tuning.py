@@ -11,8 +11,7 @@ Reproduces the Section V narrative on the seismic benchmark model:
 Also prints the CUDA-like rendering of the Figure 8 kernel (HOT5) so you
 can see the offset sharing the ``dim`` clause enables.
 
-(``compile_source``/``time_program`` are default-``CompilerSession``
-shims; see ``docs/pipeline.md`` for the session API they delegate to.)
+Compiles go through one ``CompilerSession`` (``docs/pipeline.md``).
 
 Run:  python examples/seismic_tuning.py
 """
@@ -26,11 +25,12 @@ from repro.compiler import (
     SMALL,
     SMALL_DIM,
     SMALL_DIM_SAFARA,
-    compile_source,
-    time_program,
+    CompilerSession,
 )
 from repro.ir import build_module
 from repro.lang import parse_program
+
+session = CompilerSession()
 
 
 def main() -> None:
@@ -41,9 +41,9 @@ def main() -> None:
     # -- Table I: per-kernel registers ------------------------------------
     print("=== Table I: hot-kernel register usage (ours vs paper) ===")
     progs = {
-        "base": compile_source(spec.source, BASE),
-        "small": compile_source(spec.source, SMALL),
-        "dim": compile_source(spec.source, SMALL_DIM),
+        "base": session.compile_source(spec.source, BASE),
+        "small": session.compile_source(spec.source, SMALL),
+        "dim": session.compile_source(spec.source, SMALL_DIM),
     }
     print(f"{'kernel':8s} {'base':>5s} {'+small':>7s} {'w dim':>6s}   paper(base/+small/w dim)")
     for i, paper_row in enumerate(TABLE1_SEISMIC):
@@ -59,8 +59,8 @@ def main() -> None:
     print("\n=== Figure 7 -> Figure 9: the performance arc ===")
     base_ms = None
     for config in (BASE, SAFARA_ONLY, SMALL, SMALL_DIM, SMALL_DIM_SAFARA):
-        prog = compile_source(spec.source, config)
-        t = time_program(prog, dict(spec.env), launches=spec.launches)
+        prog = session.compile_source(spec.source, config)
+        t = session.time_program(prog, dict(spec.env), launches=spec.launches)
         if base_ms is None:
             base_ms = t.total_ms
         marker = ""

@@ -10,10 +10,9 @@ by name, and :func:`register_pass` / :func:`get_pass` /
 :func:`list_passes` for the pluggable optimization-pass registry the
 default pipeline is built from.  Everything else is reachable
 through the subpackages but is not covered by the facade's stability
-contract; the historical free functions (``compile_source``,
-``compile_function``, ``compile_guarded``, ``time_program``,
-``optimize_region``) still work but emit a ``DeprecationWarning`` once
-per process.
+contract.  Compilation goes through a session (or this facade) only;
+``docs/pipeline.md`` maps the removed free functions onto their
+session methods.
 
 Subpackages:
 
@@ -99,9 +98,9 @@ def run(
     """Parse and execute MiniACC source functionally.
 
     ``args`` binds every array and scalar parameter of the kernel
-    function.  Returns ``(arrays, stats, info)`` from the vectorized
-    execution engine (scalar fallback applies unless ``executor``
-    overrides the session default).
+    function.  Returns ``(arrays, stats, info)`` from the execution
+    ladder — generated code, with scalar fallback unless ``executor``
+    overrides the session default.
     """
     from .ir.builder import build_module
     from .lang.parser import parse_program

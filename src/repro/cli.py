@@ -849,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTOR_NAMES,
         default="auto",
         help="execution engine for --run (default: generated NumPy code "
-        "with automatic vector/scalar fallback)",
+        "with automatic scalar fallback)",
     )
     p.add_argument(
         "--stats",

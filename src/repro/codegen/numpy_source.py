@@ -1,23 +1,21 @@
 """Codegen execution tier: KernelPlan → generated Python/NumPy source.
 
-The interpreting vector engine (:mod:`repro.gpu.vector_exec`) re-walks the
-IR tree on every launch: per statement an ``isinstance`` dispatch chain,
-per expression node a recursive ``_eval`` call.  This module *partially
-evaluates* that walk once per kernel: each planned function is compiled
-into straight-line Python source — one call per IR node into the very same
-runtime primitives the interpreter uses (``_apply_binop``, ``_load_idx``,
-``_apply_if`` with mask push/pop, ``_run_loop`` with the planned axis/seq
-mode baked in, ordinal loops for lane-varying seq bounds) — then ``exec``'d
-once into a function object and cached in memory keyed by the caller's
-content hash.
+Each planned kernel function is compiled once into straight-line Python
+source — one call per IR node, in the scalar interpreter's evaluation
+order, into the batched runtime primitives of
+:class:`~repro.gpu.vector_exec.VectorInterpreter` (``_apply_binop``,
+``_load_idx``, ``_apply_if`` with mask push/pop, ``_run_loop`` with the
+planned axis/seq mode baked in, ordinal loops for lane-varying seq
+bounds) — then ``exec``'d into a function object and cached in memory
+keyed by the caller's content hash.
 
 Bit-for-bit equality with the scalar oracle is preserved *by construction*:
-the generated program invokes the identical primitives in the identical
-order the interpreting engine would, so both tiers produce the same arrays,
-the same :class:`~repro.gpu.interpreter.ExecutionStats`, and the same
-``VectorUnsupported`` errors.  Anything the generator does not recognise
-raises :class:`CodegenUnsupported` and the executor ladder falls back to
-the interpreting engine.
+each primitive replays the interpreter's semantics for its construct (or
+raises ``VectorUnsupported``), and the program calls them in the order the
+interpreter evaluates the tree, so it produces the oracle's arrays and
+:class:`~repro.gpu.interpreter.ExecutionStats`.  Anything the generator
+does not recognise raises :class:`CodegenUnsupported` and the executor
+ladder falls back to the scalar interpreter.
 
 The generated *source text* is persisted next to the compiled program in
 the DiskCache envelope (format v2) — a warm restart re-binds the text to a
@@ -67,7 +65,7 @@ __all__ = [
 
 class CodegenUnsupported(Exception):
     """The generator cannot express this kernel; callers fall back to the
-    interpreting vector engine (the message is the logged reason)."""
+    scalar interpreter (the message is the logged reason)."""
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,7 @@ def generate_source(fn: KernelFunction, plan: KernelPlan | None = None) -> str:
 class GeneratedKernel:
     """A generated program bound to node positions: ``run(interp)`` drives a
     :class:`~repro.gpu.vector_exec.VectorInterpreter` (or subclass) through
-    the straight-line program instead of the recursive IR walk."""
+    the straight-line program."""
 
     kernel: str
     source: str

@@ -1,10 +1,10 @@
-"""Lowering plan for the vectorized execution engine.
+"""Lowering plan for the generated-code execution tier.
 
 Decides, statically, which ``acc parallel`` loops of a kernel function can
 be turned into *array axes* by :mod:`repro.gpu.vector_exec` — i.e. executed
 as one batched NumPy operation per statement instead of one Python
 iteration at a time — and which must stay sequential, with a recorded
-reason.  The plan is purely advisory about *performance*: the engine keeps
+reason.  The plan is purely advisory about *performance*: execution keeps
 bit-for-bit equality with the scalar interpreter by construction (it runs
 on array copies and falls back to the interpreter on anything unexpected),
 but a wrong "axis" decision here would silently reorder memory traffic, so

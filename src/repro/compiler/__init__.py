@@ -1,27 +1,21 @@
 """Compiler driver: configurations, the compile session (cache + pass
 pipeline + stats), runtime clause guards, and reporting.
 
-:class:`CompilerSession` is the primary API; the free functions
-(``compile_source``, ``compile_function``, ``compile_guarded``,
-``time_program``) are shims over a module-level default session and keep
-their historical behavior.
+:class:`CompilerSession` is the compile API (the :mod:`repro` facade
+wraps a module-level default session); this package also re-exports the
+configurations and the result types it produces.
 """
 
 from .guards import (
     ClauseVerdict,
     ClauseViolation,
     GuardedKernel,
-    compile_guarded,
     verify_clauses,
 )
 from .driver import (
     CompiledKernel,
     CompiledProgram,
     ProgramTiming,
-    compile_function,
-    compile_source,
-    execute_program,
-    time_program,
 )
 from .options import (
     ALL_CONFIGS,
@@ -63,12 +57,7 @@ __all__ = [
     "UNROLL_SAFARA",
     "VECTOR_SAFARA",
     "GuardedKernel",
-    "compile_function",
-    "compile_guarded",
     "compile_many",
     "default_session",
-    "execute_program",
     "verify_clauses",
-    "compile_source",
-    "time_program",
 ]

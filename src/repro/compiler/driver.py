@@ -1,4 +1,4 @@
-"""The OpenUH-like compiler driver: result types and the public shims.
+"""The OpenUH-like compiler driver's result types.
 
 Mirrors the paper's Figure 2 pipeline: front end → IR → (optional)
 scalar-replacement transformations with assembler feedback → virtual-ISA
@@ -7,12 +7,12 @@ timing model.
 
 The pipeline itself lives in :mod:`repro.pipeline` (the ``Pass`` /
 ``PassManager`` abstraction) and is owned by a
-:class:`~repro.compiler.session.CompilerSession`; the free functions here
-are thin shims over the module-level default session and keep their
-historical signatures and behavior.
+:class:`~repro.compiler.session.CompilerSession`, which produces the
+types defined here.
 
 Because the transformations mutate IR in place, each configuration
-compiles from a *fresh* parse of the source (``compile_source``) —
+compiles from a *fresh* parse of the source
+(:meth:`~repro.compiler.session.CompilerSession.compile_source`) —
 exactly as separate compiler invocations would.
 """
 
@@ -30,7 +30,7 @@ from ..transforms.autopar import AutoparReport
 from ..transforms.licm import LicmReport
 from ..transforms.unroll import UnrollReport
 from ..transforms.safara import SafaraReport
-from .options import BASE, CompilerConfig
+from .options import CompilerConfig
 
 
 @dataclass(slots=True)
@@ -83,70 +83,3 @@ class ProgramTiming:
     @property
     def total_ms(self) -> float:
         return sum(k.time_ms for k in self.kernels)
-
-
-def compile_function(fn: KernelFunction, config: CompilerConfig = BASE) -> CompiledProgram:
-    """Deprecated shim: compile every offload region of ``fn`` under
-    ``config`` through the default session.
-
-    The function's IR is mutated by the transformations (like a real
-    compilation); parse fresh per configuration.
-    """
-    from .._compat import warn_legacy
-    from .session import default_session
-
-    warn_legacy("compile_function", "CompilerSession.compile_function()")
-    return default_session().compile_function(fn, config)
-
-
-def compile_source(
-    source: str,
-    config: CompilerConfig = BASE,
-    *,
-    kernel_name: str | None = None,
-    filename: str = "<string>",
-) -> CompiledProgram:
-    """Deprecated shim: parse + lower + compile one kernel function from
-    source text through the default session."""
-    from .._compat import warn_legacy
-    from .session import default_session
-
-    warn_legacy("compile_source", "CompilerSession.compile_source()")
-    return default_session().compile_source(
-        source, config, kernel_name=kernel_name, filename=filename
-    )
-
-
-def time_program(
-    compiled: CompiledProgram,
-    env: dict[str, int],
-    *,
-    launches: dict[str, int] | list[int] | int = 1,
-) -> ProgramTiming:
-    """Deprecated shim: evaluate the timing model for every kernel of a
-    compiled program through the default session.
-
-    ``launches`` is a global launch count, a per-kernel-name map, or a list
-    aligned with region order (benchmarks launch hot kernels once per time
-    step).
-    """
-    from .._compat import warn_legacy
-    from .session import default_session
-
-    warn_legacy("time_program", "CompilerSession.time_program()")
-    return default_session().time_program(compiled, env, launches=launches)
-
-
-def execute_program(
-    fn: KernelFunction,
-    args: dict[str, object],
-    *,
-    executor: str | None = None,
-):
-    """Run a kernel function functionally through the default session's
-    execution engine (vectorized with automatic scalar fallback unless the
-    session — or ``executor`` — says otherwise).  Returns
-    ``(arrays, stats, info)``."""
-    from .session import default_session
-
-    return default_session().execute(fn, args, executor=executor)

@@ -8,8 +8,10 @@
     and a decision will be made to execute the optimized or unoptimized
     kernel."
 
-This module implements exactly that scheme: :func:`compile_guarded` lowers
-one region twice (clauses honored / ignored), and :func:`verify_clauses`
+This module implements exactly that scheme:
+:meth:`CompilerSession.compile_guarded
+<repro.compiler.session.CompilerSession.compile_guarded>` lowers one
+region twice (clauses honored / ignored), and :func:`verify_clauses`
 is the generated "segment" — it checks, against the run-time problem
 sizes, that every ``dim`` group's arrays really share their dimensions and
 that every ``small`` array really spans fewer than 4 GB.
@@ -182,24 +184,4 @@ def _compile_guarded(
         optimized_info=ptxas_info(opt, arch),
         fallback=fallback,
         fallback_info=ptxas_info(fallback, arch),
-    )
-
-
-def compile_guarded(
-    region: Region,
-    symtab: SymbolTable,
-    *,
-    options: CodegenOptions | None = None,
-    arch: "GpuArch | str" = KEPLER_K20XM,
-    name: str = "guarded",
-) -> GuardedKernel:
-    """Deprecated shim: lower one region twice (clauses honored vs
-    ignored) through the default
-    :class:`~repro.compiler.session.CompilerSession`."""
-    from .._compat import warn_legacy
-    from .session import default_session
-
-    warn_legacy("compile_guarded", "CompilerSession.compile_guarded()")
-    return default_session().compile_guarded(
-        region, symtab, options=options, arch=arch, name=name
     )

@@ -1,7 +1,6 @@
 """The compilation service core: :class:`CompilerSession`.
 
-A session owns the three pieces the historical free functions shared
-implicitly:
+A session owns the three pieces every compilation needs:
 
 * the **pass pipeline** (:class:`~repro.pipeline.passes.PassManager`) the
   LICM / unroll / Carr-Kennedy / SAFARA transformations register into,
@@ -16,11 +15,11 @@ implicitly:
   structured traces of every compile, serialisable to JSON for the CLI's
   ``--stats`` flag.
 
-The public free functions (``compile_source``, ``compile_function``,
-``compile_guarded``, ``time_program``, ``optimize_region``) are thin shims
-over a module-level default session and keep their historical behavior;
-:func:`CompilerSession.compile_many` adds batch compilation fanned out
-over ``concurrent.futures`` workers with in-batch deduplication.
+The session's methods are the compile API; the :mod:`repro` facade
+(``repro.compile`` / ``repro.run`` / ``repro.tune``) wraps a module-level
+default session.  :func:`CompilerSession.compile_many` adds batch
+compilation fanned out over ``concurrent.futures`` workers with in-batch
+deduplication.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ class CompilerSession:
         self.max_workers = max_workers
         #: Default functional-execution engine for :meth:`execute` — one
         #: of :data:`repro.executors.EXECUTOR_NAMES` (``"auto"`` walks the
-        #: ladder codegen → vector → scalar).  Validated here so a typo
+        #: ladder codegen → scalar).  Validated here so a typo
         #: fails at construction, not on the first execute.
         self.executor = parse_executor(executor).value
         self._lock = threading.Lock()
@@ -545,8 +544,8 @@ class CompilerSession:
         content_key: str | None = None,
         codegen_source: str | None = None,
     ):
-        """Run a kernel function functionally through the vectorized
-        execution engine (:func:`~repro.gpu.vector_exec.execute_kernel`).
+        """Run a kernel function functionally through the execution
+        ladder (:func:`~repro.gpu.vector_exec.execute_kernel`).
 
         ``executor`` overrides the session default for one call.
         ``content_key`` (a stable content hash for ``fn``'s source) keys
@@ -653,7 +652,7 @@ _default_lock = threading.Lock()
 
 
 def default_session() -> CompilerSession:
-    """The process-wide session backing the historical free functions."""
+    """The process-wide session behind the :mod:`repro` facade."""
     global _default_session
     if _default_session is None:
         with _default_lock:

@@ -11,13 +11,12 @@ Tiers (fastest first):
 
 ``codegen``
     Generated straight-line NumPy source (:mod:`repro.codegen.numpy_source`),
-    ``exec``'d once and cached as a function object.
-``vector``
-    The interpreting vectorized engine (:mod:`repro.gpu.vector_exec`).
+    ``exec``'d once and cached as a function object, driving the batched
+    runtime of :mod:`repro.gpu.vector_exec`.
 ``scalar``
     The reference scalar interpreter (:mod:`repro.gpu.interpreter`).
 ``auto``
-    Try ``codegen``, fall back down the ladder on unsupported plans.
+    Try ``codegen``, fall back to ``scalar`` when it cannot run.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ __all__ = ["Executor", "EXECUTOR_NAMES", "parse_executor"]
 
 class Executor(str, enum.Enum):
     """Execution tier.  A ``str`` subclass so legacy string comparisons
-    (``executor == "vector"``) and JSON serialisation keep working."""
+    (``executor == "codegen"``) and JSON serialisation keep working."""
 
     AUTO = "auto"
     CODEGEN = "codegen"
-    VECTOR = "vector"
     SCALAR = "scalar"
 
     def __str__(self) -> str:  # repr-stability for logs / traces

@@ -13,7 +13,6 @@ from .driver import (
     deadline_scope,
     fault_scope,
     latency_scope,
-    optimize_region,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "deadline_scope",
     "fault_scope",
     "latency_scope",
-    "optimize_region",
 ]

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from ..analysis.cost_model import LatencyModel
 from ..codegen.kernelgen import CodegenOptions, generate_kernel
 from ..errors import ReproError
 from ..gpu.arch import GpuArch, KEPLER_K20XM
@@ -41,7 +40,6 @@ from ..gpu.registers import PtxasInfo, ptxas_info
 from ..ir.stmt import Region
 from ..ir.symbols import SymbolTable
 from ..obs.tracer import span
-from ..transforms.safara import SafaraReport
 
 
 class FeedbackError(ReproError):
@@ -211,36 +209,3 @@ class FeedbackCompiler:
     def compilations(self) -> int:
         """Backend invocations so far (each one is a 'ptxas run')."""
         return len(self.history)
-
-
-def optimize_region(
-    region: Region,
-    symtab: SymbolTable,
-    options: CodegenOptions | None = None,
-    *,
-    arch: GpuArch = KEPLER_K20XM,
-    register_limit: int | None = None,
-    latency: LatencyModel | None = None,
-    name: str | None = None,
-) -> tuple[SafaraReport, FeedbackCompiler]:
-    """Run the full SAFARA feedback optimisation on one region.
-
-    Returns the SAFARA trace and the feedback compiler (whose ``history``
-    holds every intermediate PTXAS report).  Deprecated shim over the
-    default :class:`~repro.compiler.session.CompilerSession` (whose pass
-    pipeline runs the same loop as its ``safara`` pass).
-    """
-    from .._compat import warn_legacy
-    from ..compiler.session import default_session
-
-    warn_legacy("optimize_region", "CompilerSession.optimize_region()")
-
-    return default_session().optimize_region(
-        region,
-        symtab,
-        options=options,
-        arch=arch,
-        register_limit=register_limit,
-        latency=latency,
-        name=name,
-    )

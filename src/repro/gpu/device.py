@@ -104,8 +104,8 @@ class SimulatedDevice:
     arch: GpuArch = KEPLER_K20XM
     options: CodegenOptions = field(default_factory=CodegenOptions)
     launches: list[LaunchRecord] = field(default_factory=list)
-    #: Execution engine for :meth:`run`: "auto" (vectorized with automatic
-    #: scalar fallback), "vector", or "scalar".
+    #: Execution engine for :meth:`run`: "auto" (generated code with
+    #: automatic scalar fallback), "codegen", or "scalar".
     executor: str = "auto"
     #: The :class:`~repro.gpu.vector_exec.ExecutionInfo` of the last
     #: :meth:`run` call (which executor actually ran, and why).

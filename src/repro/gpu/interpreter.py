@@ -93,13 +93,13 @@ class Interpreter:
 
     # -- execution ------------------------------------------------------------
     def run(self) -> None:
-        self._exec_stmts(self._fn.body)
+        self._run_block(self._fn.body)
 
-    def _exec_stmts(self, stmts: list[Stmt]) -> None:
+    def _run_block(self, stmts: list[Stmt]) -> None:
         for stmt in stmts:
-            self._exec_stmt(stmt)
+            self._run_stmt(stmt)
 
-    def _exec_stmt(self, stmt: Stmt) -> None:
+    def _run_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Assign):
             value = self._eval(stmt.value)
             if isinstance(stmt.target, VarRef):
@@ -117,20 +117,20 @@ class Interpreter:
                 self._scalars.setdefault(stmt.sym.name, 0)
         elif isinstance(stmt, If):
             if self._eval(stmt.cond):
-                self._exec_stmts(stmt.then_body)
+                self._run_block(stmt.then_body)
             else:
-                self._exec_stmts(stmt.else_body)
+                self._run_block(stmt.else_body)
         elif isinstance(stmt, Loop):
             var = stmt.var.name
             saved = self._scalars.get(var)
             for value in stmt.iter_values(self._int_env()):
                 self._scalars[var] = value
                 self.stats.iterations += 1
-                self._exec_stmts(stmt.body)
+                self._run_block(stmt.body)
             if saved is not None:
                 self._scalars[var] = saved
         elif isinstance(stmt, Region):
-            self._exec_stmts(stmt.body)
+            self._run_block(stmt.body)
         else:
             raise InterpreterError(f"unknown statement {type(stmt).__name__}")
 

@@ -1,13 +1,16 @@
-"""Vectorized SIMT execution engine: parallel loops as NumPy array axes.
+"""Vectorized SIMT execution: parallel loops as NumPy array axes.
 
 The scalar interpreter (:mod:`repro.gpu.interpreter`) is the correctness
 oracle, but it executes OpenACC-parallel loops one Python iteration at a
-time.  This module executes whole loop nests as *batched* NumPy programs:
-each parallel loop the planner (:mod:`repro.codegen.vector_lower`) proves
-safe becomes a trailing array axis over its full iteration domain, every
-expression is evaluated once as a broadcast operation over all lanes, and
-``If`` branches become boolean lane masks with both sides evaluated under
-their respective masks.
+time.  This module holds the runtime that executes whole loop nests as
+*batched* NumPy programs: each parallel loop the planner
+(:mod:`repro.codegen.vector_lower`) proves safe becomes a trailing array
+axis over its full iteration domain, every expression is evaluated once
+as a broadcast operation over all lanes, and ``If`` branches become
+boolean lane masks with both sides evaluated under their respective
+masks.  The programs themselves are generated NumPy source
+(:mod:`repro.codegen.numpy_source`) calling :class:`VectorInterpreter`'s
+primitives; :func:`execute_kernel` runs the ladder codegen → scalar.
 
 Bit-for-bit equality with the oracle is preserved by construction:
 
@@ -22,8 +25,8 @@ Bit-for-bit equality with the oracle is preserved by construction:
   the interpreter would hold one Python scalar, Python-semantics errors
   like division by zero, arbitrary-precision integers — raises
   :class:`VectorUnsupported`, and :func:`execute_kernel` falls back to the
-  scalar interpreter on *pristine* inputs (the vector attempt runs on array
-  copies), reproducing even error-path partial mutation.
+  scalar interpreter on *pristine* inputs (the codegen attempt runs on
+  array copies), reproducing even error-path partial mutation.
 
 :class:`~repro.gpu.interpreter.ExecutionStats` counters are derived
 analytically from active-lane counts (see the contract on that class), and
@@ -41,22 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..codegen.vector_lower import AXIS, KernelPlan, plan_kernel
+from ..codegen.vector_lower import plan_kernel
 from ..executors import Executor, parse_executor
-from ..ir.expr import (
-    ArrayRef,
-    BinOp,
-    Call,
-    Cast,
-    Expr,
-    FloatConst,
-    IntConst,
-    Select,
-    UnOp,
-    VarRef,
-)
+from ..ir.expr import ArrayRef, BinOp, Expr, IntConst, UnOp, VarRef
 from ..ir.module import KernelFunction
-from ..ir.stmt import Assign, If, LocalDecl, Loop, Region, Stmt
+from ..ir.stmt import Loop
 from ..obs.tracer import span
 from .interpreter import ExecutionStats, bind_arguments, run_kernel
 
@@ -64,7 +56,7 @@ logger = logging.getLogger(__name__)
 
 
 class VectorUnsupported(Exception):
-    """The vector engine cannot reproduce scalar semantics here; callers
+    """The batched runtime cannot reproduce scalar semantics here; callers
     fall back to the interpreter (the message is the logged reason)."""
 
 
@@ -75,7 +67,7 @@ _fallback_local = threading.local()
 def fallback_listener(callback):
     """Install a thread-local degradation hook for the calling thread.
 
-    ``callback(kernel_name, reason)`` fires every time a vector/auto
+    ``callback(kernel_name, reason)`` fires every time an ``auto``
     execution inside the scope falls back to the scalar interpreter.  The
     serving broker uses this to count degradations (with their reasons)
     in its metrics registry without threading a callback through every
@@ -182,7 +174,7 @@ class ExecutionInfo:
     """What :func:`execute_kernel` actually did, for stats/observability."""
 
     requested: str
-    used: str  # "codegen" | "vector" | "scalar"
+    used: str  # "codegen" | "scalar"
     fallback_reason: str | None = None
     #: Lane-iterations executed through batched axis loops.
     elements: int = 0
@@ -208,7 +200,14 @@ class ExecutionInfo:
 
 
 class VectorInterpreter:
-    """Executes one kernel function with planned parallel loops as axes.
+    """The lane-batched runtime a generated program drives.
+
+    Holds the lane state of one launch — the scalar environment, the
+    active axis stack and lane mask, the arrays — and exposes one
+    primitive per IR construct (``_apply_binop``, ``_load_idx``,
+    ``_store_idx``, ``_apply_if``, ``_run_loop``, …).  Generated code
+    (:mod:`repro.codegen.numpy_source`) calls them in interpreter order
+    with each loop's planned axis/sequential mode baked in.
 
     Mutates the arrays it is given (callers pass copies and commit on
     success).  Raises :class:`VectorUnsupported` — or any error an
@@ -218,14 +217,10 @@ class VectorInterpreter:
 
     def __init__(
         self,
-        fn: KernelFunction,
-        plan: KernelPlan,
         scalars: dict[str, object],
         arrays: dict[str, np.ndarray],
         lowers: dict[str, tuple[int, ...]],
     ):
-        self._fn = fn
-        self._plan = plan
         self._arrays = arrays
         self._lowers = lowers
         self._env: dict[str, VArray] = {}
@@ -339,45 +334,7 @@ class VectorInterpreter:
         with np.errstate(invalid="ignore"):
             return self._sanitize(data, 0.0).astype(np.int64)
 
-    # -- execution ----------------------------------------------------------
-    def run(self) -> None:
-        self._exec_stmts(self._fn.body)
-
-    def _exec_stmts(self, stmts: list[Stmt]) -> None:
-        for stmt in stmts:
-            self._exec_stmt(stmt)
-
-    def _exec_stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            value = self._eval(stmt.value)
-            if isinstance(stmt.target, VarRef):
-                self._assign_scalar(stmt.target.sym, value)
-            else:
-                self._store_idx(
-                    stmt.target, self._eval_indices(stmt.target), value
-                )
-        elif isinstance(stmt, LocalDecl):
-            if stmt.init is not None:
-                self._assign_scalar(stmt.sym, self._eval(stmt.init))
-            else:
-                self._decl_default(stmt.sym.name)
-        elif isinstance(stmt, If):
-            self._apply_if(
-                self._eval(stmt.cond),
-                lambda: self._exec_stmts(stmt.then_body),
-                lambda: self._exec_stmts(stmt.else_body),
-            )
-        elif isinstance(stmt, Loop):
-            self._run_loop(
-                stmt,
-                lambda: self._exec_stmts(stmt.body),
-                self._plan.mode_of(stmt) == AXIS,
-            )
-        elif isinstance(stmt, Region):
-            self._run_region(stmt.name_hint, lambda: self._exec_stmts(stmt.body))
-        else:
-            raise VectorUnsupported(f"unknown statement {type(stmt).__name__}")
-
+    # -- statements ---------------------------------------------------------
     def _assign_scalar(self, sym, va: VArray) -> None:
         self._env_set(sym.name, self._coerce_scalar(sym, va))
 
@@ -419,8 +376,8 @@ class VectorInterpreter:
         self._env[name] = VArray(data, PYINT, True if defined.all() else defined)
 
     def _apply_if(self, cond: VArray, then_body, else_body) -> None:
-        """``If`` with a pre-evaluated condition and body thunks (shared
-        with the generated-code tier, which passes nested functions)."""
+        """``If`` with a pre-evaluated condition and body thunks (nested
+        functions of the generated program)."""
         if not self._axes:
             if bool(cond.data):
                 then_body()
@@ -445,10 +402,9 @@ class VectorInterpreter:
     # -- loops --------------------------------------------------------------
     def _run_loop(self, loop: Loop, body, axis: bool) -> None:
         """Dispatch one loop with its *planned* mode baked in (``axis``) and
-        its body as a thunk.  The interpreter passes a recursive statement
-        walk; the generated-code tier passes a nested function.  Axis-mode
-        loops still demote dynamically to the ordinal walk when their
-        concrete bounds turn out lane-varying."""
+        its body as a thunk (a nested function of the generated program).
+        Axis-mode loops still demote dynamically to the ordinal walk when
+        their concrete bounds turn out lane-varying."""
         lo_va = self._eval_loop_bound(loop.init)
         hi_va = self._eval_loop_bound(loop.bound)
         lo = self._uniform_int(lo_va)
@@ -622,9 +578,6 @@ class VectorInterpreter:
                 self._env.pop(var, None)
 
     # -- memory -------------------------------------------------------------
-    def _eval_indices(self, ref: ArrayRef) -> list[VArray]:
-        return [self._eval(sub) for sub in ref.indices]
-
     def _index_from(
         self, ref: ArrayRef, vas: list[VArray]
     ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -703,35 +656,6 @@ class VectorInterpreter:
                     target[sel] = val[m]
 
     # -- expressions --------------------------------------------------------
-    def _eval(self, e: Expr) -> VArray:
-        if isinstance(e, IntConst):
-            return _const_int(e.value)
-        if isinstance(e, FloatConst):
-            return VArray(np.asarray(e.value, dtype=np.float64), PYFLOAT)
-        if isinstance(e, VarRef):
-            return self._env_get(e.sym.name)
-        if isinstance(e, ArrayRef):
-            return self._load_idx(e, self._eval_indices(e))
-        if isinstance(e, UnOp):
-            return self._apply_unop(e.op, self._eval(e.operand))
-        if isinstance(e, BinOp):
-            if e.op in ("&&", "||"):
-                return self._apply_logic(
-                    e.op, self._eval(e.left), lambda: self._eval(e.right)
-                )
-            return self._apply_binop(e.op, self._eval(e.left), self._eval(e.right))
-        if isinstance(e, Select):
-            return self._apply_select(
-                self._eval(e.cond),
-                lambda: self._eval(e.then),
-                lambda: self._eval(e.otherwise),
-            )
-        if isinstance(e, Cast):
-            return self._apply_cast(e.to_type, self._eval(e.operand))
-        if isinstance(e, Call):
-            return self._apply_call(e.func, [self._eval(a) for a in e.args])
-        raise VectorUnsupported(f"unknown expression {type(e).__name__}")
-
     def _apply_unop(self, op: str, va: VArray) -> VArray:
         if op == "-":
             return VArray(-va.data, va.kind)
@@ -741,8 +665,7 @@ class VectorInterpreter:
 
     def _apply_select(self, cond: VArray, then_thunk, else_thunk) -> VArray:
         """Ternary with a pre-evaluated condition and arm thunks; each arm
-        is evaluated only under the lanes that take it (shared with the
-        generated-code tier)."""
+        is evaluated only under the lanes that take it."""
         if not self._axes:
             return then_thunk() if bool(cond.data) else else_thunk()
         truth = self._lift(cond.data) != 0
@@ -933,7 +856,6 @@ def execute_kernel(
     args: dict[str, object],
     *,
     executor: "str | Executor" = "auto",
-    plan: KernelPlan | None = None,
     content_key: str | None = None,
     codegen_source: str | None = None,
     metrics=None,
@@ -941,11 +863,11 @@ def execute_kernel(
     """Execute ``fn`` with ``args`` (arrays are mutated in place).
 
     ``executor`` selects the engine (see :mod:`repro.executors`):
-    ``"scalar"`` always interprets, ``"vector"`` requires the interpreting
-    vectorized engine, ``"codegen"`` requires the generated-NumPy tier
-    (both raising :class:`VectorUnsupported` if impossible), and ``"auto"``
-    — the default — walks the ladder codegen → vector → scalar, logging
-    each fallback reason.  Vector/codegen attempts run on array copies and
+    ``"scalar"`` always interprets, ``"codegen"`` requires the
+    generated-NumPy tier (raising :class:`VectorUnsupported` or
+    :class:`~repro.codegen.numpy_source.CodegenUnsupported` if impossible),
+    and ``"auto"`` — the default — walks the ladder codegen → scalar,
+    logging the fallback reason.  Codegen attempts run on array copies and
     commit only on success, so a fallback re-runs the scalar path on
     pristine inputs and reproduces its behaviour exactly, including
     exceptions and the partial mutation preceding them.
@@ -961,7 +883,7 @@ def execute_kernel(
     """
     with span("execute", kernel=fn.name, requested=str(executor)) as sp:
         arrays, stats, info = _execute_kernel(
-            fn, args, executor=executor, plan=plan, content_key=content_key,
+            fn, args, executor=executor, content_key=content_key,
             codegen_source=codegen_source, metrics=metrics,
         )
         sp.set(used=info.used, elements=info.elements)
@@ -970,8 +892,12 @@ def execute_kernel(
     return arrays, stats, info
 
 
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+
+
 def _scalar_fallback(fn, args, requested, reason, demoted):
-    logger.info("vector executor: %s falls back to scalar: %s", fn.name, reason)
+    logger.info("codegen executor: %s falls back to scalar: %s", fn.name, reason)
     _notify_fallback(fn.name, reason)
     arrays, stats = run_kernel(fn, args)
     return arrays, stats, ExecutionInfo(
@@ -980,18 +906,44 @@ def _scalar_fallback(fn, args, requested, reason, demoted):
     )
 
 
+def _run_generated(fn, args, compiled, ex: Executor, demoted, t0: float):
+    """Drive ``compiled`` over copies of the bound arguments; commit the
+    copies on success, else re-run the scalar oracle on pristine inputs."""
+    scalars, arrays, lowers = bind_arguments(fn, args)
+    copies = {name: arr.copy() for name, arr in arrays.items()}
+    try:
+        interp = VectorInterpreter(scalars, copies, lowers)
+        compiled.run(interp)
+    except Exception as exc:  # noqa: BLE001 — runtime unsupported
+        if ex is Executor.CODEGEN:
+            raise
+        # Unsupported lanes and Python-semantics errors (division by zero,
+        # …) are the oracle's to reproduce, partial mutation included.
+        return _scalar_fallback(fn, args, ex.value, _reason(exc), demoted)
+    for name, arr in arrays.items():
+        arr[...] = copies[name]
+    return arrays, interp.stats, ExecutionInfo(
+        requested=ex.value,
+        used="codegen",
+        elements=interp.elements,
+        region_elements=interp.region_elements,
+        demoted=demoted,
+        codegen_ms=(time.perf_counter() - t0) * 1000.0,
+    )
+
+
 def _execute_kernel(
     fn: KernelFunction,
     args: dict[str, object],
     *,
     executor: "str | Executor",
-    plan: KernelPlan | None,
     content_key: str | None = None,
     codegen_source: str | None = None,
     metrics=None,
 ) -> tuple[dict[str, np.ndarray], ExecutionStats, ExecutionInfo]:
+    from ..codegen import numpy_source  # deferred: avoids import cycle
+
     ex = parse_executor(executor)
-    requested = ex.value
     if ex is Executor.SCALAR:
         arrays, stats = run_kernel(fn, args)
         return arrays, stats, ExecutionInfo(requested="scalar", used="scalar")
@@ -999,112 +951,33 @@ def _execute_kernel(
     # Warm fast path: a cached generated function already bakes the axis
     # decisions, so repeat launches with a content_key skip the planner
     # entirely.  The generated program never consults the plan at runtime.
-    if plan is None and content_key is not None and ex is not Executor.VECTOR:
-        from ..codegen import numpy_source  # deferred: avoids import cycle
-
+    if content_key is not None:
         cached = numpy_source.function_cache().get(
             content_key, metrics, record_miss=False
         )
         if cached is not None:
-            codegen_t0 = time.perf_counter()
-            scalars, arrays, lowers = bind_arguments(fn, args)
-            copies = {name: arr.copy() for name, arr in arrays.items()}
+            t0 = time.perf_counter()
             demoted = list(cached.demoted)
-            try:
-                interp = VectorInterpreter(fn, None, scalars, copies, lowers)
-                cached.run(interp)
-            except Exception as exc:  # noqa: BLE001 — runtime unsupported
-                if ex is Executor.CODEGEN:
-                    raise
-                reason = (
-                    f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-                )
-                return _scalar_fallback(fn, args, requested, reason, demoted)
-            for name, arr in arrays.items():
-                arr[...] = copies[name]
-            return arrays, interp.stats, ExecutionInfo(
-                requested=requested,
-                used="codegen",
-                elements=interp.elements,
-                region_elements=interp.region_elements,
-                demoted=demoted,
-                codegen_ms=(time.perf_counter() - codegen_t0) * 1000.0,
-            )
+            return _run_generated(fn, args, cached, ex, demoted, t0)
 
-    if plan is None:
-        plan = plan_kernel(fn)
+    plan = plan_kernel(fn)
     demoted = plan.demotion_reasons
     if not plan.has_axes:
         reason = "no vectorizable parallel loops"
         if demoted:
             reason += f" ({demoted[0]})"
-        if ex is not Executor.AUTO:
+        if ex is Executor.CODEGEN:
             raise VectorUnsupported(reason)
-        return _scalar_fallback(fn, args, requested, reason, demoted)
-    scalars, arrays, lowers = bind_arguments(fn, args)
-    copies = {name: arr.copy() for name, arr in arrays.items()}
+        return _scalar_fallback(fn, args, ex.value, reason, demoted)
 
-    # Codegen tier: generate (or fetch) the straight-line program, run it
-    # through the same runtime primitives the interpreting engine uses.
-    if ex in (Executor.AUTO, Executor.CODEGEN):
-        from ..codegen import numpy_source  # deferred: avoids import cycle
-
-        compiled = None
-        codegen_t0 = time.perf_counter()
-        try:
-            compiled = numpy_source.get_or_compile(
-                fn, plan, content_key=content_key,
-                source=codegen_source, metrics=metrics,
-            )
-        except Exception as exc:  # noqa: BLE001 — generation failed
-            if ex is Executor.CODEGEN:
-                raise
-            reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-            logger.info(
-                "codegen executor: %s falls back to vector: %s", fn.name, reason
-            )
-        if compiled is not None:
-            try:
-                interp = VectorInterpreter(fn, plan, scalars, copies, lowers)
-                compiled.run(interp)
-            except Exception as exc:  # noqa: BLE001 — runtime unsupported
-                if ex is Executor.CODEGEN:
-                    raise
-                # The generated program executes the exact primitive
-                # sequence the interpreting engine would — a runtime
-                # failure here would recur there, so skip straight to the
-                # scalar oracle on the pristine inputs.
-                reason = (
-                    f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-                )
-                return _scalar_fallback(fn, args, requested, reason, demoted)
-            for name, arr in arrays.items():
-                arr[...] = copies[name]
-            return arrays, interp.stats, ExecutionInfo(
-                requested=requested,
-                used="codegen",
-                elements=interp.elements,
-                region_elements=interp.region_elements,
-                demoted=demoted,
-                codegen_ms=(time.perf_counter() - codegen_t0) * 1000.0,
-            )
-
-    # Interpreting vectorized engine ("vector", or "auto" when generation
-    # itself failed).
+    t0 = time.perf_counter()
     try:
-        interp = VectorInterpreter(fn, plan, scalars, copies, lowers)
-        interp.run()
-    except Exception as exc:  # noqa: BLE001 — any failure means "fall back"
-        if ex is Executor.VECTOR:
+        compiled = numpy_source.get_or_compile(
+            fn, plan, content_key=content_key,
+            source=codegen_source, metrics=metrics,
+        )
+    except numpy_source.CodegenUnsupported as exc:
+        if ex is Executor.CODEGEN:
             raise
-        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-        return _scalar_fallback(fn, args, requested, reason, demoted)
-    for name, arr in arrays.items():
-        arr[...] = copies[name]
-    return arrays, interp.stats, ExecutionInfo(
-        requested=requested,
-        used="vector",
-        elements=interp.elements,
-        region_elements=interp.region_elements,
-        demoted=demoted,
-    )
+        return _scalar_fallback(fn, args, ex.value, _reason(exc), demoted)
+    return _run_generated(fn, args, compiled, ex, demoted, t0)

@@ -130,10 +130,11 @@ def workload_specs(profile: LoadProfile):
 
 
 def _request_for(op: str, spec, profile: LoadProfile) -> dict:
-    env = {k: int(v) for k, v in spec.interpreter_args().items()}
+    # Scalar arguments keep their type (EP's float ``ainv`` must not
+    # truncate to 0); only the sizes behind ``__len_*`` are integers.
+    env = spec.interpreter_args()
     if op in ("run", "tune") and spec.pointer_lens:
-        sizes = {k: int(v) for k, v in spec.interpreter_args().items()
-                 if v == int(v)}
+        sizes = {k: int(v) for k, v in env.items() if v == int(v)}
         env.update(
             {f"__len_{k}": v for k, v in spec.pointer_sizes(sizes).items()}
         )

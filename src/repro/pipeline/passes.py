@@ -177,9 +177,10 @@ def run_safara(
 ) -> tuple[SafaraReport, FeedbackCompiler]:
     """The SAFARA feedback loop core: compile → read PTXAS info → replace.
 
-    Shared by :class:`SafaraPass` and the public ``optimize_region``
-    entrypoint; returns the SAFARA trace and the feedback compiler whose
-    ``history`` holds every intermediate PTXAS report.
+    Shared by :class:`SafaraPass` and
+    :meth:`~repro.compiler.session.CompilerSession.optimize_region`;
+    returns the SAFARA trace and the feedback compiler whose ``history``
+    holds every intermediate PTXAS report.
     """
     feedback = FeedbackCompiler(
         symtab=symtab,

@@ -139,7 +139,7 @@ class SessionStats:
         )
         self._feedback_optimizations = m.counter(
             "session.feedback_optimizations",
-            "stand-alone feedback optimisations (optimize_region)",
+            "stand-alone feedback optimisations (session.optimize_region)",
         )
         self._executions = m.counter(
             "session.executions", "functional kernel executions"
@@ -148,12 +148,9 @@ class SessionStats:
             "session.executions.codegen",
             "executions through generated NumPy code",
         )
-        self._vector_executions = m.counter(
-            "session.executions.vector", "executions through the vector engine"
-        )
         self._scalar_fallbacks = m.counter(
             "session.executions.scalar_fallback",
-            "vector/auto requests that fell back to the scalar interpreter",
+            "codegen/auto requests that fell back to the scalar interpreter",
         )
         self._scalar_requested = m.counter(
             "session.executions.scalar_requested",
@@ -203,7 +200,7 @@ class SessionStats:
         self._execution_elements = m.histogram(
             "session.execution_elements",
             boundaries=COUNT_BUCKETS,
-            help="batched lane-iterations per vector execution",
+            help="batched lane-iterations per codegen execution",
         )
         #: One record per execution: the kernel name plus the
         #: :class:`~repro.gpu.vector_exec.ExecutionInfo` payload (executor
@@ -246,10 +243,6 @@ class SessionStats:
     @property
     def codegen_executions(self) -> int:
         return int(self._codegen_executions.value)
-
-    @property
-    def vector_executions(self) -> int:
-        return int(self._vector_executions.value)
 
     @property
     def scalar_fallbacks(self) -> int:
@@ -313,7 +306,7 @@ class SessionStats:
         """Record one functional execution.
 
         A *fallback* is counted only when the caller asked for a batched
-        engine (``requested`` of ``codegen``, ``vector`` or ``auto``) and
+        engine (``requested`` of ``codegen`` or ``auto``) and
         the scalar interpreter ran anyway; an explicitly requested scalar
         run counts under ``scalar_requested`` instead.
         """
@@ -323,10 +316,7 @@ class SessionStats:
         if used == "codegen":
             self._codegen_executions.inc()
             self._execution_elements.observe(info.get("elements", 0))
-        elif used == "vector":
-            self._vector_executions.inc()
-            self._execution_elements.observe(info.get("elements", 0))
-        elif requested in ("codegen", "vector", "auto"):
+        elif requested in ("codegen", "auto"):
             self._scalar_fallbacks.inc()
         else:
             self._scalar_requested.inc()
@@ -367,7 +357,6 @@ class SessionStats:
             "execution": {
                 "executions": self.executions,
                 "codegen": self.codegen_executions,
-                "vector": self.vector_executions,
                 "scalar_fallbacks": self.scalar_fallbacks,
                 "scalar_requested": self.scalar_requested,
                 "kernels": list(self.execution_traces),

@@ -23,8 +23,8 @@ and the compiler (:class:`~repro.compiler.session.CompilerSession`):
   structured, non-retryable error;
 * **graceful degradation** — ``run`` requests under deadline pressure
   (remaining budget below ``degrade_threshold_ms``) are demoted from the
-  vectorized executor to the scalar interpreter, and vector-engine
-  fallbacks are observed through the PR 3 hook
+  generated-code executor to the scalar interpreter, and codegen
+  fallbacks are observed through the hook
   (:func:`~repro.gpu.vector_exec.fallback_listener`); both are counted
   with their reasons under ``serve.degradations.*``.
 
@@ -54,6 +54,7 @@ import hashlib
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
@@ -99,7 +100,7 @@ class BrokerConfig:
     #: Backoff is scaled by ``1 + jitter·U[0,1)`` to decorrelate retries.
     jitter: float = 0.25
     #: ``run`` requests with less remaining budget than this are demoted
-    #: to the scalar executor rather than risk a vector plan + fallback.
+    #: to the scalar executor rather than risk a codegen plan + fallback.
     degrade_threshold_ms: float = 250.0
     #: Persistent cache directory (``None`` → memory-only service).
     cache_dir: str | None = None
@@ -156,6 +157,8 @@ class Broker:
         self._sessions = threading.local()
         self._all_sessions: list[CompilerSession] = []
         self._lock = threading.Lock()
+        #: ``run``-request kernels by source content hash (see _run_kernel).
+        self._kernels: OrderedDict[str, object] = OrderedDict()
         self._pending = 0
         self._stopping = False
         self._rng = Random(self.config.seed)
@@ -677,11 +680,28 @@ class Broker:
         if sleep_ms > 0.0:
             self._sleep(sleep_ms / 1000.0)
 
+    def _run_kernel(self, content_key: str, source: str):
+        """The parsed kernel of a ``run`` request's source, shared by all
+        workers through a bounded LRU (execution only reads the IR)."""
+        from ..ir.builder import build_module
+        from ..lang.parser import parse_program
+
+        with self._lock:
+            fn = self._kernels.get(content_key)
+            if fn is not None:
+                self._kernels.move_to_end(content_key)
+                return fn
+        with span("compile", phase="frontend"):
+            fn = build_module(parse_program(source)).functions[0]
+        with self._lock:
+            self._kernels[content_key] = fn
+            while len(self._kernels) > self.config.cache_size:
+                self._kernels.popitem(last=False)
+        return fn
+
     def _handle_run(self, request: dict, deadline: float) -> dict:
         """Functional execution with deadline-pressure degradation."""
         from ..gpu.interpreter import build_run_args
-        from ..ir.builder import build_module
-        from ..lang.parser import parse_program
 
         request_id = request.get("id")
         session = self._session()
@@ -690,9 +710,15 @@ class Broker:
         except ConfigError as exc:
             raise ServeError(protocol.BAD_REQUEST, str(exc)) from None
         pinned = self._arch_for(request)
+        # Warm hot path: the parsed kernel and the generated-function
+        # cache are keyed by the request source's content hash, and the
+        # generated source text is persisted in its own disk envelope — a
+        # restarted daemon rebinds text instead of re-planning.
+        content_key = hashlib.sha256(
+            ("run:" + request["source"]).encode()
+        ).hexdigest()
         try:
-            with span("compile", phase="frontend"):
-                fn = build_module(parse_program(request["source"])).functions[0]
+            fn = self._run_kernel(content_key, request["source"])
         except MiniAccError as exc:
             return protocol.error_response(
                 request_id, protocol.PARSE_ERROR, str(exc)
@@ -741,17 +767,10 @@ class Broker:
             self._degraded_total.inc()
             self.metrics.counter(
                 "serve.degradations.vector_fallback",
-                "vector executions that fell back to the scalar engine",
+                "auto executions that fell back to the scalar engine",
             ).inc()
             self._degradation("vector_fallback", kernel=kernel, detail=reason)
 
-        # Warm hot path: the generated-function cache is keyed by the
-        # request source's content hash, and the generated source text is
-        # persisted in its own disk envelope — a restarted daemon rebinds
-        # text instead of re-planning.
-        content_key = hashlib.sha256(
-            ("run:" + request["source"]).encode()
-        ).hexdigest()
         codegen_src = None
         if self.disk_cache is not None:
             _, codegen_src = self.disk_cache.get_entry(content_key)
@@ -769,7 +788,7 @@ class Broker:
             return protocol.error_response(
                 request_id,
                 protocol.EXECUTION_ERROR,
-                f"vector executor unsupported: {exc}",
+                f"codegen executor unsupported: {exc}",
             )
         except Exception as exc:
             return protocol.error_response(

@@ -4,9 +4,11 @@ import pytest
 
 from repro.bench import load_all
 from repro.bench.paper_data import TABLE1_SEISMIC, TABLE2_SP
-from repro.compiler import BASE, SMALL, SMALL_DIM, compile_source
+from repro.compiler import BASE, SMALL, SMALL_DIM, default_session
 from repro.ir import build_module
 from repro.lang import parse_program
+
+SESSION = default_session()
 
 SPEC_SUITE, NAS_SUITE = load_all()
 
@@ -65,15 +67,15 @@ class TestBenchmarkWellFormed:
         "spec", SPEC_SUITE.all() + NAS_SUITE.all(), ids=lambda s: s.qualified_name
     )
     def test_compiles_under_base(self, spec):
-        prog = compile_source(spec.source, BASE)
+        prog = SESSION.compile_source(spec.source, BASE)
         assert all(k.registers > 0 for k in prog.kernels)
 
     def test_seismic_has_seven_hot_kernels(self):
-        prog = compile_source(SPEC_SUITE.get("355.seismic").source, BASE)
+        prog = SESSION.compile_source(SPEC_SUITE.get("355.seismic").source, BASE)
         assert len(prog.kernels) == len(TABLE1_SEISMIC) == 7
 
     def test_sp_has_ten_hot_kernels(self):
-        prog = compile_source(SPEC_SUITE.get("356.sp").source, BASE)
+        prog = SESSION.compile_source(SPEC_SUITE.get("356.sp").source, BASE)
         assert len(prog.kernels) == len(TABLE2_SP) == 10
 
 
@@ -87,23 +89,23 @@ class TestRegisterShape:
     )
     def test_small_monotone(self, name):
         spec = SPEC_SUITE.get(name)
-        base = compile_source(spec.source, BASE)
-        small = compile_source(spec.source, SMALL)
+        base = SESSION.compile_source(spec.source, BASE)
+        small = SESSION.compile_source(spec.source, SMALL)
         for kb, ks in zip(base.kernels, small.kernels):
             assert ks.registers <= kb.registers
 
     @pytest.mark.parametrize("name", ["355.seismic", "356.sp"], ids=str)
     def test_dim_monotone(self, name):
         spec = SPEC_SUITE.get(name)
-        small = compile_source(spec.source, SMALL)
-        dim = compile_source(spec.source, SMALL_DIM)
+        small = SESSION.compile_source(spec.source, SMALL)
+        dim = SESSION.compile_source(spec.source, SMALL_DIM)
         for ks, kd in zip(small.kernels, dim.kernels):
             assert kd.registers <= ks.registers
 
     def test_seismic_dim_saves_substantially(self):
         spec = SPEC_SUITE.get("355.seismic")
-        base = compile_source(spec.source, BASE)
-        dim = compile_source(spec.source, SMALL_DIM)
+        base = SESSION.compile_source(spec.source, BASE)
+        dim = SESSION.compile_source(spec.source, SMALL_DIM)
         # Table I: every hot kernel saves at least a third of its registers.
         for kb, kd in zip(base.kernels, dim.kernels):
             assert kd.registers <= (2 * kb.registers) // 3
@@ -111,8 +113,8 @@ class TestRegisterShape:
     def test_sp_na_rows_dim_noop(self):
         """Kernels using <2 same-shape allocatables: dim == small."""
         spec = SPEC_SUITE.get("356.sp")
-        small = compile_source(spec.source, SMALL)
-        dim = compile_source(spec.source, SMALL_DIM)
+        small = SESSION.compile_source(spec.source, SMALL)
+        dim = SESSION.compile_source(spec.source, SMALL_DIM)
         na_rows = [0, 2, 5, 9]  # HOT1, HOT3, HOT6, HOT10
         for i in na_rows:
             assert dim.kernels[i].registers == small.kernels[i].registers

@@ -1,10 +1,10 @@
 """The generated-NumPy execution tier (`repro.codegen.numpy_source`).
 
-The contract mirrors the vector engine's: whatever the generated program
-does, outputs and :class:`~repro.gpu.interpreter.ExecutionStats` are
-*exactly* those of the scalar interpreter.  Here that holds by
-construction — the generated source calls the same runtime primitives in
-the same order — and these tests pin the construction down: all 16
+Whatever the generated program does, outputs and
+:class:`~repro.gpu.interpreter.ExecutionStats` are *exactly* those of the
+scalar interpreter.  That holds by construction — the generated source
+calls runtime primitives that replay the interpreter's semantics, in the
+interpreter's order — and these tests pin the construction down: all 16
 benchmarks bit-identical, cross-parse rebinding, header validation,
 cache behaviour, and the fallback ladder.
 """
@@ -106,7 +106,6 @@ class TestGeneratedSource:
         path: node identities differ, walk positions do not)."""
         source = generate_source(lower(SRC))
         gk = bind_source(lower(SRC), source)
-        from repro.codegen.vector_lower import plan_kernel
         from repro.gpu.interpreter import bind_arguments
         from repro.gpu.vector_exec import VectorInterpreter
 
@@ -114,7 +113,7 @@ class TestGeneratedSource:
         args = _args()
         s_arrays, s_stats = run_kernel(lower(SRC), copy_args(args))
         scalars, arrays, lowers = bind_arguments(fn, args)
-        interp = VectorInterpreter(fn, plan_kernel(fn), scalars, arrays, lowers)
+        interp = VectorInterpreter(scalars, arrays, lowers)
         gk.run(interp)
         np.testing.assert_array_equal(arrays["a"], s_arrays["a"])
         assert interp.stats == s_stats
@@ -152,31 +151,46 @@ class TestBindValidation:
             "def __kernel__(R):", "def __kernel__(R):\n        open('/x')", 1
         )
         gk = bind_source(lower(SRC), evil)
-        from repro.codegen.vector_lower import plan_kernel
         from repro.gpu.interpreter import bind_arguments
         from repro.gpu.vector_exec import VectorInterpreter
 
         fn = lower(SRC)
         scalars, arrays, lowers = bind_arguments(fn, _args())
-        interp = VectorInterpreter(fn, plan_kernel(fn), scalars, arrays, lowers)
+        interp = VectorInterpreter(scalars, arrays, lowers)
         with pytest.raises(NameError):
             gk.run(interp)
 
 
 class TestFallbackLadder:
-    def test_generation_failure_falls_back_to_vector(self, monkeypatch, caplog):
-        import logging
+    def test_generation_failure_falls_back_to_scalar(self, monkeypatch):
+        from repro.gpu.vector_exec import fallback_listener
 
         def boom(fn, plan=None, **kw):
             raise CodegenUnsupported("synthetic generation failure")
 
         monkeypatch.setattr(numpy_source, "get_or_compile", boom)
-        with caplog.at_level(logging.INFO, logger="repro.gpu.vector_exec"):
-            _, stats, info = execute_kernel(lower(SRC), _args())
-        assert info.used == "vector"
+        heard = []
+        with fallback_listener(lambda *event: heard.append(event)):
+            arrays, stats, info = execute_kernel(lower(SRC), _args())
+        assert info.used == "scalar"
+        assert info.fallback_reason == (
+            "CodegenUnsupported: synthetic generation failure"
+        )
+        assert heard == [("k", info.fallback_reason)]
         s_arrays, s_stats = run_kernel(lower(SRC), _args())
+        np.testing.assert_array_equal(arrays["a"], s_arrays["a"])
         assert stats == s_stats
-        assert any("falls back to vector" in r.message for r in caplog.records)
+
+    def test_generator_bug_propagates_under_auto(self, monkeypatch):
+        """Only ``CodegenUnsupported`` means "fall back": any other
+        exception from generation is a bug and must surface."""
+
+        def bug(fn, plan=None, **kw):
+            raise IndexError("synthetic generator bug")
+
+        monkeypatch.setattr(numpy_source, "get_or_compile", bug)
+        with pytest.raises(IndexError, match="synthetic generator bug"):
+            execute_kernel(lower(SRC), _args())
 
     def test_generation_failure_raises_when_pinned(self, monkeypatch):
         def boom(fn, plan=None, **kw):

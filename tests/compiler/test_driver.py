@@ -12,10 +12,11 @@ from repro.compiler import (
     SMALL,
     SMALL_DIM,
     SMALL_DIM_SAFARA,
-    compile_source,
-    time_program,
+    default_session,
 )
 from repro.gpu.arch import FERMI_LIKE
+
+SESSION = default_session()
 
 SRC = """
 kernel k(const double u[1:nz][1:ny][1:nx], double out[1:nz][1:ny][1:nx],
@@ -43,50 +44,50 @@ ENV = {"nx": 128, "ny": 64, "nz": 32}
 
 class TestCompile:
     def test_one_compiled_kernel_per_region(self):
-        prog = compile_source(SRC, BASE)
+        prog = SESSION.compile_source(SRC, BASE)
         assert len(prog.kernels) == 2
         assert prog.kernels[0].name.endswith("_k1")
         assert prog.kernels[1].name.endswith("_k2")
 
     def test_kernel_lookup(self):
-        prog = compile_source(SRC, BASE)
+        prog = SESSION.compile_source(SRC, BASE)
         name = prog.kernels[0].name
         assert prog.kernel(name) is prog.kernels[0]
         with pytest.raises(KeyError):
             prog.kernel("nope")
 
     def test_base_has_no_sr_reports(self):
-        prog = compile_source(SRC, BASE)
+        prog = SESSION.compile_source(SRC, BASE)
         assert prog.kernels[0].safara is None
         assert prog.kernels[0].carr_kennedy is None
 
     def test_licm_runs_in_every_config(self):
-        prog = compile_source(SRC, BASE)
+        prog = SESSION.compile_source(SRC, BASE)
         assert prog.kernels[0].licm is not None
 
     def test_safara_config_records_report(self):
-        prog = compile_source(SRC, SAFARA_ONLY)
+        prog = SESSION.compile_source(SRC, SAFARA_ONLY)
         assert prog.kernels[0].safara is not None
         assert prog.kernels[0].backend_compilations >= 2
 
     def test_carr_kennedy_config(self):
-        prog = compile_source(SRC, CARR_KENNEDY)
+        prog = SESSION.compile_source(SRC, CARR_KENNEDY)
         assert prog.kernels[0].carr_kennedy is not None
 
     def test_clauses_reduce_registers(self):
-        base = compile_source(SRC, BASE)
-        dim = compile_source(SRC, SMALL_DIM)
+        base = SESSION.compile_source(SRC, BASE)
+        dim = SESSION.compile_source(SRC, SMALL_DIM)
         assert dim.kernels[0].registers < base.kernels[0].registers
 
     def test_fresh_parse_isolation(self):
         """Two compilations of the same source must not interfere."""
-        a = compile_source(SRC, SMALL_DIM_SAFARA)
-        b = compile_source(SRC, SMALL_DIM_SAFARA)
+        a = SESSION.compile_source(SRC, SMALL_DIM_SAFARA)
+        b = SESSION.compile_source(SRC, SMALL_DIM_SAFARA)
         assert [k.registers for k in a.kernels] == [k.registers for k in b.kernels]
 
     def test_arch_override(self):
         cfg = SMALL_DIM_SAFARA.with_arch(FERMI_LIKE)
-        prog = compile_source(SRC, cfg)
+        prog = SESSION.compile_source(SRC, cfg)
         assert all(
             k.registers <= FERMI_LIKE.max_registers_per_thread for k in prog.kernels
         )
@@ -94,29 +95,29 @@ class TestCompile:
 
 class TestTiming:
     def test_total_is_sum_of_kernels(self):
-        prog = compile_source(SRC, BASE)
-        t = time_program(prog, ENV)
+        prog = SESSION.compile_source(SRC, BASE)
+        t = SESSION.time_program(prog, ENV)
         assert t.total_ms == pytest.approx(sum(k.time_ms for k in t.kernels))
 
     def test_launch_list_weights_kernels(self):
-        prog = compile_source(SRC, BASE)
-        t1 = time_program(prog, ENV, launches=[1, 1])
-        t2 = time_program(prog, ENV, launches=[10, 1])
+        prog = SESSION.compile_source(SRC, BASE)
+        t1 = SESSION.time_program(prog, ENV, launches=[1, 1])
+        t2 = SESSION.time_program(prog, ENV, launches=[10, 1])
         assert t2.kernels[0].time_ms == pytest.approx(10 * t1.kernels[0].time_ms)
         assert t2.kernels[1].time_ms == pytest.approx(t1.kernels[1].time_ms)
 
     def test_launch_dict_by_name(self):
-        prog = compile_source(SRC, BASE)
+        prog = SESSION.compile_source(SRC, BASE)
         name = prog.kernels[0].name
-        t = time_program(prog, ENV, launches={name: 5})
-        t1 = time_program(prog, ENV, launches=1)
+        t = SESSION.time_program(prog, ENV, launches={name: 5})
+        t1 = SESSION.time_program(prog, ENV, launches=1)
         assert t.kernels[0].time_ms == pytest.approx(5 * t1.kernels[0].time_ms)
 
     def test_pgi_issue_efficiency_applied(self):
-        base_prog = compile_source(SRC, BASE)
-        pgi_prog = compile_source(SRC, PGI)
-        tb = time_program(base_prog, ENV)
-        tp = time_program(pgi_prog, ENV)
+        base_prog = SESSION.compile_source(SRC, BASE)
+        pgi_prog = SESSION.compile_source(SRC, PGI)
+        tb = SESSION.time_program(base_prog, ENV)
+        tp = SESSION.time_program(pgi_prog, ENV)
         # PGI's compute bound is scaled by its efficiency factor.
         assert (
             tp.kernels[1].compute_cycles

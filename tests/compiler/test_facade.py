@@ -1,12 +1,8 @@
-"""The stable public facade (`import repro`) and the legacy-shim
-deprecation contract: each shim warns exactly once per process."""
+"""The stable public facade (`import repro`)."""
 
 import warnings
 
-import pytest
-
 import repro
-from repro._compat import reset_legacy_warnings
 from repro.compiler import BASE
 
 SRC = """
@@ -58,72 +54,6 @@ class TestFacadeSurface:
         assert repro.tune is tune_fn
 
     def test_facade_itself_never_warns(self):
-        reset_legacy_warnings()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             repro.compile(SRC)
-
-
-class TestDeprecationOnce:
-    def _call(self, name):
-        from repro.compiler import (
-            compile_function,
-            compile_guarded,
-            compile_source,
-            time_program,
-        )
-        from repro.feedback import optimize_region
-        from repro.ir import build_module
-        from repro.lang import parse_program
-
-        if name == "compile_source":
-            compile_source(SRC, BASE)
-        elif name == "compile_guarded":
-            fn = build_module(parse_program(SRC, "<test>")).functions[0]
-            compile_guarded(fn.regions()[0], fn.symtab)
-        elif name == "compile_function":
-            fn = build_module(parse_program(SRC, "<test>")).functions[0]
-            compile_function(fn, BASE)
-        elif name == "time_program":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                program = compile_source(SRC, BASE)
-            time_program(program, {"n": 64})
-        elif name == "optimize_region":
-            fn = build_module(parse_program(SRC, "<test>")).functions[0]
-            optimize_region(fn.regions()[0], fn.symtab)
-        else:  # pragma: no cover
-            raise AssertionError(name)
-
-    @pytest.mark.parametrize(
-        "shim",
-        ["compile_source", "compile_function", "compile_guarded",
-         "time_program", "optimize_region"],
-    )
-    def test_each_shim_warns_exactly_once(self, shim):
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            self._call(shim)
-            self._call(shim)
-        hits = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and f"{shim}()" in str(w.message)
-        ]
-        assert len(hits) == 1, f"{shim} warned {len(hits)} times"
-        assert "deprecated shim" in str(hits[0].message)
-        assert "repro facade" in str(hits[0].message)
-
-    def test_warnings_are_per_shim_not_global(self):
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            self._call("compile_source")
-            self._call("compile_guarded")
-        messages = [
-            str(w.message) for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert any("compile_source()" in m for m in messages)
-        assert any("compile_guarded()" in m for m in messages)

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.compiler import compile_guarded, verify_clauses
+from repro.compiler import default_session, verify_clauses
 from repro.ir import build_module
 from repro.lang import parse_program
+
+SESSION = default_session()
 
 SRC = """
 kernel k(const double u[1:nz][1:ny][1:nx], const double v[1:mz][1:my][1:mx],
@@ -65,7 +67,7 @@ class TestVerifyClauses:
 class TestGuardedCompilation:
     def test_two_versions_generated(self):
         region, symtab = region_of()
-        guarded = compile_guarded(region, symtab, name="g")
+        guarded = SESSION.compile_guarded(region, symtab, name="g")
         assert guarded.optimized.name == "g_opt"
         assert guarded.fallback.name == "g_fallback"
         # The optimized version uses strictly fewer registers.
@@ -73,14 +75,14 @@ class TestGuardedCompilation:
 
     def test_select_optimized_when_truthful(self):
         region, symtab = region_of()
-        guarded = compile_guarded(region, symtab)
+        guarded = SESSION.compile_guarded(region, symtab)
         kernel, info, verdict = guarded.select(GOOD_ENV)
         assert verdict.ok
         assert kernel is guarded.optimized
 
     def test_select_fallback_when_lying(self):
         region, symtab = region_of()
-        guarded = compile_guarded(region, symtab)
+        guarded = SESSION.compile_guarded(region, symtab)
         kernel, info, verdict = guarded.select(BAD_DIM_ENV)
         assert not verdict.ok
         assert kernel is guarded.fallback
@@ -90,7 +92,7 @@ class TestGuardedCompilation:
         from repro.codegen import Op
 
         region, symtab = region_of()
-        guarded = compile_guarded(region, symtab)
+        guarded = SESSION.compile_guarded(region, symtab)
         # Fallback: per-array dope sets (3 arrays x 5) vs shared set (5).
         assert guarded.fallback.count(Op.LD_DOPE) == 15
         assert guarded.optimized.count(Op.LD_DOPE) == 5

@@ -1,10 +1,13 @@
 """Unit tests for the PTXAS feedback loop driver."""
 
 from repro.codegen import CodegenOptions
-from repro.feedback import FeedbackCompiler, optimize_region
+from repro.compiler import default_session
+from repro.feedback import FeedbackCompiler
 from repro.gpu.arch import FERMI_LIKE
 from repro.ir import build_module
 from repro.lang import parse_program
+
+SESSION = default_session()
 
 SRC = """
 kernel k(const double u[1:nz][1:ny][1:nx], double out[1:nz][1:ny][1:nx],
@@ -63,13 +66,13 @@ class TestFeedbackCompiler:
 class TestOptimizeRegion:
     def test_returns_report_and_history(self):
         region, symtab = region_of()
-        report, fb = optimize_region(region, symtab)
+        report, fb = SESSION.optimize_region(region, symtab)
         assert report.groups_replaced >= 1
         assert fb.compilations == len(fb.history) >= 2
 
     def test_respects_arch_limit(self):
         region, symtab = region_of()
-        report, _ = optimize_region(region, symtab, arch=FERMI_LIKE)
+        report, _ = SESSION.optimize_region(region, symtab, arch=FERMI_LIKE)
         assert report.register_limit == FERMI_LIKE.max_registers_per_thread
         assert report.final_registers <= FERMI_LIKE.max_registers_per_thread
 
@@ -77,5 +80,5 @@ class TestOptimizeRegion:
         """On a pre-Kepler arch the read-only class collapses into global;
         the run must still converge and replace the chain."""
         region, symtab = region_of()
-        report, _ = optimize_region(region, symtab, arch=FERMI_LIKE)
+        report, _ = SESSION.optimize_region(region, symtab, arch=FERMI_LIKE)
         assert report.groups_replaced >= 1

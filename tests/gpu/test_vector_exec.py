@@ -1,4 +1,5 @@
-"""Tests for the vectorized execution engine (`repro.gpu.vector_exec`).
+"""Tests for the batched execution runtime (`repro.gpu.vector_exec`),
+driven through the generated-code tier.
 
 The central invariant: whatever the engine does, outputs and
 :class:`~repro.gpu.interpreter.ExecutionStats` are *exactly* those of the
@@ -13,7 +14,8 @@ import pytest
 
 from repro.bench import NAS, SPEC, load_all
 from repro.bench.args import build_test_args, copy_args
-from repro.compiler import CompilerSession, execute_program
+import repro
+from repro.compiler import CompilerSession
 from repro.gpu.interpreter import run_kernel
 from repro.gpu.vector_exec import VectorUnsupported, execute_kernel
 from repro.ir import build_module
@@ -40,12 +42,12 @@ def assert_equivalent(src, args):
     for name in s_arrays:
         np.testing.assert_array_equal(s_arrays[name], v_arrays[name])
     assert s_stats == v_stats
-    # The pinned interpreting engine must agree bit-for-bit as well —
-    # under ``auto`` the generated-code tier normally answers first.
+    # Pinned ``codegen`` must answer itself (no silent scalar fallback)
+    # and agree with the oracle bit-for-bit.
     p_arrays, p_stats, p_info = execute_kernel(
-        lower(src), copy_args(args), executor="vector"
+        lower(src), copy_args(args), executor="codegen"
     )
-    assert p_info.used == "vector"
+    assert p_info.used == "codegen"
     for name in s_arrays:
         np.testing.assert_array_equal(s_arrays[name], p_arrays[name])
     assert s_stats == p_stats
@@ -71,7 +73,7 @@ class TestBenchmarkEquivalence:
                     s_arrays[name], v_arrays[name], err_msg=f"{spec.name}:{name}"
                 )
             assert s_stats == v_stats, spec.name
-            if info.used not in ("codegen", "vector"):
+            if info.used != "codegen":
                 assert info.fallback_reason, spec.name
 
     def test_most_benchmarks_use_codegen(self):
@@ -80,8 +82,7 @@ class TestBenchmarkEquivalence:
             fn, args = build_test_args(spec)
             _, _, info = execute_kernel(fn, args)
             used[spec.name] = info.used
-        # Under ``auto`` the generated-code tier sits above the interpreting
-        # vector engine, so every vectorizable benchmark runs via codegen.
+        # Under ``auto`` every vectorizable benchmark runs via codegen.
         compiled = [n for n, u in used.items() if u == "codegen"]
         assert len(compiled) >= 14, used
         # The EP kernels' LCG exceeds the int64-safe product range by design.
@@ -89,21 +90,32 @@ class TestBenchmarkEquivalence:
         assert used["EP"] == "scalar"
 
     def test_most_benchmarks_vectorize_when_pinned(self):
+        """Pinned ``codegen`` answers every non-EP benchmark itself, with
+        the scalar oracle's arrays and stats."""
         used = {}
         for spec in self._specs():
             if spec.name in ("352.ep", "EP"):
                 continue
             fn, args = build_test_args(spec)
-            _, _, info = execute_kernel(fn, args, executor="vector")
+            s_arrays, s_stats = run_kernel(fn, copy_args(args))
+            fn2, args2 = build_test_args(spec)
+            c_arrays, c_stats, info = execute_kernel(
+                fn2, args2, executor="codegen"
+            )
             used[spec.name] = info.used
-        assert all(u == "vector" for u in used.values()), used
+            for name in s_arrays:
+                np.testing.assert_array_equal(
+                    s_arrays[name], c_arrays[name], err_msg=f"{spec.name}:{name}"
+                )
+            assert s_stats == c_stats, spec.name
+        assert all(u == "codegen" for u in used.values()), used
 
     def test_vector_mode_raises_on_unsupported(self):
         load_all()
         spec = SPEC.get("352.ep")
         fn, args = build_test_args(spec)
         with pytest.raises(VectorUnsupported):
-            execute_kernel(fn, args, executor="vector")
+            execute_kernel(fn, args, executor="codegen")
 
     def test_fallback_is_logged(self, caplog):
         load_all()
@@ -241,9 +253,9 @@ class TestSessionWiring:
         _, _, info = session.execute(lower(self.SRC), self._args())
         assert (info.requested, info.used) == ("scalar", "scalar")
         _, _, info = session.execute(
-            lower(self.SRC), self._args(), executor="vector"
+            lower(self.SRC), self._args(), executor="codegen"
         )
-        assert info.used == "vector"
+        assert info.used == "codegen"
 
     def test_session_stats_execution_section(self):
         session = CompilerSession()
@@ -253,7 +265,7 @@ class TestSessionWiring:
         assert execution["executions"] == 2
         assert execution["codegen"] == 1
         # An *explicitly requested* scalar run is not a fallback: only
-        # vector/auto requests that came back scalar count as fallbacks.
+        # codegen/auto requests that came back scalar count as fallbacks.
         assert execution["scalar_fallbacks"] == 0
         assert execution["scalar_requested"] == 1
         kernels = execution["kernels"]
@@ -264,7 +276,8 @@ class TestSessionWiring:
         assert kernels[1]["requested"] == "scalar"
 
     def test_execute_program_shim(self):
-        arrays, stats, info = execute_program(lower(self.SRC), self._args())
+        """``repro.run`` replaces the removed ``execute_program``."""
+        arrays, stats, info = repro.run(self.SRC, self._args())
         np.testing.assert_array_equal(arrays["a"], [0.0, 3.0, 6.0, 9.0, 12.0])
         assert info.used == "codegen"
         assert stats.stores == 5

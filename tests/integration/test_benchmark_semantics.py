@@ -20,12 +20,13 @@ from repro.compiler import (
     SMALL_DIM_SAFARA,
     UNROLL_SAFARA,
     VECTOR_SAFARA,
-    compile_function,
+    default_session,
 )
 from repro.gpu.interpreter import run_kernel
 
 SPEC_SUITE, NAS_SUITE = load_all()
 ALL_SPECS = SPEC_SUITE.all() + NAS_SUITE.all()
+SESSION = default_session()
 CONFIGS = [BASE, SAFARA_ONLY, SMALL_DIM_SAFARA, CARR_KENNEDY, PGI, UNROLL_SAFARA, VECTOR_SAFARA]
 
 
@@ -47,7 +48,7 @@ def test_pipeline_preserves_semantics(spec, config):
     ref_arrays, ref_stats = run_kernel(ref_fn, ref_args)
 
     xf_fn, xf_args = build_test_args(spec)
-    compile_function(xf_fn, config)  # mutates xf_fn's IR
+    SESSION.compile_function(xf_fn, config)  # mutates xf_fn's IR
     xf_arrays, xf_stats = run_kernel(xf_fn, xf_args)
 
     for name, expected in ref_arrays.items():
@@ -69,6 +70,6 @@ def test_safara_reduces_dynamic_loads(spec):
     _, ref_stats = run_kernel(ref_fn, ref_args)
 
     xf_fn, xf_args = build_test_args(spec)
-    compile_function(xf_fn, SAFARA_ONLY)
+    SESSION.compile_function(xf_fn, SAFARA_ONLY)
     _, xf_stats = run_kernel(xf_fn, xf_args)
     assert xf_stats.loads < ref_stats.loads

@@ -79,6 +79,36 @@ class TestSchedule:
         for _, request in schedule:
             assert any(k.startswith("__len_") for k in request["env"])
 
+    def test_run_request_keeps_float_scalars_and_matches_the_oracle(self):
+        """EP's ``ainv`` stays a float (int-casting it made the kernel
+        divide by zero), and a broker answers the request with the scalar
+        oracle's stats."""
+        from repro.bench import NAS, load_all
+        from repro.gpu.interpreter import build_run_args, run_kernel
+        from repro.ir import build_module
+        from repro.lang import parse_program
+        from repro.loadgen import _request_for
+        from repro.serve.broker import Broker, BrokerConfig
+
+        load_all()
+        spec = NAS.get("EP")
+        request = _request_for("run", spec, profile(benchmarks=("EP",)))
+        ainv = request["env"]["ainv"]
+        assert isinstance(ainv, float) and ainv == spec.scalar_args["ainv"]
+
+        fn = build_module(parse_program(spec.source)).functions[0]
+        _, stats = run_kernel(fn, build_run_args(fn, request["env"]))
+        request.pop("_benchmark")
+        with Broker(BrokerConfig(workers=1)) as broker:
+            response = broker.handle({"id": 1, **request})
+        assert response["ok"], response
+        assert response["result"]["stats"] == {
+            "loads": stats.loads,
+            "stores": stats.stores,
+            "flops": stats.flops,
+            "iterations": stats.iterations,
+        }
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmarks"):
             build_schedule(profile(benchmarks=("no.such.bench",)))

@@ -36,7 +36,7 @@ STATS_KEYS = {
     "pass_totals", "traces", "execution", "cache",
 }
 EXECUTION_KEYS = {
-    "executions", "codegen", "vector", "scalar_fallbacks",
+    "executions", "codegen", "scalar_fallbacks",
     "scalar_requested", "kernels",
 }
 CACHE_KEYS = {"entries", "maxsize", "hits", "misses", "evictions", "hit_rate"}

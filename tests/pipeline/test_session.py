@@ -1,9 +1,9 @@
-"""CompilerSession behavior and backward-compatibility of the shims.
-
-The old public entrypoints (``compile_source``, ``compile_function``,
-``compile_guarded``, ``time_program``, ``optimize_region``) must keep
-working unchanged — including the README's minimal API example, executed
-here verbatim from the README text."""
+"""CompilerSession behavior, and the session methods and facade calls that
+replaced the removed free functions (``compile_source``,
+``compile_function``, ``compile_guarded``, ``time_program``,
+``optimize_region``; see the old→new table in ``docs/pipeline.md``) —
+including the README's minimal API example, executed here verbatim from
+the README text."""
 
 import inspect
 import pathlib
@@ -19,13 +19,8 @@ from repro.compiler import (
     CompilerConfig,
     CompilerSession,
     ProgramTiming,
-    compile_function,
-    compile_guarded,
-    compile_source,
     default_session,
-    time_program,
 )
-from repro.feedback import optimize_region
 from repro.ir import build_module
 from repro.lang import parse_program
 
@@ -60,21 +55,27 @@ class TestReadmeExample:
 
 
 class TestShimCompatibility:
+    """Each removed free function's call shape works unchanged on its
+    replacement: a :class:`CompilerSession` method or the facade."""
+
     def test_compile_source_returns_compiled_program(self):
-        program = compile_source(SRC, BASE)
+        program = CompilerSession().compile_source(SRC, BASE)
         assert isinstance(program, CompiledProgram)
         assert program.config is BASE
         assert program.kernels and program.kernels[0].name == "chain_k1"
 
     def test_compile_source_config_stays_positional(self):
         # the README example passes config positionally; that must not break
-        assert compile_source(SRC, SMALL_DIM_SAFARA).config is SMALL_DIM_SAFARA
+        program = CompilerSession().compile_source(SRC, SMALL_DIM_SAFARA)
+        assert program.config is SMALL_DIM_SAFARA
+        assert repro.compile(SRC, SMALL_DIM_SAFARA).config is SMALL_DIM_SAFARA
 
     def test_optional_params_are_keyword_only(self):
         for fn, kwonly in [
-            (compile_source, {"kernel_name", "filename"}),
-            (time_program, {"launches"}),
-            (compile_guarded, {"options", "arch", "name"}),
+            (CompilerSession.compile_source, {"kernel_name", "filename"}),
+            (repro.compile, {"kernel_name", "filename"}),
+            (CompilerSession.time_program, {"launches"}),
+            (CompilerSession.compile_guarded, {"options", "arch", "name"}),
         ]:
             sig = inspect.signature(fn)
             actual = {
@@ -85,40 +86,46 @@ class TestShimCompatibility:
             assert kwonly <= actual, fn.__name__
 
     def test_compile_function_matches_compile_source(self):
+        session = CompilerSession()
         fn = build_module(parse_program(SRC)).functions[0]
-        via_fn = compile_function(fn, SMALL_DIM_SAFARA)
-        via_src = compile_source(SRC, SMALL_DIM_SAFARA)
+        via_fn = session.compile_function(fn, SMALL_DIM_SAFARA)
+        via_src = session.compile_source(SRC, SMALL_DIM_SAFARA)
         assert [k.registers for k in via_fn.kernels] == [
             k.registers for k in via_src.kernels
         ]
 
     def test_time_program_shim(self):
-        program = compile_source(SRC, BASE)
-        timing = time_program(program, {"nx": 64, "ny": 32, "nz": 16}, launches=3)
+        session = CompilerSession()
+        program = session.compile_source(SRC, BASE)
+        timing = session.time_program(
+            program, {"nx": 64, "ny": 32, "nz": 16}, launches=3
+        )
         assert isinstance(timing, ProgramTiming)
         assert timing.total_ms > 0
 
     def test_compile_guarded_shim(self):
         fn = build_module(parse_program(SRC)).functions[0]
-        guarded = compile_guarded(fn.regions()[0], fn.symtab, name="g")
+        guarded = CompilerSession().compile_guarded(
+            fn.regions()[0], fn.symtab, name="g"
+        )
         kernel, info, verdict = guarded.select({"nx": 64, "ny": 32, "nz": 16})
         assert verdict.ok
         assert kernel is guarded.optimized
 
     def test_optimize_region_shim(self):
         fn = build_module(parse_program(SRC)).functions[0]
-        before = default_session().stats.feedback_optimizations
-        report, feedback = optimize_region(fn.regions()[0], fn.symtab)
+        session = CompilerSession()
+        report, feedback = session.optimize_region(fn.regions()[0], fn.symtab)
         assert feedback.compilations >= 1
         assert feedback.history
-        assert default_session().stats.feedback_optimizations == before + 1
+        assert session.stats.feedback_optimizations == 1
 
     def test_shims_share_the_default_session_cache(self):
         session = default_session()
         src = SRC.replace("chain", "chain_shared")
         baseline = session.cache.misses
-        compile_source(src, BASE)
-        compile_source(src, BASE)
+        repro.compile(src, BASE)
+        repro.compile(src, BASE)
         assert session.cache.misses == baseline + 1
 
     def test_repro_reexports_session_api(self):

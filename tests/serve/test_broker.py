@@ -304,6 +304,38 @@ class TestRun:
         assert response["result"]["executor"]["used"] == "scalar"
         assert broker.metrics.get("serve.degradations").value == 0
 
+    def test_repeated_source_is_parsed_once(self, monkeypatch):
+        import repro.lang.parser as parser
+
+        calls = []
+        real = parser.parse_program
+
+        def counting(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_program", counting)
+        with make_broker(cache_size=1) as broker:
+            first = broker.handle(self.run_request(1))
+            second = broker.handle(self.run_request(2, env={"n": 64}))
+            other = broker.handle(
+                self.run_request(3, source=SRC.replace("axpy", "axpz"))
+            )
+            again = broker.handle(self.run_request(4))
+        assert all(r["ok"] for r in (first, second, other, again))
+        assert second["result"]["stats"]["iterations"] == 63
+        assert other["result"]["kernel"] == "axpz"
+        # The third source evicts the first from the one-entry cache.
+        assert len(calls) == 3
+
+    def test_parse_error_is_not_cached(self):
+        with make_broker() as broker:
+            responses = [
+                broker.handle(self.run_request(i, source=BAD_SRC))
+                for i in range(2)
+            ]
+        assert [r["error"]["code"] for r in responses] == ["parse_error"] * 2
+
 
 class TestCodegenServing:
     """The generated-NumPy tier as seen from the serving surface: per-tier
@@ -345,6 +377,21 @@ class TestCodegenServing:
         assert not response["ok"]
         assert response["error"]["code"] == "bad_request"
         assert "valid executors" in response["error"]["message"]
+
+    def test_removed_vector_executor_is_bad_request(self):
+        """The interpreting ``vector`` tier is gone: the name is rejected
+        like any unknown executor, listing the remaining ladder."""
+        from repro.errors import ConfigError
+        from repro.executors import parse_executor
+
+        with pytest.raises(ConfigError) as exc_info:
+            parse_executor("vector")
+        expected = "valid executors are auto, codegen, scalar"
+        assert expected in str(exc_info.value)
+        with make_broker() as broker:
+            response = broker.handle(self.run_request(executor="vector"))
+        assert response["error"]["code"] == "bad_request"
+        assert expected in response["error"]["message"]
 
     def test_warm_restart_rebinds_persisted_source(self, tmp_path, monkeypatch):
         from repro.codegen import numpy_source

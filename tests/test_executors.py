@@ -9,7 +9,7 @@ from repro.executors import EXECUTOR_NAMES, Executor, parse_executor
 
 class TestParsing:
     def test_names_are_the_ladder(self):
-        assert EXECUTOR_NAMES == ("auto", "codegen", "vector", "scalar")
+        assert EXECUTOR_NAMES == ("auto", "codegen", "scalar")
 
     def test_parse_every_name(self):
         for name in EXECUTOR_NAMES:
@@ -39,7 +39,7 @@ class TestParsing:
             parse_executor("warp")
 
     def test_str_is_the_wire_name(self):
-        assert str(Executor.VECTOR) == "vector"
+        assert str(Executor.CODEGEN) == "codegen"
 
 
 class TestWiring:

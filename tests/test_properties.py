@@ -236,7 +236,7 @@ class TestScalarReplacementProperty:
     @given(stencil_programs(), st.integers(10, 24), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_safara_equivalence_on_random_stencils(self, program, n, seed):
-        from repro.feedback import optimize_region
+        from repro.compiler import CompilerSession
 
         src, span = program
         rng = np.random.default_rng(seed)
@@ -248,7 +248,9 @@ class TestScalarReplacementProperty:
         run_kernel(fn1, {"a": a1, "b": b.copy(), "n": n})
 
         fn2 = build_module(parse_program(src)).functions[0]
-        report, _ = optimize_region(fn2.regions()[0], fn2.symtab)
+        report, _ = CompilerSession().optimize_region(
+            fn2.regions()[0], fn2.symtab
+        )
         run_kernel(fn2, {"a": a2, "b": b.copy(), "n": n})
 
         np.testing.assert_array_equal(a1, a2)
@@ -307,7 +309,6 @@ class TestReuseGroupProperties:
     @given(reuse_loops(), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_safara_never_increases_dynamic_loads(self, src, seed):
-        from repro.feedback import optimize_region as _opt
         from repro.lang import parse_program as _pp
 
         n = 16
@@ -410,7 +411,7 @@ def fallback_programs(draw):
 
 
 class TestVectorExecutionProperty:
-    def _run_both(self, src, n, seed, executor="auto"):
+    def _run_both(self, src, n, seed):
         from repro.gpu.vector_exec import execute_kernel
 
         rng = np.random.default_rng(seed)
@@ -433,9 +434,7 @@ class TestVectorExecutionProperty:
         )
         fn2 = build_module(parse_program(src)).functions[0]
         v_arrays, v_stats, info = execute_kernel(
-            fn2,
-            {k: v for k, v in args().items() if k in wanted},
-            executor=executor,
+            fn2, {k: v for k, v in args().items() if k in wanted}
         )
         return s_arrays, s_stats, v_arrays, v_stats, info
 
@@ -449,29 +448,11 @@ class TestVectorExecutionProperty:
         assert s_stats == v_stats
 
     @given(vectorizable_programs(), st.integers(8, 24), st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_codegen_and_vector_engines_agree(self, src, n, seed):
-        """Pinned ``codegen`` and pinned ``vector`` are the same machine:
-        the generated program calls the interpreter's primitives in the
-        interpreter's order, so arrays and stats match bit for bit."""
-        _, _, c_arrays, c_stats, c_info = self._run_both(
-            src, n, seed, executor="codegen"
-        )
-        _, _, v_arrays, v_stats, v_info = self._run_both(
-            src, n, seed, executor="vector"
-        )
-        assert c_info.used == "codegen" and v_info.used == "vector"
-        for name in v_arrays:
-            np.testing.assert_array_equal(c_arrays[name], v_arrays[name])
-        assert c_stats == v_stats
-
-    @given(vectorizable_programs(), st.integers(8, 24), st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_generated_source_round_trips_through_text(self, src, n, seed):
         """generate → bind on a fresh parse → run matches the scalar
         oracle: the persisted-source warm path for arbitrary safe kernels."""
         from repro.codegen.numpy_source import bind_source, generate_source
-        from repro.codegen.vector_lower import plan_kernel
         from repro.gpu.interpreter import bind_arguments
         from repro.gpu.vector_exec import VectorInterpreter
 
@@ -495,7 +476,7 @@ class TestVectorExecutionProperty:
         scalars, arrays, lowers = bind_arguments(
             fn2, {k: v for k, v in base.items() if k in wanted}
         )
-        interp = VectorInterpreter(fn2, plan_kernel(fn2), scalars, arrays, lowers)
+        interp = VectorInterpreter(scalars, arrays, lowers)
         gk.run(interp)
         for name in s_arrays:
             np.testing.assert_array_equal(s_arrays[name], arrays[name])

@@ -3,11 +3,13 @@
 import numpy as np
 
 from repro.analysis import analyze_loops
-from repro.compiler import BASE, compile_function, compile_source
+from repro.compiler import BASE, default_session
 from repro.ir import Loop, build_module
 from repro.gpu.interpreter import run_kernel
 from repro.lang import parse_program
 from repro.transforms import auto_parallelize
+
+SESSION = default_session()
 
 UNDIRECTED_SRC = """
 kernel k(double a[n][m], const double b[n][m], int n, int m) {
@@ -149,7 +151,7 @@ class TestMapping:
 
 class TestEndToEnd:
     def test_driver_parallelizes_and_launches_wide(self):
-        prog = compile_source(UNDIRECTED_SRC, BASE)
+        prog = SESSION.compile_source(UNDIRECTED_SRC, BASE)
         kernel = prog.kernels[0]
         assert kernel.autopar is not None
         assert kernel.autopar.parallelized == 2
@@ -163,6 +165,6 @@ class TestEndToEnd:
         fn1 = lower(UNDIRECTED_SRC)
         run_kernel(fn1, {"a": a1, "b": b.copy(), "n": n, "m": m})
         fn2 = lower(UNDIRECTED_SRC)
-        compile_function(fn2, BASE)
+        SESSION.compile_function(fn2, BASE)
         run_kernel(fn2, {"a": a2, "b": b.copy(), "n": n, "m": m})
         np.testing.assert_array_equal(a1, a2)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import GroupKind
-from repro.feedback import FeedbackCompiler, optimize_region
+from repro.compiler import default_session
+from repro.feedback import FeedbackCompiler
 from repro.gpu.arch import FERMI_LIKE, KEPLER_K20XM
 from repro.ir import build_module, format_function
 from repro.lang import parse_program
 from repro.transforms import apply_safara, collect_candidates
+
+SESSION = default_session()
 
 SEISMIC_SRC = """
 kernel seismic(const double vz_1[1:nz][1:ny][1:nx], const double vz_2[1:nz][1:ny][1:nx],
@@ -56,7 +59,7 @@ class TestParallelGuard:
     def test_loop_stays_parallel_after_safara(self):
         fn = lower(PARALLEL_REUSE_SRC)
         region = fn.regions()[0]
-        report, _ = optimize_region(region, fn.symtab)
+        report, _ = SESSION.optimize_region(region, fn.symtab)
         loop = region.body[0]
         assert loop.is_parallel
         assert not loop.sequentialized
@@ -88,7 +91,7 @@ class TestFeedbackLoop:
     def test_feedback_invoked_each_iteration(self):
         fn = lower(SEISMIC_SRC)
         region = fn.regions()[0]
-        report, feedback = optimize_region(region, fn.symtab)
+        report, feedback = SESSION.optimize_region(region, fn.symtab)
         # At least: initial compile + post-replacement convergence check.
         assert feedback.compilations >= 2
         assert feedback.compilations == len(feedback.history)
@@ -96,7 +99,7 @@ class TestFeedbackLoop:
     def test_register_budget_respected(self):
         fn = lower(SEISMIC_SRC)
         region = fn.regions()[0]
-        report, feedback = optimize_region(region, fn.symtab, register_limit=64)
+        report, feedback = SESSION.optimize_region(region, fn.symtab, register_limit=64)
         assert report.final_registers <= 64
 
     def test_tight_limit_blocks_replacement(self):
@@ -106,14 +109,14 @@ class TestFeedbackLoop:
         first = feedback(region).registers
         fn2 = lower(SEISMIC_SRC)
         region2 = fn2.regions()[0]
-        report, _ = optimize_region(region2, fn2.symtab, register_limit=first)
+        report, _ = SESSION.optimize_region(region2, fn2.symtab, register_limit=first)
         # available = 0 -> nothing replaced.
         assert report.groups_replaced == 0
 
     def test_replacements_recorded_per_iteration(self):
         fn = lower(SEISMIC_SRC)
         region = fn.regions()[0]
-        report, _ = optimize_region(region, fn.symtab)
+        report, _ = SESSION.optimize_region(region, fn.symtab)
         assert report.groups_replaced == 3
         assert report.iterations
         assert all(it.applied for it in report.iterations)
@@ -121,7 +124,7 @@ class TestFeedbackLoop:
     def test_registers_grow_after_replacement(self):
         fn = lower(SEISMIC_SRC)
         region = fn.regions()[0]
-        report, feedback = optimize_region(region, fn.symtab)
+        report, feedback = SESSION.optimize_region(region, fn.symtab)
         assert feedback.history[-1].registers >= feedback.history[0].registers
 
     def test_partial_budget_replaces_highest_cost_first(self):
@@ -132,7 +135,9 @@ class TestFeedbackLoop:
         fn2 = lower(SEISMIC_SRC)
         region2 = fn2.regions()[0]
         # Room for exactly one double-width rotating pair (2 temps x 2).
-        report, _ = optimize_region(region2, fn2.symtab, register_limit=base + 4)
+        report, _ = SESSION.optimize_region(
+            region2, fn2.symtab, register_limit=base + 4
+        )
         assert report.groups_replaced == 1
 
     def test_max_iterations_terminates(self):
@@ -147,7 +152,7 @@ class TestSemanticsPreserved:
     def test_safara_preserves_results(self, equivalence):
         def xform(fn):
             region = fn.regions()[0]
-            optimize_region(region, fn.symtab)
+            SESSION.optimize_region(region, fn.symtab)
 
         stats_orig, stats_xform, fn = equivalence(
             SEISMIC_SRC,
@@ -159,7 +164,7 @@ class TestSemanticsPreserved:
     def test_readonly_cache_toggle_changes_costs_not_results(self, equivalence):
         def xform(fn):
             region = fn.regions()[0]
-            optimize_region(region, fn.symtab, arch=FERMI_LIKE)
+            SESSION.optimize_region(region, fn.symtab, arch=FERMI_LIKE)
 
         equivalence(SEISMIC_SRC, {"nx": 9, "ny": 7, "nz": 6, "h": 0.5}, xform)
 
@@ -168,7 +173,7 @@ class TestConvergedReason:
     def test_reasons(self):
         fn = lower(SEISMIC_SRC)
         region = fn.regions()[0]
-        report, _ = optimize_region(region, fn.symtab)
+        report, _ = SESSION.optimize_region(region, fn.symtab)
         assert report.converged_reason in (
             "registers-saturated",
             "candidates-exhausted",
