@@ -17,12 +17,15 @@ interpreter evaluates the tree, so it produces the oracle's arrays and
 does not recognise raises :class:`CodegenUnsupported` and the executor
 ladder falls back to the scalar interpreter.
 
-The generated *source text* is persisted next to the compiled program in
-the DiskCache envelope (format v2) — a warm restart re-binds the text to a
-freshly parsed function via :func:`bind_source` without re-running the
-planner.  Rebinding is positional: ``enumerate_nodes`` walks the IR
-deterministically, and the source references nodes only through their
-walk index, so any parse of the same source text binds correctly.
+Generated source is made and bound only on execution.  The serving
+broker persists the *source text* of a ``run`` in a DiskCache envelope
+(format v2) under its run content key; compile envelopes carry the
+compiled program alone.  A restarted daemon's first ``run`` of that key
+re-binds the text to a freshly parsed function via :func:`bind_source`
+without re-running the planner.  Rebinding is positional:
+``enumerate_nodes`` walks the IR deterministically, and the source
+references nodes only through their walk index, so any parse of the same
+source text binds correctly.
 """
 
 from __future__ import annotations
@@ -441,8 +444,6 @@ class FunctionCache:
         self._lock = threading.Lock()
         self._map: dict[str, GeneratedKernel] = {}
         self._max = max_entries
-        self.hits = 0
-        self.misses = 0
 
     def get(
         self, key: str, metrics=None, *, record_miss: bool = True
@@ -455,9 +456,6 @@ class FunctionCache:
             if gk is not None:
                 self._map.pop(key)
                 self._map[key] = gk  # LRU touch
-                self.hits += 1
-            elif record_miss:
-                self.misses += 1
         if metrics is not None and (gk is not None or record_miss):
             metrics.counter(
                 "cache.fnobj.hits" if gk is not None else "cache.fnobj.misses"
@@ -501,7 +499,7 @@ def get_or_compile(
 
     With a ``content_key``, repeat launches hit the in-memory function
     cache and skip planning and generation entirely.  ``source`` (from a
-    warm disk-cache envelope) rebinds persisted text without re-planning;
+    broker's ``run`` envelope) rebinds persisted text without re-planning;
     if it turns out corrupt or stale the tier regenerates from the plan.
     """
     if content_key is not None:

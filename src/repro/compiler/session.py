@@ -10,7 +10,11 @@ A session owns the three pieces every compilation needs:
   (:class:`~repro.pipeline.cache.CompileCache`) keyed by
   hash(source text, config, env bindings, arch), with hit/miss/evict
   counters — the SAFARA loop recompiles constantly and the experiments
-  multiply that by configurations × benchmarks;
+  multiply that by configurations × benchmarks.  An optional
+  :class:`~repro.pipeline.diskcache.DiskCache` behind it persists the
+  compiled program only: a compile never generates NumPy source, which
+  is made and bound on execution (:meth:`CompilerSession.execute`) and
+  persisted only by the serving broker's ``run`` path;
 * the **statistics** (:class:`~repro.pipeline.trace.SessionStats`):
   structured traces of every compile, serialisable to JSON for the CLI's
   ``--stats`` flag.
@@ -313,41 +317,32 @@ class CompilerSession:
         )
         key = job.key()
         with span("compile", config=config.name, cache_key=key) as sp:
-            cached = self._cache_lookup(key, job)
+            cached = self._cache_lookup(key)
             if cached is not None:
                 sp.set(cache_hit=True)
                 return cached
             sp.set(cache_hit=False)
             program = self._compile_job(job, key)
-            self._cache_store(key, program, codegen=self._codegen_for_job(job))
+            self._cache_store(key, program)
         return program
 
-    def _cache_lookup(
-        self, key: str, job: CompileJob | None = None
-    ) -> CompiledProgram | None:
+    def _cache_lookup(self, key: str) -> CompiledProgram | None:
         """Two-tier lookup: memory first, then the persistent tier (a disk
-        hit is promoted into the in-memory cache).  A disk envelope that
-        carries generated NumPy source is rebound into the process-wide
-        function cache, so a warm restart executes hot without re-running
-        the planner or the generator."""
+        hit is promoted into the in-memory cache)."""
         cached = self.cache.get(key)
         if cached is not None:
             return cached
         if self.disk_cache is not None:
-            program, codegen = self.disk_cache.get_entry(key)
+            program = self.disk_cache.get(key)
             if program is not None:
                 self.cache.put(key, program)
-                if codegen is not None and job is not None:
-                    self._rebind_codegen(job, key, codegen)
                 return program
         return None
 
-    def _cache_store(
-        self, key: str, program: CompiledProgram, *, codegen: str | None = None
-    ) -> None:
+    def _cache_store(self, key: str, program: CompiledProgram) -> None:
         self.cache.put(key, program)
         if self.disk_cache is not None:
-            self.disk_cache.put(key, program, codegen=codegen)
+            self.disk_cache.put(key, program)
 
     def _parse_job(self, job: CompileJob) -> KernelFunction:
         module = build_module(parse_program(job.source, job.filename))
@@ -356,37 +351,6 @@ class CompilerSession:
             if job.kernel_name is None
             else module.function(job.kernel_name)
         )
-
-    def _codegen_for_job(self, job: CompileJob) -> str | None:
-        """Generated NumPy source for the job's kernel, or ``None`` when
-        the codegen tier cannot express it.  Always generated from a
-        pristine parse — the passes mutate the compiled program's IR."""
-        from ..codegen import numpy_source
-
-        t0 = time.perf_counter()
-        try:
-            source = numpy_source.generate_source(self._parse_job(job))
-        except Exception:  # noqa: BLE001 — codegen is best-effort
-            return None
-        self.metrics.histogram("codegen.generate_ms").observe(
-            (time.perf_counter() - t0) * 1000.0
-        )
-        return source
-
-    def _rebind_codegen(self, job: CompileJob, key: str, source: str) -> None:
-        """Bind persisted generated source into the function cache (warm
-        restart path: no planning, no generation — just ``exec``)."""
-        from ..codegen import numpy_source
-
-        try:
-            numpy_source.get_or_compile(
-                self._parse_job(job),
-                content_key=key,
-                source=source,
-                metrics=self.metrics,
-            )
-        except Exception:  # noqa: BLE001 — stale source: executors re-plan
-            pass
 
     def _compile_job(
         self, job: CompileJob, key: str | None = None
@@ -434,7 +398,7 @@ class CompilerSession:
 
         to_compile: list[str] = []
         for key in indices_for:
-            cached = self._cache_lookup(key, job_for[key])
+            cached = self._cache_lookup(key)
             if cached is not None:
                 for i in indices_for[key]:
                     results[i] = cached
@@ -467,9 +431,7 @@ class CompilerSession:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     compiled = list(pool.map(compile_one, to_compile))
             for key, program in zip(to_compile, compiled):
-                self._cache_store(
-                    key, program, codegen=self._codegen_for_job(job_for[key])
-                )
+                self._cache_store(key, program)
                 for i in indices_for[key]:
                     results[i] = program
         return results  # type: ignore[return-value]
@@ -551,7 +513,8 @@ class CompilerSession:
         ``content_key`` (a stable content hash for ``fn``'s source) keys
         the process-wide generated-function cache, so repeat executions
         skip planning and codegen; ``codegen_source`` seeds that cache
-        from a persisted disk envelope.  Returns ``(arrays, stats,
+        from a persisted ``run`` envelope (the broker writes one under its
+        run content key).  Returns ``(arrays, stats,
         info)``; the :class:`~repro.gpu.vector_exec.ExecutionInfo` is also
         recorded in the session statistics (the ``execution`` section of
         :meth:`stats_dict`).

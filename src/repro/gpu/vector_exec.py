@@ -875,9 +875,10 @@ def execute_kernel(
     ``content_key`` (optional) keys the in-memory generated-function cache
     — callers that know a stable content hash for ``fn``'s source pass it
     so repeat launches skip planning and code generation entirely.
-    ``codegen_source`` (optional) is persisted generated source from a
-    warm disk-cache envelope; it is rebound instead of re-generated, and
-    silently re-planned if stale.  ``metrics`` (optional,
+    ``codegen_source`` (optional) is persisted generated source from the
+    serving broker's ``run`` envelope (compile envelopes carry none); it
+    is rebound instead of re-generated, and re-planned if it fails to
+    bind.  ``metrics`` (optional,
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the codegen
     tier's cache and generation counters.
     """

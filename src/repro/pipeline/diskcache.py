@@ -50,11 +50,13 @@ from ..errors import CacheError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
 
-#: Current envelope version.  v2 added the optional ``codegen`` field (the
-#: generated NumPy source text persisted next to the compiled program).
-#: v1 entries still load — they simply carry no codegen source and are
-#: upgraded in place on their next write.  Anything newer than
-#: ``FORMAT_VERSION`` (or older than ``MIN_FORMAT_VERSION``) is a miss.
+#: Current envelope version.  v2 added the optional ``codegen`` field:
+#: generated NumPy source text, which the serving broker writes into
+#: ``run`` envelopes (``value=None``) under its run content key; compile
+#: envelopes carry the program only.  v1 entries still load — they simply
+#: carry no codegen source and are upgraded in place on their next write.
+#: Anything newer than ``FORMAT_VERSION`` (or older than
+#: ``MIN_FORMAT_VERSION``) is a miss.
 FORMAT_VERSION = 2
 MIN_FORMAT_VERSION = 1
 
@@ -192,10 +194,9 @@ class DiskCache:
         """Persist ``value`` under ``key`` atomically, then evict LRU
         entries until the cache fits ``max_bytes``.
 
-        ``codegen`` (optional) is the generated NumPy source text stored
-        next to the program — re-writing a key without it drops any
-        previously stored source (deterministic compiles rewrite identical
-        programs, so the next codegen-aware write repopulates it).
+        ``codegen`` (optional) is generated NumPy source text; the serving
+        broker stores it with ``value=None`` under a ``run`` content key.
+        Re-writing a key without it drops any previously stored source.
         """
         path = self._path(key)
         envelope: dict[str, Any] = {

@@ -122,9 +122,8 @@ class SessionStats:
     """Aggregate counters and traces for one compiler session.
 
     Counters live in a metrics registry (pass one to share it with the
-    compile cache; a private one is created otherwise).  The attribute
-    API is unchanged from the dataclass era: ``stats.compilations`` still
-    reads — and, for backward compatibility, still assigns — the counter.
+    compile cache; a private one is created otherwise).  Read-only
+    properties such as ``stats.compilations`` report the counters.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
@@ -216,25 +215,13 @@ class SessionStats:
     def compilations(self) -> int:
         return int(self._compilations.value)
 
-    @compilations.setter
-    def compilations(self, value: int) -> None:
-        self._compilations.value = value
-
     @property
     def timings(self) -> int:
         return int(self._timings.value)
 
-    @timings.setter
-    def timings(self, value: int) -> None:
-        self._timings.value = value
-
     @property
     def feedback_optimizations(self) -> int:
         return int(self._feedback_optimizations.value)
-
-    @feedback_optimizations.setter
-    def feedback_optimizations(self, value: int) -> None:
-        self._feedback_optimizations.value = value
 
     @property
     def executions(self) -> int:

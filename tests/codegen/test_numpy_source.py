@@ -229,18 +229,19 @@ class TestFunctionCache:
     def test_content_key_hits_skip_generation(self, monkeypatch):
         cache = FunctionCache()
         monkeypatch.setattr(numpy_source, "_CACHE", cache)
+        m = MetricsRegistry()
         fn = lower(SRC)
-        get_or_compile(fn, content_key="deadbeef")
+        get_or_compile(fn, content_key="deadbeef", metrics=m)
         calls = []
         monkeypatch.setattr(
             numpy_source,
             "compile_kernel",
             lambda *a, **k: calls.append(1),
         )
-        gk = get_or_compile(fn, content_key="deadbeef")
+        gk = get_or_compile(fn, content_key="deadbeef", metrics=m)
         assert gk.kernel == "k"
         assert calls == []
-        assert cache.hits == 1
+        assert m.get("cache.fnobj.hits").value == 1
 
     def test_metrics_count_hits_and_misses(self, monkeypatch):
         cache = FunctionCache()
@@ -302,9 +303,12 @@ class TestWarmFastPath:
 
         monkeypatch.setattr(vx, "plan_kernel", no_plan)
         args = _args()
-        _, stats, info = execute_kernel(fn, args, content_key="warm01")
+        m = MetricsRegistry()
+        _, stats, info = execute_kernel(
+            fn, args, content_key="warm01", metrics=m
+        )
         assert info.used == "codegen"
-        assert cache.hits == 1
+        assert m.get("cache.fnobj.hits").value == 1
         s_arrays, s_stats = run_kernel(lower(SRC), _args())
         np.testing.assert_array_equal(args["a"], s_arrays["a"])
         assert stats == s_stats
@@ -341,7 +345,6 @@ class TestSessionExecute:
                 lower(SRC), _args(), content_key="feed05"
             )
             assert info.used == "codegen"
-        assert cache.hits == 1
         d = session.stats_dict()["execution"]
         assert d["codegen"] == 2
         assert session.metrics.get("cache.fnobj.hits").value == 1

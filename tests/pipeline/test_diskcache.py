@@ -279,10 +279,57 @@ class TestEnvelopeV2:
         counter = cache.metrics.get("cache.disk.codegen_corrupt")
         assert counter is not None and counter.value == 1
 
-    def test_session_envelope_carries_codegen_source(self, tmp_path):
+    def test_session_envelope_carries_program_only(self, tmp_path):
+        """Generated source belongs to ``run`` envelopes; a compile
+        persists the compiled program alone."""
         session = CompilerSession(cache_dir=tmp_path)
         session.compile_source(SRC, BASE)
-        key = cache_key(SRC, BASE)
-        _, codegen = session.disk_cache.get_entry(key)
-        assert codegen is not None
-        assert codegen.startswith("# repro:numpy_source v1")
+        program, codegen = session.disk_cache.get_entry(KEY)
+        assert program is not None and codegen is None
+
+    def test_session_hits_envelope_carrying_codegen(self, tmp_path):
+        """Compile envelopes written with a ``codegen`` field still load
+        as plain program hits."""
+        program = CompilerSession().compile_source(SRC, BASE)
+        DiskCache(tmp_path).put(KEY, program, codegen="# generated")
+        warm = CompilerSession(cache_dir=tmp_path)
+        hit = warm.compile_source(SRC, BASE)
+        assert warm.stats.compilations == 0 and warm.disk_cache.hits == 1
+        assert hit.kernels[0].vir.dump() == program.kernels[0].vir.dump()
+
+
+class TestParseCount:
+    """A cold compile parses its source once; a disk hit never parses."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.compiler import session as session_mod
+
+        calls = []
+        real = session_mod.parse_program
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "parse_program", counting)
+        return calls
+
+    def test_cold_compile_parses_once(self, tmp_path, parses):
+        CompilerSession(cache_dir=tmp_path).compile_source(SRC, BASE)
+        assert len(parses) == 1
+
+    def test_disk_hit_parses_zero_times(self, tmp_path, parses):
+        CompilerSession(cache_dir=tmp_path).compile_source(SRC, BASE)
+        parses.clear()
+        warm = CompilerSession(cache_dir=tmp_path)
+        warm.compile_source(SRC, BASE)
+        assert warm.disk_cache.hits == 1
+        assert parses == []
+
+    def test_threaded_batch_parses_each_job_once(self, tmp_path, parses):
+        jobs = [(SRC, BASE, None, "<string>", {"n": n}) for n in range(6)]
+        session = CompilerSession(cache_dir=tmp_path)
+        session.compile_many(jobs, max_workers=3)
+        assert session.stats.compilations == len(jobs)
+        assert len(parses) == len(jobs)
