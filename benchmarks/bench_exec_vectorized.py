@@ -14,7 +14,10 @@ Usage::
 a timing claim) and does not touch the committed results file.  The full
 run scales each benchmark's test sizes up (capped at the paper's real
 sizes) so the Python-loop interpreter takes measurable time while the
-batched engine's per-step NumPy cost stays amortised.
+batched engine's per-step NumPy cost stays amortised.  Every mode prints
+each kernel's guard census (``codegen.guards.static`` / ``.dynamic`` of
+its generated program) and fails if a benchmark diverges from the oracle
+or if any kernel other than the EP pair runs on the scalar tier.
 """
 
 from __future__ import annotations
@@ -30,10 +33,15 @@ import numpy as np
 from repro.bench import SPEC, NAS, load_all
 from repro.bench.args import build_test_args, copy_args
 from repro.bench.core import BenchmarkSpec
-from repro.gpu.interpreter import run_kernel
-from repro.gpu.vector_exec import execute_kernel
+from repro.codegen.numpy_source import guard_census
+from repro.gpu.interpreter import bind_arguments, run_kernel
+from repro.gpu.vector_exec import argument_signature, execute_kernel
 
 RESULTS = pathlib.Path(__file__).parent / "results" / "exec_vectorized.txt"
+
+#: The only kernels expected on the scalar tier: the EP pair's LCG leaves
+#: the int64-safe product range in data-dependent locals.
+SCALAR_TIER = {"352.ep", "EP"}
 
 #: Full-mode size multiplier over ``test_env`` (capped at the real sizes).
 FULL_SCALE = 4
@@ -83,6 +91,8 @@ def run_one(spec: BenchmarkSpec, scale: int) -> dict:
     t_scalar = time.perf_counter() - t0
 
     fn2, args2 = build_test_args(spec, env=env)
+    scalars, arrays, _ = bind_arguments(fn2, args2)
+    census = guard_census(fn2, signature=argument_signature(scalars, arrays))
     t0 = time.perf_counter()
     vec_arrays, vec_stats, info = execute_kernel(fn2, args2, executor="auto")
     t_vector = time.perf_counter() - t0
@@ -101,6 +111,8 @@ def run_one(spec: BenchmarkSpec, scale: int) -> dict:
         "speedup": t_scalar / t_vector if t_vector > 0 else float("inf"),
         "identical": identical,
         "stats_equal": scalar_stats == vec_stats,
+        "guards_static": sum(s for s, _ in census.values()),
+        "guards_dynamic": sum(d for _, d in census.values()),
     }
 
 
@@ -113,7 +125,7 @@ def render(rows: list[dict]) -> str:
         "",
         f"{'benchmark':<14} {'scale':>5} {'executor':<8} {'iterations':>10} "
         f"{'scalar_ms':>10} {'vector_ms':>10} {'speedup':>8}  "
-        f"{'identical':<9} {'stats':<5}",
+        f"{'identical':<9} {'stats':<5} {'guards static/dynamic':>21}",
     ]
     for r in rows:
         lines.append(
@@ -122,7 +134,8 @@ def render(rows: list[dict]) -> str:
             f"{r['scalar_ms']:>10.2f} {r['vector_ms']:>10.2f} "
             f"{r['speedup']:>7.1f}x  "
             f"{str(r['identical']).lower():<9} "
-            f"{str(r['stats_equal']).lower():<5}"
+            f"{str(r['stats_equal']).lower():<5} "
+            f"{r['guards_static']:>14}/{r['guards_dynamic']:<6}"
         )
     vec = [r["speedup"] for r in rows if r["executor"] == "codegen"]
     if vec:
@@ -147,12 +160,21 @@ def sweep(scale: int, overrides: dict[str, int] | None = None) -> list[dict]:
     ]
 
 
+def unexpected_scalar(rows: list[dict]) -> list[str]:
+    """Kernels that should run on generated code but fell back."""
+    return [
+        f"{r['name']}: {r['reason']}"
+        for r in rows
+        if r["executor"] != "codegen" and r["name"] not in SCALAR_TIER
+    ]
+
+
 def test_quick() -> None:
     """Correctness smoke at test sizes (collected by `pytest benchmarks/`)."""
     rows = sweep(scale=1)
     assert all(r["identical"] for r in rows), rows
     assert all(r["stats_equal"] for r in rows), rows
-    assert any(r["executor"] == "codegen" for r in rows)
+    assert unexpected_scalar(rows) == []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,8 +205,13 @@ def main(argv: list[str] | None = None) -> int:
     if bad:
         print(f"\nFAIL: {len(bad)} benchmark(s) diverged", file=sys.stderr)
         return 1
-    if not any(r["executor"] == "codegen" for r in rows):
-        print("\nFAIL: no benchmark ran on generated code", file=sys.stderr)
+    fallbacks = unexpected_scalar(rows)
+    if fallbacks:
+        print(
+            "\nFAIL: expected on generated code, ran on scalar:\n  "
+            + "\n  ".join(fallbacks),
+            file=sys.stderr,
+        )
         return 1
     if not opts.quick:
         RESULTS.parent.mkdir(exist_ok=True)

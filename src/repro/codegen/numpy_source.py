@@ -1,39 +1,59 @@
-"""Codegen execution tier: KernelPlan → generated Python/NumPy source.
+"""Codegen execution tier: KernelPlan → typed Python/NumPy source.
 
-Each planned kernel function is compiled once into straight-line Python
-source — one call per IR node, in the scalar interpreter's evaluation
-order, into the batched runtime primitives of
-:class:`~repro.gpu.vector_exec.VectorInterpreter` (``_apply_binop``,
-``_load_idx``, ``_apply_if`` with mask push/pop, ``_run_loop`` with the
-planned axis/seq mode baked in, ordinal loops for lane-varying seq
-bounds) — then ``exec``'d into a function object and cached in memory
-keyed by the caller's content hash.
+Each planned kernel function is compiled into straight-line Python source
+*specialised on the launch's argument kinds* — every scalar parameter's
+kind (weak Python ``int``/``float``, or ``np.int32``/``int64``/
+``float32``/``float64``) and every array's dtype.  With those fixed, the
+kind of every expression follows statically from the IR: constants,
+declared scalar types (the interpreter's ``_coerce_scalar`` rule), loop
+variables (Python ints), array loads (the array's dtype) and NEP 50
+promotion applied at generation time.  Where kinds are static the program
+is plain NumPy operators on bare arrays and scalars, with the
+interpreter's load/store/flop counting folded into one increment per
+block.  A node whose kind depends on control flow (a parameter
+re-assigned with another kind on one path, ternary arms of different
+kinds) is boxed and goes through the run-time-kinded primitives of
+:class:`~repro.gpu.vector_exec.VectorInterpreter`.
 
-Bit-for-bit equality with the scalar oracle is preserved *by construction*:
-each primitive replays the interpreter's semantics for its construct (or
-raises ``VectorUnsupported``), and the program calls them in the order the
-interpreter evaluates the tree, so it produces the oracle's arrays and
+Guards are discharged where the ranges allow it.  A weak-integer operand
+(``|x| < 2**31``) or an unmasked subscript that is a polynomial in
+launch-uniform integer parameters and loop variables becomes a *launch
+range check*: the program's prologue evaluates the polynomial's interval
+from the parameters and the loops' concrete bounds, and raises
+:class:`~repro.gpu.vector_exec.VectorUnsupported` if it could leave the
+safe range.  The check is a pure function of those launch values, so a
+program runs it once per distinct tuple of them.  Every other guard stays a cheap per-op check.  The
+census of both (``codegen.guards.static`` / ``.dynamic``) travels in the
+source header.
+
+Bit-for-bit equality with the scalar oracle holds by construction: the
+program evaluates the tree in the interpreter's order, each operator
+replays the interpreter's semantics for its kinds (or raises
+``VectorUnsupported``), and loops keep their planned axis/sequential mode,
+so it produces the oracle's arrays and
 :class:`~repro.gpu.interpreter.ExecutionStats`.  Anything the generator
 does not recognise raises :class:`CodegenUnsupported` and the executor
 ladder falls back to the scalar interpreter.
 
-Generated source is made and bound only on execution.  The serving
-broker persists the *source text* of a ``run`` in a DiskCache envelope
-(format v2) under its run content key; compile envelopes carry the
-compiled program alone.  A restarted daemon's first ``run`` of that key
-re-binds the text to a freshly parsed function via :func:`bind_source`
-without re-running the planner.  Rebinding is positional:
-``enumerate_nodes`` walks the IR deterministically, and the source
-references nodes only through their walk index, so any parse of the same
-source text binds correctly.
+Generated source is made and bound on execution only, and cached in
+memory under (content key, argument-kind signature); nothing persists it.
+The source references IR nodes only through their position in
+:func:`enumerate_nodes`'s deterministic walk, so it binds against any
+parse of the same kernel source.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+import numpy as np
+
+from ..analysis.subscripts import affine_of
+from ..gpu import vector_exec as vx
+from ..gpu.interpreter import numpy_dtype
 from ..ir.expr import (
     ArrayRef,
     BinOp,
@@ -47,7 +67,7 @@ from ..ir.expr import (
     VarRef,
 )
 from ..ir.module import KernelFunction
-from ..ir.stmt import Assign, If, LocalDecl, Loop, Region, Stmt
+from ..ir.stmt import Assign, If, LocalDecl, Loop, Region, Stmt, walk_stmts
 from ..obs.tracer import span
 from .vector_lower import AXIS, KernelPlan, plan_kernel
 
@@ -57,8 +77,10 @@ __all__ = [
     "CodegenUnsupported",
     "GeneratedKernel",
     "FunctionCache",
+    "declared_signature",
     "enumerate_nodes",
     "generate_source",
+    "guard_census",
     "bind_source",
     "compile_kernel",
     "get_or_compile",
@@ -120,18 +142,124 @@ def enumerate_nodes(fn: KernelFunction) -> list[object]:
 
 
 # ---------------------------------------------------------------------------
+# Kinds
+# ---------------------------------------------------------------------------
+
+#: A value whose kind is only known at run time (a boxed ``VArray``).
+DYN = "dyn"
+#: A comparison or logic result: a bool (array), the oracle's ``0``/``1``.
+BOOL = "bool"
+_INT_KINDS = {vx.PYINT, vx.I32, vx.I64}
+_FLOAT_KINDS = {vx.PYFLOAT, vx.F32, vx.F64}
+_CMP = {"<", "<=", ">", ">=", "==", "!="}
+_WEAK_LIMIT = vx._INT_GUARD - 1
+#: Integer constants beyond this cannot be held as int64 lanes.
+_CONST_LIMIT = vx._CAST_GUARD
+
+
+def declared_signature(fn: KernelFunction) -> tuple[tuple[str, str], ...]:
+    """The argument-kind signature of a launch whose arguments follow the
+    declarations: Python ``int``/``float`` scalars, arrays of the declared
+    element type."""
+    kinds = []
+    for p in fn.params:
+        if p.is_array:
+            kind = vx._DTYPE_KIND[np.dtype(numpy_dtype(p))]
+        else:
+            kind = vx.PYFLOAT if p.stype.is_float else vx.PYINT
+        kinds.append((p.name, kind))
+    return tuple(sorted(kinds))
+
+
+def _join(a: dict, b: dict) -> dict:
+    """Merge two variable-kind states at a control-flow join."""
+    out = dict(a)
+    for name, kind in b.items():
+        out[name] = kind if out.get(name, kind) == kind else DYN
+    return out
+
+
+def _assigned_names(stmts: list[Stmt]) -> set[str]:
+    names = set()
+    for s in walk_stmts(stmts):
+        if isinstance(s, Assign) and isinstance(s.target, VarRef):
+            names.add(s.target.sym.name)
+        elif isinstance(s, LocalDecl):
+            names.add(s.sym.name)
+    return names
+
+
+def _flow(stmts: list[Stmt], state: dict) -> dict:
+    """The variable kinds after ``stmts`` (kind analysis only)."""
+    for s in stmts:
+        if isinstance(s, Assign):
+            if isinstance(s.target, VarRef):
+                state[s.target.sym.name] = _coerced(s.target.sym)
+        elif isinstance(s, LocalDecl):
+            name = s.sym.name
+            if s.init is not None:
+                state[name] = _coerced(s.sym)
+            else:
+                state[name] = _join({name: state.get(name, vx.PYINT)},
+                                    {name: vx.PYINT})[name]
+        elif isinstance(s, If):
+            state = _join(_flow(s.then_body, dict(state)),
+                          _flow(s.else_body, dict(state)))
+        elif isinstance(s, Loop):
+            entry = _loop_entry(s, state)
+            state = _after_loop(s, state, _flow(s.body, dict(entry)))
+        elif isinstance(s, Region):
+            state = _flow(s.body, state)
+    return state
+
+
+def _coerced(sym) -> str:
+    return vx.PYFLOAT if sym.stype.is_float else vx.PYINT
+
+
+def _loop_entry(loop: Loop, state: dict) -> dict:
+    """Fixpoint of the kinds at the head of ``loop``'s body."""
+    entry = dict(state)
+    entry[loop.var.name] = vx.PYINT
+    while True:
+        new = _join(state, _flow(loop.body, dict(entry)))
+        new[loop.var.name] = vx.PYINT
+        if new == entry:
+            return entry
+        entry = new
+
+
+def _after_loop(loop: Loop, before: dict, end: dict) -> dict:
+    after = _join(before, end)
+    var = loop.var.name
+    after[var] = _join(before, {var: vx.PYINT})[var] if var in before else vx.PYINT
+    return after
+
+
+# ---------------------------------------------------------------------------
 # Source generation
 # ---------------------------------------------------------------------------
 
 _IND = "    "
 
 
+@dataclass(slots=True)
+class _Val:
+    code: str  # a Python expression (temp name, literal or prologue local)
+    kind: str  # a value kind, BOOL or DYN
+    literal: object = None  # the Python value of a literal constant
+    #: Known to be 0 or 1 (a converted BOOL): no weak-int guard needed.
+    small: bool = False
+
+
 class _Generator:
-    def __init__(self, fn: KernelFunction, plan: KernelPlan):
+    def __init__(self, fn: KernelFunction, plan: KernelPlan, signature):
         self._fn = fn
         self._plan = plan
+        self._sig = dict(signature)
+        self._signature = signature
         nodes = enumerate_nodes(fn)
-        self._count = len(nodes)
+        self._count_nodes = len(nodes)
         self._pos: dict[int, int] = {}
         for i, node in enumerate(nodes):
             self._pos.setdefault(id(node), i)
@@ -139,6 +267,37 @@ class _Generator:
         self._bound: dict[tuple, str] = {}
         self._lines: list[str] = []  # kernel body lines
         self._n = 0
+        self._used: set[str] = set()  # runtime methods the body calls
+        # Launch prologue: hoisted parameters, arrays, loop intervals, facts.
+        self._pro_vals: list[str] = []
+        self._pro_loops: list[str] = []
+        self._weak_facts: dict[str, None] = {}
+        self._subscript_facts: dict[tuple, None] = {}
+        self._arrays: dict[str, str] = {}
+        written = _assigned_names(fn.body) | {
+            loop.var.name for loop in walk_stmts(fn.body) if isinstance(loop, Loop)
+        }
+        #: Parameters fixed for the whole launch (never written).
+        self._invariant = {
+            p.name for p in fn.params if not p.is_array and p.name not in written
+        }
+        #: ... of which the integer-kinded ones usable in range facts.
+        self._bounded = {
+            name for name in self._invariant if self._sig[name] in _INT_KINDS
+        }
+        self._kinds: dict[str, str] = {
+            p.name: self._sig[p.name] for p in fn.params if not p.is_array
+        }
+        #: Enclosing loops: (variable, interval local or None, lane-uniform).
+        self._ctx: list[tuple[str, str | None, bool]] = []
+        self._masked = 0  # inside a branch, ternary arm or short-circuit rhs
+        self._varying = 0  # inside a loop whose bounds may differ per lane
+        self._slots = 0
+        self.rank = 0
+        self._blocks: list[list] = []  # [insert index, depth, loads, stores, flops]
+        self._reads: dict[str, str] = {}  # per-block variable-read temps
+        self._region: int | None = None
+        self.census: dict[int | None, list[int]] = {}
 
     # -- naming -------------------------------------------------------------
     def _fresh(self, prefix: str) -> str:
@@ -148,6 +307,10 @@ class _Generator:
 
     def _emit(self, depth: int, line: str) -> None:
         self._lines.append(_IND * depth + line)
+
+    def _call(self, name: str) -> str:
+        self._used.add(name)
+        return name
 
     def _bind(self, key: tuple, rhs: str) -> str:
         name = self._bound.get(key)
@@ -161,80 +324,409 @@ class _Generator:
         idx = self._pos[id(node)]
         return self._bind(("n", idx), f"__nodes__[{idx}]")
 
-    def _sym(self, node: object) -> str:
-        idx = self._pos[id(node)]
-        return self._bind(("s", idx), f"__nodes__[{idx}].sym")
+    def _temp(self, depth: int, rhs: str) -> str:
+        t = self._fresh("t")
+        self._emit(depth, f"{t} = {rhs}")
+        return t
 
-    def _cast_type(self, node: Cast) -> str:
-        idx = self._pos[id(node)]
-        return self._bind(("c", idx), f"__nodes__[{idx}].to_type")
+    def _guard(self, static: bool) -> None:
+        counts = self.census.setdefault(self._region, [0, 0])
+        counts[0 if static else 1] += 1
 
-    def _const(self, e: Expr) -> str:
+    # -- blocks ---------------------------------------------------------------
+    def _open_block(self, depth: int) -> None:
+        self._blocks.append([len(self._lines), depth, 0, 0, 0])
+        self._reads = {}
+
+    def _close_block(self) -> None:
+        at, depth, loads, stores, flops = self._blocks.pop()
+        if loads or stores or flops:
+            self._lines.insert(
+                at, _IND * depth + f"{self._call('_cnt')}({loads}, {stores}, {flops})"
+            )
+        self._reads = {}
+
+    def _forget(self, names: set[str]) -> None:
+        """Drop the cached reads of variables a nested construct may have
+        written (an axis loop also narrows the lanes of everything it
+        wrote, which assignment already covers)."""
+        for name in names:
+            self._reads.pop(name, None)
+
+    def _tally(self, slot: int) -> None:
+        self._blocks[-1][slot] += 1
+
+    def _body(self, depth: int, emit) -> str:
+        """Emit a nested ``def`` whose body ``emit(depth + 1)`` writes."""
+        name = self._fresh("f")
+        self._emit(depth, f"def {name}():")
+        saved = self._reads
+        self._open_block(depth + 1)
+        emit(depth + 1)
+        self._close_block()
+        self._reads = saved
+        return name
+
+    # -- launch prologue ------------------------------------------------------
+    def _array(self, ref: ArrayRef) -> str:
+        name = ref.sym.name
+        local = self._arrays.get(name)
+        if local is None:
+            local = self._fresh("A")
+            self._arrays[name] = local
+            flat = ".reshape(-1)" if ref.sym.array is not None and ref.sym.array.is_pointer else ""
+            self._pro_vals.append(f"{local} = R._arrays[{name!r}]{flat}")
+        return local
+
+    def _extent(self, ref: ArrayRef, axis: int) -> str:
+        arr = self._array(ref)
+        return self._prologue(("E", arr, axis), f"{arr}.shape[{axis}]")
+
+    def _lower(self, ref: ArrayRef, axis: int) -> tuple[str, int | None]:
+        """(code, static value) of a subscript's declared lower bound."""
+        info = ref.sym.array
+        if info is None or info.is_pointer or not info.dims:
+            return "0", 0
+        lower = info.dims[axis].lower
+        if isinstance(lower, int):
+            return repr(lower), lower
+        return self._prologue(
+            ("W", ref.sym.name, axis), f"R._lowers[{ref.sym.name!r}][{axis}]"
+        ), None
+
+    def _prologue(self, key: tuple, rhs: str) -> str:
+        name = self._bound.get(key)
+        if name is None:
+            name = self._fresh(key[0])
+            self._bound[key] = name
+            self._pro_vals.append(f"{name} = {rhs}")
+        return name
+
+    def _param_int(self, name: str) -> str:
+        value = self._read(name, 0).code  # hoisted: the parameter is invariant
+        return self._prologue(("I", name), f"int({value})")
+
+    def _poly(self, e: Expr) -> str | None:
+        """Interval code for ``e`` over launch values, or ``None`` when ``e``
+        is not a polynomial in bounded parameters and loop variables."""
+        form = affine_of(e)
+        if form is None:
+            return None
+        const: list[str] = []
+        terms: list[str] = []
+        for monomial, coef in form.terms:
+            factors = [repr(coef)]
+            intervals = []
+            for sym in monomial:
+                name = sym.name
+                binding = next((iv for var, iv, _ in reversed(self._ctx) if var == name), False)
+                if binding is None:
+                    return None  # an unbounded loop
+                if binding is not False:
+                    intervals.append(binding)
+                elif name in self._bounded:
+                    factors.append(self._param_int(name))
+                else:
+                    return None
+            coef_code = "*".join(factors)
+            if intervals:
+                terms.append(f"({coef_code}, {', '.join(intervals)})")
+            else:
+                const.append(coef_code)
+        return f"_poly({' + '.join(const) or '0'}{''.join(', ' + t for t in terms)})"
+
+    def _fact(self, e: Expr, subscript: tuple | None = None) -> bool:
+        """Record a launch range fact on ``e``: a weak-integer operand's
+        ``|e| < 2**31``, or for ``subscript=(lower, extent, array, axis)``
+        ``lower <= e < lower + extent``.  False if ``e`` is not a bounded
+        polynomial here."""
+        poly = self._poly(e)
+        if poly is None:
+            return False
+        if subscript is None:
+            self._weak_facts[poly] = None
+        else:
+            self._subscript_facts[(poly, *subscript)] = None
+        return True
+
+    def _uniform(self, e: Expr) -> bool:
+        """Is loop bound ``e`` provably the same on every lane?"""
         if isinstance(e, IntConst):
-            return self._bind(("k", "i", e.value), f"__ic__({e.value!r})")
-        assert isinstance(e, FloatConst)
-        return self._bind(("k", "f", repr(e.value)), f"__fc__({e.value!r})")
+            return True
+        if isinstance(e, VarRef):
+            name = e.sym.name
+            binding = next((u for var, _, u in reversed(self._ctx) if var == name), None)
+            return binding if binding is not None else name in self._invariant
+        if isinstance(e, UnOp):
+            return e.op == "-" and self._uniform(e.operand)
+        if isinstance(e, BinOp):
+            return self._uniform(e.left) and self._uniform(e.right)
+        return False
+
+    def _loop_interval(self, loop: Loop) -> str | None:
+        if loop.var.name in _assigned_names(loop.body):
+            return None
+        lo, hi = self._poly(loop.init), self._poly(loop.bound)
+        if lo is None or hi is None:
+            return None
+        name = self._fresh("L")
+        self._pro_loops.append(
+            f"{name} = _span({lo}, {hi}, {loop.cond_op!r}, {loop.step})"
+        )
+        return name
 
     # -- expressions ----------------------------------------------------------
-    def expr(self, e: Expr, depth: int) -> str:
-        """Emit statements computing ``e`` at ``depth``; return the Python
-        expression (a temp name or inline leaf) holding its VArray.
-        Emission order replays the interpreter's evaluation order."""
-        if isinstance(e, (IntConst, FloatConst)):
-            return self._const(e)
+    def expr(self, e: Expr, depth: int) -> _Val:
+        """Return the inline code computing ``e``, emitting at ``depth`` only
+        the statements it needs first (variable reads, lazy thunks).
+        Evaluation order replays the interpreter's (see :meth:`_eval_all`)."""
+        if isinstance(e, IntConst):
+            if abs(e.value) >= _CONST_LIMIT:
+                raise CodegenUnsupported(
+                    f"integer constant {e.value} exceeds the int64-safe range"
+                )
+            code = repr(e.value) if e.value >= 0 else f"({e.value!r})"
+            return _Val(code, vx.PYINT, e.value)
+        if isinstance(e, FloatConst):
+            if not math.isfinite(e.value):
+                raise CodegenUnsupported(f"non-finite float constant {e.value!r}")
+            code = repr(e.value) if e.value >= 0 else f"({e.value!r})"
+            return _Val(code, vx.PYFLOAT, e.value)
         if isinstance(e, VarRef):
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _eg({e.sym.name!r})")
-            return t
+            return self._read(e.sym.name, depth)
         if isinstance(e, ArrayRef):
-            idxs = [self.expr(i, depth) for i in e.indices]
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _ld({self._node(e)}, [{', '.join(idxs)}])")
-            return t
+            idx = self._subscripts(e, self._eval_all(e.indices, depth), depth, load=True)
+            self._tally(2)
+            return _Val(f"{self._array(e)}[{', '.join(idx)}]", self._sig[e.sym.name])
         if isinstance(e, UnOp):
             x = self.expr(e.operand, depth)
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _un({e.op!r}, {x})")
-            return t
+            if e.op == "!":
+                return _Val(f"({self._data(x)} == 0)", BOOL)
+            if e.op != "-":
+                raise CodegenUnsupported(f"unknown unary {e.op!r}")
+            if x.kind == DYN:
+                return _Val(f"{self._call('_un')}('-', {x.code})", DYN)
+            x = self._int_of(x)
+            return _Val(f"(-{x.code})", x.kind)
         if isinstance(e, BinOp):
             if e.op in ("&&", "||"):
                 lhs = self.expr(e.left, depth)
-                thunk = self._thunk_expr(e.right, depth)
-                t = self._fresh("t")
-                self._emit(depth, f"{t} = _log({e.op!r}, {lhs}, {thunk})")
-                return t
-            lhs = self.expr(e.left, depth)
-            rhs = self.expr(e.right, depth)
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _bin({e.op!r}, {lhs}, {rhs})")
-            return t
+                self._masked += 1
+                thunk, _ = self._thunk(e.right, depth, self._data)
+                self._masked -= 1
+                return _Val(
+                    f"{self._call('_lg')}({e.op!r}, {self._data(lhs)}, {thunk})", BOOL
+                )
+            return self._binop(e, depth)
         if isinstance(e, Select):
-            cond = self.expr(e.cond, depth)
-            then_thunk = self._thunk_expr(e.then, depth)
-            else_thunk = self._thunk_expr(e.otherwise, depth)
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _sel({cond}, {then_thunk}, {else_thunk})")
-            return t
+            return self._select(e, depth)
         if isinstance(e, Cast):
             x = self.expr(e.operand, depth)
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _cst({self._cast_type(e)}, {x})")
-            return t
+            if e.to_type.is_float and e.to_type.bits == 64 and x.kind != DYN:
+                return _Val(f"_f64({x.code})", vx.PYFLOAT)
+            if not e.to_type.is_float and x.kind in _INT_KINDS | {BOOL}:
+                return _Val(f"_i64({x.code})", vx.PYINT)
+            if not e.to_type.is_float:
+                self._guard(static=False)  # float→int
+            idx = self._pos[id(e)]
+            to_type = self._bind(("c", idx), f"__nodes__[{idx}].to_type")
+            kind = vx.PYFLOAT if e.to_type.is_float else vx.PYINT
+            return _Val(f"{self._call('_cst')}({to_type}, {self._box(x)}).data", kind)
         if isinstance(e, Call):
-            args = [self.expr(a, depth) for a in e.args]
-            t = self._fresh("t")
-            self._emit(depth, f"{t} = _cal({e.func!r}, [{', '.join(args)}])")
-            return t
+            args = self._eval_all(e.args, depth)
+            kind = self._call_kind(e.func, args)
+            if e.func in ("floor", "ceil") and args and args[0].kind in _FLOAT_KINDS:
+                self._guard(static=False)  # float→int
+            boxed = ", ".join(self._box(a) for a in args)
+            call = f"{self._call('_cal')}({e.func!r}, [{boxed}])"
+            return _Val(call if kind == DYN else call + ".data", kind)
         raise CodegenUnsupported(f"unknown expression {type(e).__name__}")
 
-    def _thunk_expr(self, e: Expr, depth: int) -> str:
+    def _eval_all(self, exprs, depth: int) -> list[_Val]:
+        """Codes for ``exprs``, evaluated left to right.  Codes are inline
+        expressions, so when a later operand had to emit statements first,
+        each earlier non-trivial operand is bound to a temp placed before
+        those statements — keeping the interpreter's evaluation order."""
+        vals, ends = [], []
+        for e in exprs:
+            vals.append(self.expr(e, depth))
+            ends.append(len(self._lines))
+        for i in reversed(range(len(vals) - 1)):
+            v = vals[i]
+            if ends[-1] > ends[i] and not (v.code.isidentifier() or v.literal is not None):
+                t = self._fresh("t")
+                self._lines.insert(ends[i], _IND * depth + f"{t} = {v.code}")
+                vals[i] = replace(v, code=t)
+        return vals
+
+    def _read(self, name: str, depth: int) -> _Val:
+        kind = self._kinds.get(name, DYN)
+        if name in self._invariant and kind != DYN:
+            code = self._prologue(("P", name), f"R._env_value({name!r}, {kind!r})")
+            return _Val(code, kind)
+        cached = self._reads.get(name)
+        if cached is None:
+            if kind == DYN:
+                rhs = f"{self._call('_eg')}({name!r})"
+            else:
+                rhs = f"{self._call('_ev')}({name!r}, {kind!r})"
+            cached = self._reads[name] = self._temp(depth, rhs)
+        return _Val(cached, kind)
+
+    @staticmethod
+    def _call_kind(func: str, args: list[_Val]) -> str:
+        if func in ("sqrt", "exp", "log", "sin", "cos", "tan", "pow"):
+            return vx.PYFLOAT
+        if func in ("floor", "ceil"):
+            return vx.PYINT
+        kind = args[0].kind if args else DYN
+        if kind == BOOL:
+            return vx.PYINT
+        if any(a.kind != args[0].kind for a in args[1:]):
+            return DYN  # the runtime raises: mixed kinds
+        return kind
+
+    def _thunk(self, e: Expr, depth: int, result) -> str:
         """A nested ``def`` evaluating ``e`` lazily (short-circuit rhs,
         ternary arms) — called by the runtime under the proper lane mask."""
         name = self._fresh("f")
         self._emit(depth, f"def {name}():")
-        result = self.expr(e, depth + 1)
-        self._emit(depth + 1, f"return {result}")
-        return name
+        saved = self._reads
+        self._open_block(depth + 1)
+        value = self.expr(e, depth + 1)
+        self._emit(depth + 1, f"return {result(value)}")
+        self._close_block()
+        self._reads = saved
+        return name, value
+
+    # -- value plumbing -------------------------------------------------------
+    @staticmethod
+    def _data(v: _Val) -> str:
+        """The bare data of ``v`` (truth tests need no kind)."""
+        return f"{v.code}.data" if v.kind == DYN else v.code
+
+    def _int_of(self, v: _Val) -> _Val:
+        """A BOOL value as the oracle's 0/1 integer."""
+        if v.kind != BOOL:
+            return v
+        return _Val(f"_b2i({v.code})", vx.PYINT, small=True)
+
+    def _box(self, v: _Val) -> str:
+        if v.kind == DYN:
+            return v.code
+        v = self._int_of(v)
+        return f"_box({v.code}, {v.kind!r})"
+
+    def _weak_operand(self, e: Expr, v: _Val, op: str) -> str:
+        """``v``'s code, guarded as a weak-int operand of ``op``."""
+        if v.literal is not None:
+            static = abs(v.literal) <= _WEAK_LIMIT
+        else:
+            static = v.small or self._fact(e)
+        self._guard(static)
+        if static:
+            return v.code
+        return f"{self._call('_wk')}({v.code}, {f'operator {op!r}'!r})"
+
+    def _binop(self, e: BinOp, depth: int) -> _Val:
+        op = e.op
+        lhs, rhs = self._eval_all((e.left, e.right), depth)
+        if DYN in (lhs.kind, rhs.kind) or (op == "%" and not (
+            {lhs.kind, rhs.kind} <= _INT_KINDS | {BOOL}
+        )):
+            return _Val(
+                f"{self._call('_bin')}({op!r}, {self._box(lhs)}, {self._box(rhs)})", DYN
+            )
+        if op not in _CMP | {"+", "-", "*", "/", "%"}:
+            raise CodegenUnsupported(f"unknown operator {op!r}")
+        if op not in _CMP:
+            lhs, rhs = self._int_of(lhs), self._int_of(rhs)
+        lk = vx.PYINT if lhs.kind == BOOL else lhs.kind
+        rk = vx.PYINT if rhs.kind == BOOL else rhs.kind
+        kind = vx._promote(lk, rk)
+        dtype = vx._KIND_DTYPE[kind]
+        floaty = dtype.kind == "f"
+        codes = []
+        for sub, v in ((e.left, lhs), (e.right, rhs)):
+            code = v.code
+            if v.kind == vx.PYINT and (op not in _CMP or floaty):
+                code = self._weak_operand(sub, v, op)
+            narrow = dtype.itemsize < 8 and (op not in _CMP or floaty)
+            if v.kind in (vx.PYINT, vx.PYFLOAT) and narrow and v.literal is None:
+                code = f"_cv({code}, _dt_{kind})"
+            codes.append(code)
+        a, b = codes
+        if op in _CMP:
+            return _Val(f"({a} {op} {b})", BOOL)
+        if lk in vx._PYFLOAT_LIKE or rk in vx._PYFLOAT_LIKE or kind in vx._PYFLOAT_LIKE:
+            self._tally(4)
+        if op in ("+", "-", "*"):
+            return _Val(f"({a} {op} {b})", kind)
+        nonzero = rhs.literal is not None and rhs.literal != 0
+        both_int = lk in _INT_KINDS and rk in _INT_KINDS
+        if op == "%" or both_int:
+            self._guard(static=nonzero)
+            fn = self._call("_imd" if op == "%" else "_idv")
+            return _Val(f"{fn}({a}, {b}, {not nonzero})", kind)
+        if lk in vx._WEAK and rk in vx._WEAK:
+            self._guard(static=nonzero)
+            return _Val(f"{self._call('_wdv')}({a}, {b}, {not nonzero})", kind)
+        return _Val(f"({a} / {b})", kind)
+
+    def _select(self, e: Select, depth: int) -> _Val:
+        cond = self.expr(e.cond, depth)
+        self._masked += 1
+        then_thunk, then_v = self._thunk(e.then, depth, lambda v: v.code)
+        then_ret = len(self._lines) - 1
+        else_thunk, else_v = self._thunk(e.otherwise, depth, lambda v: v.code)
+        self._masked -= 1
+        kinds = {then_v.kind, else_v.kind}
+        if len(kinds) == 1 and DYN not in kinds:
+            kind = then_v.kind
+        elif kinds == {BOOL, vx.PYINT}:
+            kind = vx.PYINT
+        else:
+            kind = DYN
+        # Both arms must return one representation: rewrite their returns
+        # now that both kinds are known.
+        for at, v in ((then_ret, then_v), (len(self._lines) - 1, else_v)):
+            code = self._box(v) if kind == DYN else self._int_of(v).code
+            line = self._lines[at]
+            self._lines[at] = line[: len(line) - len(line.lstrip())] + f"return {code}"
+        return _Val(
+            f"{self._call('_sel')}({self._data(cond)}, {then_thunk}, {else_thunk})", kind
+        )
+
+    def _subscripts(
+        self, ref: ArrayRef, vals: list[_Val], depth: int, *, load: bool
+    ) -> list[str]:
+        name = ref.sym.name
+        out = []
+        for axis, (sub, v) in enumerate(zip(ref.indices, vals)):
+            if v.kind == DYN or v.kind in _FLOAT_KINDS:
+                self._guard(static=False)  # float→int
+                code = f"{self._call('_sx')}({self._box(v)}, {name!r})"
+            else:
+                code = self._int_of(v).code
+            lower, lower_value = self._lower(ref, axis)
+            if lower_value != 0:
+                code = f"({code} - {lower})"
+            extent = self._extent(ref, axis)
+            proved = (
+                not self._masked
+                and v.kind in _INT_KINDS
+                and self._fact(sub, (lower, extent, name, axis))
+            )
+            self._guard(static=proved)
+            if not proved:
+                code = f"{self._call('_bnd')}({code}, {extent}, {name!r})"
+            elif load and (self._masked or self._varying):
+                # Lanes a mask switched off may hold garbage subscripts.
+                if not code.isidentifier():
+                    code = self._temp(depth, code)
+                code = f"({code} if R._mask is None else {self._call('_clp')}({code}, {extent}))"
+            out.append(code)
+        return out
 
     # -- statements -----------------------------------------------------------
     def stmts(self, body: list[Stmt], depth: int) -> None:
@@ -244,61 +736,146 @@ class _Generator:
         for s in body:
             self.stmt(s, depth)
 
+    def _assign(self, node, value: _Val, depth: int) -> None:
+        sym = node.sym
+        name = sym.name
+        if value.kind == DYN or (
+            not sym.stype.is_float and value.kind in _FLOAT_KINDS
+        ):
+            if value.kind != DYN:
+                self._guard(static=False)  # float→int
+            idx = self._pos[id(node)]
+            local = self._bind(("s", idx), f"__nodes__[{idx}].sym")
+            self._emit(depth, f"{self._call('_asn')}({local}, {self._box(value)})")
+        elif sym.stype.is_float:
+            self._emit(depth, f"{self._call('_sf')}({name!r}, {value.code})")
+        else:
+            self._emit(depth, f"{self._call('_si')}({name!r}, {value.code})")
+        self._kinds[name] = _coerced(sym)
+        self._reads.pop(name, None)
+
     def stmt(self, s: Stmt, depth: int) -> None:
         if isinstance(s, Assign):
-            value = self.expr(s.value, depth)
             if isinstance(s.target, VarRef):
-                self._emit(depth, f"_asn({self._sym(s.target)}, {value})")
+                self._assign(s.target, self.expr(s.value, depth), depth)
             elif isinstance(s.target, ArrayRef):
-                idxs = [self.expr(i, depth) for i in s.target.indices]
-                self._emit(
-                    depth,
-                    f"_st({self._node(s.target)}, [{', '.join(idxs)}], {value})",
-                )
+                self._store(s.target, s.value, depth)
             else:
                 raise CodegenUnsupported(
                     f"unknown assignment target {type(s.target).__name__}"
                 )
         elif isinstance(s, LocalDecl):
             if s.init is not None:
-                value = self.expr(s.init, depth)
-                self._emit(depth, f"_asn({self._sym(s)}, {value})")
+                self._assign(s, self.expr(s.init, depth), depth)
             else:
-                self._emit(depth, f"_dd({s.sym.name!r})")
+                name = s.sym.name
+                self._emit(depth, f"{self._call('_dd')}({name!r})")
+                self._kinds = _flow([s], self._kinds)
+                self._reads.pop(name, None)
         elif isinstance(s, If):
             cond = self.expr(s.cond, depth)
-            then_name = self._fresh("f")
-            self._emit(depth, f"def {then_name}():")
-            self.stmts(s.then_body, depth + 1)
-            else_name = self._fresh("f")
-            self._emit(depth, f"def {else_name}():")
-            self.stmts(s.else_body, depth + 1)
-            self._emit(depth, f"_if({cond}, {then_name}, {else_name})")
+            before = self._kinds
+            self._masked += 1
+            self._kinds = dict(before)
+            then_name = self._body(depth, lambda d: self.stmts(s.then_body, d))
+            after_then = self._kinds
+            self._kinds = dict(before)
+            else_name = self._body(depth, lambda d: self.stmts(s.else_body, d))
+            self._masked -= 1
+            self._kinds = _join(after_then, self._kinds)
+            self._emit(depth, f"{self._call('_if')}({self._data(cond)}, {then_name}, {else_name})")
+            self._forget(_assigned_names(s.then_body + s.else_body))
         elif isinstance(s, Loop):
-            body_name = self._fresh("f")
-            self._emit(depth, f"def {body_name}():")
-            self.stmts(s.body, depth + 1)
-            axis = self._plan.mode_of(s) == AXIS
-            self._emit(depth, f"_lp({self._node(s)}, {body_name}, {axis})")
+            self._loop(s, depth)
         elif isinstance(s, Region):
-            body_name = self._fresh("f")
-            self._emit(depth, f"def {body_name}():")
-            self.stmts(s.body, depth + 1)
+            saved = self._region
+            self._region = s.region_id
+            self.census.setdefault(s.region_id, [0, 0])
+            body_name = self._body(depth, lambda d: self.stmts(s.body, d))
+            self._region = saved
             # The name hint carries a process-global counter — bind it from
             # the node table so the source text stays deterministic.
             idx = self._pos[id(s)]
             hint = self._bind(("r", idx), f"__nodes__[{idx}].name_hint")
-            self._emit(depth, f"_rg({hint}, {body_name})")
+            self._emit(depth, f"{self._call('_rg')}({hint}, {body_name})")
+            self._forget(_assigned_names(s.body))
         else:
             raise CodegenUnsupported(f"unknown statement {type(s).__name__}")
 
+    def _loop(self, s: Loop, depth: int) -> None:
+        before = self._kinds
+        self._kinds = _loop_entry(s, before)
+        slot = None
+        if self._plan.mode_of(s) == AXIS:
+            slot = self._slots
+            self._slots += 1
+            self.rank = max(self.rank, self._slots)
+        # Lane-varying bounds make the runtime walk the loop under a mask.
+        varying = not (self._uniform(s.init) and self._uniform(s.bound))
+        self._varying += varying
+        self._ctx.append((
+            s.var.name, self._loop_interval(s),
+            slot is None and not varying and not self._masked,
+        ))
+        body_name = self._body(depth, lambda d: self.stmts(s.body, d))
+        self._ctx.pop()
+        self._varying -= varying
+        if slot is not None:
+            self._slots -= 1
+        self._kinds = _after_loop(s, before, self._kinds)
+        self._emit(depth, f"{self._call('_lp')}({self._node(s)}, {body_name}, {slot})")
+        self._forget(_assigned_names(s.body) | {s.var.name})
+
+    def _store(self, ref: ArrayRef, value: Expr, depth: int) -> None:
+        arr = self._array(ref)
+        value, *vals = self._eval_all((value, *ref.indices), depth)
+        idx = self._subscripts(ref, vals, depth, load=False)
+        self._tally(3)
+        target = self._sig[ref.sym.name]
+        index = f"({', '.join(idx)},)"
+        if value.kind == DYN:
+            self._guard(static=False)
+            self._emit(depth, f"{self._call('_std')}({arr}, {index}, {value.code})")
+            return
+        kind = vx.PYINT if value.kind == BOOL else value.kind
+        if target in _INT_KINDS and not (
+            value.kind in (BOOL, target)
+            or (target == vx.I64 and kind in _INT_KINDS)
+        ):
+            self._guard(static=False)
+            self._emit(depth, f"{self._call('_stc')}({arr}, {index}, "
+                              f"{self._int_of(value).code}, {kind in _FLOAT_KINDS})")
+            return
+        if target in _INT_KINDS:
+            self._guard(static=True)
+        self._emit(depth, f"{self._call('_st')}({arr}, {index}, {value.code})")
+
     # -- assembly -------------------------------------------------------------
+    _RUNTIME = {
+        "_ev": "_env_value", "_eg": "_env_get", "_sf": "_set_float",
+        "_si": "_set_int",
+        "_asn": "_assign_scalar", "_dd": "_decl_default",
+        "_bin": "_apply_binop", "_un": "_apply_unop", "_cst": "_apply_cast",
+        "_cal": "_apply_call", "_sel": "_select", "_lg": "_logic",
+        "_st": "_store", "_stc": "_store_checked", "_std": "_store_dynamic",
+        "_if": "_apply_if", "_lp": "_run_loop", "_rg": "_run_region",
+        "_cnt": "_count", "_wk": "_weak", "_bnd": "_bounds", "_clp": "_clip",
+        "_sx": "_subscript", "_idv": "_int_div", "_imd": "_int_mod",
+        "_wdv": "_weak_div",
+    }
+
     def render(self) -> str:
+        self._open_block(2)
         self.stmts(self._fn.body, 2)
+        self._close_block()
+        static = sum(c[0] for c in self.census.values())
+        dynamic = sum(c[1] for c in self.census.values())
         header = [
             f"# {FORMAT}",
             f"# kernel: {self._fn.name}",
-            f"# nodes: {self._count}",
+            f"# nodes: {self._count_nodes}",
+            f"# signature: {vx.format_signature(self._signature)}",
+            f"# guards: static={static} dynamic={dynamic}",
         ]
         # Planner demotions ride along so the cached-function fast path
         # (which never re-plans) still reports them.
@@ -308,41 +885,134 @@ class _Generator:
             )
             header.append(f"# demoted: {reasons}")
         header.append("def __bind__(__nodes__):")
-        binds = [_IND + line for line in self._binds]
+        binds = list(self._binds)
+        binds.append(f"_SIG = {self._signature!r}")
         prologue = [
-            _IND + "def __kernel__(R):",
-            _IND * 2 + "_eg = R._env_get",
-            _IND * 2 + "_asn = R._assign_scalar",
-            _IND * 2 + "_dd = R._decl_default",
-            _IND * 2 + "_bin = R._apply_binop",
-            _IND * 2 + "_log = R._apply_logic",
-            _IND * 2 + "_un = R._apply_unop",
-            _IND * 2 + "_sel = R._apply_select",
-            _IND * 2 + "_cst = R._apply_cast",
-            _IND * 2 + "_cal = R._apply_call",
-            _IND * 2 + "_ld = R._load_idx",
-            _IND * 2 + "_st = R._store_idx",
-            _IND * 2 + "_if = R._apply_if",
-            _IND * 2 + "_lp = R._run_loop",
-            _IND * 2 + "_rg = R._run_region",
+            "def __kernel__(R):",
+            _IND + f"R._begin({self.rank}, _SIG)",
         ]
+        prologue += [
+            _IND + f"{short} = R.{self._RUNTIME[short]}"
+            for short in sorted(self._used)
+        ]
+        prologue += [_IND + line for line in self._pro_vals]
+        checks = list(self._pro_loops)
+        if self._weak_facts:
+            checks.append(f"_rw({', '.join(self._weak_facts)})")
+        checks += [
+            f"_rs({poly}, {lower}, {extent}, {name!r}, {axis})"
+            for poly, lower, extent, name, axis in self._subscript_facts
+        ]
+        if checks:
+            # The facts are a pure function of the launch values they read
+            # (integer parameters, extents, lower bounds): check each
+            # distinct tuple of them once.
+            launch = [
+                name for key, name in self._bound.items() if key[0] in ("I", "E", "W")
+            ]
+            binds.append("_checked = set()")
+            prologue.append(_IND + f"_launch = ({''.join(n + ', ' for n in launch)})")
+            prologue.append(_IND + "if _launch not in _checked:")
+            prologue += [_IND * 2 + line for line in checks]
+            prologue.append(_IND * 2 + "_remember(_checked, _launch)")
+        body = [_IND + line for line in binds] + [_IND + line for line in prologue]
         tail = [_IND + "return __kernel__", ""]
-        return "\n".join(header + binds + prologue + self._lines + tail)
+        return "\n".join(header + body + self._lines + tail)
 
 
-def generate_source(fn: KernelFunction, plan: KernelPlan | None = None) -> str:
-    """Generate the straight-line NumPy program for ``fn``.
+def _span(lo, hi, cond_op: str, step: int):
+    """The interval of a loop variable whose bounds lie in ``lo``/``hi``
+    (``None`` when the loop can never run); mirrors ``_range_of``."""
+    if lo is None or hi is None:
+        return None
+    adjust = {"<": 0, "<=": 1, ">": 0, ">=": -1}[cond_op]
+    if step > 0:
+        first, last = lo[0], hi[1] + adjust - 1
+    else:
+        first, last = hi[0] + adjust + 1, lo[1]
+    return (first, last) if first <= last else None
+
+
+def _poly(const: int, *terms):
+    """Interval of ``const + Σ coef·Π intervals`` (``None`` if any loop
+    in a term never runs)."""
+    lo = hi = const
+    for coef, *intervals in terms:
+        tlo = thi = coef
+        for iv in intervals:
+            if iv is None:
+                return None
+            corners = (tlo * iv[0], tlo * iv[1], thi * iv[0], thi * iv[1])
+            tlo, thi = min(corners), max(corners)
+        lo += tlo
+        hi += thi
+    return lo, hi
+
+
+def _range_check(interval, lo: int, hi: int, what: str) -> None:
+    """One launch range fact: every value ``interval`` covers is in
+    ``[lo, hi]``, or the launch falls back to the scalar oracle."""
+    if interval is not None and (interval[0] < lo or interval[1] > hi):
+        raise vx.VectorUnsupported(
+            f"launch range check: {what} spans [{interval[0]}, {interval[1]}] "
+            f"outside [{lo}, {hi}]"
+        )
+
+
+def _remember(checked: set, launch: tuple) -> None:
+    """Record a launch tuple whose range facts held (bounded: a program
+    launched at many sizes forgets the oldest ones wholesale)."""
+    if len(checked) >= 64:
+        checked.clear()
+    checked.add(launch)
+
+
+def _check_weak(*intervals) -> None:
+    """The weak-integer operands' launch facts: ``|x| < 2**31``."""
+    for interval in intervals:
+        _range_check(interval, -_WEAK_LIMIT, _WEAK_LIMIT, "a weak-integer operand")
+
+
+def _check_subscript(interval, lower: int, extent: int, array: str, axis: int) -> None:
+    """An unmasked subscript's launch fact: ``lower <= x < lower + extent``."""
+    _range_check(interval, lower, lower + extent - 1, f"subscript {axis} of {array!r}")
+
+
+def _generate(fn: KernelFunction, plan: KernelPlan | None, signature) -> _Generator:
+    if plan is None:
+        plan = plan_kernel(fn)
+    if signature is None:
+        signature = declared_signature(fn)
+    gen = _Generator(fn, plan, signature)
+    gen.source = gen.render()
+    return gen
+
+
+def generate_source(
+    fn: KernelFunction, plan: KernelPlan | None = None, signature=None
+) -> str:
+    """Generate the typed NumPy program for ``fn``.
 
     ``plan`` defaults to a fresh :func:`plan_kernel` run; the planned
     axis/seq decision of every loop is baked into the emitted
     ``_run_loop`` call, so executing the program needs no plan at all.
+    ``signature`` (see :func:`~repro.gpu.vector_exec.argument_signature`)
+    defaults to :func:`declared_signature`; the program refuses to run on
+    arguments of other kinds.
     """
-    if plan is None:
-        plan = plan_kernel(fn)
     with span("codegen", kernel=fn.name, tier="numpy_source") as sp:
-        source = _Generator(fn, plan).render()
+        source = _generate(fn, plan, signature).source
         sp.set(bytes=len(source))
     return source
+
+
+def guard_census(
+    fn: KernelFunction, plan: KernelPlan | None = None, signature=None
+) -> dict[int | None, tuple[int, int]]:
+    """``(static, dynamic)`` guard counts per region id of ``fn``'s
+    generated program (``None`` keys code outside any region)."""
+    gen = _generate(fn, plan, signature)
+    return {region: (s, d) for region, (s, d) in gen.census.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +1032,41 @@ class GeneratedKernel:
     #: Planner demotion reasons captured at generation time (the cached
     #: fast path never re-plans, so these travel with the program).
     demoted: tuple = ()
+    #: Guards discharged at generation/launch time vs checked per op.
+    guards_static: int = 0
+    guards_dynamic: int = 0
 
     def run(self, interp) -> None:
-        self.func(interp)
+        # Lanes a mask switched off may overflow or divide by zero; their
+        # results are never observed, so NumPy's warnings are noise (the
+        # interpreter's own Python-semantics errors are guarded per op).
+        with np.errstate(all="ignore"):
+            self.func(interp)
 
 
-def _exec_globals() -> dict:
-    # Deferred import: vector_exec imports this module lazily and vice versa.
-    from ..gpu import vector_exec as vx
+_EXEC_GLOBALS = {
+    "__builtins__": {"int": int, "set": set},
+    "_box": vx._box,
+    "_b2i": vx._bool_to_int,
+    "_cv": vx._cast_to,
+    "_f64": vx._as_f64,
+    "_i64": vx._as_i64,
+    "_span": _span,
+    "_poly": _poly,
+    "_rw": _check_weak,
+    "_remember": _remember,
+    "_rs": _check_subscript,
+    **{f"_dt_{kind}": dtype for kind, dtype in vx._KIND_DTYPE.items()},
+}
 
-    def _fc(value: float):
-        import numpy as np
 
-        return vx.VArray(np.asarray(value, dtype=np.float64), vx.PYFLOAT)
-
-    return {"__builtins__": {}, "__ic__": vx._const_int, "__fc__": _fc}
+def _header(lines: list[str], prefix: str) -> str | None:
+    for line in lines:
+        if not line.startswith("# "):
+            return None
+        if line.startswith(prefix):
+            return line.removeprefix(prefix)
+    return None
 
 
 def bind_source(fn: KernelFunction, source: str) -> GeneratedKernel:
@@ -384,10 +1074,9 @@ def bind_source(fn: KernelFunction, source: str) -> GeneratedKernel:
 
     Validates the header (format, kernel name, node count) against the
     function it is being bound to; any mismatch — or a source that fails
-    to compile — raises :class:`CodegenUnsupported`, which callers treat
-    as a corrupt entry and fall back to re-planning.
+    to compile — raises :class:`CodegenUnsupported`.
     """
-    lines = source.split("\n", 3)
+    lines = source.split("\n", 8)
     if len(lines) < 4 or lines[0] != f"# {FORMAT}":
         raise CodegenUnsupported("generated source: bad or missing format header")
     if lines[1] != f"# kernel: {fn.name}":
@@ -400,31 +1089,28 @@ def bind_source(fn: KernelFunction, source: str) -> GeneratedKernel:
         raise CodegenUnsupported(
             "generated source node count mismatch (stale entry?)"
         )
-    demoted: tuple = ()
-    first_body_line = lines[3].split("\n", 1)[0]
-    if first_body_line.startswith("# demoted: "):
-        demoted = tuple(
-            first_body_line.removeprefix("# demoted: ").split(" | ")
-        )
+    demoted = _header(lines[3:], "# demoted: ")
+    guards = _header(lines[3:], "# guards: ") or "static=0 dynamic=0"
+    static, dynamic = (int(part.split("=")[1]) for part in guards.split())
     try:
         code = compile(source, f"<numpy_source:{fn.name}>", "exec")
-        namespace = _exec_globals()
+        namespace = dict(_EXEC_GLOBALS)
         exec(code, namespace)  # noqa: S102 — our own generated text
         func = namespace["__bind__"](nodes)
-    except CodegenUnsupported:
-        raise
-    except Exception as exc:  # noqa: BLE001 — corrupt source text
+    except Exception as exc:  # noqa: BLE001 — source text that does not bind
         raise CodegenUnsupported(f"generated source failed to bind: {exc}") from exc
     return GeneratedKernel(
-        kernel=fn.name, source=source, func=func, demoted=demoted
+        kernel=fn.name, source=source, func=func,
+        demoted=tuple(demoted.split(" | ")) if demoted else (),
+        guards_static=static, guards_dynamic=dynamic,
     )
 
 
 def compile_kernel(
-    fn: KernelFunction, plan: KernelPlan | None = None
+    fn: KernelFunction, plan: KernelPlan | None = None, signature=None
 ) -> GeneratedKernel:
     """Generate and bind in one step (cold path)."""
-    return bind_source(fn, generate_source(fn, plan))
+    return bind_source(fn, generate_source(fn, plan, signature))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +1119,8 @@ def compile_kernel(
 
 
 class FunctionCache:
-    """Process-wide cache of bound function objects keyed by content hash.
+    """Process-wide cache of bound function objects, keyed by (content
+    hash, argument-kind signature): one program per signature.
 
     Metrics (``cache.fnobj.hits`` / ``cache.fnobj.misses``) are counted
     into the registry the *caller* passes — sessions and brokers each see
@@ -442,11 +1129,11 @@ class FunctionCache:
 
     def __init__(self, max_entries: int = 256):
         self._lock = threading.Lock()
-        self._map: dict[str, GeneratedKernel] = {}
+        self._map: dict[object, GeneratedKernel] = {}
         self._max = max_entries
 
     def get(
-        self, key: str, metrics=None, *, record_miss: bool = True
+        self, key, metrics=None, *, record_miss: bool = True
     ) -> GeneratedKernel | None:
         """Look up ``key``; ``record_miss=False`` makes a miss silent, for
         probes whose caller will retry through :func:`get_or_compile` (which
@@ -462,17 +1149,11 @@ class FunctionCache:
             ).inc()
         return gk
 
-    def put(self, key: str, gk: GeneratedKernel) -> None:
+    def put(self, key, gk: GeneratedKernel) -> None:
         with self._lock:
             self._map[key] = gk
             while len(self._map) > self._max:
                 self._map.pop(next(iter(self._map)))
-
-    def source_for(self, key: str) -> str | None:
-        """The cached generated source text, if any (for persistence)."""
-        with self._lock:
-            gk = self._map.get(key)
-        return None if gk is None else gk.source
 
     def clear(self) -> None:
         with self._lock:
@@ -492,38 +1173,36 @@ def get_or_compile(
     plan: KernelPlan | None = None,
     *,
     content_key: str | None = None,
-    source: str | None = None,
+    signature=None,
     metrics=None,
 ) -> GeneratedKernel:
-    """Fetch the bound program for ``fn``, generating at most once.
+    """Fetch the bound program for ``fn`` specialised on ``signature``
+    (default: :func:`declared_signature`), generating at most once.
 
-    With a ``content_key``, repeat launches hit the in-memory function
-    cache and skip planning and generation entirely.  ``source`` (from a
-    broker's ``run`` envelope) rebinds persisted text without re-planning;
-    if it turns out corrupt or stale the tier regenerates from the plan.
+    With a ``content_key``, repeat launches of the same signature hit the
+    in-memory function cache and skip planning and generation entirely.
     """
+    if signature is None:
+        signature = declared_signature(fn)
+    key = (content_key, signature)
     if content_key is not None:
-        cached = _CACHE.get(content_key, metrics)
+        cached = _CACHE.get(key, metrics)
         if cached is not None:
             return cached
     t0 = time.perf_counter()
-    gk = None
-    if source is not None:
-        try:
-            gk = bind_source(fn, source)
-        except CodegenUnsupported:
-            gk = None  # corrupt persisted source: regenerate below
-            if metrics is not None:
-                metrics.counter(
-                    "cache.disk.codegen_corrupt",
-                    "persisted codegen sources unusable at load time",
-                ).inc()
-    if gk is None:
-        gk = compile_kernel(fn, plan)
+    gk = compile_kernel(fn, plan, signature)
     if metrics is not None:
         metrics.histogram("codegen.generate_ms").observe(
             (time.perf_counter() - t0) * 1000.0
         )
+        metrics.counter(
+            "codegen.guards.static",
+            "guards of generated programs discharged at generation or launch",
+        ).inc(gk.guards_static)
+        metrics.counter(
+            "codegen.guards.dynamic",
+            "guards of generated programs still checked per operation",
+        ).inc(gk.guards_dynamic)
     if content_key is not None:
-        _CACHE.put(content_key, gk)
+        _CACHE.put(key, gk)
     return gk

@@ -504,19 +504,17 @@ class CompilerSession:
         *,
         executor: str | None = None,
         content_key: str | None = None,
-        codegen_source: str | None = None,
     ):
         """Run a kernel function functionally through the execution
         ladder (:func:`~repro.gpu.vector_exec.execute_kernel`).
 
         ``executor`` overrides the session default for one call.
         ``content_key`` (a stable content hash for ``fn``'s source) keys
-        the process-wide generated-function cache, so repeat executions
-        skip planning and codegen; ``codegen_source`` seeds that cache
-        from a persisted ``run`` envelope (the broker writes one under its
-        run content key).  Returns ``(arrays, stats,
-        info)``; the :class:`~repro.gpu.vector_exec.ExecutionInfo` is also
-        recorded in the session statistics (the ``execution`` section of
+        the process-wide generated-function cache (together with the
+        argument kinds), so repeat executions skip planning and codegen.
+        Returns ``(arrays, stats, info)``; the
+        :class:`~repro.gpu.vector_exec.ExecutionInfo` is also recorded in
+        the session statistics (the ``execution`` section of
         :meth:`stats_dict`).
         """
         from ..gpu.vector_exec import execute_kernel
@@ -526,7 +524,6 @@ class CompilerSession:
             args,
             executor=executor or self.executor,
             content_key=content_key,
-            codegen_source=codegen_source,
             metrics=self.metrics,
         )
         record = info.as_dict()

@@ -4,29 +4,37 @@ The scalar interpreter (:mod:`repro.gpu.interpreter`) is the correctness
 oracle, but it executes OpenACC-parallel loops one Python iteration at a
 time.  This module holds the runtime that executes whole loop nests as
 *batched* NumPy programs: each parallel loop the planner
-(:mod:`repro.codegen.vector_lower`) proves safe becomes a trailing array
-axis over its full iteration domain, every expression is evaluated once
-as a broadcast operation over all lanes, and ``If`` branches become
-boolean lane masks with both sides evaluated under their respective
-masks.  The programs themselves are generated NumPy source
-(:mod:`repro.codegen.numpy_source`) calling :class:`VectorInterpreter`'s
-primitives; :func:`execute_kernel` runs the ladder codegen → scalar.
+(:mod:`repro.codegen.vector_lower`) proves safe becomes an array axis
+(a fixed lane *slot*) over its full iteration domain, every expression
+is evaluated once as a broadcast operation over all lanes, and ``If``
+branches become boolean lane masks with both sides evaluated under their
+respective masks.  The programs themselves are typed generated NumPy
+source (:mod:`repro.codegen.numpy_source`), specialised on the launch's
+argument kinds (:func:`argument_signature`): they compute with bare
+NumPy operators and call :class:`VectorInterpreter` only for lane state
+(environment, masks, loops, stores), for the guards the generator could
+not discharge, and for the few nodes whose kind is known only at run
+time.  :func:`execute_kernel` runs the ladder codegen → scalar.
 
 Bit-for-bit equality with the oracle is preserved by construction:
 
-* lane axes are appended in nesting order, so C-order resolution of
-  duplicate fancy-index writes equals the scalar iteration order;
-* every value carries a *kind* (weak Python ``int``/``float`` or strong
-  ``np.int32``/``np.int64``/``np.float32``/``np.float64``) so NEP 50
-  promotion and the interpreter's flop-counting rule are replayed exactly;
+* lane axes keep nesting order, so C-order resolution of duplicate
+  fancy-index writes equals the scalar iteration order;
+* every value has a *kind* (weak Python ``int``/``float`` or strong
+  ``np.int32``/``np.int64``/``np.float32``/``np.float64``) — inferred
+  when the program is generated, carried in :class:`VArray` where it is
+  not — so NEP 50 promotion and the interpreter's flop-counting rule are
+  replayed exactly;
 * transcendental intrinsics go through ``math.*`` per element (NumPy's own
   ``sin``/``exp`` may differ from libm in the last ulp);
 * anything that cannot be reproduced exactly — lane-dependent values where
   the interpreter would hold one Python scalar, Python-semantics errors
-  like division by zero, arbitrary-precision integers — raises
-  :class:`VectorUnsupported`, and :func:`execute_kernel` falls back to the
-  scalar interpreter on *pristine* inputs (the codegen attempt runs on
-  array copies), reproducing even error-path partial mutation.
+  like division by zero, arbitrary-precision integers, a failed launch
+  range check — raises :class:`VectorUnsupported`, and
+  :func:`execute_kernel` falls back to the scalar interpreter on
+  *pristine* inputs (the codegen attempt runs on array copies),
+  reproducing even error-path partial mutation.  Any other exception is
+  a bug and propagates.
 
 :class:`~repro.gpu.interpreter.ExecutionStats` counters are derived
 analytically from active-lane counts (see the contract on that class), and
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import threading
 import time
 from contextlib import contextmanager
@@ -46,7 +55,7 @@ import numpy as np
 
 from ..codegen.vector_lower import plan_kernel
 from ..executors import Executor, parse_executor
-from ..ir.expr import ArrayRef, BinOp, Expr, IntConst, UnOp, VarRef
+from ..ir.expr import BinOp, Expr, IntConst, UnOp, VarRef
 from ..ir.module import KernelFunction
 from ..ir.stmt import Loop
 from ..obs.tracer import span
@@ -156,9 +165,12 @@ def _promote(lk: str, rk: str) -> str:
 
 @dataclass(slots=True)
 class VArray:
-    """One lane-indexed value: an ndarray whose trailing dimensions map to
-    the active axis stack (missing trailing axes broadcast), its kind, and
-    which lanes actually hold a value (``True`` or a bool lane mask)."""
+    """One lane-indexed value whose kind is only known at run time: the
+    data (a NumPy scalar when lane-uniform, else an ndarray of the launch's
+    lane rank), its kind, and which lanes actually hold a value (``True``
+    or a bool lane mask).  The environment stores every scalar this way;
+    typed generated code handles the bare data and boxes only the values
+    whose kind its generator could not infer."""
 
     data: np.ndarray
     kind: str
@@ -166,7 +178,84 @@ class VArray:
 
 
 def _const_int(value: int) -> VArray:
-    return VArray(np.asarray(value, dtype=np.int64), PYINT)
+    return VArray(np.int64(value), PYINT)
+
+
+def _box(data, kind: str) -> VArray:
+    """Box a typed value, normalising Python scalars to the kind's dtype."""
+    if type(data) in (int, float, bool):
+        data = _KIND_DTYPE[kind].type(data)
+    return VArray(data, kind)
+
+
+def _as_f64(data):
+    """``float(value)`` lane-wise."""
+    if isinstance(data, np.ndarray):
+        return data.astype(np.float64)
+    return np.float64(data)
+
+
+def _as_i64(data):
+    """``int(value)`` lane-wise, for integer-kinded (or bool) values."""
+    if isinstance(data, np.ndarray):
+        return data.astype(np.int64)
+    return np.int64(data)
+
+
+def _bool_to_int(data):
+    """A comparison/logic result as the oracle's ``0``/``1`` integer."""
+    if isinstance(data, np.ndarray):
+        return data.astype(np.int64)
+    return int(data)
+
+
+def _cast_to(data, dtype: np.dtype):
+    """Weak operand → the promoted dtype.  Python scalars stay as they are:
+    NumPy's own weak-scalar promotion already yields the right dtype."""
+    if type(data) in (int, float):
+        return data
+    return data.astype(dtype)
+
+
+def _scalar_kind(name: str, value: object) -> str:
+    if isinstance(value, np.generic):
+        kind = _DTYPE_KIND.get(value.dtype)
+        if kind is None:
+            raise VectorUnsupported(
+                f"argument {name!r} has unsupported dtype {value.dtype}"
+            )
+        return kind
+    if isinstance(value, float):
+        return PYFLOAT
+    if isinstance(value, int):  # bool included — arithmetic treats it as int
+        if abs(value) >= _CAST_GUARD:
+            raise VectorUnsupported(f"argument {name!r} exceeds int64 range")
+        return PYINT
+    raise VectorUnsupported(
+        f"argument {name!r} has unsupported type {type(value).__name__}"
+    )
+
+
+def argument_signature(
+    scalars: dict[str, object], arrays: dict[str, np.ndarray]
+) -> tuple[tuple[str, str], ...]:
+    """The launch's argument-kind signature: ``(name, kind)`` for every
+    scalar and array argument, sorted by name.  Generated programs are
+    specialised on it.  Raises :class:`VectorUnsupported` for argument
+    types the batched runtime cannot reproduce."""
+    kinds = [(name, _scalar_kind(name, v)) for name, v in scalars.items()]
+    for name, arr in arrays.items():
+        kind = _DTYPE_KIND.get(arr.dtype)
+        if kind is None:
+            raise VectorUnsupported(
+                f"array {name!r} has unsupported dtype {arr.dtype}"
+            )
+        kinds.append((name, kind))
+    return tuple(sorted(kinds))
+
+
+def format_signature(signature) -> str:
+    return ",".join(f"{name}={kind}" for name, kind in signature)
 
 
 @dataclass(slots=True)
@@ -181,8 +270,8 @@ class ExecutionInfo:
     region_elements: dict[str, int] = field(default_factory=dict)
     #: Planner demotion reasons (parallel loops executed sequentially).
     demoted: list[str] = field(default_factory=list)
-    #: Wall time spent obtaining the generated program (None when the
-    #: codegen tier was never consulted; ~0 on a function-cache hit).
+    #: Wall time spent obtaining and running the generated program (None
+    #: when the codegen tier never ran).
     codegen_ms: float | None = None
 
     def as_dict(self) -> dict:
@@ -203,16 +292,23 @@ class VectorInterpreter:
     """The lane-batched runtime a generated program drives.
 
     Holds the lane state of one launch — the scalar environment, the
-    active axis stack and lane mask, the arrays — and exposes one
-    primitive per IR construct (``_apply_binop``, ``_load_idx``,
-    ``_store_idx``, ``_apply_if``, ``_run_loop``, …).  Generated code
-    (:mod:`repro.codegen.numpy_source`) calls them in interpreter order
-    with each loop's planned axis/sequential mode baked in.
+    active lane axes and mask, the arrays.  Lane axes live in fixed
+    *slots*: the generator numbers every axis-mode loop by its nesting
+    among axis loops, and :meth:`_begin` fixes the lane rank, so every
+    lane-varying value is an ndarray of that rank (size 1 on slots not
+    currently iterated) and NumPy broadcasting lines lanes up without any
+    reshaping.  Lane-uniform values are NumPy scalars.
+
+    Typed generated code (:mod:`repro.codegen.numpy_source`) computes with
+    bare NumPy operators and calls back only for lane state (environment,
+    masks, loops, stores) and for the guards it could not discharge; the
+    ``_apply_*`` primitives serve the nodes whose kind is only known at
+    run time.
 
     Mutates the arrays it is given (callers pass copies and commit on
-    success).  Raises :class:`VectorUnsupported` — or any error an
-    expression evaluation produces — when exact scalar semantics cannot be
-    guaranteed; nothing observable should be trusted after that.
+    success).  Raises :class:`VectorUnsupported` when exact scalar
+    semantics cannot be guaranteed; nothing observable should be trusted
+    after that.
     """
 
     def __init__(
@@ -223,6 +319,7 @@ class VectorInterpreter:
     ):
         self._arrays = arrays
         self._lowers = lowers
+        self.signature = argument_signature(scalars, arrays)
         self._env: dict[str, VArray] = {}
         self._axes: list[str] = []
         self._shape: tuple[int, ...] = ()
@@ -231,62 +328,69 @@ class VectorInterpreter:
         self.stats = ExecutionStats()
         self.elements = 0
         self.region_elements: dict[str, int] = {}
+        kinds = dict(self.signature)
         for name, value in scalars.items():
-            self._env[name] = self._bind_scalar(name, value)
+            dtype = _KIND_DTYPE[kinds[name]]
+            self._env[name] = VArray(
+                value if isinstance(value, np.generic) else dtype.type(value),
+                kinds[name],
+            )
 
-    @staticmethod
-    def _bind_scalar(name: str, value: object) -> VArray:
-        if isinstance(value, np.generic):
-            kind = _DTYPE_KIND.get(value.dtype)
-            if kind is None:
-                raise VectorUnsupported(
-                    f"argument {name!r} has unsupported dtype {value.dtype}"
-                )
-            return VArray(np.asarray(value), kind)
-        if isinstance(value, float):
-            return VArray(np.asarray(value, dtype=np.float64), PYFLOAT)
-        if isinstance(value, int):  # bool included — arithmetic treats it as int
-            if abs(value) >= _CAST_GUARD:
-                raise VectorUnsupported(f"argument {name!r} exceeds int64 range")
-            return VArray(np.asarray(int(value), dtype=np.int64), PYINT)
-        raise VectorUnsupported(
-            f"argument {name!r} has unsupported type {type(value).__name__}"
-        )
+    def _begin(self, rank: int, signature) -> None:
+        """Start a generated program specialised on ``signature`` whose
+        axis loops occupy ``rank`` lane slots."""
+        if signature != self.signature:
+            raise VectorUnsupported(
+                f"argument kinds ({format_signature(self.signature)}) differ "
+                f"from the program's ({format_signature(signature)})"
+            )
+        self._shape = (1,) * rank
 
     # -- lane bookkeeping ---------------------------------------------------
-    def _lift(self, data: np.ndarray) -> np.ndarray:
-        n = len(self._axes)
-        if data.ndim == n:
-            return data
-        return data.reshape(data.shape + (1,) * (n - data.ndim))
-
     def _active(self) -> int:
         if self._acount is None:
             if self._mask is None:
                 self._acount = math.prod(self._shape)
             else:
-                self._acount = int(
-                    np.count_nonzero(np.broadcast_to(self._mask, self._shape))
-                )
+                self._acount = self._masked_count(self._mask)
         return self._acount
 
     def _set_mask(self, mask: np.ndarray | None) -> None:
         self._mask = mask
         self._acount = None
 
-    def _masked_any(self, cond: np.ndarray) -> bool:
-        """Does ``cond`` hold on any *active* lane?"""
-        cond = self._lift(np.asarray(cond))
+    def _masked_any(self, cond) -> bool:
+        """Does ``cond`` hold on any *active* lane?  (No lane axis has
+        length 0, so the unbroadcast ``any`` is the lane-shaped one.)"""
         if self._mask is not None:
             cond = cond & self._mask
-        return bool(np.broadcast_to(cond, self._shape).any())
+        return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
 
-    def _sanitize(self, data: np.ndarray, fill: object) -> np.ndarray:
+    def _masked_count(self, mask: np.ndarray) -> int:
+        """Active lanes of ``mask`` over the full lane shape (a size-1 mask
+        dimension counts once per lane of that slot)."""
+        n = int(np.count_nonzero(mask))
+        if mask.shape != self._shape:
+            for size, msize in zip(self._shape, mask.shape or (1,) * len(self._shape)):
+                if msize == 1:
+                    n *= size
+        return n
+
+    def _count(self, loads: int, stores: int, flops: int) -> None:
+        """Add one block's statically counted operations, once per active
+        lane (a block runs under one mask from start to end)."""
+        n = self._active()
+        stats = self.stats
+        stats.loads += loads * n
+        stats.stores += stores * n
+        stats.flops += flops * n
+
+    def _sanitize(self, data, fill: object):
         """Replace inactive-lane values (which may be arbitrary garbage)
         with a safe ``fill`` before an operation that could fault on them."""
         if self._mask is None:
             return data
-        return np.where(self._mask, self._lift(data), fill)
+        return np.where(self._mask, data, fill)
 
     # -- scalar environment -------------------------------------------------
     def _env_get(self, name: str) -> VArray:
@@ -297,6 +401,16 @@ class VectorInterpreter:
             raise VectorUnsupported(f"scalar {name!r} undefined on active lanes")
         return va
 
+    def _env_value(self, name: str, kind: str):
+        """Typed read: the bare data of a scalar whose kind the generator
+        inferred (a mismatch is a generator bug, not a fallback)."""
+        va = self._env_get(name)
+        if va.kind != kind:
+            raise TypeError(
+                f"generated code expected {name!r} as {kind}, found {va.kind}"
+            )
+        return va.data
+
     def _env_set(self, name: str, va: VArray) -> None:
         if self._mask is None:
             self._env[name] = va
@@ -304,7 +418,7 @@ class VectorInterpreter:
         old = self._env.get(name)
         m = self._mask
         if old is None:
-            data = np.where(m, self._lift(va.data), _KIND_DTYPE[va.kind].type(0))
+            data = np.where(m, va.data, _KIND_DTYPE[va.kind].type(0))
             defined = np.broadcast_to(m, data.shape).copy()
             self._env[name] = VArray(data, va.kind, defined)
             return
@@ -313,26 +427,70 @@ class VectorInterpreter:
                 f"scalar {name!r} holds mixed kinds across lanes "
                 f"({old.kind} vs {va.kind})"
             )
-        data = np.where(m, self._lift(va.data), self._lift(old.data))
+        data = np.where(m, va.data, old.data)
         if old.defined is True:
             defined: object = True
         else:
-            defined = np.broadcast_to(m | self._lift(old.defined), data.shape).copy()
+            defined = np.broadcast_to(m | old.defined, data.shape).copy()
         self._env[name] = VArray(data, va.kind, defined)
 
-    # -- numeric guards -----------------------------------------------------
-    def _guard_weak_int(self, va: VArray, what: str) -> None:
-        if va.kind == PYINT and self._masked_any(np.abs(va.data) >= _INT_GUARD):
-            raise VectorUnsupported(f"{what}: weak integer exceeds safe range")
+    def _set_float(self, name: str, data) -> None:
+        """Typed assignment to a float-declared scalar: ``float(value)``."""
+        self._env_set(name, VArray(_as_f64(data), PYFLOAT))
 
-    def _float_to_int(self, data: np.ndarray, what: str) -> np.ndarray:
+    def _set_int(self, name: str, data) -> None:
+        """Typed assignment of an integer-kinded value to an int-declared
+        scalar: ``int(value)``."""
+        self._env_set(name, VArray(_as_i64(data), PYINT))
+
+    # -- numeric guards -----------------------------------------------------
+    def _weak(self, data, what: str):
+        """Guard a weak-integer operand (``|x| < 2**31`` on active lanes, so
+        int64 arithmetic equals Python's); returns the operand."""
+        if isinstance(data, np.ndarray):
+            if self._masked_any(np.abs(data) >= _INT_GUARD):
+                raise VectorUnsupported(f"{what}: weak integer exceeds safe range")
+        elif not -_INT_GUARD < data < _INT_GUARD:
+            raise VectorUnsupported(f"{what}: weak integer exceeds safe range")
+        return data
+
+    def _guard_weak_int(self, va: VArray, what: str) -> None:
+        if va.kind == PYINT:
+            self._weak(va.data, what)
+
+    def _float_to_int(self, data, what: str):
         """Python ``int(float)`` truncation, guarded against lanes where
         int64 ``astype`` would diverge from Python (non-finite / huge)."""
         bad = ~np.isfinite(data) | (np.abs(data) >= _CAST_GUARD)
         if self._masked_any(bad):
             raise VectorUnsupported(f"{what}: float→int out of exact range")
-        with np.errstate(invalid="ignore"):
-            return self._sanitize(data, 0.0).astype(np.int64)
+        return self._sanitize(data, 0.0).astype(np.int64)
+
+    def _subscript(self, va: VArray, name: str):
+        """A subscript whose kind is only known at run time, as integers."""
+        if va.kind in _INT_KINDS:
+            return va.data
+        return self._float_to_int(_as_f64(va.data), f"subscript of {name!r}")
+
+    def _bounds(self, idx, extent: int, name: str):
+        """Dynamic subscript check on the active lanes; returns an index
+        safe to gather with (inactive lanes clipped into range)."""
+        if not isinstance(idx, np.ndarray):
+            if not 0 <= idx < extent:
+                raise VectorUnsupported(f"out-of-bounds access on {name!r}")
+            return idx
+        bad = (idx < 0) | (idx >= extent)
+        if self._masked_any(bad):
+            raise VectorUnsupported(f"out-of-bounds access on {name!r}")
+        # Any lane still out of range is switched off: gather element 0.
+        return idx if self._mask is None else np.where(bad, 0, idx)
+
+    def _clip(self, idx, extent: int):
+        """A subscript proved in range by the launch check: only lanes a
+        mask switched off can hold garbage, so clip those for gathering."""
+        if self._mask is None or not isinstance(idx, np.ndarray):
+            return idx
+        return np.where((idx < 0) | (idx >= extent), 0, idx)
 
     # -- statements ---------------------------------------------------------
     def _assign_scalar(self, sym, va: VArray) -> None:
@@ -349,12 +507,11 @@ class VectorInterpreter:
         """The interpreter's ``_coerce_scalar``: assignments to a scalar
         apply ``float()`` / ``int()`` per the symbol's declared type."""
         if sym.stype.is_float:
-            return VArray(va.data.astype(np.float64), PYFLOAT)
+            return VArray(_as_f64(va.data), PYFLOAT)
         if va.kind in _INT_KINDS:
-            return VArray(va.data.astype(np.int64), PYINT)
+            return VArray(_as_i64(va.data), PYINT)
         return VArray(
-            self._float_to_int(va.data.astype(np.float64), f"int({sym.name})"),
-            PYINT,
+            self._float_to_int(_as_f64(va.data), f"int({sym.name})"), PYINT
         )
 
     def _decl_default(self, name: str) -> None:
@@ -369,22 +526,23 @@ class VectorInterpreter:
             raise VectorUnsupported(
                 f"scalar {name!r} holds mixed kinds across lanes"
             )
-        od = self._lift(old.defined)
+        od = old.defined
         need = ~od if self._mask is None else (~od & self._mask)
-        data = np.where(od, self._lift(old.data), np.int64(0))
+        data = np.where(od, old.data, np.int64(0))
         defined = np.broadcast_to(od | need, data.shape).copy()
         self._env[name] = VArray(data, PYINT, True if defined.all() else defined)
 
-    def _apply_if(self, cond: VArray, then_body, else_body) -> None:
+    def _apply_if(self, cond, then_body, else_body) -> None:
         """``If`` with a pre-evaluated condition and body thunks (nested
-        functions of the generated program)."""
-        if not self._axes:
-            if bool(cond.data):
+        functions of the generated program).  A lane-uniform condition
+        runs one branch under the current mask."""
+        if not isinstance(cond, np.ndarray) or not self._axes:
+            if cond:
                 then_body()
             else:
                 else_body()
             return
-        truth = self._lift(cond.data) != 0
+        truth = cond != 0
         base = self._mask
         m_then = truth if base is None else (base & truth)
         m_else = ~truth if base is None else (base & ~truth)
@@ -396,15 +554,12 @@ class VectorInterpreter:
             else_body()
         self._set_mask(base)
 
-    def _masked_count(self, mask: np.ndarray) -> int:
-        return int(np.count_nonzero(np.broadcast_to(mask, self._shape)))
-
     # -- loops --------------------------------------------------------------
-    def _run_loop(self, loop: Loop, body, axis: bool) -> None:
-        """Dispatch one loop with its *planned* mode baked in (``axis``) and
-        its body as a thunk (a nested function of the generated program).
-        Axis-mode loops still demote dynamically to the ordinal walk when
-        their concrete bounds turn out lane-varying."""
+    def _run_loop(self, loop: Loop, body, slot: int | None) -> None:
+        """Dispatch one loop with its *planned* mode baked in (``slot`` is
+        the lane slot of an axis-mode loop, ``None`` for sequential) and its
+        body as a thunk.  Axis-mode loops still demote dynamically to the
+        ordinal walk when their concrete bounds turn out lane-varying."""
         lo_va = self._eval_loop_bound(loop.init)
         hi_va = self._eval_loop_bound(loop.bound)
         lo = self._uniform_int(lo_va)
@@ -413,10 +568,10 @@ class VectorInterpreter:
             vals = _range_of(loop, lo, hi)
             if len(vals) == 0:
                 return
-            if axis:
-                self._exec_axis_loop(loop, vals, body)
-            else:
+            if slot is None:
                 self._exec_seq_uniform(loop, vals, body)
+            else:
+                self._exec_axis_loop(loop, vals, body, slot)
             return
         self._exec_seq_varying(loop, lo_va, hi_va, body)
 
@@ -433,7 +588,7 @@ class VectorInterpreter:
                 raise VectorUnsupported(
                     f"loop bound reads non-integer scalar {e.sym.name!r}"
                 )
-            return VArray(va.data.astype(np.int64), PYINT, va.defined)
+            return VArray(_as_i64(va.data), PYINT, va.defined)
         if isinstance(e, UnOp) and e.op == "-":
             va = self._eval_loop_bound(e.operand)
             return VArray(-va.data, PYINT, va.defined)
@@ -442,7 +597,7 @@ class VectorInterpreter:
             rhs = self._eval_loop_bound(e.right)
             self._guard_weak_int(lhs, "loop bound")
             self._guard_weak_int(rhs, "loop bound")
-            la, rb = self._lift(lhs.data), self._lift(rhs.data)
+            la, rb = lhs.data, rhs.data
             if e.op == "+":
                 data = la + rb
             elif e.op == "-":
@@ -452,10 +607,8 @@ class VectorInterpreter:
             else:  # '/' or '%': C truncation; 0 divisor → interpreter error
                 if self._masked_any(rb == 0):
                     raise VectorUnsupported("loop bound divides by zero")
-                rb = np.where(rb == 0, np.int64(1), rb)
-                q = np.abs(la) // np.abs(rb)
-                q = np.where((la >= 0) == (rb >= 0), q, -q)
-                data = q if e.op == "/" else la - rb * q
+                q, r = _int_divmod(la, rb)
+                data = q if e.op == "/" else r
             return VArray(data, PYINT)
         raise VectorUnsupported(
             f"loop bound uses {type(e).__name__} (not evaluable by iter_values)"
@@ -463,9 +616,9 @@ class VectorInterpreter:
 
     def _uniform_int(self, va: VArray) -> int | None:
         data = va.data
-        if data.ndim == 0:
+        if not isinstance(data, np.ndarray):
             return int(data)
-        vals = np.broadcast_to(self._lift(data), self._shape)
+        vals = np.broadcast_to(data, self._shape)
         if self._mask is not None:
             vals = vals[np.broadcast_to(self._mask, self._shape)]
         else:
@@ -475,16 +628,19 @@ class VectorInterpreter:
         first = vals[0]
         return int(first) if bool((vals == first).all()) else None
 
-    def _exec_axis_loop(self, loop: Loop, vals: range, body) -> None:
+    def _exec_axis_loop(self, loop: Loop, vals: range, body, slot: int) -> None:
         var = loop.var.name
         saved = self._env.get(var)
-        saved_mask = self._mask
-        n0 = len(self._axes)
-        axis_vals = np.asarray(list(vals), dtype=np.int64)
+        saved_shape = self._shape
+        view = [1] * len(saved_shape)
+        view[slot] = len(vals)
         self._axes.append(var)
-        self._shape = self._shape + (len(vals),)
-        self._set_mask(None if saved_mask is None else saved_mask[..., None])
-        self._env[var] = VArray(axis_vals.reshape((1,) * n0 + (len(vals),)), PYINT)
+        self._shape = saved_shape[:slot] + (len(vals),) + saved_shape[slot + 1:]
+        self._acount = None  # the mask broadcasts along the new slot
+        self._env[var] = VArray(
+            np.arange(vals.start, vals.stop, vals.step, dtype=np.int64).reshape(view),
+            PYINT,
+        )
         active = self._active()
         self.stats.iterations += active
         self.elements += active
@@ -492,18 +648,18 @@ class VectorInterpreter:
         # Pop the axis: anything written per-lane keeps its final-iteration
         # slice (the scalar interpreter leaks the last iteration's value;
         # the planner demoted the loop if a lane-varying final is *read*).
-        n1 = n0 + 1
+        last = (slice(None),) * slot + (slice(-1, None),)
         for name, va in list(self._env.items()):
             data, defined, changed = va.data, va.defined, False
-            if data.ndim == n1:
-                data, changed = data[..., -1], True
-            if isinstance(defined, np.ndarray) and defined.ndim == n1:
-                defined, changed = defined[..., -1], True
+            if isinstance(data, np.ndarray) and data.ndim and data.shape[slot] > 1:
+                data, changed = data[last], True
+            if isinstance(defined, np.ndarray) and defined.ndim and defined.shape[slot] > 1:
+                defined, changed = defined[last], True
             if changed:
                 self._env[name] = VArray(data, va.kind, defined)
         self._axes.pop()
-        self._shape = self._shape[:-1]
-        self._set_mask(saved_mask)
+        self._shape = saved_shape
+        self._acount = None
         if saved is not None:
             self._env[var] = saved
         else:
@@ -514,7 +670,7 @@ class VectorInterpreter:
         var = loop.var.name
         saved = self._env.get(var)
         for v in vals:
-            self._env_set(var, _const_int(v))
+            self._env_set(var, VArray(np.int64(v), PYINT))
             self.stats.iterations += self._active()
             body()
         if saved is not None:
@@ -542,8 +698,8 @@ class VectorInterpreter:
                 f"'{loop.var.name}'"
             )
         adjust = {"<": 0, "<=": 1, ">": 0, ">=": -1}[loop.cond_op]
-        start = np.broadcast_to(self._lift(lo_va.data), self._shape)
-        stop = np.broadcast_to(self._lift(hi_va.data) + adjust, self._shape)
+        start = np.broadcast_to(lo_va.data, self._shape)
+        stop = np.broadcast_to(hi_va.data + adjust, self._shape)
         base = self._mask
         trips = np.maximum(stop - start, 0) if loop.step == 1 else np.maximum(
             start - stop, 0
@@ -557,10 +713,11 @@ class VectorInterpreter:
         saved = self._env.get(var)
         for k in range(max_trips):
             m_k = trips > k
-            count = self._masked_count(m_k)
             self._set_mask(m_k)
-            values = start + k if loop.step == 1 else start - k
-            self._env_set(var, VArray(values.astype(np.int64), PYINT))
+            self._acount = count = int(np.count_nonzero(m_k))
+            # Read under m_k (or narrower) only: retired lanes may hold
+            # anything (the final values are set after the loop).
+            self._env[var] = VArray(start + k if loop.step == 1 else start - k, PYINT)
             self.stats.iterations += count
             body()
         self._set_mask(base)
@@ -578,166 +735,168 @@ class VectorInterpreter:
                 self._env.pop(var, None)
 
     # -- memory -------------------------------------------------------------
-    def _index_from(
-        self, ref: ArrayRef, vas: list[VArray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        name = ref.sym.name
-        arr = self._arrays[name]
-        lowers = self._lowers.get(name)
-        idx: list[np.ndarray] = []
-        for axis, va in enumerate(vas):
-            if va.kind in _INT_KINDS:
-                data = self._lift(va.data.astype(np.int64))
-            else:
-                data = self._lift(
-                    self._float_to_int(
-                        va.data.astype(np.float64), f"subscript of {name!r}"
-                    )
-                )
-            if lowers is not None:
-                data = data - lowers[axis]
-            idx.append(data)
-        pointer = ref.sym.array is not None and ref.sym.array.is_pointer
-        if pointer:
-            extents = [arr.size]
-        else:
-            extents = [arr.shape[axis] for axis in range(len(idx))]
-        clipped = []
-        for data, extent in zip(idx, extents):
-            if self._masked_any((data < 0) | (data >= extent)):
-                raise VectorUnsupported(f"out-of-bounds access on {name!r}")
-            clipped.append(np.clip(data, 0, max(extent - 1, 0)))
-        return arr, clipped
-
-    def _load_idx(self, ref: ArrayRef, vas: list[VArray]) -> VArray:
-        arr, idx = self._index_from(ref, vas)
-        self.stats.loads += self._active()
-        if ref.sym.array is not None and ref.sym.array.is_pointer:
-            data = arr.reshape(-1)[idx[0]]
-        else:
-            data = arr[tuple(idx)]
-        return VArray(data, _DTYPE_KIND[arr.dtype])
-
-    def _store_idx(self, ref: ArrayRef, vas: list[VArray], value: VArray) -> None:
-        arr, idx = self._index_from(ref, vas)
-        if arr.dtype.kind in "iu":
-            # Scalar element assignment raises on NaN/inf and on values
-            # outside the target's range; array assignment wraps silently.
-            vdata = value.data
-            if value.kind not in _INT_KINDS and self._masked_any(
-                ~np.isfinite(vdata)
-            ):
-                raise VectorUnsupported("non-finite value stored to int array")
-            info = np.iinfo(arr.dtype)
-            if self._masked_any((vdata < info.min) | (vdata > info.max)):
-                raise VectorUnsupported("integer store out of range")
-        self.stats.stores += self._active()
-        target = (
-            arr.reshape(-1)
-            if ref.sym.array is not None and ref.sym.array.is_pointer
-            else arr
+    def _store(self, target: np.ndarray, idx: tuple, value) -> None:
+        """``target[idx] = value`` on the active lanes.  Indices and value
+        are broadcast to the full lane shape so duplicate writes resolve in
+        C order — the scalar iteration order."""
+        shape = self._shape
+        full = tuple(
+            i if isinstance(i, np.ndarray) and i.shape == shape
+            else np.broadcast_to(i, shape)
+            for i in idx
         )
-        # Broadcast indices and value to the full lane shape so duplicate
-        # writes resolve in C order — the scalar iteration order.
-        full_idx = tuple(np.broadcast_to(i, self._shape) for i in idx)
-        val = np.broadcast_to(self._lift(value.data), self._shape)
-        with np.errstate(invalid="ignore", over="ignore"):
-            if self._mask is None:
-                if len(full_idx) == 1 and target.ndim == 1:
-                    target[full_idx[0]] = val
-                else:
-                    target[full_idx] = val
-            else:
-                m = np.broadcast_to(self._mask, self._shape)
-                sel = tuple(i[m] for i in full_idx)
-                if len(sel) == 1 and target.ndim == 1:
-                    target[sel[0]] = val[m]
-                else:
-                    target[sel] = val[m]
+        if self._mask is None:
+            target[full] = value
+            return
+        m = np.broadcast_to(self._mask, shape)
+        target[tuple(i[m] for i in full)] = np.broadcast_to(value, shape)[m]
+
+    def _store_checked(
+        self, target: np.ndarray, idx: tuple, value, is_float: bool
+    ) -> None:
+        """A store into an integer array whose value needs the range checks
+        scalar element assignment performs (it raises on NaN/inf and on
+        values outside the target's range; array assignment wraps)."""
+        if is_float and self._masked_any(~np.isfinite(value)):
+            raise VectorUnsupported("non-finite value stored to int array")
+        info = np.iinfo(target.dtype)
+        if self._masked_any((value < info.min) | (value > info.max)):
+            raise VectorUnsupported("integer store out of range")
+        self._store(target, idx, value)
+
+    def _store_dynamic(self, target: np.ndarray, idx: tuple, va: VArray) -> None:
+        """A store of a value whose kind is only known at run time."""
+        if target.dtype.kind in "iu":
+            self._store_checked(target, idx, va.data, va.kind not in _INT_KINDS)
+        else:
+            self._store(target, idx, va.data)
 
     # -- expressions --------------------------------------------------------
-    def _apply_unop(self, op: str, va: VArray) -> VArray:
-        if op == "-":
-            return VArray(-va.data, va.kind)
-        if op == "!":
-            return VArray((va.data == 0).astype(np.int64), PYINT)
-        raise VectorUnsupported(f"unknown unary {op!r}")
-
-    def _apply_select(self, cond: VArray, then_thunk, else_thunk) -> VArray:
+    def _select(self, cond, then_thunk, else_thunk):
         """Ternary with a pre-evaluated condition and arm thunks; each arm
-        is evaluated only under the lanes that take it."""
-        if not self._axes:
-            return then_thunk() if bool(cond.data) else else_thunk()
-        truth = self._lift(cond.data) != 0
+        is evaluated only under the lanes that take it.  Arms return bare
+        data of one static kind, or :class:`VArray` when the generator
+        could not prove both arms share a kind."""
+        if not isinstance(cond, np.ndarray) or not self._axes:
+            return then_thunk() if cond else else_thunk()
+        truth = cond != 0
         base = self._mask
         m_then = truth if base is None else (base & truth)
         m_else = ~truth if base is None else (base & ~truth)
-        then_va = else_va = None
+        then_v = else_v = None
         if self._masked_count(m_then):
             self._set_mask(m_then)
-            then_va = then_thunk()
+            then_v = then_thunk()
         if self._masked_count(m_else):
             self._set_mask(m_else)
-            else_va = else_thunk()
+            else_v = else_thunk()
         self._set_mask(base)
-        if then_va is None:
-            return else_va  # type: ignore[return-value]
-        if else_va is None:
-            return then_va
-        if then_va.kind != else_va.kind:
-            raise VectorUnsupported(
-                "ternary arms yield different kinds per lane"
-            )
-        data = np.where(truth, self._lift(then_va.data), self._lift(else_va.data))
-        return VArray(data, then_va.kind)
+        if then_v is None:
+            return else_v
+        if else_v is None:
+            return then_v
+        if not isinstance(then_v, VArray):
+            return np.where(truth, then_v, else_v)
+        if then_v.kind != else_v.kind:
+            raise VectorUnsupported("ternary arms yield different kinds per lane")
+        return VArray(np.where(truth, then_v.data, else_v.data), then_v.kind)
+
+    def _logic(self, op: str, lhs, rhs_thunk):
+        """Short-circuit ``&&``/``||`` with the right operand as a thunk,
+        evaluated only under the lanes that reach it; a bool result."""
+        if not isinstance(lhs, np.ndarray) or not self._axes:
+            if op == "&&" and not lhs:
+                return False
+            if op == "||" and lhs:
+                return True
+            rv = rhs_thunk()
+            return rv != 0 if isinstance(rv, np.ndarray) else bool(rv)
+        lt = lhs != 0
+        base = self._mask
+        m_right = lt if op == "&&" else ~lt
+        m_right = m_right if base is None else (base & m_right)
+        if self._masked_count(m_right):
+            self._set_mask(m_right)
+            rt = rhs_thunk() != 0
+            self._set_mask(base)
+        else:
+            rt = False
+        return (lt & rt) if op == "&&" else (lt | rt)
+
+    def _int_div(self, la, rb, checked: bool = True):
+        """C-truncation ``/`` of integers (operands already in the result
+        dtype); ``checked`` guards the divisor against zero."""
+        if checked and self._masked_any(rb == 0):
+            raise VectorUnsupported("integer division by zero")
+        return _int_divmod(la, rb)[0]
+
+    def _int_mod(self, la, rb, checked: bool = True):
+        if checked and self._masked_any(rb == 0):
+            raise VectorUnsupported("integer division by zero")
+        return _int_divmod(la, rb)[1]
+
+    def _weak_div(self, la, rb, checked: bool = True):
+        """``/`` of two weak operands yielding a float: Python raises on a
+        zero divisor where NumPy would produce inf/nan."""
+        if checked and self._masked_any(rb == 0):
+            raise VectorUnsupported("float division by zero (Python semantics)")
+        return la / rb
+
+    def _apply_unop(self, op: str, va: VArray) -> VArray:
+        if op == "-":
+            return VArray(-va.data, va.kind)
+        raise VectorUnsupported(f"unknown unary {op!r}")
 
     def _apply_cast(self, to_type, va: VArray) -> VArray:
         if to_type.is_float:
+            data = va.data
             if to_type.bits == 32:
                 # float(np.float32(v)): round to f32, widen back to Python float
-                data = va.data.astype(np.float32).astype(np.float64)
-            else:
-                data = va.data.astype(np.float64)
-            return VArray(data, PYFLOAT)
+                data = np.float32(data) if not isinstance(data, np.ndarray) else (
+                    data.astype(np.float32)
+                )
+            return VArray(_as_f64(data), PYFLOAT)
         if va.kind in _INT_KINDS:
-            return VArray(va.data.astype(np.int64), PYINT)
-        return VArray(
-            self._float_to_int(va.data.astype(np.float64), "int cast"), PYINT
-        )
-
-    def _truthy(self, va: VArray) -> np.ndarray:
-        return self._lift(va.data) != 0
+            return VArray(_as_i64(va.data), PYINT)
+        return VArray(self._float_to_int(_as_f64(va.data), "int cast"), PYINT)
 
     def _apply_binop(self, op: str, lhs: VArray, rhs: VArray) -> VArray:
+        """A binary operator on operands whose kinds are only known at run
+        time: NEP 50 promotion, the weak-int guards and the flop rule,
+        replayed per call."""
         kind = _promote(lhs.kind, rhs.kind)
         dtype = _KIND_DTYPE[kind]
-        la = self._lift(lhs.data).astype(dtype, copy=False)
-        rb = self._lift(rhs.data).astype(dtype, copy=False)
-        if dtype.kind == "f":
+        if dtype.kind == "f" or op not in _CMP_UFUNC:
             # Python compares int/float exactly; float64 rounds ints above
             # 2**53.  The weak-int guard keeps us far inside the exact range.
             self._guard_weak_int(lhs, f"operator {op!r}")
             self._guard_weak_int(rhs, f"operator {op!r}")
+        la = lhs.data.astype(dtype, copy=False)
+        rb = rhs.data.astype(dtype, copy=False)
         if op in _CMP_UFUNC:
-            return VArray(_CMP_UFUNC[op](la, rb).astype(np.int64), PYINT)
-        self._guard_weak_int(lhs, f"operator {op!r}")
-        self._guard_weak_int(rhs, f"operator {op!r}")
+            if dtype.kind != "f":  # integers compare exactly as they are
+                la, rb = lhs.data, rhs.data
+            return VArray(_as_i64(_CMP_UFUNC[op](la, rb)), PYINT)
         both_int = lhs.kind in _INT_KINDS and rhs.kind in _INT_KINDS
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if op == "+":
-                result = la + rb
-            elif op == "-":
-                result = la - rb
-            elif op == "*":
-                result = la * rb
-            elif op == "/":
-                result = self._divide(la, rb, lhs, rhs, both_int)
-            elif op == "%":
-                if not both_int:
-                    raise VectorUnsupported("modulo requires integers")
-                result = self._int_divmod(la, rb)[1]
+        if op == "+":
+            result = la + rb
+        elif op == "-":
+            result = la - rb
+        elif op == "*":
+            result = la * rb
+        elif op == "/":
+            if both_int:
+                result = self._int_div(la, rb)
+            elif lhs.kind in _WEAK and rhs.kind in _WEAK:
+                result = self._weak_div(la, rb)
             else:
-                raise VectorUnsupported(f"unknown operator {op!r}")
+                result = la / rb
+        elif op == "%":
+            if not both_int:
+                raise VectorUnsupported("modulo requires integers")
+            result = self._int_mod(la, rb)
+        else:
+            raise VectorUnsupported(f"unknown operator {op!r}")
         if (
             lhs.kind in _PYFLOAT_LIKE
             or rhs.kind in _PYFLOAT_LIKE
@@ -746,63 +905,11 @@ class VectorInterpreter:
             self.stats.flops += self._active()
         return VArray(result, kind)
 
-    def _divide(
-        self,
-        la: np.ndarray,
-        rb: np.ndarray,
-        lhs: VArray,
-        rhs: VArray,
-        both_int: bool,
-    ) -> np.ndarray:
-        if both_int:
-            if self._masked_any(rb == 0):
-                raise VectorUnsupported("integer division by zero")
-            return self._int_divmod(la, rb)[0]
-        if lhs.kind in _WEAK and rhs.kind in _WEAK:
-            # Pure Python operands: float division by zero raises.  (With a
-            # strong NumPy operand it yields inf/nan, exactly as the array
-            # division below does.)
-            if self._masked_any(rb == 0):
-                raise VectorUnsupported("float division by zero (Python semantics)")
-        return la / rb
-
-    @staticmethod
-    def _int_divmod(la: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """C-truncation quotient and remainder (divisor pre-checked)."""
-        rb = np.where(rb == 0, np.asarray(1, dtype=rb.dtype), rb)
-        q = np.abs(la) // np.abs(rb)
-        q = np.where((la >= 0) == (rb >= 0), q, -q).astype(la.dtype, copy=False)
-        return q, (la - rb * q).astype(la.dtype, copy=False)
-
-    def _apply_logic(self, op: str, lhs: VArray, rhs_thunk) -> VArray:
-        """Short-circuit ``&&``/``||`` with the right operand as a thunk,
-        evaluated only under the lanes that reach it."""
-        if not self._axes:
-            lv = bool(lhs.data)
-            if op == "&&" and not lv:
-                return _const_int(0)
-            if op == "||" and lv:
-                return _const_int(1)
-            rv = bool(rhs_thunk().data)
-            return _const_int(1 if rv else 0)
-        lt = self._truthy(lhs)
-        base = self._mask
-        m_right = (lt if op == "&&" else ~lt)
-        m_right = m_right if base is None else (base & m_right)
-        if self._masked_count(m_right):
-            self._set_mask(m_right)
-            rt = self._truthy(rhs_thunk())
-            self._set_mask(base)
-        else:
-            rt = np.zeros((1,) * len(self._axes), dtype=bool)
-        combined = (lt & rt) if op == "&&" else (lt | rt)
-        return VArray(combined.astype(np.int64), PYINT)
-
     # -- intrinsics ---------------------------------------------------------
     def _apply_call(self, func: str, args: list[VArray]) -> VArray:
         self.stats.flops += self._active()
         if func == "sqrt":
-            data = args[0].data.astype(np.float64)
+            data = _as_f64(args[0].data)
             if self._masked_any(data < 0):
                 raise VectorUnsupported("sqrt of negative value")
             return VArray(np.sqrt(self._sanitize(data, 0.0)), PYFLOAT)
@@ -810,34 +917,59 @@ class VectorInterpreter:
             return VArray(np.abs(args[0].data), args[0].kind)
         if func in ("exp", "log", "sin", "cos", "tan"):
             safe = 1.0 if func == "log" else 0.0
-            data = self._sanitize(args[0].data.astype(np.float64), safe)
-            ufunc = np.frompyfunc(getattr(math, func), 1, 1)
-            out = ufunc(self._lift(data)).astype(np.float64)
-            return VArray(out, PYFLOAT)
+            data = self._sanitize(_as_f64(args[0].data), safe)
+            return VArray(
+                _libm(np.frompyfunc(getattr(math, func), 1, 1), func, data),
+                PYFLOAT,
+            )
         if func == "pow":
-            base = self._sanitize(args[0].data.astype(np.float64), 1.0)
-            expo = self._sanitize(args[1].data.astype(np.float64), 1.0)
-            out = np.frompyfunc(math.pow, 2, 1)(
-                self._lift(base), self._lift(expo)
-            ).astype(np.float64)
-            return VArray(out, PYFLOAT)
+            base = self._sanitize(_as_f64(args[0].data), 1.0)
+            expo = self._sanitize(_as_f64(args[1].data), 1.0)
+            return VArray(
+                _libm(np.frompyfunc(math.pow, 2, 1), func, base, expo), PYFLOAT
+            )
         if func in ("min", "fmin", "max", "fmax"):
             kind = args[0].kind
             if any(a.kind != kind for a in args[1:]):
                 raise VectorUnsupported(f"{func} over mixed kinds")
             pick = min if func in ("min", "fmin") else max
             ufunc = np.frompyfunc(pick, 2, 1)
-            acc = self._lift(args[0].data)
+            acc = args[0].data
             for a in args[1:]:
-                acc = ufunc(acc, self._lift(a.data))
-            return VArray(np.asarray(acc).astype(_KIND_DTYPE[kind]), kind)
+                acc = ufunc(acc, a.data)
+            return VArray(_KIND_DTYPE[kind].type(acc) if not isinstance(
+                acc, np.ndarray) else acc.astype(_KIND_DTYPE[kind]), kind)
         if func in ("floor", "ceil"):
             va = args[0]
             if va.kind in _INT_KINDS:
-                return VArray(va.data.astype(np.int64), PYINT)
-            rounded = getattr(np, func)(va.data.astype(np.float64))
+                return VArray(_as_i64(va.data), PYINT)
+            rounded = getattr(np, func)(_as_f64(va.data))
             return VArray(self._float_to_int(rounded, func), PYINT)
         raise VectorUnsupported(f"unknown intrinsic {func!r}")
+
+
+def _libm(ufunc, func: str, *args):
+    """Apply a ``math`` function per element, as the interpreter does;
+    Python's domain/range errors become a fallback reason."""
+    try:
+        out = ufunc(*args)
+    except (ValueError, OverflowError) as exc:
+        raise VectorUnsupported(f"{func}: {exc}") from None
+    if isinstance(out, np.ndarray):
+        return out.astype(np.float64)
+    return np.float64(out)
+
+
+def _int_divmod(la, rb):
+    """C-truncation quotient and remainder (divisor pre-checked)."""
+    dtype = np.result_type(la, rb)
+    rb = np.where(rb == 0, np.asarray(1, dtype=dtype), rb)
+    q = np.abs(la) // np.abs(rb)
+    q = np.where((la >= 0) == (rb >= 0), q, -q).astype(dtype, copy=False)
+    r = (la - rb * q).astype(dtype, copy=False)
+    if q.ndim == 0:
+        return q[()], r[()]
+    return q, r
 
 
 def _range_of(loop: Loop, lo: int, hi: int) -> range:
@@ -857,7 +989,6 @@ def execute_kernel(
     *,
     executor: "str | Executor" = "auto",
     content_key: str | None = None,
-    codegen_source: str | None = None,
     metrics=None,
 ) -> tuple[dict[str, np.ndarray], ExecutionStats, ExecutionInfo]:
     """Execute ``fn`` with ``args`` (arrays are mutated in place).
@@ -867,25 +998,24 @@ def execute_kernel(
     generated-NumPy tier (raising :class:`VectorUnsupported` or
     :class:`~repro.codegen.numpy_source.CodegenUnsupported` if impossible),
     and ``"auto"`` — the default — walks the ladder codegen → scalar,
-    logging the fallback reason.  Codegen attempts run on array copies and
+    logging and counting the fallback reason.  Only those two typed
+    exceptions mean "fall back"; any other exception from generated code
+    is a bug and propagates.  Codegen attempts run on array copies and
     commit only on success, so a fallback re-runs the scalar path on
     pristine inputs and reproduces its behaviour exactly, including
     exceptions and the partial mutation preceding them.
 
     ``content_key`` (optional) keys the in-memory generated-function cache
-    — callers that know a stable content hash for ``fn``'s source pass it
-    so repeat launches skip planning and code generation entirely.
-    ``codegen_source`` (optional) is persisted generated source from the
-    serving broker's ``run`` envelope (compile envelopes carry none); it
-    is rebound instead of re-generated, and re-planned if it fails to
-    bind.  ``metrics`` (optional,
+    together with the launch's argument-kind signature — callers that know
+    a stable content hash for ``fn``'s source pass it so repeat launches
+    skip planning and code generation entirely.  ``metrics`` (optional,
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the codegen
-    tier's cache and generation counters.
+    tier's cache, generation, guard and fallback counters.
     """
     with span("execute", kernel=fn.name, requested=str(executor)) as sp:
         arrays, stats, info = _execute_kernel(
             fn, args, executor=executor, content_key=content_key,
-            codegen_source=codegen_source, metrics=metrics,
+            metrics=metrics,
         )
         sp.set(used=info.used, elements=info.elements)
         if info.fallback_reason is not None:
@@ -897,9 +1027,28 @@ def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
 
-def _scalar_fallback(fn, args, requested, reason, demoted):
+def _reason_slug(reason: str) -> str:
+    """A metric-name slug for a fallback reason: its words, without the
+    quoted names, bracketed values and parenthesised details that vary
+    per kernel and launch."""
+    text = reason.split(": ", 1)[-1]
+    text = re.sub(r"'[^']*'|\[[^\]]*\]|\([^)]*\)|[0-9]+", " ", text)
+    slug = ""
+    for word in re.findall(r"[a-z]+", text.lower()):
+        if len(slug) + len(word) > 48:
+            break
+        slug = f"{slug}_{word}" if slug else word
+    return slug or "unknown"
+
+
+def _scalar_fallback(fn, args, requested, reason, demoted, metrics):
     logger.info("codegen executor: %s falls back to scalar: %s", fn.name, reason)
     _notify_fallback(fn.name, reason)
+    if metrics is not None:
+        metrics.counter(
+            f"codegen.fallbacks.{_reason_slug(reason)}",
+            "auto executions that fell back to the scalar interpreter, by reason",
+        ).inc()
     arrays, stats = run_kernel(fn, args)
     return arrays, stats, ExecutionInfo(
         requested=requested, used="scalar", fallback_reason=reason,
@@ -907,20 +1056,21 @@ def _scalar_fallback(fn, args, requested, reason, demoted):
     )
 
 
-def _run_generated(fn, args, compiled, ex: Executor, demoted, t0: float):
+def _run_generated(fn, args, bound, compiled, ex: Executor, t0, metrics):
     """Drive ``compiled`` over copies of the bound arguments; commit the
     copies on success, else re-run the scalar oracle on pristine inputs."""
-    scalars, arrays, lowers = bind_arguments(fn, args)
+    scalars, arrays, lowers = bound
     copies = {name: arr.copy() for name, arr in arrays.items()}
+    demoted = list(compiled.demoted)
     try:
         interp = VectorInterpreter(scalars, copies, lowers)
         compiled.run(interp)
-    except Exception as exc:  # noqa: BLE001 — runtime unsupported
+    except VectorUnsupported as exc:
         if ex is Executor.CODEGEN:
             raise
         # Unsupported lanes and Python-semantics errors (division by zero,
         # …) are the oracle's to reproduce, partial mutation included.
-        return _scalar_fallback(fn, args, ex.value, _reason(exc), demoted)
+        return _scalar_fallback(fn, args, ex.value, _reason(exc), demoted, metrics)
     for name, arr in arrays.items():
         arr[...] = copies[name]
     return arrays, interp.stats, ExecutionInfo(
@@ -939,7 +1089,6 @@ def _execute_kernel(
     *,
     executor: "str | Executor",
     content_key: str | None = None,
-    codegen_source: str | None = None,
     metrics=None,
 ) -> tuple[dict[str, np.ndarray], ExecutionStats, ExecutionInfo]:
     from ..codegen import numpy_source  # deferred: avoids import cycle
@@ -949,17 +1098,24 @@ def _execute_kernel(
         arrays, stats = run_kernel(fn, args)
         return arrays, stats, ExecutionInfo(requested="scalar", used="scalar")
 
+    t0 = time.perf_counter()
+    bound = bind_arguments(fn, args)
+    try:
+        signature = argument_signature(bound[0], bound[1])
+    except VectorUnsupported as exc:
+        if ex is Executor.CODEGEN:
+            raise
+        return _scalar_fallback(fn, args, ex.value, _reason(exc), [], metrics)
+
     # Warm fast path: a cached generated function already bakes the axis
-    # decisions, so repeat launches with a content_key skip the planner
-    # entirely.  The generated program never consults the plan at runtime.
+    # decisions and the argument kinds, so repeat launches with a
+    # content_key skip the planner entirely.
     if content_key is not None:
         cached = numpy_source.function_cache().get(
-            content_key, metrics, record_miss=False
+            (content_key, signature), metrics, record_miss=False
         )
         if cached is not None:
-            t0 = time.perf_counter()
-            demoted = list(cached.demoted)
-            return _run_generated(fn, args, cached, ex, demoted, t0)
+            return _run_generated(fn, args, bound, cached, ex, t0, metrics)
 
     plan = plan_kernel(fn)
     demoted = plan.demotion_reasons
@@ -969,16 +1125,15 @@ def _execute_kernel(
             reason += f" ({demoted[0]})"
         if ex is Executor.CODEGEN:
             raise VectorUnsupported(reason)
-        return _scalar_fallback(fn, args, ex.value, reason, demoted)
+        return _scalar_fallback(fn, args, ex.value, reason, demoted, metrics)
 
-    t0 = time.perf_counter()
     try:
         compiled = numpy_source.get_or_compile(
-            fn, plan, content_key=content_key,
-            source=codegen_source, metrics=metrics,
+            fn, plan, content_key=content_key, signature=signature,
+            metrics=metrics,
         )
     except numpy_source.CodegenUnsupported as exc:
         if ex is Executor.CODEGEN:
             raise
-        return _scalar_fallback(fn, args, ex.value, _reason(exc), demoted)
-    return _run_generated(fn, args, compiled, ex, demoted, t0)
+        return _scalar_fallback(fn, args, ex.value, _reason(exc), demoted, metrics)
+    return _run_generated(fn, args, bound, compiled, ex, t0, metrics)

@@ -7,6 +7,12 @@ rules, and the vectorized-execution planner — into one per-kernel view a
 human can read (``repro profile <file>``) or a tool can consume
 (:meth:`ProgramProfile.as_dict`).
 
+Each kernel also carries the guard census of its generated NumPy
+program (``codegen.guards.static`` / ``.dynamic``: guards discharged at
+generation or launch time vs still checked per operation — see
+:mod:`repro.codegen.numpy_source`), for launches whose arguments follow
+the declared types.
+
 The profile is taken over the *post-pipeline* IR (the function object a
 :class:`~repro.compiler.driver.CompiledProgram` carries has been mutated
 by the passes), so it reflects the code that was actually compiled:
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 from ..analysis.coalescing import classify_access
 from ..analysis.loopinfo import analyze_loops
 from ..analysis.memspace import classify_memspaces
+from ..codegen.numpy_source import CodegenUnsupported, guard_census
 from ..codegen.vector_lower import AXIS, plan_kernel
 from ..gpu.occupancy import compute_occupancy
 from ..ir.expr import ArrayRef, array_refs
@@ -87,6 +94,9 @@ class KernelProfile:
     safara: dict | None = None
     traffic: list[TrafficEntry] = field(default_factory=list)
     loops: list[LoopDecision] = field(default_factory=list)
+    #: ``{"static": n, "dynamic": m}`` guards of the generated program's
+    #: code for this kernel; ``None`` when it runs on the scalar tier.
+    guards: dict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -103,6 +113,7 @@ class KernelProfile:
             "safara": self.safara,
             "traffic": [t.as_dict() for t in self.traffic],
             "loops": [l.as_dict() for l in self.loops],
+            "guards": self.guards,
         }
 
 
@@ -170,6 +181,13 @@ class ProgramProfile:
                 lines.append(f"    {l.var:<4} {kind:<14} {verdict}")
             if not k.loops:
                 lines.append("    (no loops)")
+            if k.guards is None:
+                lines.append("  generated code: none (scalar tier)")
+            else:
+                lines.append(
+                    f"  generated code: codegen.guards.static={k.guards['static']} "
+                    f"codegen.guards.dynamic={k.guards['dynamic']}"
+                )
         if self.execution is not None:
             e = self.execution
             lines.append(
@@ -234,7 +252,12 @@ def profile_program(program) -> ProgramProfile:
     options = config.codegen_options()
     has_ro = options.readonly_cache and config.arch.has_readonly_cache
     plan = plan_kernel(program.function)
-    plans_by_region = {rp.region_id: rp for rp in plan.regions}
+    census = {}
+    if plan.has_axes:
+        try:
+            census = guard_census(program.function, plan)
+        except CodegenUnsupported:
+            pass
 
     profile = ProgramProfile(function=program.function.name, config=config.name)
     regions = {r.region_id: r for r in program.function.regions()}
@@ -268,6 +291,9 @@ def profile_program(program) -> ProgramProfile:
             safara=safara,
             traffic=_collect_traffic(region, has_ro),
         )
+        if ck.region_id in census:
+            static, dynamic = census[ck.region_id]
+            kp.guards = {"static": static, "dynamic": dynamic}
         for loop in loops_in(region.body):
             lp = plan.by_loop_id.get(loop.loop_id)
             kp.loops.append(

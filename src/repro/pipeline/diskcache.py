@@ -50,11 +50,12 @@ from ..errors import CacheError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
 
-#: Current envelope version.  v2 added the optional ``codegen`` field:
-#: generated NumPy source text, which the serving broker writes into
-#: ``run`` envelopes (``value=None``) under its run content key; compile
-#: envelopes carry the program only.  v1 entries still load — they simply
-#: carry no codegen source and are upgraded in place on their next write.
+#: Current envelope version.  v2 added the optional ``codegen`` field for
+#: generated NumPy source text.  Nothing in this package writes it any
+#: more — generated programs are specialised on each launch's argument
+#: kinds and live in memory only — but envelopes carrying it still load.
+#: v1 entries still load too — they simply carry no codegen source and
+#: are upgraded in place on their next write.
 #: Anything newer than ``FORMAT_VERSION`` (or older than
 #: ``MIN_FORMAT_VERSION``) is a miss.
 FORMAT_VERSION = 2
@@ -137,8 +138,10 @@ class DiskCache:
 
         ``(None, None)`` on miss.  v1 envelopes load fine and report no
         codegen source; a v2 envelope whose ``codegen`` field is not text
-        keeps its value but drops the source (counted under
-        ``cache.disk.codegen_corrupt`` — the caller re-plans).
+        keeps its value and reports no source.  No caller in this package
+        reads or writes the field any more (generated programs are
+        specialised per launch and live in memory only); old envelopes
+        carrying it still load.
         """
         path = self._path(key)
         with span("cache.disk.lookup", cache_key=key) as sp:
@@ -171,11 +174,7 @@ class DiskCache:
                 except OSError:
                     pass
                 return None, None
-            if codegen is not None and not isinstance(codegen, str):
-                self.metrics.counter(
-                    "cache.disk.codegen_corrupt",
-                    "persisted codegen sources unusable at load time",
-                ).inc()
+            if not isinstance(codegen, str):
                 codegen = None
             # Refresh recency so size-based eviction spares hot entries.
             try:
@@ -194,9 +193,9 @@ class DiskCache:
         """Persist ``value`` under ``key`` atomically, then evict LRU
         entries until the cache fits ``max_bytes``.
 
-        ``codegen`` (optional) is generated NumPy source text; the serving
-        broker stores it with ``value=None`` under a ``run`` content key.
-        Re-writing a key without it drops any previously stored source.
+        ``codegen`` (optional) is text stored alongside the value in the
+        v2 envelope's ``codegen`` field.  Re-writing a key without it drops
+        any previously stored text.
         """
         path = self._path(key)
         envelope: dict[str, Any] = {

@@ -711,9 +711,9 @@ class Broker:
             raise ServeError(protocol.BAD_REQUEST, str(exc)) from None
         pinned = self._arch_for(request)
         # Warm hot path: the parsed kernel and the generated-function
-        # cache are keyed by the request source's content hash, and the
-        # generated source text is persisted in its own disk envelope — a
-        # restarted daemon rebinds text instead of re-planning.
+        # cache are keyed by the request source's content hash (the cache
+        # adds the argument kinds).  Generated programs live in memory
+        # only; a restarted daemon regenerates on its first run.
         content_key = hashlib.sha256(
             ("run:" + request["source"]).encode()
         ).hexdigest()
@@ -771,10 +771,6 @@ class Broker:
             ).inc()
             self._degradation("vector_fallback", kernel=kernel, detail=reason)
 
-        codegen_src = None
-        if self.disk_cache is not None:
-            _, codegen_src = self.disk_cache.get_entry(content_key)
-
         try:
             with fallback_listener(on_fallback):
                 _arrays, stats, info = session.execute(
@@ -782,7 +778,6 @@ class Broker:
                     run_args,
                     executor=executor,
                     content_key=content_key,
-                    codegen_source=codegen_src,
                 )
         except VectorUnsupported as exc:
             return protocol.error_response(
@@ -805,16 +800,6 @@ class Broker:
                 "serve.codegen.codegen_ms",
                 help="time obtaining the generated program per run request",
             ).observe(info.codegen_ms)
-        if (
-            info.used == "codegen"
-            and codegen_src is None
-            and self.disk_cache is not None
-        ):
-            from ..codegen import numpy_source
-
-            src = numpy_source.function_cache().source_for(content_key)
-            if src is not None:
-                self.disk_cache.put(content_key, None, codegen=src)
         result = {
             "kernel": fn.name,
             "arch": (

@@ -262,31 +262,6 @@ class TestFunctionCache:
         assert cache.get("aa") is None  # evicted
         assert cache.get("cc") is gk
 
-    def test_persisted_source_rebinds_without_planning(self, monkeypatch):
-        cache = FunctionCache()
-        monkeypatch.setattr(numpy_source, "_CACHE", cache)
-        source = generate_source(lower(SRC))
-
-        def no_plan(*a, **k):
-            raise AssertionError("planner must not run on the warm path")
-
-        monkeypatch.setattr(numpy_source, "plan_kernel", no_plan)
-        gk = get_or_compile(lower(SRC), content_key="cafe00", source=source)
-        assert gk.source == source
-
-    def test_corrupt_persisted_source_falls_back_to_planning(self, monkeypatch):
-        cache = FunctionCache()
-        monkeypatch.setattr(numpy_source, "_CACHE", cache)
-        m = MetricsRegistry()
-        gk = get_or_compile(
-            lower(SRC),
-            content_key="cafe01",
-            source="# garbage, not a generated program",
-            metrics=m,
-        )
-        assert gk.kernel == "k"  # regenerated from the plan
-        assert m.get("cache.disk.codegen_corrupt").value == 1
-
 
 class TestWarmFastPath:
     def test_repeat_launches_skip_the_planner(self, monkeypatch):

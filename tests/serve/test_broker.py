@@ -339,8 +339,8 @@ class TestRun:
 
 class TestCodegenServing:
     """The generated-NumPy tier as seen from the serving surface: per-tier
-    metrics, executor validation, and warm-restart rebinding of persisted
-    generated source."""
+    metrics, executor validation, memory-only generated programs, and
+    loud failures."""
 
     def run_request(self, request_id=1, **fields):
         return {
@@ -393,27 +393,41 @@ class TestCodegenServing:
         assert response["error"]["code"] == "bad_request"
         assert expected in response["error"]["message"]
 
-    def test_warm_restart_rebinds_persisted_source(self, tmp_path, monkeypatch):
+    def test_run_never_touches_the_disk_cache(self, tmp_path, monkeypatch):
+        """Generated programs live in memory only: a ``run`` neither reads
+        nor writes a disk envelope, and a restarted broker regenerates."""
+        from repro.codegen import numpy_source
+        from repro.pipeline.diskcache import DiskCache
+
+        def no_disk(*a, **k):
+            raise AssertionError("run must not touch the disk cache")
+
+        monkeypatch.setattr(DiskCache, "get_entry", no_disk)
+        monkeypatch.setattr(DiskCache, "put", no_disk)
+        for _restart in range(2):
+            monkeypatch.setattr(numpy_source, "_CACHE", numpy_source.FunctionCache())
+            with make_broker(cache_dir=str(tmp_path)) as broker:
+                response = broker.handle(self.run_request())
+            assert response["result"]["executor"]["used"] == "codegen"
+            assert broker.metrics.get("cache.fnobj.misses").value == 1
+
+    def test_generated_code_bug_answers_error_not_scalar(self):
+        """A bug inside generated code (here an injected ``IndexError``) is
+        not a fallback: the run answers an error code."""
         from repro.codegen import numpy_source
 
-        with make_broker(cache_dir=str(tmp_path)) as cold:
-            assert cold.handle(self.run_request())["result"]["executor"][
-                "used"
-            ] == "codegen"
+        def bug(interp):
+            raise IndexError("synthetic generated-code bug")
 
-        # "Restart": empty function cache, and generation must not re-run —
-        # the persisted source from the disk envelope is rebound instead.
-        monkeypatch.setattr(numpy_source, "_CACHE", numpy_source.FunctionCache())
-
-        def no_generate(*a, **k):
-            raise AssertionError("warm restart must bind, not regenerate")
-
-        monkeypatch.setattr(numpy_source, "compile_kernel", no_generate)
-        with make_broker(cache_dir=str(tmp_path)) as warm:
-            response = warm.handle(self.run_request())
-        assert response["ok"]
-        assert response["result"]["executor"]["used"] == "codegen"
-        assert warm.metrics.get("serve.codegen.tier.codegen").value == 1
+        with make_broker() as broker:
+            assert broker.handle(self.run_request(1))["ok"]
+            for gk in numpy_source._CACHE._map.values():
+                gk.func = bug
+            response = broker.handle(self.run_request(2))
+        assert not response["ok"]
+        assert response["error"]["code"] == "execution_error"
+        assert "IndexError: synthetic generated-code bug" in response["error"]["message"]
+        assert broker.metrics.get("serve.codegen.tier.scalar") is None
 
 
 class TestStats:
