@@ -7,13 +7,14 @@ kind (weak Python ``int``/``float``, or ``np.int32``/``int64``/
 kind of every expression follows statically from the IR: constants,
 declared scalar types (the interpreter's ``_coerce_scalar`` rule), loop
 variables (Python ints), array loads (the array's dtype) and NEP 50
-promotion applied at generation time.  Where kinds are static the program
-is plain NumPy operators on bare arrays and scalars, with the
-interpreter's load/store/flop counting folded into one increment per
-block.  A node whose kind depends on control flow (a parameter
-re-assigned with another kind on one path, ternary arms of different
-kinds) is boxed and goes through the run-time-kinded primitives of
-:class:`~repro.gpu.vector_exec.VectorInterpreter`.
+promotion applied at generation time.  The program is plain NumPy
+operators on bare arrays and scalars, with the interpreter's
+load/store/flop counting folded into one increment per block.  Every
+value is typed, or the kernel runs on the scalar oracle: a construct
+whose kind would depend on control flow or the data (a scalar holding
+different kinds on different paths, ternary arms of different kinds,
+``min``/``max`` over mixed kinds, ``%`` on a float) raises
+:class:`CodegenUnsupported`.
 
 Guards are discharged where the ranges allow it.  A weak-integer operand
 (``|x| < 2**31``) or an unmasked subscript that is a polynomial in
@@ -22,9 +23,9 @@ range check*: the program's prologue evaluates the polynomial's interval
 from the parameters and the loops' concrete bounds, and raises
 :class:`~repro.gpu.vector_exec.VectorUnsupported` if it could leave the
 safe range.  The check is a pure function of those launch values, so a
-program runs it once per distinct tuple of them.  Every other guard stays a cheap per-op check.  The
-census of both (``codegen.guards.static`` / ``.dynamic``) travels in the
-source header.
+program runs it once per distinct tuple of them.  Every other guard stays
+a cheap per-op check.  The generator counts both
+(``codegen.guards.static`` / ``.dynamic``).
 
 Bit-for-bit equality with the scalar oracle holds by construction: the
 program evaluates the tree in the interpreter's order, each operator
@@ -35,11 +36,11 @@ so it produces the oracle's arrays and
 does not recognise raises :class:`CodegenUnsupported` and the executor
 ladder falls back to the scalar interpreter.
 
-Generated source is made and bound on execution only, and cached in
-memory under (content key, argument-kind signature); nothing persists it.
-The source references IR nodes only through their position in
-:func:`enumerate_nodes`'s deterministic walk, so it binds against any
-parse of the same kernel source.
+Generated programs are made and bound on execution only, and cached in
+memory under (content key, argument-kind signature); nothing persists
+them.  A program's text reaches IR objects (loops, regions) only through
+``__nodes__``, the list of nodes its generator referenced, which
+:func:`bind_source` hands to it.
 """
 
 from __future__ import annotations
@@ -71,14 +72,12 @@ from ..ir.stmt import Assign, If, LocalDecl, Loop, Region, Stmt, walk_stmts
 from ..obs.tracer import span
 from .vector_lower import AXIS, KernelPlan, plan_kernel
 
-FORMAT = "repro:numpy_source v1"
-
 __all__ = [
     "CodegenUnsupported",
     "GeneratedKernel",
+    "GeneratedSource",
     "FunctionCache",
     "declared_signature",
-    "enumerate_nodes",
     "generate_source",
     "guard_census",
     "bind_source",
@@ -94,59 +93,9 @@ class CodegenUnsupported(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic node enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_nodes(fn: KernelFunction) -> list[object]:
-    """Pre-order walk over statements and expressions of ``fn.body``.
-
-    The walk order is a pure function of the IR structure, so generated
-    source from one parse binds against any other parse of the same
-    kernel source (node *identities* differ across parses — interned
-    constants may even be shared — but walk *positions* never do).
-    """
-    out: list[object] = []
-
-    def walk_expr(e: Expr) -> None:
-        out.append(e)
-        for c in e.children():
-            walk_expr(c)
-
-    def walk_stmt(s: Stmt) -> None:
-        out.append(s)
-        if isinstance(s, Assign):
-            walk_expr(s.target)
-            walk_expr(s.value)
-        elif isinstance(s, LocalDecl):
-            if s.init is not None:
-                walk_expr(s.init)
-        elif isinstance(s, If):
-            walk_expr(s.cond)
-            for t in s.then_body:
-                walk_stmt(t)
-            for t in s.else_body:
-                walk_stmt(t)
-        elif isinstance(s, Loop):
-            walk_expr(s.init)
-            walk_expr(s.bound)
-            for t in s.body:
-                walk_stmt(t)
-        elif isinstance(s, Region):
-            for t in s.body:
-                walk_stmt(t)
-
-    for s in fn.body:
-        walk_stmt(s)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Kinds
 # ---------------------------------------------------------------------------
 
-#: A value whose kind is only known at run time (a boxed ``VArray``).
-DYN = "dyn"
 #: A comparison or logic result: a bool (array), the oracle's ``0``/``1``.
 BOOL = "bool"
 _INT_KINDS = {vx.PYINT, vx.I32, vx.I64}
@@ -172,10 +121,12 @@ def declared_signature(fn: KernelFunction) -> tuple[tuple[str, str], ...]:
 
 
 def _join(a: dict, b: dict) -> dict:
-    """Merge two variable-kind states at a control-flow join."""
+    """Merge two variable-kind states at a control-flow join; a variable
+    holding different kinds on the two paths maps to ``None`` (reading it
+    is unsupported)."""
     out = dict(a)
     for name, kind in b.items():
-        out[name] = kind if out.get(name, kind) == kind else DYN
+        out[name] = kind if out.get(name, kind) == kind else None
     return out
 
 
@@ -246,7 +197,7 @@ _IND = "    "
 @dataclass(slots=True)
 class _Val:
     code: str  # a Python expression (temp name, literal or prologue local)
-    kind: str  # a value kind, BOOL or DYN
+    kind: str  # a value kind or BOOL
     literal: object = None  # the Python value of a literal constant
     #: Known to be 0 or 1 (a converted BOOL): no weak-int guard needed.
     small: bool = False
@@ -255,14 +206,11 @@ class _Val:
 class _Generator:
     def __init__(self, fn: KernelFunction, plan: KernelPlan, signature):
         self._fn = fn
-        self._plan = plan
+        self.plan = plan
         self._sig = dict(signature)
         self._signature = signature
-        nodes = enumerate_nodes(fn)
-        self._count_nodes = len(nodes)
-        self._pos: dict[int, int] = {}
-        for i, node in enumerate(nodes):
-            self._pos.setdefault(id(node), i)
+        #: IR objects the program references, as ``__nodes__[i]``.
+        self.nodes: list[object] = []
         self._binds: list[str] = []  # bind-time lines (run once per exec)
         self._bound: dict[tuple, str] = {}
         self._lines: list[str] = []  # kernel body lines
@@ -320,9 +268,14 @@ class _Generator:
             self._binds.append(f"{name} = {rhs}")
         return name
 
-    def _node(self, node: object) -> str:
-        idx = self._pos[id(node)]
-        return self._bind(("n", idx), f"__nodes__[{idx}]")
+    def _node(self, node: object, attr: str = "") -> str:
+        """A bind-time local holding ``node`` (or its ``attr``)."""
+        key = ("n", id(node), attr)
+        name = self._bound.get(key)
+        if name is None:
+            self.nodes.append(node)
+            name = self._bind(key, f"__nodes__[{len(self.nodes) - 1}]{attr}")
+        return name
 
     def _temp(self, depth: int, rhs: str) -> str:
         t = self._fresh("t")
@@ -501,45 +454,29 @@ class _Generator:
         if isinstance(e, UnOp):
             x = self.expr(e.operand, depth)
             if e.op == "!":
-                return _Val(f"({self._data(x)} == 0)", BOOL)
+                return _Val(f"({x.code} == 0)", BOOL)
             if e.op != "-":
                 raise CodegenUnsupported(f"unknown unary {e.op!r}")
-            if x.kind == DYN:
-                return _Val(f"{self._call('_un')}('-', {x.code})", DYN)
             x = self._int_of(x)
             return _Val(f"(-{x.code})", x.kind)
         if isinstance(e, BinOp):
             if e.op in ("&&", "||"):
                 lhs = self.expr(e.left, depth)
                 self._masked += 1
-                thunk, _ = self._thunk(e.right, depth, self._data)
+                thunk, _ = self._thunk(e.right, depth, lambda v: v.code)
                 self._masked -= 1
-                return _Val(
-                    f"{self._call('_lg')}({e.op!r}, {self._data(lhs)}, {thunk})", BOOL
-                )
+                return _Val(f"{self._call('_lg')}({e.op!r}, {lhs.code}, {thunk})", BOOL)
             return self._binop(e, depth)
         if isinstance(e, Select):
             return self._select(e, depth)
         if isinstance(e, Cast):
             x = self.expr(e.operand, depth)
-            if e.to_type.is_float and e.to_type.bits == 64 and x.kind != DYN:
-                return _Val(f"_f64({x.code})", vx.PYFLOAT)
-            if not e.to_type.is_float and x.kind in _INT_KINDS | {BOOL}:
-                return _Val(f"_i64({x.code})", vx.PYINT)
-            if not e.to_type.is_float:
-                self._guard(static=False)  # float→int
-            idx = self._pos[id(e)]
-            to_type = self._bind(("c", idx), f"__nodes__[{idx}].to_type")
-            kind = vx.PYFLOAT if e.to_type.is_float else vx.PYINT
-            return _Val(f"{self._call('_cst')}({to_type}, {self._box(x)}).data", kind)
+            if e.to_type.is_float:
+                cast = "_f64" if e.to_type.bits == 64 else "_f32"
+                return _Val(f"{cast}({x.code})", vx.PYFLOAT)
+            return _Val(self._to_int(x, "int cast"), vx.PYINT)
         if isinstance(e, Call):
-            args = self._eval_all(e.args, depth)
-            kind = self._call_kind(e.func, args)
-            if e.func in ("floor", "ceil") and args and args[0].kind in _FLOAT_KINDS:
-                self._guard(static=False)  # float→int
-            boxed = ", ".join(self._box(a) for a in args)
-            call = f"{self._call('_cal')}({e.func!r}, [{boxed}])"
-            return _Val(call if kind == DYN else call + ".data", kind)
+            return self._intrinsic(e.func, self._eval_all(e.args, depth))
         raise CodegenUnsupported(f"unknown expression {type(e).__name__}")
 
     def _eval_all(self, exprs, depth: int) -> list[_Val]:
@@ -560,31 +497,49 @@ class _Generator:
         return vals
 
     def _read(self, name: str, depth: int) -> _Val:
-        kind = self._kinds.get(name, DYN)
-        if name in self._invariant and kind != DYN:
+        if name not in self._kinds:
+            raise CodegenUnsupported(f"scalar {name!r} read before any assignment")
+        kind = self._kinds[name]
+        if kind is None:
+            raise CodegenUnsupported(
+                f"scalar {name!r} holds different kinds on different paths"
+            )
+        if name in self._invariant:
             code = self._prologue(("P", name), f"R._env_value({name!r}, {kind!r})")
             return _Val(code, kind)
         cached = self._reads.get(name)
         if cached is None:
-            if kind == DYN:
-                rhs = f"{self._call('_eg')}({name!r})"
-            else:
-                rhs = f"{self._call('_ev')}({name!r}, {kind!r})"
+            rhs = f"{self._call('_ev')}({name!r}, {kind!r})"
             cached = self._reads[name] = self._temp(depth, rhs)
         return _Val(cached, kind)
 
-    @staticmethod
-    def _call_kind(func: str, args: list[_Val]) -> str:
-        if func in ("sqrt", "exp", "log", "sin", "cos", "tan", "pow"):
-            return vx.PYFLOAT
+    def _intrinsic(self, func: str, args: list[_Val]) -> _Val:
+        """An intrinsic call, one flop; transcendentals go through
+        ``math.*`` per element, as the interpreter computes them."""
+        args = [self._int_of(a) for a in args]
+        if len(args) < (2 if func == "pow" else 1):
+            raise CodegenUnsupported(f"{func} with {len(args)} arguments")
+        self._tally(4)
+        x = args[0]
+        if func == "sqrt":
+            return _Val(f"{self._call('_sqrt')}({x.code})", vx.PYFLOAT)
+        if func in ("exp", "log", "sin", "cos", "tan", "pow"):
+            codes = ", ".join(a.code for a in args[: 2 if func == "pow" else 1])
+            return _Val(f"{self._call('_math')}({func!r}, {codes})", vx.PYFLOAT)
+        if func in ("fabs", "abs"):
+            return _Val(f"_abs({x.code})", x.kind)
+        if func in ("min", "fmin", "max", "fmax"):
+            if any(a.kind != x.kind for a in args[1:]):
+                kinds = ", ".join(a.kind for a in args)
+                raise CodegenUnsupported(f"{func} over mixed kinds ({kinds})")
+            pick = "min" if func in ("min", "fmin") else "max"
+            codes = ", ".join(a.code for a in args)
+            return _Val(f"_pick({pick!r}, _dt_{x.kind}, {codes})", x.kind)
         if func in ("floor", "ceil"):
-            return vx.PYINT
-        kind = args[0].kind if args else DYN
-        if kind == BOOL:
-            return vx.PYINT
-        if any(a.kind != args[0].kind for a in args[1:]):
-            return DYN  # the runtime raises: mixed kinds
-        return kind
+            if x.kind in _FLOAT_KINDS:
+                x = _Val(f"_{func}(_f64({x.code}))", vx.PYFLOAT)
+            return _Val(self._to_int(x, func), vx.PYINT)
+        raise CodegenUnsupported(f"unknown intrinsic {func!r}")
 
     def _thunk(self, e: Expr, depth: int, result) -> str:
         """A nested ``def`` evaluating ``e`` lazily (short-circuit rhs,
@@ -600,22 +555,19 @@ class _Generator:
         return name, value
 
     # -- value plumbing -------------------------------------------------------
-    @staticmethod
-    def _data(v: _Val) -> str:
-        """The bare data of ``v`` (truth tests need no kind)."""
-        return f"{v.code}.data" if v.kind == DYN else v.code
-
     def _int_of(self, v: _Val) -> _Val:
         """A BOOL value as the oracle's 0/1 integer."""
         if v.kind != BOOL:
             return v
         return _Val(f"_b2i({v.code})", vx.PYINT, small=True)
 
-    def _box(self, v: _Val) -> str:
-        if v.kind == DYN:
-            return v.code
-        v = self._int_of(v)
-        return f"_box({v.code}, {v.kind!r})"
+    def _to_int(self, v: _Val, what: str) -> str:
+        """``int(v)``: a Python-int conversion of an integer value, or a
+        guarded float→int truncation."""
+        if v.kind in _INT_KINDS | {BOOL}:
+            return f"_i64({v.code})"
+        self._guard(static=False)  # float→int
+        return f"{self._call('_fi')}({v.code}, {what!r})"
 
     def _weak_operand(self, e: Expr, v: _Val, op: str) -> str:
         """``v``'s code, guarded as a weak-int operand of ``op``."""
@@ -631,12 +583,8 @@ class _Generator:
     def _binop(self, e: BinOp, depth: int) -> _Val:
         op = e.op
         lhs, rhs = self._eval_all((e.left, e.right), depth)
-        if DYN in (lhs.kind, rhs.kind) or (op == "%" and not (
-            {lhs.kind, rhs.kind} <= _INT_KINDS | {BOOL}
-        )):
-            return _Val(
-                f"{self._call('_bin')}({op!r}, {self._box(lhs)}, {self._box(rhs)})", DYN
-            )
+        if op == "%" and not {lhs.kind, rhs.kind} <= _INT_KINDS | {BOOL}:
+            raise CodegenUnsupported(f"'%' on a float operand ({lhs.kind} % {rhs.kind})")
         if op not in _CMP | {"+", "-", "*", "/", "%"}:
             raise CodegenUnsupported(f"unknown operator {op!r}")
         if op not in _CMP:
@@ -681,21 +629,21 @@ class _Generator:
         else_thunk, else_v = self._thunk(e.otherwise, depth, lambda v: v.code)
         self._masked -= 1
         kinds = {then_v.kind, else_v.kind}
-        if len(kinds) == 1 and DYN not in kinds:
+        if len(kinds) == 1:
             kind = then_v.kind
         elif kinds == {BOOL, vx.PYINT}:
             kind = vx.PYINT
+            # Both arms must return one representation: rewrite their
+            # returns now that both kinds are known.
+            for at, v in ((then_ret, then_v), (len(self._lines) - 1, else_v)):
+                line = self._lines[at]
+                indent = line[: len(line) - len(line.lstrip())]
+                self._lines[at] = indent + f"return {self._int_of(v).code}"
         else:
-            kind = DYN
-        # Both arms must return one representation: rewrite their returns
-        # now that both kinds are known.
-        for at, v in ((then_ret, then_v), (len(self._lines) - 1, else_v)):
-            code = self._box(v) if kind == DYN else self._int_of(v).code
-            line = self._lines[at]
-            self._lines[at] = line[: len(line) - len(line.lstrip())] + f"return {code}"
-        return _Val(
-            f"{self._call('_sel')}({self._data(cond)}, {then_thunk}, {else_thunk})", kind
-        )
+            raise CodegenUnsupported(
+                f"ternary arms of different kinds ({then_v.kind} vs {else_v.kind})"
+            )
+        return _Val(f"{self._call('_sel')}({cond.code}, {then_thunk}, {else_thunk})", kind)
 
     def _subscripts(
         self, ref: ArrayRef, vals: list[_Val], depth: int, *, load: bool
@@ -703,9 +651,8 @@ class _Generator:
         name = ref.sym.name
         out = []
         for axis, (sub, v) in enumerate(zip(ref.indices, vals)):
-            if v.kind == DYN or v.kind in _FLOAT_KINDS:
-                self._guard(static=False)  # float→int
-                code = f"{self._call('_sx')}({self._box(v)}, {name!r})"
+            if v.kind in _FLOAT_KINDS:
+                code = self._to_int(v, f"subscript of {name!r}")
             else:
                 code = self._int_of(v).code
             lower, lower_value = self._lower(ref, axis)
@@ -736,28 +683,24 @@ class _Generator:
         for s in body:
             self.stmt(s, depth)
 
-    def _assign(self, node, value: _Val, depth: int) -> None:
-        sym = node.sym
+    def _assign(self, sym, value: _Val, depth: int) -> None:
+        """The interpreter's ``_coerce_scalar``: ``float()`` or ``int()``
+        per the symbol's declared type."""
         name = sym.name
-        if value.kind == DYN or (
-            not sym.stype.is_float and value.kind in _FLOAT_KINDS
-        ):
-            if value.kind != DYN:
-                self._guard(static=False)  # float→int
-            idx = self._pos[id(node)]
-            local = self._bind(("s", idx), f"__nodes__[{idx}].sym")
-            self._emit(depth, f"{self._call('_asn')}({local}, {self._box(value)})")
-        elif sym.stype.is_float:
+        if sym.stype.is_float:
             self._emit(depth, f"{self._call('_sf')}({name!r}, {value.code})")
         else:
-            self._emit(depth, f"{self._call('_si')}({name!r}, {value.code})")
+            code = value.code
+            if value.kind in _FLOAT_KINDS:
+                code = self._to_int(value, f"int({name})")
+            self._emit(depth, f"{self._call('_si')}({name!r}, {code})")
         self._kinds[name] = _coerced(sym)
         self._reads.pop(name, None)
 
     def stmt(self, s: Stmt, depth: int) -> None:
         if isinstance(s, Assign):
             if isinstance(s.target, VarRef):
-                self._assign(s.target, self.expr(s.value, depth), depth)
+                self._assign(s.target.sym, self.expr(s.value, depth), depth)
             elif isinstance(s.target, ArrayRef):
                 self._store(s.target, s.value, depth)
             else:
@@ -766,7 +709,7 @@ class _Generator:
                 )
         elif isinstance(s, LocalDecl):
             if s.init is not None:
-                self._assign(s, self.expr(s.init, depth), depth)
+                self._assign(s.sym, self.expr(s.init, depth), depth)
             else:
                 name = s.sym.name
                 self._emit(depth, f"{self._call('_dd')}({name!r})")
@@ -783,7 +726,7 @@ class _Generator:
             else_name = self._body(depth, lambda d: self.stmts(s.else_body, d))
             self._masked -= 1
             self._kinds = _join(after_then, self._kinds)
-            self._emit(depth, f"{self._call('_if')}({self._data(cond)}, {then_name}, {else_name})")
+            self._emit(depth, f"{self._call('_if')}({cond.code}, {then_name}, {else_name})")
             self._forget(_assigned_names(s.then_body + s.else_body))
         elif isinstance(s, Loop):
             self._loop(s, depth)
@@ -794,9 +737,8 @@ class _Generator:
             body_name = self._body(depth, lambda d: self.stmts(s.body, d))
             self._region = saved
             # The name hint carries a process-global counter — bind it from
-            # the node table so the source text stays deterministic.
-            idx = self._pos[id(s)]
-            hint = self._bind(("r", idx), f"__nodes__[{idx}].name_hint")
+            # the node list so the source text stays deterministic.
+            hint = self._node(s, ".name_hint")
             self._emit(depth, f"{self._call('_rg')}({hint}, {body_name})")
             self._forget(_assigned_names(s.body))
         else:
@@ -806,7 +748,7 @@ class _Generator:
         before = self._kinds
         self._kinds = _loop_entry(s, before)
         slot = None
-        if self._plan.mode_of(s) == AXIS:
+        if self.plan.mode_of(s) == AXIS:
             slot = self._slots
             self._slots += 1
             self.rank = max(self.rank, self._slots)
@@ -833,10 +775,6 @@ class _Generator:
         self._tally(3)
         target = self._sig[ref.sym.name]
         index = f"({', '.join(idx)},)"
-        if value.kind == DYN:
-            self._guard(static=False)
-            self._emit(depth, f"{self._call('_std')}({arr}, {index}, {value.code})")
-            return
         kind = vx.PYINT if value.kind == BOOL else value.kind
         if target in _INT_KINDS and not (
             value.kind in (BOOL, target)
@@ -852,39 +790,23 @@ class _Generator:
 
     # -- assembly -------------------------------------------------------------
     _RUNTIME = {
-        "_ev": "_env_value", "_eg": "_env_get", "_sf": "_set_float",
-        "_si": "_set_int",
-        "_asn": "_assign_scalar", "_dd": "_decl_default",
-        "_bin": "_apply_binop", "_un": "_apply_unop", "_cst": "_apply_cast",
-        "_cal": "_apply_call", "_sel": "_select", "_lg": "_logic",
-        "_st": "_store", "_stc": "_store_checked", "_std": "_store_dynamic",
+        "_ev": "_env_value", "_sf": "_set_float", "_si": "_set_int",
+        "_dd": "_decl_default", "_sel": "_select", "_lg": "_logic",
+        "_st": "_store", "_stc": "_store_checked",
         "_if": "_apply_if", "_lp": "_run_loop", "_rg": "_run_region",
         "_cnt": "_count", "_wk": "_weak", "_bnd": "_bounds", "_clp": "_clip",
-        "_sx": "_subscript", "_idv": "_int_div", "_imd": "_int_mod",
-        "_wdv": "_weak_div",
+        "_fi": "_float_to_int", "_idv": "_int_div", "_imd": "_int_mod",
+        "_wdv": "_weak_div", "_sqrt": "_sqrt", "_math": "_math",
     }
 
     def render(self) -> str:
         self._open_block(2)
         self.stmts(self._fn.body, 2)
         self._close_block()
-        static = sum(c[0] for c in self.census.values())
-        dynamic = sum(c[1] for c in self.census.values())
         header = [
-            f"# {FORMAT}",
-            f"# kernel: {self._fn.name}",
-            f"# nodes: {self._count_nodes}",
-            f"# signature: {vx.format_signature(self._signature)}",
-            f"# guards: static={static} dynamic={dynamic}",
+            f"# {self._fn.name} ({vx.format_signature(self._signature)})",
+            "def __bind__(__nodes__):",
         ]
-        # Planner demotions ride along so the cached-function fast path
-        # (which never re-plans) still reports them.
-        if self._plan.demotion_reasons:
-            reasons = " | ".join(
-                r.replace("\n", " ") for r in self._plan.demotion_reasons
-            )
-            header.append(f"# demoted: {reasons}")
-        header.append("def __bind__(__nodes__):")
         binds = list(self._binds)
         binds.append(f"_SIG = {self._signature!r}")
         prologue = [
@@ -978,19 +900,36 @@ def _check_subscript(interval, lower: int, extent: int, array: str, axis: int) -
     _range_check(interval, lower, lower + extent - 1, f"subscript {axis} of {array!r}")
 
 
+@dataclass(frozen=True, slots=True)
+class GeneratedSource:
+    """A generated program before binding: its text and what the generator
+    learned while writing it."""
+
+    kernel: str
+    text: str
+    #: The IR objects ``text`` references as ``__nodes__[i]``.
+    nodes: tuple
+    #: Planner demotion reasons captured at generation time (the cached
+    #: fast path never re-plans, so these travel with the program).
+    demoted: tuple[str, ...]
+    #: Guards discharged at generation/launch time vs checked per op.
+    guards_static: int
+    guards_dynamic: int
+
+
 def _generate(fn: KernelFunction, plan: KernelPlan | None, signature) -> _Generator:
     if plan is None:
         plan = plan_kernel(fn)
     if signature is None:
         signature = declared_signature(fn)
     gen = _Generator(fn, plan, signature)
-    gen.source = gen.render()
+    gen.text = gen.render()
     return gen
 
 
 def generate_source(
     fn: KernelFunction, plan: KernelPlan | None = None, signature=None
-) -> str:
+) -> GeneratedSource:
     """Generate the typed NumPy program for ``fn``.
 
     ``plan`` defaults to a fresh :func:`plan_kernel` run; the planned
@@ -1001,9 +940,14 @@ def generate_source(
     arguments of other kinds.
     """
     with span("codegen", kernel=fn.name, tier="numpy_source") as sp:
-        source = _generate(fn, plan, signature).source
-        sp.set(bytes=len(source))
-    return source
+        gen = _generate(fn, plan, signature)
+        sp.set(bytes=len(gen.text))
+    return GeneratedSource(
+        kernel=fn.name, text=gen.text, nodes=tuple(gen.nodes),
+        demoted=tuple(gen.plan.demotion_reasons),
+        guards_static=sum(c[0] for c in gen.census.values()),
+        guards_dynamic=sum(c[1] for c in gen.census.values()),
+    )
 
 
 def guard_census(
@@ -1016,25 +960,18 @@ def guard_census(
 
 
 # ---------------------------------------------------------------------------
-# Binding: source text -> function object
+# Binding: generated source -> function object
 # ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
 class GeneratedKernel:
-    """A generated program bound to node positions: ``run(interp)`` drives a
+    """A bound generated program: ``run(interp)`` drives a
     :class:`~repro.gpu.vector_exec.VectorInterpreter` (or subclass) through
     the straight-line program."""
 
-    kernel: str
-    source: str
+    source: GeneratedSource
     func: object  # __kernel__(R)
-    #: Planner demotion reasons captured at generation time (the cached
-    #: fast path never re-plans, so these travel with the program).
-    demoted: tuple = ()
-    #: Guards discharged at generation/launch time vs checked per op.
-    guards_static: int = 0
-    guards_dynamic: int = 0
 
     def run(self, interp) -> None:
         # Lanes a mask switched off may overflow or divide by zero; their
@@ -1046,11 +983,15 @@ class GeneratedKernel:
 
 _EXEC_GLOBALS = {
     "__builtins__": {"int": int, "set": set},
-    "_box": vx._box,
     "_b2i": vx._bool_to_int,
     "_cv": vx._cast_to,
     "_f64": vx._as_f64,
+    "_f32": vx._as_f32,
     "_i64": vx._as_i64,
+    "_abs": np.abs,
+    "_floor": np.floor,
+    "_ceil": np.ceil,
+    "_pick": vx._pick,
     "_span": _span,
     "_poly": _poly,
     "_rw": _check_weak,
@@ -1060,57 +1001,21 @@ _EXEC_GLOBALS = {
 }
 
 
-def _header(lines: list[str], prefix: str) -> str | None:
-    for line in lines:
-        if not line.startswith("# "):
-            return None
-        if line.startswith(prefix):
-            return line.removeprefix(prefix)
-    return None
-
-
-def bind_source(fn: KernelFunction, source: str) -> GeneratedKernel:
-    """``exec`` generated source and bind it to ``fn``'s node positions.
-
-    Validates the header (format, kernel name, node count) against the
-    function it is being bound to; any mismatch — or a source that fails
-    to compile — raises :class:`CodegenUnsupported`.
-    """
-    lines = source.split("\n", 8)
-    if len(lines) < 4 or lines[0] != f"# {FORMAT}":
-        raise CodegenUnsupported("generated source: bad or missing format header")
-    if lines[1] != f"# kernel: {fn.name}":
-        raise CodegenUnsupported(
-            f"generated source is for {lines[1].removeprefix('# kernel: ')!r}, "
-            f"not {fn.name!r}"
-        )
-    nodes = enumerate_nodes(fn)
-    if lines[2] != f"# nodes: {len(nodes)}":
-        raise CodegenUnsupported(
-            "generated source node count mismatch (stale entry?)"
-        )
-    demoted = _header(lines[3:], "# demoted: ")
-    guards = _header(lines[3:], "# guards: ") or "static=0 dynamic=0"
-    static, dynamic = (int(part.split("=")[1]) for part in guards.split())
-    try:
-        code = compile(source, f"<numpy_source:{fn.name}>", "exec")
-        namespace = dict(_EXEC_GLOBALS)
-        exec(code, namespace)  # noqa: S102 — our own generated text
-        func = namespace["__bind__"](nodes)
-    except Exception as exc:  # noqa: BLE001 — source text that does not bind
-        raise CodegenUnsupported(f"generated source failed to bind: {exc}") from exc
-    return GeneratedKernel(
-        kernel=fn.name, source=source, func=func,
-        demoted=tuple(demoted.split(" | ")) if demoted else (),
-        guards_static=static, guards_dynamic=dynamic,
-    )
+def bind_source(source: GeneratedSource) -> GeneratedKernel:
+    """``exec`` a generated program in a namespace holding only the
+    runtime helpers, binding it to the nodes its generator referenced.
+    A program that fails to compile is a generator bug: it propagates."""
+    code = compile(source.text, f"<numpy_source:{source.kernel}>", "exec")
+    namespace = dict(_EXEC_GLOBALS)
+    exec(code, namespace)  # noqa: S102 — our own generated text
+    return GeneratedKernel(source=source, func=namespace["__bind__"](source.nodes))
 
 
 def compile_kernel(
     fn: KernelFunction, plan: KernelPlan | None = None, signature=None
 ) -> GeneratedKernel:
     """Generate and bind in one step (cold path)."""
-    return bind_source(fn, generate_source(fn, plan, signature))
+    return bind_source(generate_source(fn, plan, signature))
 
 
 # ---------------------------------------------------------------------------
@@ -1198,11 +1103,11 @@ def get_or_compile(
         metrics.counter(
             "codegen.guards.static",
             "guards of generated programs discharged at generation or launch",
-        ).inc(gk.guards_static)
+        ).inc(gk.source.guards_static)
         metrics.counter(
             "codegen.guards.dynamic",
             "guards of generated programs still checked per operation",
-        ).inc(gk.guards_dynamic)
+        ).inc(gk.source.guards_dynamic)
     if content_key is not None:
         _CACHE.put(key, gk)
     return gk

@@ -12,19 +12,18 @@ respective masks.  The programs themselves are typed generated NumPy
 source (:mod:`repro.codegen.numpy_source`), specialised on the launch's
 argument kinds (:func:`argument_signature`): they compute with bare
 NumPy operators and call :class:`VectorInterpreter` only for lane state
-(environment, masks, loops, stores), for the guards the generator could
-not discharge, and for the few nodes whose kind is known only at run
-time.  :func:`execute_kernel` runs the ladder codegen → scalar.
+(environment, masks, loops, stores), for intrinsics and float→int
+conversions, and for the guards the generator could not discharge.
+:func:`execute_kernel` runs the ladder codegen → scalar.
 
 Bit-for-bit equality with the oracle is preserved by construction:
 
 * lane axes keep nesting order, so C-order resolution of duplicate
   fancy-index writes equals the scalar iteration order;
 * every value has a *kind* (weak Python ``int``/``float`` or strong
-  ``np.int32``/``np.int64``/``np.float32``/``np.float64``) — inferred
-  when the program is generated, carried in :class:`VArray` where it is
-  not — so NEP 50 promotion and the interpreter's flop-counting rule are
-  replayed exactly;
+  ``np.int32``/``np.int64``/``np.float32``/``np.float64``), inferred
+  when the program is generated, so NEP 50 promotion and the
+  interpreter's flop-counting rule are replayed exactly;
 * transcendental intrinsics go through ``math.*`` per element (NumPy's own
   ``sin``/``exp`` may differ from libm in the last ulp);
 * anything that cannot be reproduced exactly — lane-dependent values where
@@ -138,16 +137,6 @@ _INT_GUARD = 2**31
 _CAST_GUARD = 2**62
 
 
-_CMP_UFUNC = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
-
-
 def _promote(lk: str, rk: str) -> str:
     if lk == rk:
         return lk
@@ -165,12 +154,10 @@ def _promote(lk: str, rk: str) -> str:
 
 @dataclass(slots=True)
 class VArray:
-    """One lane-indexed value whose kind is only known at run time: the
-    data (a NumPy scalar when lane-uniform, else an ndarray of the launch's
-    lane rank), its kind, and which lanes actually hold a value (``True``
-    or a bool lane mask).  The environment stores every scalar this way;
-    typed generated code handles the bare data and boxes only the values
-    whose kind its generator could not infer."""
+    """One scalar of the lane environment: the data (a NumPy scalar when
+    lane-uniform, else an ndarray of the launch's lane rank), its kind, and
+    which lanes actually hold a value (``True`` or a bool lane mask).
+    Generated code reads and writes the bare data."""
 
     data: np.ndarray
     kind: str
@@ -181,18 +168,18 @@ def _const_int(value: int) -> VArray:
     return VArray(np.int64(value), PYINT)
 
 
-def _box(data, kind: str) -> VArray:
-    """Box a typed value, normalising Python scalars to the kind's dtype."""
-    if type(data) in (int, float, bool):
-        data = _KIND_DTYPE[kind].type(data)
-    return VArray(data, kind)
-
-
 def _as_f64(data):
     """``float(value)`` lane-wise."""
     if isinstance(data, np.ndarray):
         return data.astype(np.float64)
     return np.float64(data)
+
+
+def _as_f32(data):
+    """``float(np.float32(value))`` lane-wise."""
+    if isinstance(data, np.ndarray):
+        return data.astype(np.float32).astype(np.float64)
+    return np.float64(np.float32(data))
 
 
 def _as_i64(data):
@@ -215,6 +202,24 @@ def _cast_to(data, dtype: np.dtype):
     if type(data) in (int, float):
         return data
     return data.astype(dtype)
+
+
+_PICK = {"min": np.frompyfunc(min, 2, 1), "max": np.frompyfunc(max, 2, 1)}
+
+
+def _pick(func: str, dtype: np.dtype, *args):
+    """``min``/``max`` of same-kind values lane-wise, with Python's own
+    comparison, as the interpreter computes it; in the kind's dtype."""
+    acc = args[0]
+    for a in args[1:]:
+        acc = _PICK[func](acc, a)
+    return acc.astype(dtype) if isinstance(acc, np.ndarray) else dtype.type(acc)
+
+
+_MATH = {
+    f: np.frompyfunc(getattr(math, f), 2 if f == "pow" else 1, 1)
+    for f in ("exp", "log", "sin", "cos", "tan", "pow")
+}
 
 
 def _scalar_kind(name: str, value: object) -> str:
@@ -301,9 +306,8 @@ class VectorInterpreter:
 
     Typed generated code (:mod:`repro.codegen.numpy_source`) computes with
     bare NumPy operators and calls back only for lane state (environment,
-    masks, loops, stores) and for the guards it could not discharge; the
-    ``_apply_*`` primitives serve the nodes whose kind is only known at
-    run time.
+    masks, loops, stores), for intrinsics and float→int conversions, and
+    for the guards it could not discharge.
 
     Mutates the arrays it is given (callers pass copies and commit on
     success).  Raises :class:`VectorUnsupported` when exact scalar
@@ -461,16 +465,11 @@ class VectorInterpreter:
     def _float_to_int(self, data, what: str):
         """Python ``int(float)`` truncation, guarded against lanes where
         int64 ``astype`` would diverge from Python (non-finite / huge)."""
+        data = _as_f64(data)
         bad = ~np.isfinite(data) | (np.abs(data) >= _CAST_GUARD)
         if self._masked_any(bad):
             raise VectorUnsupported(f"{what}: float→int out of exact range")
         return self._sanitize(data, 0.0).astype(np.int64)
-
-    def _subscript(self, va: VArray, name: str):
-        """A subscript whose kind is only known at run time, as integers."""
-        if va.kind in _INT_KINDS:
-            return va.data
-        return self._float_to_int(_as_f64(va.data), f"subscript of {name!r}")
 
     def _bounds(self, idx, extent: int, name: str):
         """Dynamic subscript check on the active lanes; returns an index
@@ -493,25 +492,11 @@ class VectorInterpreter:
         return np.where((idx < 0) | (idx >= extent), 0, idx)
 
     # -- statements ---------------------------------------------------------
-    def _assign_scalar(self, sym, va: VArray) -> None:
-        self._env_set(sym.name, self._coerce_scalar(sym, va))
-
     def _run_region(self, name_hint: str, body) -> None:
         before = self.elements
         body()
         self.region_elements[name_hint] = (
             self.region_elements.get(name_hint, 0) + self.elements - before
-        )
-
-    def _coerce_scalar(self, sym, va: VArray) -> VArray:
-        """The interpreter's ``_coerce_scalar``: assignments to a scalar
-        apply ``float()`` / ``int()`` per the symbol's declared type."""
-        if sym.stype.is_float:
-            return VArray(_as_f64(va.data), PYFLOAT)
-        if va.kind in _INT_KINDS:
-            return VArray(_as_i64(va.data), PYINT)
-        return VArray(
-            self._float_to_int(_as_f64(va.data), f"int({sym.name})"), PYINT
         )
 
     def _decl_default(self, name: str) -> None:
@@ -764,19 +749,11 @@ class VectorInterpreter:
             raise VectorUnsupported("integer store out of range")
         self._store(target, idx, value)
 
-    def _store_dynamic(self, target: np.ndarray, idx: tuple, va: VArray) -> None:
-        """A store of a value whose kind is only known at run time."""
-        if target.dtype.kind in "iu":
-            self._store_checked(target, idx, va.data, va.kind not in _INT_KINDS)
-        else:
-            self._store(target, idx, va.data)
-
     # -- expressions --------------------------------------------------------
     def _select(self, cond, then_thunk, else_thunk):
         """Ternary with a pre-evaluated condition and arm thunks; each arm
-        is evaluated only under the lanes that take it.  Arms return bare
-        data of one static kind, or :class:`VArray` when the generator
-        could not prove both arms share a kind."""
+        is evaluated only under the lanes that take it; both arms return
+        bare data of one kind."""
         if not isinstance(cond, np.ndarray) or not self._axes:
             return then_thunk() if cond else else_thunk()
         truth = cond != 0
@@ -795,11 +772,7 @@ class VectorInterpreter:
             return else_v
         if else_v is None:
             return then_v
-        if not isinstance(then_v, VArray):
-            return np.where(truth, then_v, else_v)
-        if then_v.kind != else_v.kind:
-            raise VectorUnsupported("ternary arms yield different kinds per lane")
-        return VArray(np.where(truth, then_v.data, else_v.data), then_v.kind)
+        return np.where(truth, then_v, else_v)
 
     def _logic(self, op: str, lhs, rhs_thunk):
         """Short-circuit ``&&``/``||`` with the right operand as a thunk,
@@ -842,110 +815,19 @@ class VectorInterpreter:
             raise VectorUnsupported("float division by zero (Python semantics)")
         return la / rb
 
-    def _apply_unop(self, op: str, va: VArray) -> VArray:
-        if op == "-":
-            return VArray(-va.data, va.kind)
-        raise VectorUnsupported(f"unknown unary {op!r}")
-
-    def _apply_cast(self, to_type, va: VArray) -> VArray:
-        if to_type.is_float:
-            data = va.data
-            if to_type.bits == 32:
-                # float(np.float32(v)): round to f32, widen back to Python float
-                data = np.float32(data) if not isinstance(data, np.ndarray) else (
-                    data.astype(np.float32)
-                )
-            return VArray(_as_f64(data), PYFLOAT)
-        if va.kind in _INT_KINDS:
-            return VArray(_as_i64(va.data), PYINT)
-        return VArray(self._float_to_int(_as_f64(va.data), "int cast"), PYINT)
-
-    def _apply_binop(self, op: str, lhs: VArray, rhs: VArray) -> VArray:
-        """A binary operator on operands whose kinds are only known at run
-        time: NEP 50 promotion, the weak-int guards and the flop rule,
-        replayed per call."""
-        kind = _promote(lhs.kind, rhs.kind)
-        dtype = _KIND_DTYPE[kind]
-        if dtype.kind == "f" or op not in _CMP_UFUNC:
-            # Python compares int/float exactly; float64 rounds ints above
-            # 2**53.  The weak-int guard keeps us far inside the exact range.
-            self._guard_weak_int(lhs, f"operator {op!r}")
-            self._guard_weak_int(rhs, f"operator {op!r}")
-        la = lhs.data.astype(dtype, copy=False)
-        rb = rhs.data.astype(dtype, copy=False)
-        if op in _CMP_UFUNC:
-            if dtype.kind != "f":  # integers compare exactly as they are
-                la, rb = lhs.data, rhs.data
-            return VArray(_as_i64(_CMP_UFUNC[op](la, rb)), PYINT)
-        both_int = lhs.kind in _INT_KINDS and rhs.kind in _INT_KINDS
-        if op == "+":
-            result = la + rb
-        elif op == "-":
-            result = la - rb
-        elif op == "*":
-            result = la * rb
-        elif op == "/":
-            if both_int:
-                result = self._int_div(la, rb)
-            elif lhs.kind in _WEAK and rhs.kind in _WEAK:
-                result = self._weak_div(la, rb)
-            else:
-                result = la / rb
-        elif op == "%":
-            if not both_int:
-                raise VectorUnsupported("modulo requires integers")
-            result = self._int_mod(la, rb)
-        else:
-            raise VectorUnsupported(f"unknown operator {op!r}")
-        if (
-            lhs.kind in _PYFLOAT_LIKE
-            or rhs.kind in _PYFLOAT_LIKE
-            or kind in _PYFLOAT_LIKE
-        ):
-            self.stats.flops += self._active()
-        return VArray(result, kind)
-
     # -- intrinsics ---------------------------------------------------------
-    def _apply_call(self, func: str, args: list[VArray]) -> VArray:
-        self.stats.flops += self._active()
-        if func == "sqrt":
-            data = _as_f64(args[0].data)
-            if self._masked_any(data < 0):
-                raise VectorUnsupported("sqrt of negative value")
-            return VArray(np.sqrt(self._sanitize(data, 0.0)), PYFLOAT)
-        if func in ("fabs", "abs"):
-            return VArray(np.abs(args[0].data), args[0].kind)
-        if func in ("exp", "log", "sin", "cos", "tan"):
-            safe = 1.0 if func == "log" else 0.0
-            data = self._sanitize(_as_f64(args[0].data), safe)
-            return VArray(
-                _libm(np.frompyfunc(getattr(math, func), 1, 1), func, data),
-                PYFLOAT,
-            )
-        if func == "pow":
-            base = self._sanitize(_as_f64(args[0].data), 1.0)
-            expo = self._sanitize(_as_f64(args[1].data), 1.0)
-            return VArray(
-                _libm(np.frompyfunc(math.pow, 2, 1), func, base, expo), PYFLOAT
-            )
-        if func in ("min", "fmin", "max", "fmax"):
-            kind = args[0].kind
-            if any(a.kind != kind for a in args[1:]):
-                raise VectorUnsupported(f"{func} over mixed kinds")
-            pick = min if func in ("min", "fmin") else max
-            ufunc = np.frompyfunc(pick, 2, 1)
-            acc = args[0].data
-            for a in args[1:]:
-                acc = ufunc(acc, a.data)
-            return VArray(_KIND_DTYPE[kind].type(acc) if not isinstance(
-                acc, np.ndarray) else acc.astype(_KIND_DTYPE[kind]), kind)
-        if func in ("floor", "ceil"):
-            va = args[0]
-            if va.kind in _INT_KINDS:
-                return VArray(_as_i64(va.data), PYINT)
-            rounded = getattr(np, func)(_as_f64(va.data))
-            return VArray(self._float_to_int(rounded, func), PYINT)
-        raise VectorUnsupported(f"unknown intrinsic {func!r}")
+    def _sqrt(self, data):
+        data = _as_f64(data)
+        if self._masked_any(data < 0):
+            raise VectorUnsupported("sqrt of negative value")
+        return np.sqrt(self._sanitize(data, 0.0))
+
+    def _math(self, func: str, *args):
+        """``math.<func>`` per element (exp, log, sin, cos, tan, pow);
+        inactive lanes compute on a safe argument."""
+        safe = 0.0 if func in ("exp", "sin", "cos", "tan") else 1.0
+        data = [self._sanitize(_as_f64(a), safe) for a in args]
+        return _libm(_MATH[func], func, *data)
 
 
 def _libm(ufunc, func: str, *args):
@@ -1061,7 +943,7 @@ def _run_generated(fn, args, bound, compiled, ex: Executor, t0, metrics):
     copies on success, else re-run the scalar oracle on pristine inputs."""
     scalars, arrays, lowers = bound
     copies = {name: arr.copy() for name, arr in arrays.items()}
-    demoted = list(compiled.demoted)
+    demoted = list(compiled.source.demoted)
     try:
         interp = VectorInterpreter(scalars, copies, lowers)
         compiled.run(interp)

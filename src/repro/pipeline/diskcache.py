@@ -50,12 +50,10 @@ from ..errors import CacheError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
 
-#: Current envelope version.  v2 added the optional ``codegen`` field for
-#: generated NumPy source text.  Nothing in this package writes it any
-#: more — generated programs are specialised on each launch's argument
-#: kinds and live in memory only — but envelopes carrying it still load.
-#: v1 entries still load too — they simply carry no codegen source and
-#: are upgraded in place on their next write.
+#: Current envelope version.  v2 once added an optional ``codegen`` text
+#: field; nothing writes or reads it any more (generated programs live in
+#: memory only), but v2 envelopes carrying it still load, as do v1
+#: entries, which are upgraded in place on their next write.
 #: Anything newer than ``FORMAT_VERSION`` (or older than
 #: ``MIN_FORMAT_VERSION``) is a miss.
 FORMAT_VERSION = 2
@@ -131,18 +129,13 @@ class DiskCache:
         format-version or key mismatch) are deleted, counted as
         ``corrupt``, and reported as a miss.
         """
-        return self.get_entry(key)[0]
+        return self.get_entry(key)
 
-    def get_entry(self, key: str) -> tuple[Any | None, str | None]:
-        """Load ``(value, codegen_source)`` stored under ``key``.
-
-        ``(None, None)`` on miss.  v1 envelopes load fine and report no
-        codegen source; a v2 envelope whose ``codegen`` field is not text
-        keeps its value and reports no source.  No caller in this package
-        reads or writes the field any more (generated programs are
-        specialised per launch and live in memory only); old envelopes
-        carrying it still load.
-        """
+    def get_entry(self, key: str) -> Any | None:
+        """The envelope read behind :meth:`get` (a separate name so the
+        ``perfbench`` ledger can time disk reads): the value stored under
+        ``key``, or ``None`` on miss.  Fields other than the value (an old
+        envelope's ``codegen`` text) are ignored."""
         path = self._path(key)
         with span("cache.disk.lookup", cache_key=key) as sp:
             try:
@@ -159,11 +152,10 @@ class DiskCache:
                 ):
                     raise ValueError("stale or mismatched cache envelope")
                 value = envelope["value"]
-                codegen = envelope.get("codegen")
             except FileNotFoundError:
                 self._misses.inc()
                 sp.set(hit=False)
-                return None, None
+                return None
             except Exception as exc:
                 # Corrupt entry: discard it so the next write is clean.
                 self._corrupt.inc()
@@ -173,36 +165,25 @@ class DiskCache:
                     path.unlink(missing_ok=True)
                 except OSError:
                     pass
-                return None, None
-            if not isinstance(codegen, str):
-                codegen = None
+                return None
             # Refresh recency so size-based eviction spares hot entries.
             try:
                 os.utime(path)
             except OSError:
                 pass
             self._hits.inc()
-            sp.set(hit=True, codegen=codegen is not None)
-            return value, codegen
+            sp.set(hit=True)
+            return value
 
     def peek(self, key: str) -> bool:
         """Membership test without touching counters or entry recency."""
         return self._path(key).exists()
 
-    def put(self, key: str, value: Any, *, codegen: str | None = None) -> None:
+    def put(self, key: str, value: Any) -> None:
         """Persist ``value`` under ``key`` atomically, then evict LRU
-        entries until the cache fits ``max_bytes``.
-
-        ``codegen`` (optional) is text stored alongside the value in the
-        v2 envelope's ``codegen`` field.  Re-writing a key without it drops
-        any previously stored text.
-        """
+        entries until the cache fits ``max_bytes``."""
         path = self._path(key)
-        envelope: dict[str, Any] = {
-            "format": FORMAT_VERSION, "key": key, "value": value,
-        }
-        if codegen is not None:
-            envelope["codegen"] = codegen
+        envelope = {"format": FORMAT_VERSION, "key": key, "value": value}
         blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
         with span("cache.disk.store", cache_key=key, bytes=len(blob)):
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,11 @@ Whatever the generated program does, outputs and
 scalar interpreter.  That holds by construction — the generated source
 calls runtime primitives that replay the interpreter's semantics, in the
 interpreter's order — and these tests pin the construction down: all 16
-benchmarks bit-identical, cross-parse rebinding, header validation,
-cache behaviour, and the fallback ladder.
+benchmarks bit-identical, cached programs serving later parses, the
+sealed exec namespace, cache behaviour, and the fallback ladder.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from repro.codegen.numpy_source import (
     FunctionCache,
     bind_source,
     compile_kernel,
-    enumerate_nodes,
     generate_source,
     get_or_compile,
 )
@@ -84,73 +85,35 @@ class TestBenchmarkOracle:
 
 
 class TestGeneratedSource:
-    def test_header_names_kernel_and_node_count(self):
-        fn = lower(SRC)
-        source = generate_source(fn)
-        lines = source.splitlines()
-        assert lines[0] == "# repro:numpy_source v1"
-        assert lines[1] == "# kernel: k"
-        assert lines[2] == f"# nodes: {len(enumerate_nodes(fn))}"
-
     def test_generation_is_deterministic(self):
-        assert generate_source(lower(SRC)) == generate_source(lower(SRC))
+        assert generate_source(lower(SRC)).text == generate_source(lower(SRC)).text
 
-    def test_enumerate_nodes_is_stable_across_parses(self):
-        a = [type(n).__name__ for n in enumerate_nodes(lower(SRC))]
-        b = [type(n).__name__ for n in enumerate_nodes(lower(SRC))]
-        assert a == b
-
-    def test_cross_parse_rebinding_matches_scalar(self):
-        """Source generated from one parse must bind and run correctly
-        against a *different* parse of the same kernel (the warm-restart
-        path: node identities differ, walk positions do not)."""
-        source = generate_source(lower(SRC))
-        gk = bind_source(lower(SRC), source)
-        from repro.gpu.interpreter import bind_arguments
-        from repro.gpu.vector_exec import VectorInterpreter
-
-        fn = lower(SRC)
+    def test_cross_parse_rebinding_matches_scalar(self, monkeypatch):
+        """A function-cache hit (same content key) runs the program made
+        from one parse on another parse's launch, matching the oracle."""
+        monkeypatch.setattr(numpy_source, "_CACHE", FunctionCache())
+        m = MetricsRegistry()
+        execute_kernel(lower(SRC), _args(seed=1), content_key="parse", metrics=m)
         args = _args()
+        arrays, stats, info = execute_kernel(
+            lower(SRC), copy_args(args), content_key="parse", metrics=m
+        )
+        assert info.used == "codegen"
+        assert m.get("cache.fnobj.hits").value == 1
         s_arrays, s_stats = run_kernel(lower(SRC), copy_args(args))
-        scalars, arrays, lowers = bind_arguments(fn, args)
-        interp = VectorInterpreter(scalars, arrays, lowers)
-        gk.run(interp)
         np.testing.assert_array_equal(arrays["a"], s_arrays["a"])
-        assert interp.stats == s_stats
+        assert stats == s_stats
 
 
 class TestBindValidation:
-    def test_missing_header_is_rejected(self):
-        with pytest.raises(CodegenUnsupported, match="format header"):
-            bind_source(lower(SRC), "print('hello')\n")
-
-    def test_wrong_kernel_name_is_rejected(self):
-        other = SRC.replace("kernel k(", "kernel other(")
-        source = generate_source(lower(other))
-        with pytest.raises(CodegenUnsupported, match="not 'k'"):
-            bind_source(lower(SRC), source)
-
-    def test_stale_node_count_is_rejected(self):
-        grown = SRC.replace("b[i] * 3.0 + i", "b[i] * 3.0 + i + 1.0")
-        source = generate_source(lower(grown)).replace(
-            "kernel: k", "kernel: k"
-        )
-        with pytest.raises(CodegenUnsupported, match="node count"):
-            bind_source(lower(SRC), source)
-
-    def test_syntactically_broken_source_is_rejected(self):
-        source = generate_source(lower(SRC)) + "\ndef broken(:\n"
-        with pytest.raises(CodegenUnsupported, match="failed to bind"):
-            bind_source(lower(SRC), source)
-
     def test_generated_source_has_no_builtins(self):
         """The exec namespace is sealed: generated text can only reach the
         interpreter primitives handed to it."""
         source = generate_source(lower(SRC))
-        evil = source.replace(
+        evil = source.text.replace(
             "def __kernel__(R):", "def __kernel__(R):\n        open('/x')", 1
         )
-        gk = bind_source(lower(SRC), evil)
+        gk = bind_source(dataclasses.replace(source, text=evil))
         from repro.gpu.interpreter import bind_arguments
         from repro.gpu.vector_exec import VectorInterpreter
 
@@ -159,6 +122,20 @@ class TestBindValidation:
         interp = VectorInterpreter(scalars, arrays, lowers)
         with pytest.raises(NameError):
             gk.run(interp)
+
+    def test_program_that_fails_to_compile_raises_under_auto(self, monkeypatch):
+        """Our own program failing to compile is a generator bug, not a
+        fallback."""
+        generate = numpy_source.generate_source
+
+        def broken(*a, **k):
+            source = generate(*a, **k)
+            return dataclasses.replace(source, text=source.text + "\ndef broken(:\n")
+
+        monkeypatch.setattr(numpy_source, "_CACHE", FunctionCache())
+        monkeypatch.setattr(numpy_source, "generate_source", broken)
+        with pytest.raises(SyntaxError):
+            execute_kernel(lower(SRC), _args(), executor="auto")
 
 
 class TestFallbackLadder:
@@ -239,7 +216,7 @@ class TestFunctionCache:
             lambda *a, **k: calls.append(1),
         )
         gk = get_or_compile(fn, content_key="deadbeef", metrics=m)
-        assert gk.kernel == "k"
+        assert gk.source.kernel == "k"
         assert calls == []
         assert m.get("cache.fnobj.hits").value == 1
 
@@ -289,7 +266,7 @@ class TestWarmFastPath:
         assert stats == s_stats
 
     def test_fast_path_preserves_demotion_reasons(self):
-        """Demotions ride in the generated-source header, so the cached
+        """Demotions travel with the generated program, so the cached
         launch (which never re-plans) still reports them."""
         src = """
         kernel k3(double a[n], const double b[n], double s, int n) {

@@ -15,14 +15,19 @@ from repro.bench import NAS, SPEC, load_all
 from repro.bench.args import build_test_args, copy_args
 from repro.codegen import numpy_source
 from repro.codegen.numpy_source import (
+    CodegenUnsupported,
     FunctionCache,
     declared_signature,
     generate_source,
     get_or_compile,
     guard_census,
 )
-from repro.gpu.interpreter import run_kernel
-from repro.gpu.vector_exec import VectorUnsupported, execute_kernel
+from repro.gpu.interpreter import bind_arguments, run_kernel
+from repro.gpu.vector_exec import (
+    VectorUnsupported,
+    argument_signature,
+    execute_kernel,
+)
 from repro.ir import build_module
 from repro.lang import parse_program
 from repro.obs.metrics import MetricsRegistry
@@ -178,6 +183,114 @@ class TestArgumentKinds:
         assert info.used == "codegen", info.fallback_reason
 
 
+CONSTRUCT = """
+kernel k(double a[n], const double b[n], int q[n], double s, int m, int n) {
+  PRE
+  #pragma acc kernels loop gang vector(64)
+  for (i = 0; i < n; i++) { BODY }
+}
+"""
+
+
+def construct(pre, body, **overrides):
+    """``CONSTRUCT`` around ``pre``/``body`` and its arguments."""
+    n = 9
+    args = {
+        "a": np.zeros(n), "b": np.random.default_rng(7).uniform(0.5, 2.0, n),
+        "q": np.zeros(n, dtype=np.int32), "s": 1.5, "m": 1, "n": n, **overrides,
+    }
+    return CONSTRUCT.replace("PRE", pre).replace("BODY", body), args
+
+#: One small vectorized kernel per construct whose runtime helper no
+#: benchmark's generated program calls, then the intrinsics: (case, code
+#: before the axis loop, loop body, helper, argument overrides).
+CONSTRUCTS = [
+    ("ternary", "", "a[i] = b[i] > 1.2 ? b[i] : 2.0 * b[i];", "_sel", {}),
+    ("logic", "", "if (b[i] > 1.0 && i > 2 || i == 0) { a[i] = b[i]; }", "_lg", {}),
+    ("uninitialised-local", "int t;", "a[i] = b[i] + t;", "_dd", {}),
+    ("checked-int-store", "", "q[i] = b[i] * 7.0;", "_stc", {}),
+    (
+        "masked-proven-load",
+        "",
+        "double s = 0.0; for (j = 0; j < i; j++) { s = s + b[j]; } a[i] = s;",
+        "_clp",
+        {},
+    ),
+    # An int parameter given a Python float: the subscript's kind is float.
+    ("float-subscript", "", "a[i] = b[m] * b[i];", "_fi", {"m": 2.0}),
+    ("float-to-int-assignment", "", "int k = b[i] * 5.0; q[i] = k;", "_fi", {}),
+    ("float-to-int-cast", "", "a[i] = (int) (b[i] * 5.0);", "_fi", {}),
+    ("float-cast", "", "a[i] = (float) b[i] * 3.0;", "_f32", {}),
+    ("sqrt", "", "a[i] = sqrt(b[i] - 0.5);", "_sqrt", {}),
+    ("libm", "", "a[i] = pow(b[i], 1.5) + exp(b[i]) * log(b[i]);", "_math", {}),
+    ("min-max", "", "a[i] = max(min(b[i], b[0]), b[1]);", "_pick", {}),
+    ("abs", "", "a[i] = fabs(b[i] - 1.2);", "_abs", {}),
+    ("floor", "", "q[i] = floor(b[i] * 3.0) + ceil(i);", "_floor", {}),
+]
+
+
+class TestConstructCoverage:
+    @pytest.mark.parametrize(
+        "pre, body, helper, overrides",
+        [c[1:] for c in CONSTRUCTS],
+        ids=[c[0] for c in CONSTRUCTS],
+    )
+    def test_construct_runs_typed_and_matches_the_oracle(
+        self, pre, body, helper, overrides
+    ):
+        src, args = construct(pre, body, **overrides)
+        fn = lower(src)
+        scalars, arrays, _ = bind_arguments(fn, args)
+        source = generate_source(fn, signature=argument_signature(scalars, arrays))
+        assert f"{helper}(" in source.text
+        info = oracle_match(src, args)
+        assert info.used == "codegen", info.fallback_reason
+
+
+class TestKindConflicts:
+    """A value whose kind would depend on the path or the data is not
+    typed: the kernel runs on the scalar oracle, with a counted reason."""
+
+    @pytest.mark.parametrize(
+        "pre, body, reason, slug",
+        [
+            # A NumPy-scalar parameter re-assigned (as a Python float) on
+            # one path, outside the axis loop: lane-uniform, still untyped.
+            (
+                "if (n > 3) { s = 2.0; }",
+                "a[i] = b[i] * s;",
+                "scalar 's' holds different kinds on different paths",
+                "scalar_holds_different_kinds_on_different_paths",
+            ),
+            (
+                "",
+                "a[i] = i > 2 ? b[i] : i;",
+                "ternary arms of different kinds (f64 vs pyint)",
+                "ternary_arms_of_different_kinds",
+            ),
+            (
+                "",
+                "a[i] = min(b[i], s);",
+                "min over mixed kinds (f64, f32)",
+                "min_over_mixed_kinds",
+            ),
+        ],
+        ids=["parameter-reassigned", "ternary-arms", "min-arguments"],
+    )
+    def test_conflict_falls_back_with_a_counted_reason(self, pre, body, reason, slug):
+        src, args = construct(pre, body, s=np.float32(1.5))
+        m = MetricsRegistry()
+        info = oracle_match(src, args, metrics=m)
+        assert info.used == "scalar"
+        assert info.fallback_reason == f"CodegenUnsupported: {reason}"
+        assert m.get(f"codegen.fallbacks.{slug}").value == 1
+
+    def test_float_modulo_is_refused_when_generating(self):
+        src, args = construct("", "a[i] = b[i] % 2;")
+        with pytest.raises(CodegenUnsupported, match="'%' on a float operand"):
+            execute_kernel(lower(src), args, executor="codegen")
+
+
 class TestLaunchRangeCheck:
     HUGE = """
     kernel k(double a[n], int n, int w) {
@@ -231,7 +344,7 @@ class TestLaunchRangeCheck:
         }
         """
         source = generate_source(lower(src))
-        assert "_bnd(" in source  # b[i - 1] is checked per launch lane
+        assert "_bnd(" in source.text  # b[i - 1] is checked per launch lane
         args = {"a": np.zeros(7), "b": np.arange(7.0), "n": 7}
         info = oracle_match(src, args, executor="codegen")
         assert info.used == "codegen"

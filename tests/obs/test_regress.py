@@ -100,6 +100,41 @@ class TestCompare:
         assert regress.compare(old, self._doc()) == []
 
 
+#: Canned wall-clock rows with the fields ``main`` reports.  The real
+#: collectors run in ``TestCollect``, the row tests below and CI's regress
+#: step; ``TestMain`` checks only what ``main`` does with their results.
+STUB_ROWS = {
+    "serve": {"warm_compile_ms": 8.0, "cold_compile_ms": 230.0, "disk_hits": 5},
+    "tune": {
+        "benchmark": "355.seismic", "tuned_ms": 1.0, "default_ms": 1.04,
+        "speedup_over_default": 1.04, "trials": 12,
+    },
+    "esat": {
+        "register_wins": ["BT"], "kernels": {"BT": {}},
+        "geomean_speedup": 1.03, "warm_ledger_hits": 12,
+    },
+    "hotpath": {
+        "warm_compile_p50_ms": 0.03, "codegen_speedup_x": 10.0,
+        "benchmarks": ["BT"], "compile_many_scaling_x": 3.0,
+    },
+    "slo": {"completed": 30, "offered_rps": 25.0, "warm_hit_rate": 1.0, "p99_ms": 10.0},
+    "fleet": {"placements": {"BT": {"arch": "cdna2-mi250"}}},
+    "cluster": {
+        "steady": {"completed": 30, "balance_coefficient": 1.0, "p99_ms": 50.0},
+        "churn": {"warm_after_restart": 1.0},
+        "hedge": {"hedge_wins": 3, "hedges": 3},
+    },
+}
+
+
+@pytest.fixture
+def stub_rows(regress, monkeypatch):
+    for name, row in STUB_ROWS.items():
+        monkeypatch.setattr(regress, f"collect_{name}", lambda row=row: dict(row))
+        monkeypatch.setattr(regress, f"check_{name}", lambda row: [])
+
+
+@pytest.mark.usefixtures("stub_rows")
 class TestMain:
     def test_baseline_then_clean_rerun(self, regress, tmp_path, capsys):
         ledger = tmp_path / "ledger.json"

@@ -215,82 +215,69 @@ class TestSessionWiring:
 
 
 class TestEnvelopeV2:
-    """Format-v2 envelopes: an optional codegen text field rides along
-    (nothing in the package writes it any more); v1 still loads."""
+    """Format-v2 envelopes, and the ones older writers left behind, load
+    as hits: v1, and v2 carrying the ``codegen`` text field nothing reads
+    any more."""
 
-    def _entry_path(self, tmp_path):
-        return tmp_path / "shards" / KEY[:2] / f"{KEY}.pkl"
-
-    def test_put_and_get_entry_roundtrip_codegen(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put(KEY, {"v": 1}, codegen="# generated")
-        value, codegen = cache.get_entry(KEY)
-        assert value == {"v": 1}
-        assert codegen == "# generated"
+    def _write(self, tmp_path, envelope):
+        path = tmp_path / "shards" / KEY[:2] / f"{KEY}.pkl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle.dumps(envelope))
+        return path
 
     def test_get_ignores_codegen(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put(KEY, "payload", codegen="# generated")
+        self._write(
+            tmp_path,
+            {"format": 2, "key": KEY, "value": "payload", "codegen": "# generated"},
+        )
         assert cache.get(KEY) == "payload"
+        assert cache.corrupt == 0 and cache.hits == 1
 
     def test_v1_envelope_loads_without_codegen(self, tmp_path):
-        """Backward compatibility: entries written before the version bump
-        read fine — they just carry no generated source."""
         cache = DiskCache(tmp_path)
-        path = self._entry_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(
-            pickle.dumps({"format": 1, "key": KEY, "value": "old payload"})
-        )
-        value, codegen = cache.get_entry(KEY)
-        assert value == "old payload"
-        assert codegen is None
+        self._write(tmp_path, {"format": 1, "key": KEY, "value": "old payload"})
+        assert cache.get(KEY) == "old payload"
         assert cache.corrupt == 0 and cache.hits == 1
 
     def test_v1_entry_upgrades_on_next_write(self, tmp_path):
         cache = DiskCache(tmp_path)
-        path = self._entry_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps({"format": 1, "key": KEY, "value": 1}))
-        cache.put(KEY, 1, codegen="# src")
+        path = self._write(tmp_path, {"format": 1, "key": KEY, "value": 1})
+        cache.put(KEY, 1)
         envelope = pickle.loads(path.read_bytes())
-        assert envelope["format"] == FORMAT_VERSION
-        assert envelope["codegen"] == "# src"
+        assert envelope == {"format": FORMAT_VERSION, "key": KEY, "value": 1}
 
     def test_codegen_only_entry_is_not_a_program_hit(self, tmp_path):
-        """Run-path envelopes store source with no program; ``get`` callers
-        must not mistake them for compiled programs."""
+        """Old run-path envelopes stored source with no program; ``get``
+        callers must not mistake them for compiled programs."""
         cache = DiskCache(tmp_path)
-        cache.put(KEY, None, codegen="# src only")
+        self._write(
+            tmp_path, {"format": 2, "key": KEY, "value": None, "codegen": "# src only"}
+        )
         assert cache.get(KEY) is None
-        assert cache.get_entry(KEY) == (None, "# src only")
 
     def test_non_text_codegen_field_drops_source_keeps_value(self, tmp_path):
         cache = DiskCache(tmp_path)
-        path = self._entry_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(
-            pickle.dumps(
-                {"format": FORMAT_VERSION, "key": KEY, "value": 7,
-                 "codegen": [b"not", "text"]}
-            )
+        self._write(
+            tmp_path,
+            {"format": 2, "key": KEY, "value": 7, "codegen": [b"not", "text"]},
         )
-        value, codegen = cache.get_entry(KEY)
-        assert value == 7 and codegen is None
+        assert cache.get(KEY) == 7 and cache.corrupt == 0
 
     def test_session_envelope_carries_program_only(self, tmp_path):
-        """Generated source belongs to ``run`` envelopes; a compile
-        persists the compiled program alone."""
         session = CompilerSession(cache_dir=tmp_path)
         session.compile_source(SRC, BASE)
-        program, codegen = session.disk_cache.get_entry(KEY)
-        assert program is not None and codegen is None
+        path = tmp_path / "shards" / KEY[:2] / f"{KEY}.pkl"
+        assert set(pickle.loads(path.read_bytes())) == {"format", "key", "value"}
 
     def test_session_hits_envelope_carrying_codegen(self, tmp_path):
         """Compile envelopes written with a ``codegen`` field still load
         as plain program hits."""
         program = CompilerSession().compile_source(SRC, BASE)
-        DiskCache(tmp_path).put(KEY, program, codegen="# generated")
+        self._write(
+            tmp_path,
+            {"format": 2, "key": KEY, "value": program, "codegen": "# generated"},
+        )
         warm = CompilerSession(cache_dir=tmp_path)
         hit = warm.compile_source(SRC, BASE)
         assert warm.stats.compilations == 0 and warm.disk_cache.hits == 1

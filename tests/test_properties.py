@@ -411,7 +411,7 @@ def fallback_programs(draw):
 
 
 class TestVectorExecutionProperty:
-    def _run_both(self, src, n, seed):
+    def _run_both(self, src, n, seed, **kw):
         from repro.gpu.vector_exec import execute_kernel
 
         rng = np.random.default_rng(seed)
@@ -434,7 +434,7 @@ class TestVectorExecutionProperty:
         )
         fn2 = build_module(parse_program(src)).functions[0]
         v_arrays, v_stats, info = execute_kernel(
-            fn2, {k: v for k, v in args().items() if k in wanted}
+            fn2, {k: v for k, v in args().items() if k in wanted}, **kw
         )
         return s_arrays, s_stats, v_arrays, v_stats, info
 
@@ -450,37 +450,25 @@ class TestVectorExecutionProperty:
     @given(vectorizable_programs(), st.integers(8, 24), st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_generated_source_round_trips_through_text(self, src, n, seed):
-        """generate → bind on a fresh parse → run matches the scalar
-        oracle: the persisted-source warm path for arbitrary safe kernels."""
-        from repro.codegen.numpy_source import bind_source, generate_source
-        from repro.gpu.interpreter import bind_arguments
-        from repro.gpu.vector_exec import VectorInterpreter
+        """Generated programs are never persisted as text; what remains of
+        the warm path is a function-cache hit (same content key) running
+        the program made from one parse on a fresh parse's launch, which
+        must match the oracle."""
+        import hashlib
 
-        rng = np.random.default_rng(seed)
-        fn = build_module(parse_program(src)).functions[0]
-        wanted = {prm.name for prm in fn.params}
-        base = {
-            "a": np.zeros(n),
-            "b": rng.uniform(0.5, 2.0, size=n),
-            "q": np.zeros(n, dtype=np.int32),
-            "p": rng.integers(-3, 4, size=n).astype(np.int32),
-            "n": n,
-        }
-        s_arrays, s_stats = run_kernel(
-            fn, {k: (v.copy() if hasattr(v, "copy") else v)
-                 for k, v in base.items() if k in wanted}
+        from repro.obs.metrics import MetricsRegistry
+
+        key = "prop:" + hashlib.sha256(src.encode()).hexdigest()
+        self._run_both(src, n, seed, content_key=key)
+        m = MetricsRegistry()
+        s_arrays, s_stats, v_arrays, v_stats, info = self._run_both(
+            src, n, seed, content_key=key, metrics=m
         )
-        source = generate_source(build_module(parse_program(src)).functions[0])
-        fn2 = build_module(parse_program(src)).functions[0]
-        gk = bind_source(fn2, source)
-        scalars, arrays, lowers = bind_arguments(
-            fn2, {k: v for k, v in base.items() if k in wanted}
-        )
-        interp = VectorInterpreter(scalars, arrays, lowers)
-        gk.run(interp)
+        assert info.used == "codegen"
+        assert m.get("cache.fnobj.hits").value == 1
         for name in s_arrays:
-            np.testing.assert_array_equal(s_arrays[name], arrays[name])
-        assert interp.stats == s_stats
+            np.testing.assert_array_equal(s_arrays[name], v_arrays[name])
+        assert s_stats == v_stats
 
     @given(fallback_programs(), st.integers(8, 24), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
