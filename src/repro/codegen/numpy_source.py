@@ -38,9 +38,10 @@ ladder falls back to the scalar interpreter.
 
 Generated programs are made and bound on execution only, and cached in
 memory under (content key, argument-kind signature); nothing persists
-them.  A program's text reaches IR objects (loops, regions) only through
-``__nodes__``, the list of nodes its generator referenced, which
-:func:`bind_source` hands to it.
+them.  A program is self-contained code: loop bounds are emitted as typed
+integer expressions (the oracle's ``ir.stmt._eval_int`` grammar, with its
+weak-integer and zero-divisor guards) and regions are named by literal
+kernel names, so a bound program references no IR object.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from ..ir.expr import (
 from ..ir.module import KernelFunction
 from ..ir.stmt import Assign, If, LocalDecl, Loop, Region, Stmt, walk_stmts
 from ..obs.tracer import span
-from .vector_lower import AXIS, KernelPlan, plan_kernel
+from .vector_lower import AXIS, KernelPlan, _assigned_scalars, plan_kernel
 
 __all__ = [
     "CodegenUnsupported",
@@ -128,16 +129,6 @@ def _join(a: dict, b: dict) -> dict:
     for name, kind in b.items():
         out[name] = kind if out.get(name, kind) == kind else None
     return out
-
-
-def _assigned_names(stmts: list[Stmt]) -> set[str]:
-    names = set()
-    for s in walk_stmts(stmts):
-        if isinstance(s, Assign) and isinstance(s.target, VarRef):
-            names.add(s.target.sym.name)
-        elif isinstance(s, LocalDecl):
-            names.add(s.sym.name)
-    return names
 
 
 def _flow(stmts: list[Stmt], state: dict) -> dict:
@@ -209,20 +200,17 @@ class _Generator:
         self.plan = plan
         self._sig = dict(signature)
         self._signature = signature
-        #: IR objects the program references, as ``__nodes__[i]``.
-        self.nodes: list[object] = []
-        self._binds: list[str] = []  # bind-time lines (run once per exec)
-        self._bound: dict[tuple, str] = {}
+        self._bound: dict[tuple, str] = {}  # prologue locals by key
         self._lines: list[str] = []  # kernel body lines
         self._n = 0
         self._used: set[str] = set()  # runtime methods the body calls
         # Launch prologue: hoisted parameters, arrays, loop intervals, facts.
         self._pro_vals: list[str] = []
-        self._pro_loops: list[str] = []
+        self._spans: dict[str, str] = {}  # loop interval right-hand side → local
         self._weak_facts: dict[str, None] = {}
         self._subscript_facts: dict[tuple, None] = {}
         self._arrays: dict[str, str] = {}
-        written = _assigned_names(fn.body) | {
+        written = _assigned_scalars(fn.body) | {
             loop.var.name for loop in walk_stmts(fn.body) if isinstance(loop, Loop)
         }
         #: Parameters fixed for the whole launch (never written).
@@ -245,6 +233,7 @@ class _Generator:
         self._blocks: list[list] = []  # [insert index, depth, loads, stores, flops]
         self._reads: dict[str, str] = {}  # per-block variable-read temps
         self._region: int | None = None
+        self._kernels = 0  # regions named so far
         self.census: dict[int | None, list[int]] = {}
 
     # -- naming -------------------------------------------------------------
@@ -258,23 +247,6 @@ class _Generator:
 
     def _call(self, name: str) -> str:
         self._used.add(name)
-        return name
-
-    def _bind(self, key: tuple, rhs: str) -> str:
-        name = self._bound.get(key)
-        if name is None:
-            name = self._fresh(key[0])
-            self._bound[key] = name
-            self._binds.append(f"{name} = {rhs}")
-        return name
-
-    def _node(self, node: object, attr: str = "") -> str:
-        """A bind-time local holding ``node`` (or its ``attr``)."""
-        key = ("n", id(node), attr)
-        name = self._bound.get(key)
-        if name is None:
-            self.nodes.append(node)
-            name = self._bind(key, f"__nodes__[{len(self.nodes) - 1}]{attr}")
         return name
 
     def _temp(self, depth: int, rhs: str) -> str:
@@ -417,16 +389,50 @@ class _Generator:
         return False
 
     def _loop_interval(self, loop: Loop) -> str | None:
-        if loop.var.name in _assigned_names(loop.body):
+        if loop.var.name in _assigned_scalars(loop.body):
             return None
         lo, hi = self._poly(loop.init), self._poly(loop.bound)
         if lo is None or hi is None:
             return None
-        name = self._fresh("L")
-        self._pro_loops.append(
-            f"{name} = _span({lo}, {hi}, {loop.cond_op!r}, {loop.step})"
-        )
+        # Loops with equal bounds share one interval (and so their facts).
+        rhs = f"_span({lo}, {hi}, {_STOP[loop.cond_op]}, {loop.step})"
+        name = self._spans.get(rhs)
+        if name is None:
+            name = self._spans[rhs] = self._fresh("L")
         return name
+
+    def _bound_code(self, e: Expr, depth: int) -> _Val:
+        """Typed integer code for a loop bound, accepting exactly the
+        oracle's grammar (``ir.stmt._eval_int``): constants, integer
+        scalars, unary ``-`` and ``+ - * / %`` with C truncation.  Like the
+        oracle's bound evaluation it counts no operations."""
+        if isinstance(e, IntConst):
+            return self.expr(e, depth)
+        if isinstance(e, VarRef):
+            v = self._read(e.sym.name, depth)
+            if v.kind not in _INT_KINDS:
+                raise CodegenUnsupported(
+                    f"loop bound reads non-integer scalar {e.sym.name!r}"
+                )
+            return v if v.kind == vx.PYINT else _Val(f"_i64({v.code})", vx.PYINT)
+        if isinstance(e, UnOp) and e.op == "-":
+            x = self._bound_code(e.operand, depth)
+            literal = None if x.literal is None else -x.literal
+            return _Val(f"(-{x.code})", vx.PYINT, literal)
+        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/", "%"):
+            lhs = self._bound_code(e.left, depth)
+            rhs = self._bound_code(e.right, depth)
+            a = self._weak_operand(e.left, lhs, "loop bound")
+            b = self._weak_operand(e.right, rhs, "loop bound")
+            if e.op in ("+", "-", "*"):
+                return _Val(f"({a} {e.op} {b})", vx.PYINT)
+            nonzero = rhs.literal is not None and rhs.literal != 0
+            self._guard(static=nonzero)
+            fn = self._call("_imd" if e.op == "%" else "_idv")
+            return _Val(f"{fn}({a}, {b}, {not nonzero})", vx.PYINT)
+        raise CodegenUnsupported(
+            f"loop bound uses {type(e).__name__} (not evaluable by iter_values)"
+        )
 
     # -- expressions ----------------------------------------------------------
     def expr(self, e: Expr, depth: int) -> _Val:
@@ -569,8 +575,9 @@ class _Generator:
         self._guard(static=False)  # float→int
         return f"{self._call('_fi')}({v.code}, {what!r})"
 
-    def _weak_operand(self, e: Expr, v: _Val, op: str) -> str:
-        """``v``'s code, guarded as a weak-int operand of ``op``."""
+    def _weak_operand(self, e: Expr, v: _Val, what: str) -> str:
+        """``v``'s code, guarded as a weak-int operand (``what`` names the
+        operation in the fallback reason)."""
         if v.literal is not None:
             static = abs(v.literal) <= _WEAK_LIMIT
         else:
@@ -578,7 +585,7 @@ class _Generator:
         self._guard(static)
         if static:
             return v.code
-        return f"{self._call('_wk')}({v.code}, {f'operator {op!r}'!r})"
+        return f"{self._call('_wk')}({v.code}, {what!r})"
 
     def _binop(self, e: BinOp, depth: int) -> _Val:
         op = e.op
@@ -598,7 +605,7 @@ class _Generator:
         for sub, v in ((e.left, lhs), (e.right, rhs)):
             code = v.code
             if v.kind == vx.PYINT and (op not in _CMP or floaty):
-                code = self._weak_operand(sub, v, op)
+                code = self._weak_operand(sub, v, f"operator {op!r}")
             narrow = dtype.itemsize < 8 and (op not in _CMP or floaty)
             if v.kind in (vx.PYINT, vx.PYFLOAT) and narrow and v.literal is None:
                 code = f"_cv({code}, _dt_{kind})"
@@ -727,24 +734,29 @@ class _Generator:
             self._masked -= 1
             self._kinds = _join(after_then, self._kinds)
             self._emit(depth, f"{self._call('_if')}({cond.code}, {then_name}, {else_name})")
-            self._forget(_assigned_names(s.then_body + s.else_body))
+            self._forget(_assigned_scalars(s.then_body + s.else_body))
         elif isinstance(s, Loop):
             self._loop(s, depth)
         elif isinstance(s, Region):
+            # The kernel name CompilerSession.compile_function gives it.
+            self._kernels += 1
+            name = f"{self._fn.name}_k{self._kernels}"
             saved = self._region
             self._region = s.region_id
             self.census.setdefault(s.region_id, [0, 0])
             body_name = self._body(depth, lambda d: self.stmts(s.body, d))
             self._region = saved
-            # The name hint carries a process-global counter — bind it from
-            # the node list so the source text stays deterministic.
-            hint = self._node(s, ".name_hint")
-            self._emit(depth, f"{self._call('_rg')}({hint}, {body_name})")
-            self._forget(_assigned_names(s.body))
+            self._emit(depth, f"{self._call('_rg')}({name!r}, {body_name})")
+            self._forget(_assigned_scalars(s.body))
         else:
             raise CodegenUnsupported(f"unknown statement {type(s).__name__}")
 
     def _loop(self, s: Loop, depth: int) -> None:
+        # Bounds are evaluated once, on entry, in the enclosing context.
+        lo = self._bound_code(s.init, depth)
+        hi = self._bound_code(s.bound, depth)
+        adjust = _STOP[s.cond_op]
+        stop = f"({hi.code} {'+' if adjust > 0 else '-'} 1)" if adjust else hi.code
         before = self._kinds
         self._kinds = _loop_entry(s, before)
         slot = None
@@ -765,8 +777,9 @@ class _Generator:
         if slot is not None:
             self._slots -= 1
         self._kinds = _after_loop(s, before, self._kinds)
-        self._emit(depth, f"{self._call('_lp')}({self._node(s)}, {body_name}, {slot})")
-        self._forget(_assigned_names(s.body) | {s.var.name})
+        self._emit(depth, f"{self._call('_lp')}({s.var.name!r}, {lo.code}, {stop}, "
+                          f"{s.step}, {body_name}, {slot})")
+        self._forget(_assigned_scalars(s.body) | {s.var.name})
 
     def _store(self, ref: ArrayRef, value: Expr, depth: int) -> None:
         arr = self._array(ref)
@@ -800,15 +813,13 @@ class _Generator:
     }
 
     def render(self) -> str:
-        self._open_block(2)
-        self.stmts(self._fn.body, 2)
+        self._open_block(1)
+        self.stmts(self._fn.body, 1)
         self._close_block()
         header = [
             f"# {self._fn.name} ({vx.format_signature(self._signature)})",
-            "def __bind__(__nodes__):",
+            f"_SIG = {self._signature!r}",
         ]
-        binds = list(self._binds)
-        binds.append(f"_SIG = {self._signature!r}")
         prologue = [
             "def __kernel__(R):",
             _IND + f"R._begin({self.rank}, _SIG)",
@@ -818,7 +829,7 @@ class _Generator:
             for short in sorted(self._used)
         ]
         prologue += [_IND + line for line in self._pro_vals]
-        checks = list(self._pro_loops)
+        checks = [f"{name} = {rhs}" for rhs, name in self._spans.items()]
         if self._weak_facts:
             checks.append(f"_rw({', '.join(self._weak_facts)})")
         checks += [
@@ -832,22 +843,24 @@ class _Generator:
             launch = [
                 name for key, name in self._bound.items() if key[0] in ("I", "E", "W")
             ]
-            binds.append("_checked = set()")
+            header.append("_checked = set()")
             prologue.append(_IND + f"_launch = ({''.join(n + ', ' for n in launch)})")
             prologue.append(_IND + "if _launch not in _checked:")
             prologue += [_IND * 2 + line for line in checks]
             prologue.append(_IND * 2 + "_remember(_checked, _launch)")
-        body = [_IND + line for line in binds] + [_IND + line for line in prologue]
-        tail = [_IND + "return __kernel__", ""]
-        return "\n".join(header + body + self._lines + tail)
+        return "\n".join(header + prologue + self._lines + [""])
 
 
-def _span(lo, hi, cond_op: str, step: int):
+#: What a loop's ``cond_op`` adds to its bound to make ``range``'s stop.
+_STOP = {"<": 0, "<=": 1, ">": 0, ">=": -1}
+
+
+def _span(lo, hi, adjust: int, step: int):
     """The interval of a loop variable whose bounds lie in ``lo``/``hi``
-    (``None`` when the loop can never run); mirrors ``_range_of``."""
+    (``None`` when the loop can never run): ``range(lo, hi + adjust,
+    step)`` over those bounds."""
     if lo is None or hi is None:
         return None
-    adjust = {"<": 0, "<=": 1, ">": 0, ">=": -1}[cond_op]
     if step > 0:
         first, last = lo[0], hi[1] + adjust - 1
     else:
@@ -907,8 +920,6 @@ class GeneratedSource:
 
     kernel: str
     text: str
-    #: The IR objects ``text`` references as ``__nodes__[i]``.
-    nodes: tuple
     #: Planner demotion reasons captured at generation time (the cached
     #: fast path never re-plans, so these travel with the program).
     demoted: tuple[str, ...]
@@ -943,7 +954,7 @@ def generate_source(
         gen = _generate(fn, plan, signature)
         sp.set(bytes=len(gen.text))
     return GeneratedSource(
-        kernel=fn.name, text=gen.text, nodes=tuple(gen.nodes),
+        kernel=fn.name, text=gen.text,
         demoted=tuple(gen.plan.demotion_reasons),
         guards_static=sum(c[0] for c in gen.census.values()),
         guards_dynamic=sum(c[1] for c in gen.census.values()),
@@ -1002,13 +1013,14 @@ _EXEC_GLOBALS = {
 
 
 def bind_source(source: GeneratedSource) -> GeneratedKernel:
-    """``exec`` a generated program in a namespace holding only the
-    runtime helpers, binding it to the nodes its generator referenced.
-    A program that fails to compile is a generator bug: it propagates."""
+    """``exec`` a generated program in a fresh namespace holding only the
+    runtime helpers (its ``_SIG`` and ``_checked`` become globals of that
+    namespace).  A program that fails to compile is a generator bug: it
+    propagates."""
     code = compile(source.text, f"<numpy_source:{source.kernel}>", "exec")
     namespace = dict(_EXEC_GLOBALS)
     exec(code, namespace)  # noqa: S102 — our own generated text
-    return GeneratedKernel(source=source, func=namespace["__bind__"](source.nodes))
+    return GeneratedKernel(source=source, func=namespace["__kernel__"])
 
 
 def compile_kernel(

@@ -364,29 +364,15 @@ class CompilerSession:
         jobs: "list[CompileJob | tuple]",
         *,
         max_workers: int | None = None,
-        parallel: str = "thread",
     ) -> list[CompiledProgram]:
-        """Compile a batch of jobs, fanned out over a worker pool.
+        """Compile a batch of jobs, fanned out over a thread pool.
 
         Results come back aligned with ``jobs``.  Duplicate jobs (same
         cache key) compile once; cache hits never reach the pool.  The
         compile core is deterministic, so a parallel batch is bit-identical
-        to a serial loop over the same jobs.
-
-        ``parallel`` selects the pool: ``"thread"`` (default) overlaps
-        backend stalls and releases the GIL in NumPy; ``"process"`` forks
-        workers for CPU-bound scaling on multicore machines (results and
-        traces are pickled back; thread-local backend *deadlines* do not
-        cross the fork — wrap the whole batch in ``deadline_scope`` in the
-        parent instead of relying on per-worker propagation).
+        to a serial loop over the same jobs.  Threads overlap backend
+        stalls and release the GIL in NumPy.
         """
-        if parallel not in ("thread", "process"):
-            from ..errors import ConfigError
-
-            raise ConfigError(
-                f"unknown parallel mode {parallel!r}: "
-                "valid modes are thread, process"
-            )
         jobs = [j if isinstance(j, CompileJob) else CompileJob(*j) for j in jobs]
         results: list[CompiledProgram | None] = [None] * len(jobs)
         indices_for: dict[str, list[int]] = {}
@@ -410,11 +396,7 @@ class CompilerSession:
                 32, (os.cpu_count() or 1) + 4
             )
             workers = max(1, min(workers, len(to_compile)))
-            if parallel == "process" and workers > 1:
-                compiled = self._compile_in_processes(
-                    [job_for[k] for k in to_compile], workers
-                )
-            elif workers == 1:
+            if workers == 1:
                 compiled = [self._compile_job(job_for[k], k) for k in to_compile]
             else:
                 # Backend deadlines are thread-local; re-install the
@@ -435,30 +417,6 @@ class CompilerSession:
                 for i in indices_for[key]:
                     results[i] = program
         return results  # type: ignore[return-value]
-
-    def _compile_in_processes(
-        self, jobs: list[CompileJob], workers: int
-    ) -> list[CompiledProgram]:
-        """Fan a batch out over forked worker processes.
-
-        Each worker compiles in a throwaway session and pickles back
-        ``(program, trace)``; the parent records the traces so statistics
-        match the threaded path.
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            outs = list(pool.map(_compile_job_in_worker, jobs))
-        compiled = []
-        for program, trace in outs:
-            with self._lock:
-                self.stats.record(trace)
-            compiled.append(program)
-        return compiled
 
     # -- downstream services ----------------------------------------------
 
@@ -596,15 +554,6 @@ class CompilerSession:
         self.cache.reset()
         with self._lock:
             self.stats.reset()
-
-
-def _compile_job_in_worker(job: CompileJob):
-    """Module-level worker for ``parallel="process"`` batches: compile in
-    a fresh, cache-less session and return ``(program, trace)``."""
-    session = CompilerSession(cache_size=1)
-    program = session._compile_job(job, job.key())
-    trace = session.stats.traces[-1]
-    return program, trace
 
 
 _default_session: CompilerSession | None = None

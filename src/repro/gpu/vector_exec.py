@@ -13,7 +13,9 @@ source (:mod:`repro.codegen.numpy_source`), specialised on the launch's
 argument kinds (:func:`argument_signature`): they compute with bare
 NumPy operators and call :class:`VectorInterpreter` only for lane state
 (environment, masks, loops, stores), for intrinsics and float→int
-conversions, and for the guards the generator could not discharge.
+conversions, and for the guards the generator could not discharge.  They
+hand the runtime plain values — a loop's variable name, computed start,
+stop and step, a region's kernel name — so nothing here reads IR.
 :func:`execute_kernel` runs the ladder codegen → scalar.
 
 Bit-for-bit equality with the oracle is preserved by construction:
@@ -54,9 +56,7 @@ import numpy as np
 
 from ..codegen.vector_lower import plan_kernel
 from ..executors import Executor, parse_executor
-from ..ir.expr import BinOp, Expr, IntConst, UnOp, VarRef
 from ..ir.module import KernelFunction
-from ..ir.stmt import Loop
 from ..obs.tracer import span
 from .interpreter import ExecutionStats, bind_arguments, run_kernel
 
@@ -458,10 +458,6 @@ class VectorInterpreter:
             raise VectorUnsupported(f"{what}: weak integer exceeds safe range")
         return data
 
-    def _guard_weak_int(self, va: VArray, what: str) -> None:
-        if va.kind == PYINT:
-            self._weak(va.data, what)
-
     def _float_to_int(self, data, what: str):
         """Python ``int(float)`` truncation, guarded against lanes where
         int64 ``astype`` would diverge from Python (non-finite / huge)."""
@@ -492,11 +488,11 @@ class VectorInterpreter:
         return np.where((idx < 0) | (idx >= extent), 0, idx)
 
     # -- statements ---------------------------------------------------------
-    def _run_region(self, name_hint: str, body) -> None:
+    def _run_region(self, name: str, body) -> None:
         before = self.elements
         body()
-        self.region_elements[name_hint] = (
-            self.region_elements.get(name_hint, 0) + self.elements - before
+        self.region_elements[name] = (
+            self.region_elements.get(name, 0) + self.elements - before
         )
 
     def _decl_default(self, name: str) -> None:
@@ -540,67 +536,26 @@ class VectorInterpreter:
         self._set_mask(base)
 
     # -- loops --------------------------------------------------------------
-    def _run_loop(self, loop: Loop, body, slot: int | None) -> None:
-        """Dispatch one loop with its *planned* mode baked in (``slot`` is
+    def _run_loop(self, var: str, lo, stop, step: int, body, slot: int | None) -> None:
+        """Dispatch one loop over ``range(lo, stop, step)`` (bounds computed
+        by the generated code) with its *planned* mode baked in (``slot`` is
         the lane slot of an axis-mode loop, ``None`` for sequential) and its
         body as a thunk.  Axis-mode loops still demote dynamically to the
         ordinal walk when their concrete bounds turn out lane-varying."""
-        lo_va = self._eval_loop_bound(loop.init)
-        hi_va = self._eval_loop_bound(loop.bound)
-        lo = self._uniform_int(lo_va)
-        hi = self._uniform_int(hi_va)
-        if lo is not None and hi is not None:
-            vals = _range_of(loop, lo, hi)
+        first, end = self._uniform_int(lo), self._uniform_int(stop)
+        if first is not None and end is not None:
+            vals = range(first, end, step)
             if len(vals) == 0:
                 return
             if slot is None:
-                self._exec_seq_uniform(loop, vals, body)
+                self._exec_seq_uniform(var, vals, body)
             else:
-                self._exec_axis_loop(loop, vals, body, slot)
+                self._exec_axis_loop(var, vals, body, slot)
             return
-        self._exec_seq_varying(loop, lo_va, hi_va, body)
+        self._exec_seq_varying(var, lo, stop, step, body)
 
-    def _eval_loop_bound(self, e: Expr) -> VArray:
-        """Loop bounds mirror ``Loop.iter_values``'s restricted evaluator
-        (``ir.stmt._eval_int`` over the integer scalar environment); any
-        construct it would reject must fall back, not be 'helpfully'
-        evaluated here."""
-        if isinstance(e, IntConst):
-            return _const_int(e.value)
-        if isinstance(e, VarRef):
-            va = self._env_get(e.sym.name)
-            if va.kind not in _INT_KINDS:
-                raise VectorUnsupported(
-                    f"loop bound reads non-integer scalar {e.sym.name!r}"
-                )
-            return VArray(_as_i64(va.data), PYINT, va.defined)
-        if isinstance(e, UnOp) and e.op == "-":
-            va = self._eval_loop_bound(e.operand)
-            return VArray(-va.data, PYINT, va.defined)
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/", "%"):
-            lhs = self._eval_loop_bound(e.left)
-            rhs = self._eval_loop_bound(e.right)
-            self._guard_weak_int(lhs, "loop bound")
-            self._guard_weak_int(rhs, "loop bound")
-            la, rb = lhs.data, rhs.data
-            if e.op == "+":
-                data = la + rb
-            elif e.op == "-":
-                data = la - rb
-            elif e.op == "*":
-                data = la * rb
-            else:  # '/' or '%': C truncation; 0 divisor → interpreter error
-                if self._masked_any(rb == 0):
-                    raise VectorUnsupported("loop bound divides by zero")
-                q, r = _int_divmod(la, rb)
-                data = q if e.op == "/" else r
-            return VArray(data, PYINT)
-        raise VectorUnsupported(
-            f"loop bound uses {type(e).__name__} (not evaluable by iter_values)"
-        )
-
-    def _uniform_int(self, va: VArray) -> int | None:
-        data = va.data
+    def _uniform_int(self, data) -> int | None:
+        """The value every active lane holds, or ``None``."""
         if not isinstance(data, np.ndarray):
             return int(data)
         vals = np.broadcast_to(data, self._shape)
@@ -613,8 +568,7 @@ class VectorInterpreter:
         first = vals[0]
         return int(first) if bool((vals == first).all()) else None
 
-    def _exec_axis_loop(self, loop: Loop, vals: range, body, slot: int) -> None:
-        var = loop.var.name
+    def _exec_axis_loop(self, var: str, vals: range, body, slot: int) -> None:
         saved = self._env.get(var)
         saved_shape = self._shape
         view = [1] * len(saved_shape)
@@ -651,8 +605,7 @@ class VectorInterpreter:
             self._env.pop(var, None)
             self._env_set(var, _const_int(vals[-1]))
 
-    def _exec_seq_uniform(self, loop: Loop, vals: range, body) -> None:
-        var = loop.var.name
+    def _exec_seq_uniform(self, var: str, vals: range, body) -> None:
         saved = self._env.get(var)
         for v in vals:
             self._env_set(var, VArray(np.int64(v), PYINT))
@@ -661,9 +614,7 @@ class VectorInterpreter:
         if saved is not None:
             self._env[var] = saved
 
-    def _exec_seq_varying(
-        self, loop: Loop, lo_va: VArray, hi_va: VArray, body
-    ) -> None:
+    def _exec_seq_varying(self, var: str, lo, stop, step: int, body) -> None:
         """Sequential loop whose bounds differ per lane (e.g. a CSR row
         walk): advance every lane through its *own* range in lockstep —
         at ordinal step ``k`` each active lane executes its ``k``-th
@@ -677,16 +628,14 @@ class VectorInterpreter:
         whose array accesses are cross-lane disjoint for *all* iteration
         pairs, each lane's own iterations stay in order, and scalar
         privates merge per-lane through the masked environment."""
-        if loop.step not in (1, -1):
+        if step not in (1, -1):
             raise VectorUnsupported(
-                f"lane-varying bounds with step {loop.step} on loop "
-                f"'{loop.var.name}'"
+                f"lane-varying bounds with step {step} on loop '{var}'"
             )
-        adjust = {"<": 0, "<=": 1, ">": 0, ">=": -1}[loop.cond_op]
-        start = np.broadcast_to(lo_va.data, self._shape)
-        stop = np.broadcast_to(hi_va.data + adjust, self._shape)
+        start = np.broadcast_to(lo, self._shape)
+        stop = np.broadcast_to(stop, self._shape)
         base = self._mask
-        trips = np.maximum(stop - start, 0) if loop.step == 1 else np.maximum(
+        trips = np.maximum(stop - start, 0) if step == 1 else np.maximum(
             start - stop, 0
         )
         if base is not None:
@@ -694,7 +643,6 @@ class VectorInterpreter:
         max_trips = int(trips.max()) if trips.size else 0
         if max_trips == 0:
             return
-        var = loop.var.name
         saved = self._env.get(var)
         for k in range(max_trips):
             m_k = trips > k
@@ -702,7 +650,7 @@ class VectorInterpreter:
             self._acount = count = int(np.count_nonzero(m_k))
             # Read under m_k (or narrower) only: retired lanes may hold
             # anything (the final values are set after the loop).
-            self._env[var] = VArray(start + k if loop.step == 1 else start - k, PYINT)
+            self._env[var] = VArray(start + k if step == 1 else start - k, PYINT)
             self.stats.iterations += count
             body()
         self._set_mask(base)
@@ -710,10 +658,10 @@ class VectorInterpreter:
             self._env[var] = saved
         else:
             # Per-lane leak of the final iteration value on lanes that ran.
-            ran = (stop > start) if loop.step == 1 else (stop < start)
+            ran = (stop > start) if step == 1 else (stop < start)
             m_ran = ran if base is None else (base & ran)
             if m_ran.any():
-                last = stop - 1 if loop.step == 1 else stop + 1
+                last = stop - 1 if step == 1 else stop + 1
                 data = np.where(m_ran, last, np.int64(0))
                 self._env[var] = VArray(data, PYINT, m_ran)
             else:
@@ -852,17 +800,6 @@ def _int_divmod(la, rb):
     if q.ndim == 0:
         return q[()], r[()]
     return q, r
-
-
-def _range_of(loop: Loop, lo: int, hi: int) -> range:
-    """Exactly ``Loop.iter_values`` once the bounds are concrete."""
-    if loop.cond_op == "<":
-        return range(lo, hi, loop.step)
-    if loop.cond_op == "<=":
-        return range(lo, hi + 1, loop.step)
-    if loop.cond_op == ">":
-        return range(lo, hi, loop.step)
-    return range(lo, hi - 1, loop.step)  # '>='
 
 
 def execute_kernel(

@@ -93,25 +93,13 @@ class CompileCache:
     def hits(self) -> int:
         return int(self._hits.value)
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
     @property
     def misses(self) -> int:
         return int(self._misses.value)
 
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
     @property
     def evictions(self) -> int:
         return int(self._evictions.value)
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
 
     def get(self, key: str) -> Any | None:
         """Look up ``key``; counts a hit or a miss.  ``None`` on miss."""

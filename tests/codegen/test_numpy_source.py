@@ -105,13 +105,121 @@ class TestGeneratedSource:
         assert stats == s_stats
 
 
+TWO_REGIONS = """
+kernel two(double a[n], const double b[n], int n) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 0; i < n; i++) { a[i] = b[i] + 1.0; }
+  #pragma acc kernels loop gang vector(64)
+  for (i = 1; i <= n - 1; i++) { a[i] = a[i] * b[i - 1]; }
+}
+"""
+
+#: A sequential loop whose bound is BOUND, reached only when ``m > 0``.
+GUARDED_BOUND = """
+kernel g(double a[n], const double b[n], const int c[n], int n, int m) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 0; i < n; i++) {
+    a[i] = b[i];
+    if (m > 0) {
+      for (j = 0; j < BOUND; j++) { a[i] = a[i] + 1.0; }
+    }
+  }
+}
+"""
+
+
+def _outcome(src, args, **kw):
+    """What a launch produces: arrays and stats, or the exception type."""
+    try:
+        if kw:
+            arrays, stats, info = execute_kernel(lower(src), copy_args(args), **kw)
+        else:
+            arrays, stats = run_kernel(lower(src), copy_args(args))
+    except Exception as exc:  # noqa: BLE001 — compared by the caller
+        return type(exc)
+    return {k: v.tobytes() for k, v in arrays.items()}, stats
+
+
+def _ir_reachable_from(root) -> list:
+    """IR statements/expressions reachable from ``root`` through object
+    references, not counting module namespaces (every module reaches
+    everything) or classes."""
+    import gc
+    import sys
+    import types
+
+    from repro.ir.expr import Expr
+    from repro.ir.stmt import Stmt
+
+    module_dicts = {id(m.__dict__) for m in list(sys.modules.values()) if m is not None}
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in module_dicts:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (types.ModuleType, type)):
+            continue
+        if isinstance(obj, (Stmt, Expr)):
+            found.append(obj)
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestSelfContainedPrograms:
+    """Generated programs are plain code: no IR object travels with them."""
+
+    def test_cached_program_reaches_no_ir(self, monkeypatch):
+        monkeypatch.setattr(numpy_source, "_CACHE", FunctionCache())
+        fn = lower(TWO_REGIONS)
+        execute_kernel(fn, _args(), content_key="no-ir")
+        (gk,) = numpy_source._CACHE._map.values()
+        assert _ir_reachable_from(gk) == []
+
+    def test_region_elements_keyed_by_kernel_names(self):
+        from repro.compiler import CompilerSession
+
+        program = CompilerSession().compile_source(TWO_REGIONS)
+        _arrays, _stats, info = execute_kernel(lower(TWO_REGIONS), _args())
+        assert info.used == "codegen"
+        assert sorted(info.region_elements) == sorted(k.name for k in program.kernels)
+        assert info.region_elements == {"two_k1": 7, "two_k2": 6}
+
+    def _guarded_args(self, m):
+        args = _args()
+        args.update(c=np.arange(7, dtype=np.int32), m=m)
+        return args
+
+    def test_array_load_in_a_bound_falls_back(self):
+        src = GUARDED_BOUND.replace("BOUND", "c[i]")
+        with pytest.raises(CodegenUnsupported, match=r"loop bound uses ArrayRef \(not evaluable"):
+            generate_source(lower(src))
+        info = execute_kernel(lower(src), self._guarded_args(0))[2]
+        assert info.used == "scalar"
+        assert info.fallback_reason.startswith("CodegenUnsupported: loop bound uses ArrayRef")
+        for m in (0, 1):  # the loop not reached / reached (the oracle raises)
+            args = self._guarded_args(m)
+            assert _outcome(src, args, executor="auto") == _outcome(src, args)
+
+    def test_division_by_zero_in_a_bound_falls_back(self):
+        src = GUARDED_BOUND.replace("BOUND", "n / 0")
+        assert "_idv(_P" in generate_source(lower(src)).text  # a checked divisor
+        not_reached, reached = self._guarded_args(0), self._guarded_args(1)
+        assert execute_kernel(lower(src), copy_args(not_reached))[2].used == "codegen"
+        with pytest.raises(VectorUnsupported, match="division by zero"):
+            execute_kernel(lower(src), copy_args(reached), executor="codegen")
+        for args in (not_reached, reached):
+            assert _outcome(src, args, executor="auto") == _outcome(src, args)
+
+
 class TestBindValidation:
     def test_generated_source_has_no_builtins(self):
         """The exec namespace is sealed: generated text can only reach the
         interpreter primitives handed to it."""
         source = generate_source(lower(SRC))
         evil = source.text.replace(
-            "def __kernel__(R):", "def __kernel__(R):\n        open('/x')", 1
+            "def __kernel__(R):", "def __kernel__(R):\n    open('/x')", 1
         )
         gk = bind_source(dataclasses.replace(source, text=evil))
         from repro.gpu.interpreter import bind_arguments

@@ -130,7 +130,7 @@ class TestArgumentKinds:
         except Exception as exc:  # noqa: BLE001 — compared below
             v_err = type(exc)
         assert s_err is not None and v_err is s_err
-        with pytest.raises(VectorUnsupported, match="non-integer scalar 'm'"):
+        with pytest.raises(CodegenUnsupported, match="non-integer scalar 'm'"):
             execute_kernel(lower(src), copy_args(args), executor="codegen")
 
     def test_two_signatures_make_two_cache_entries(self):

@@ -2,8 +2,6 @@
 serial loop over the same jobs — for every benchmark under every
 configuration — and must deduplicate within a batch."""
 
-import pytest
-
 from repro.bench.suites.registry import load_all
 from repro.compiler import ALL_CONFIGS, BASE, CompileJob, CompilerSession
 from repro.bench.runner import benchmark_job
@@ -108,24 +106,6 @@ class TestBatchSemantics:
         jobs = [CompileJob(source=SRC, config=BASE)]
         (program,) = session.compile_many(jobs, max_workers=1)
         assert program.kernels
-
-    def test_unknown_parallel_mode_is_config_error(self):
-        from repro.errors import ConfigError
-
-        session = CompilerSession()
-        with pytest.raises(ConfigError, match="valid modes are thread, process"):
-            session.compile_many([(SRC, BASE)], parallel="bogus")
-
-    def test_process_mode_bit_identical_to_serial(self):
-        spec, _ = load_all()
-        jobs = [benchmark_job(s, BASE) for s in spec.all()[:3]]
-        serial = CompilerSession().compile_many(jobs, max_workers=1)
-        session = CompilerSession()
-        programs = session.compile_many(jobs, max_workers=2, parallel="process")
-        for s, p in zip(serial, programs):
-            assert _fingerprint(s) == _fingerprint(p)
-        # worker traces are recorded in the parent session
-        assert session.stats.compilations == len(jobs)
 
     def test_thread_mode_overlaps_backend_latency(self):
         """With injected backend latency, 4 workers over 8 distinct jobs
