@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from ..codegen.vir import VirKernel
 from ..gpu.registers import PtxasInfo
 from ..gpu.timing import KernelTiming
-from ..ir.module import KernelFunction
 from ..esat.optimize import EsatReport
 from ..transforms.carr_kennedy import CarrKennedyReport
 from ..transforms.autopar import AutoparReport
@@ -56,9 +55,12 @@ class CompiledKernel:
 
 @dataclass(slots=True)
 class CompiledProgram:
-    """A kernel function compiled under one configuration."""
+    """A kernel function compiled under one configuration.
 
-    function: KernelFunction
+    Holds the compiled kernels only, not the function's IR: the IR is
+    scratch for the compile that made it.
+    """
+
     config: CompilerConfig
     kernels: list[CompiledKernel] = field(default_factory=list)
 

@@ -172,7 +172,7 @@ class CompilerSession:
         with span(
             "compile.function", function=fn.name, config=config.name
         ) as fn_span:
-            program = CompiledProgram(function=fn, config=config)
+            program = CompiledProgram(config=config)
             trace = CompileTrace(
                 function=fn.name, config=config.name, cache_key=cache_key
             )
@@ -370,8 +370,10 @@ class CompilerSession:
         Results come back aligned with ``jobs``.  Duplicate jobs (same
         cache key) compile once; cache hits never reach the pool.  The
         compile core is deterministic, so a parallel batch is bit-identical
-        to a serial loop over the same jobs.  Threads overlap backend
-        stalls and release the GIL in NumPy.
+        to a serial loop over the same jobs.  The pool pays off only when
+        the backend has latency to overlap: compilation is CPU-bound
+        Python, so a cold batch with no backend stalls runs no faster
+        than a serial loop, and can run slower (docs/pipeline.md).
         """
         jobs = [j if isinstance(j, CompileJob) else CompileJob(*j) for j in jobs]
         results: list[CompiledProgram | None] = [None] * len(jobs)

@@ -2,7 +2,7 @@
 
 After saturation every e-class holds several equal spellings; extraction
 chooses the cheapest one under a latency×use cost model and rebuilds a
-plain (interned) IR expression from the choices.
+plain IR expression from the choices, hash-consed within the extraction.
 
 The cost of an e-node is its own operator weight plus the cost of each
 **distinct** child class — children are deduplicated per node before
@@ -138,6 +138,9 @@ class Extractor:
         #: root class id -> chosen e-node (first minimal, insertion order)
         self.chosen: dict[int, ENode] = {}
         self._built: dict[int, Expr] = {}
+        #: Hash-cons table of the extracted trees: equal representatives
+        #: are one object within this extraction.
+        self._exprs: dict[Expr, Expr] = {}
         self._solve()
 
     def _node_cost(self, node: ENode) -> float:
@@ -218,4 +221,4 @@ class Extractor:
             )
         else:
             raise TypeError(f"unknown e-node tag {tag!r}")
-        return intern_expr(e)
+        return intern_expr(e, self._exprs)

@@ -2,7 +2,9 @@
 
 One e-graph per offload region — sharing the graph across statements is
 the point: two statements spelling the same value differently land in
-one e-class, extract to the *same interned tree*, and from then on every
+one e-class, extract to the *same tree object* (the region's
+:class:`~repro.esat.extract.Extractor` hash-conses what it builds, in a
+table that lives for that one extraction), and from then on every
 structural consumer (scalar-replacement grouping, codegen value
 numbering, the readonly-cache planner) sees them as identical.  The
 e-graph proves the equality; the downstream passes cash it in.
@@ -72,7 +74,8 @@ def saturate_region(
     """Saturate every expression of ``region`` and rewrite in place.
 
     Returns the :class:`EsatReport`; the region's statements are
-    mutated to hold the extracted (interned) representatives.
+    mutated to hold the extracted representatives, hash-consed within
+    this region.
     """
     eg = EGraph(node_limit=node_limit, iter_limit=iter_limit)
     # (statement, attribute) slots, in deterministic program order.

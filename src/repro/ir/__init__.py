@@ -22,8 +22,6 @@ from .expr import (
     expr_type,
     fold_constants,
     intern_expr,
-    intern_stats,
-    intern_table_size,
     rewrite,
     scalar_reads,
     substitute,
@@ -83,8 +81,6 @@ __all__ = [
     "expr_type",
     "fold_constants",
     "intern_expr",
-    "intern_stats",
-    "intern_table_size",
     "clone_region",
     "clone_stmt",
     "format_expr",

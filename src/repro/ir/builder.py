@@ -58,6 +58,13 @@ class _FunctionBuilder:
         # uniquified names (shadowed/sibling locals get numeric suffixes),
         # but resolution follows the source scoping.
         self._scopes: list[dict[str, Symbol]] = [{}]
+        # Hash-cons table of this function's expressions: equal subtrees
+        # are one object within the function (and so within its pickled
+        # envelope), and the table dies with the builder.
+        self._exprs: dict[Expr, Expr] = {}
+
+    def _intern(self, e: Expr) -> Expr:
+        return intern_expr(e, self._exprs)
 
     # -- scoping -----------------------------------------------------------
     def _push_scope(self) -> None:
@@ -154,7 +161,7 @@ class _FunctionBuilder:
         if isinstance(s, ast.AssignStmt):
             return self._build_assign(s)
         if isinstance(s, ast.IfStmt):
-            cond = intern_expr(self._build_expr(s.cond))
+            cond = self._intern(self._build_expr(s.cond))
             self._push_scope()
             then_body = self._build_stmts(s.then_body)
             self._pop_scope()
@@ -175,7 +182,7 @@ class _FunctionBuilder:
         sym = Symbol(
             name=s.name, stype=stype, kind=SymbolKind.LOCAL, is_const=s.is_const
         )
-        init = intern_expr(self._build_expr(s.init)) if s.init is not None else None
+        init = self._intern(self._build_expr(s.init)) if s.init is not None else None
         self._declare_scoped(sym, s.loc)
         return LocalDecl(sym=sym, init=init)
 
@@ -196,7 +203,7 @@ class _FunctionBuilder:
         value = self._build_expr(s.value)
         if s.op is not None:
             value = BinOp(s.op, target, value)
-        return Assign(target=intern_expr(target), value=intern_expr(value))
+        return Assign(target=self._intern(target), value=self._intern(value))
 
     def _build_loop(self, s: ast.ForStmt) -> Loop:
         existing = self._lookup(s.var)
@@ -210,8 +217,8 @@ class _FunctionBuilder:
             var = existing
         if s.var in self._loop_vars:
             raise SemanticError(f"loop variable {s.var!r} reused in enclosing loop", s.loc)
-        init = intern_expr(self._build_expr(s.init))
-        bound = intern_expr(self._build_expr(s.bound))
+        init = self._intern(self._build_expr(s.init))
+        bound = self._intern(self._build_expr(s.bound))
         step = self._const_int(s.step)
         if step is None or step == 0:
             raise SemanticError("loop step must be a non-zero integer constant", s.loc)

@@ -7,9 +7,9 @@ replacement machinery relies on structural equality of array subscripts
 Nodes are **hash-consed**: every node lazily caches its structural hash
 (recomputed after unpickling, where symbol identities change), equality
 starts with an identity/hash fast path, and :func:`intern_expr` deduplicates
-structurally equal trees through a global intern table so that equality
-checks in the pass pipeline and cache keying degrade to pointer compares
-for IR built by the front end.
+structurally equal trees through a table owned by one build (a function's
+front end, one region's e-graph extraction), so equality checks in the
+pass pipeline degrade to pointer compares for IR built there.
 """
 
 from __future__ import annotations
@@ -218,48 +218,21 @@ class Select(Expr):
 # Hash-consing (structural interning)
 # ---------------------------------------------------------------------------
 
-#: Structural intern table.  Bounded: cleared wholesale when full — already
-#: interned nodes stay valid (they just stop being canonical for new trees).
-_INTERN: dict[Expr, Expr] = {}
-_INTERN_MAX = 1 << 16
 
-#: Lifetime table statistics.  Process-wide monotonic totals; sessions
-#: snapshot them and publish deltas as the ``ir.intern.*`` counters so
-#: ``repro stats`` shows the table's behavior (a high eviction count
-#: means the bound is thrashing and hash-consing has stopped paying).
-_INTERN_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+def intern_expr(e: Expr, table: dict[Expr, Expr]) -> Expr:
+    """Return the canonical instance of ``e`` in ``table`` (deduplicated
+    bottom-up).
 
-
-def intern_expr(e: Expr) -> Expr:
-    """Return the canonical instance of ``e`` (deduplicated bottom-up).
-
-    After interning, structurally equal trees built through the front end
-    are the *same object*, so ``==`` hits the identity fast path and dict
-    lookups hit the cached hash.  Safe for any Expr: nodes are immutable
-    and Symbols compare by identity, so two trees only unify when they
-    reference the very same symbols.
+    The table belongs to one build — a function's front-end lowering or
+    one region's e-graph extraction — and dies with it, so no table
+    outlives the compile that filled it.  Within a table,
+    structurally equal trees are the *same object*, so ``==`` hits the
+    identity fast path and dict lookups hit the cached hash.  Safe for
+    any Expr: nodes are immutable and Symbols compare by identity, so two
+    trees only unify when they reference the very same symbols.
     """
-    e = e.map_children(intern_expr)
-    cached = _INTERN.get(e)
-    if cached is not None:
-        _INTERN_STATS["hits"] += 1
-        return cached
-    _INTERN_STATS["misses"] += 1
-    if len(_INTERN) >= _INTERN_MAX:
-        _INTERN_STATS["evictions"] += len(_INTERN)
-        _INTERN.clear()
-    _INTERN[e] = e
-    return e
-
-
-def intern_table_size() -> int:
-    """Current number of canonical nodes (observability / tests)."""
-    return len(_INTERN)
-
-
-def intern_stats() -> dict[str, int]:
-    """Lifetime hit/miss/eviction totals of the intern table (a copy)."""
-    return dict(_INTERN_STATS)
+    e = e.map_children(lambda c: intern_expr(c, table))
+    return table.setdefault(e, e)
 
 
 # ---------------------------------------------------------------------------

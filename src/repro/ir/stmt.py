@@ -209,8 +209,9 @@ def clone_stmt(stmt: Stmt) -> Stmt:
     """Structural copy of one statement tree.
 
     Expressions and :class:`~repro.ir.symbols.Symbol` objects are *shared*
-    (exprs are immutable and hash-consed; symbols compare by identity and
-    must stay the same objects the symbol table holds) — only the mutable
+    (exprs are immutable, so the clone keeps the function's hash-consed
+    nodes; symbols compare by identity and must stay the same objects the
+    symbol table holds) — only the mutable
     statement skeleton is copied, so transformations on the clone cannot
     reach the original.  Directives are copied too (they are mutable
     dataclasses that passes may rewrite), keeping ``loop_id``/``region_id``

@@ -51,7 +51,6 @@ COUNT_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 1000, 10_000, 100_000, 1_000_000)
 METRIC_FAMILIES = (
     ("session", "session (compiles, executions, timing)"),
     ("cache", "cache (memory / disk / function-object tiers)"),
-    ("ir", "ir (expression intern table)"),
     ("pipeline", "pipeline (per-pass instrumentation)"),
     ("esat", "esat (equality saturation / extraction)"),
     ("codegen", "codegen (generated-NumPy tier)"),

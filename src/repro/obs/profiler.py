@@ -13,11 +13,11 @@ generation or launch time vs still checked per operation — see
 :mod:`repro.codegen.numpy_source`), for launches whose arguments follow
 the declared types.
 
-The profile is taken over the *post-pipeline* IR (the function object a
-:class:`~repro.compiler.driver.CompiledProgram` carries has been mutated
-by the passes), so it reflects the code that was actually compiled:
-SAFARA-replaced loads disappear from the global-memory rows, exactly the
-effect the paper's feedback loop exists to create.
+The profile is taken over the *post-pipeline* IR (the function object
+passed to :meth:`~repro.compiler.session.CompilerSession.compile_function`
+has been mutated by the passes), so it reflects the code that was
+actually compiled: SAFARA-replaced loads disappear from the global-memory
+rows, exactly the effect the paper's feedback loop exists to create.
 """
 
 from __future__ import annotations
@@ -246,21 +246,22 @@ def _collect_traffic(region: Region, has_readonly_cache: bool) -> list[TrafficEn
     )
 
 
-def profile_program(program) -> ProgramProfile:
-    """Profile every kernel of a :class:`CompiledProgram`."""
+def profile_program(program, fn) -> ProgramProfile:
+    """Profile every kernel of a :class:`CompiledProgram`; ``fn`` is the
+    function it was compiled from, after the passes ran over it."""
     config = program.config
     options = config.codegen_options()
     has_ro = options.readonly_cache and config.arch.has_readonly_cache
-    plan = plan_kernel(program.function)
+    plan = plan_kernel(fn)
     census = {}
     if plan.has_axes:
         try:
-            census = guard_census(program.function, plan)
+            census = guard_census(fn, plan)
         except CodegenUnsupported:
             pass
 
-    profile = ProgramProfile(function=program.function.name, config=config.name)
-    regions = {r.region_id: r for r in program.function.regions()}
+    profile = ProgramProfile(function=fn.name, config=config.name)
+    regions = {r.region_id: r for r in fn.regions()}
     for ck in program.kernels:
         region = regions[ck.region_id]
         occ = compute_occupancy(
@@ -309,11 +310,14 @@ def profile_program(program) -> ProgramProfile:
 
 
 def profile_source(source: str, config=None, *, session=None) -> ProgramProfile:
-    """Compile ``source`` (through ``session`` or the default one) and
-    profile the result."""
+    """Parse ``source``, compile its first function (uncached, through
+    ``session`` or the default one) and profile the result."""
     from ..compiler.options import SMALL_DIM_SAFARA
     from ..compiler.session import default_session
+    from ..ir.builder import build_module
+    from ..lang.parser import parse_program
 
     session = session if session is not None else default_session()
     config = config if config is not None else SMALL_DIM_SAFARA
-    return profile_program(session.compile_source(source, config))
+    fn = build_module(parse_program(source)).functions[0]
+    return profile_program(session.compile_function(fn, config), fn)

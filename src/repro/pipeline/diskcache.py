@@ -50,14 +50,9 @@ from ..errors import CacheError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
 
-#: Current envelope version.  v2 once added an optional ``codegen`` text
-#: field; nothing writes or reads it any more (generated programs live in
-#: memory only), but v2 envelopes carrying it still load, as do v1
-#: entries, which are upgraded in place on their next write.
-#: Anything newer than ``FORMAT_VERSION`` (or older than
-#: ``MIN_FORMAT_VERSION``) is a miss.
-FORMAT_VERSION = 2
-MIN_FORMAT_VERSION = 1
+#: Envelope version.  v3 programs carry no kernel function; an envelope
+#: of any other version is a counted miss, rewritten by the next put.
+FORMAT_VERSION = 3
 
 #: Default size bound: generous for compiled-program pickles (a few KB
 #: each) while keeping a shared cache directory from growing unbounded.
@@ -134,8 +129,7 @@ class DiskCache:
     def get_entry(self, key: str) -> Any | None:
         """The envelope read behind :meth:`get` (a separate name so the
         ``perfbench`` ledger can time disk reads): the value stored under
-        ``key``, or ``None`` on miss.  Fields other than the value (an old
-        envelope's ``codegen`` text) are ignored."""
+        ``key``, or ``None`` on miss."""
         path = self._path(key)
         with span("cache.disk.lookup", cache_key=key) as sp:
             try:
@@ -143,11 +137,7 @@ class DiskCache:
                 envelope = pickle.loads(blob)
                 if (
                     not isinstance(envelope, dict)
-                    or not (
-                        MIN_FORMAT_VERSION
-                        <= envelope.get("format", 0)
-                        <= FORMAT_VERSION
-                    )
+                    or envelope.get("format") != FORMAT_VERSION
                     or envelope.get("key") != key
                 ):
                     raise ValueError("stale or mismatched cache envelope")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.expr import intern_stats
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
 
 
@@ -158,21 +157,6 @@ class SessionStats:
         self._compile_wall_ms = m.histogram(
             "session.compile_wall_ms", help="wall time per compiled program"
         )
-        # Intern-table counters: the process-wide totals of
-        # repro.ir.expr.intern_stats() are snapshotted per record() and
-        # published as per-session deltas (high evictions = the bounded
-        # table is thrashing and hash-consing has stopped paying).
-        self._intern_hits = m.counter(
-            "ir.intern.hits", "expression intern-table hits"
-        )
-        self._intern_misses = m.counter(
-            "ir.intern.misses", "expression intern-table misses"
-        )
-        self._intern_evictions = m.counter(
-            "ir.intern.evictions",
-            "expressions dropped by intern-table wholesale clears",
-        )
-        self._intern_last = intern_stats()
         # Equality-saturation counters, fed from each region's EsatReport.
         self._esat_unions = m.counter(
             "esat.unions", "e-class merges performed by saturation"
@@ -257,16 +241,6 @@ class SessionStats:
                         )
                 else:
                     m.counter(base + ".skips").inc()
-        current = intern_stats()
-        for key, counter in (
-            ("hits", self._intern_hits),
-            ("misses", self._intern_misses),
-            ("evictions", self._intern_evictions),
-        ):
-            delta = current[key] - self._intern_last[key]
-            if delta > 0:
-                counter.inc(delta)
-        self._intern_last = current
         self.traces.append(trace)
         if len(self.traces) > self.max_traces:
             del self.traces[: len(self.traces) - self.max_traces]

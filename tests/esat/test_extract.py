@@ -110,8 +110,16 @@ class TestCostModel:
         assert extract(e) == extract(e)
 
     def test_extracted_exprs_are_interned(self):
-        """Two extractions of equal trees return the same interned
-        object — the property downstream structural passes rely on."""
-        a = extract(BinOp("/", VarRef(X), FloatConst(2.0)))
-        b = extract(BinOp("/", VarRef(X), FloatConst(2.0)))
-        assert a is b
+        """Within one extractor, equal classes extract to one object and
+        shared subtrees stay shared — the property the region driver
+        relies on when two statements spell one value differently."""
+        eg = EGraph()
+        load = ArrayRef(A, (VarRef(I),))
+        ab = eg.add(BinOp("+", VarRef(I), IntConst(1)))
+        ba = eg.add(BinOp("+", IntConst(1), VarRef(I)))
+        mul = eg.add(BinOp("*", load, FloatConst(2.0)))
+        add = eg.add(BinOp("+", load, FloatConst(1.0)))
+        eg.saturate(default_rules())
+        ex = Extractor(eg)
+        assert ex.expr_of(ab) is ex.expr_of(ba)
+        assert ex.expr_of(mul).left is ex.expr_of(add).left

@@ -101,9 +101,9 @@ class TestProfileProgram:
         assert "vector planner" in text
 
     def test_profile_program_over_precompiled(self):
-        session = CompilerSession()
-        program = session.compile_source(SAXPY, BASE)
-        profile = profile_program(program)
+        fn = build_module(parse_program(SAXPY)).functions[0]
+        program = CompilerSession().compile_function(fn, BASE)
+        profile = profile_program(program, fn)
         (k,) = profile.kernels
         assert k.kernel == "k_k1"
         assert {t.array for t in k.traffic} == {"a", "b"}

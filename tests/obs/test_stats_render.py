@@ -19,9 +19,7 @@ def exercised_registry() -> MetricsRegistry:
     m.histogram("pipeline.pass.safara.wall_ms").observe(1.5)
     # codegen — the PR 7 generated-NumPy tier.
     m.counter("codegen.functions_built").inc()
-    # ir / esat — the PR 10 intern-table counters and equality saturation.
-    m.counter("ir.intern.hits").inc(5)
-    m.counter("ir.intern.misses").inc(2)
+    # esat — the PR 10 equality saturation.
     m.counter("esat.unions").inc(3)
     m.counter("esat.new_candidates").inc()
     # tune — the PR 5 autotuner.
@@ -52,7 +50,7 @@ class TestRenderCoverage:
         m = exercised_registry()
         text = m.render_text()
         titles = dict(METRIC_FAMILIES)
-        for family in ("session", "cache", "ir", "pipeline", "esat",
+        for family in ("session", "cache", "pipeline", "esat",
                        "codegen", "tune", "serve", "loadgen"):
             assert f"# {titles[family]}" in text, family
 

@@ -215,9 +215,9 @@ class TestSessionWiring:
 
 
 class TestEnvelopeV2:
-    """Format-v2 envelopes, and the ones older writers left behind, load
-    as hits: v1, and v2 carrying the ``codegen`` text field nothing reads
-    any more."""
+    """Envelopes older writers left behind (v1, and v2 whose programs
+    carried the kernel function) are counted misses until the next put
+    rewrites them in the current format."""
 
     def _write(self, tmp_path, envelope):
         path = tmp_path / "shards" / KEY[:2] / f"{KEY}.pkl"
@@ -225,63 +225,26 @@ class TestEnvelopeV2:
         path.write_bytes(pickle.dumps(envelope))
         return path
 
-    def test_get_ignores_codegen(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        self._write(
-            tmp_path,
-            {"format": 2, "key": KEY, "value": "payload", "codegen": "# generated"},
-        )
-        assert cache.get(KEY) == "payload"
-        assert cache.corrupt == 0 and cache.hits == 1
-
-    def test_v1_envelope_loads_without_codegen(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        self._write(tmp_path, {"format": 1, "key": KEY, "value": "old payload"})
-        assert cache.get(KEY) == "old payload"
-        assert cache.corrupt == 0 and cache.hits == 1
-
     def test_v1_entry_upgrades_on_next_write(self, tmp_path):
         cache = DiskCache(tmp_path)
-        path = self._write(tmp_path, {"format": 1, "key": KEY, "value": 1})
-        cache.put(KEY, 1)
-        envelope = pickle.loads(path.read_bytes())
-        assert envelope == {"format": FORMAT_VERSION, "key": KEY, "value": 1}
-
-    def test_codegen_only_entry_is_not_a_program_hit(self, tmp_path):
-        """Old run-path envelopes stored source with no program; ``get``
-        callers must not mistake them for compiled programs."""
-        cache = DiskCache(tmp_path)
-        self._write(
-            tmp_path, {"format": 2, "key": KEY, "value": None, "codegen": "# src only"}
-        )
-        assert cache.get(KEY) is None
-
-    def test_non_text_codegen_field_drops_source_keeps_value(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        self._write(
-            tmp_path,
-            {"format": 2, "key": KEY, "value": 7, "codegen": [b"not", "text"]},
-        )
-        assert cache.get(KEY) == 7 and cache.corrupt == 0
+        for old in (
+            {"format": 1, "key": KEY, "value": 1},
+            {"format": 2, "key": KEY, "value": 1, "codegen": "# generated"},
+        ):
+            path = self._write(tmp_path, old)
+            misses = cache.misses
+            assert cache.get(KEY) is None
+            assert cache.misses == misses + 1
+            cache.put(KEY, 1)
+            envelope = pickle.loads(path.read_bytes())
+            assert envelope == {"format": FORMAT_VERSION, "key": KEY, "value": 1}
+            assert cache.get(KEY) == 1
 
     def test_session_envelope_carries_program_only(self, tmp_path):
         session = CompilerSession(cache_dir=tmp_path)
         session.compile_source(SRC, BASE)
         path = tmp_path / "shards" / KEY[:2] / f"{KEY}.pkl"
         assert set(pickle.loads(path.read_bytes())) == {"format", "key", "value"}
-
-    def test_session_hits_envelope_carrying_codegen(self, tmp_path):
-        """Compile envelopes written with a ``codegen`` field still load
-        as plain program hits."""
-        program = CompilerSession().compile_source(SRC, BASE)
-        self._write(
-            tmp_path,
-            {"format": 2, "key": KEY, "value": program, "codegen": "# generated"},
-        )
-        warm = CompilerSession(cache_dir=tmp_path)
-        hit = warm.compile_source(SRC, BASE)
-        assert warm.stats.compilations == 0 and warm.disk_cache.hits == 1
-        assert hit.kernels[0].vir.dump() == program.kernels[0].vir.dump()
 
 
 class TestParseCount:
