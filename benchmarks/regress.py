@@ -19,11 +19,14 @@ time and cache counters are recorded informationally in ``meta``.
 
 The ledger also carries a ``serve`` row measuring the warm-restart
 property of the persistent compile cache (``docs/serving.md``): the
-quick benchmark set is compiled cold through a disk-backed session, then
-again through a *fresh* session over the same cache directory.  The gate
-is on deterministic counters, consistent with the rest of the ledger:
-the warm pass must perform **zero** backend (ptxas) compilations and hit
-the disk cache once per job; cold/warm wall times are informational.
+quick benchmark set is compiled (each spec under its env) and timed
+cold through a disk-backed session, then again through a *fresh* session
+over the same cache directory.  The gate is on deterministic counters,
+consistent with the rest of the ledger: the warm pass must perform
+**zero** backend (ptxas) compilations, hit the disk cache once per job,
+time every kernel from the verdict stored at compile (zero VIR walks),
+unpickle no detail section, and model the same ``model_ms`` as the cold
+pass; cold/warm wall times are informational.
 
 A ``tune`` row exercises the ``repro.tune`` autotuner on 355.seismic
 (``docs/tuning.md``): the tuned configuration's modeled time must not be
@@ -150,8 +153,10 @@ def collect_serve() -> dict:
     """The warm-restart serving row (cold compile vs disk-cache restart).
 
     Models a ``repro serve`` daemon kill/restart: the second session is a
-    fresh process stand-in sharing only the cache directory.  Returns the
-    ledger row; :func:`check_serve` gates its deterministic counters.
+    fresh process stand-in sharing only the cache directory.  Both
+    sessions compile each spec under its env and time the program.
+    Returns the ledger row; :func:`check_serve` gates its deterministic
+    counters.
     """
     import tempfile
 
@@ -160,19 +165,23 @@ def collect_serve() -> dict:
     specs = [s for s in specs if s.name in QUICK_BENCHMARKS]
     backend_metric = "pipeline.pass.safara.backend_compilations"
 
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        cold = CompilerSession(cache_dir=tmp)
+    def sweep(session: CompilerSession) -> tuple[float, dict[str, float]]:
+        model_ms = {}
         t0 = time.perf_counter()
         for spec in specs:
-            cold.compile_source(spec.source, SMALL_DIM_SAFARA)
-        cold_ms = (time.perf_counter() - t0) * 1000.0
+            env = dict(spec.env)
+            program = session.compile_source(spec.source, SMALL_DIM_SAFARA, env=env)
+            timing = session.time_program(program, env, launches=spec.launches)
+            model_ms[spec.name] = timing.total_ms
+        return (time.perf_counter() - t0) * 1000.0, model_ms
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
+        cold = CompilerSession(cache_dir=tmp)
+        cold_ms, cold_model = sweep(cold)
         cold_backend = cold.metrics.get(backend_metric)
 
         warm = CompilerSession(cache_dir=tmp)
-        t0 = time.perf_counter()
-        for spec in specs:
-            warm.compile_source(spec.source, SMALL_DIM_SAFARA)
-        warm_ms = (time.perf_counter() - t0) * 1000.0
+        warm_ms, warm_model = sweep(warm)
         warm_backend = warm.metrics.get(backend_metric)
 
         return {
@@ -186,6 +195,10 @@ def collect_serve() -> dict:
             if warm_backend
             else 0,
             "disk_hits": warm.disk_cache.hits,
+            "warm_timing_walks": warm.stats_dict()["timing_kernels"]["walked"],
+            "warm_detail_loads": warm.disk_cache.detail_loads,
+            "cold_model_ms": cold_model,
+            "warm_model_ms": warm_model,
             # informational (wall clock):
             "cold_compile_ms": round(cold_ms, 3),
             "warm_compile_ms": round(warm_ms, 3),
@@ -1021,6 +1034,27 @@ def check_serve(serve: dict) -> list[str]:
         problems.append(
             f"serve: warm restart hit the disk cache {serve['disk_hits']} "
             f"times (expected {expected_hits})"
+        )
+    if serve["warm_timing_walks"] != 0:
+        problems.append(
+            f"serve: warm restart walked the VIR to time "
+            f"{serve['warm_timing_walks']} kernels (expected 0) — the "
+            f"timing verdicts stored at compile were not used"
+        )
+    if serve["warm_detail_loads"] != 0:
+        problems.append(
+            f"serve: warm restart unpickled {serve['warm_detail_loads']} "
+            f"detail sections (expected 0) — a disk hit read more than it needs"
+        )
+    differ = sorted(
+        name
+        for name, ms in serve["cold_model_ms"].items()
+        if serve["warm_model_ms"].get(name) != ms
+    )
+    if differ:
+        problems.append(
+            f"serve: warm restart modeled a different model_ms than the "
+            f"cold pass for {', '.join(differ)}"
         )
     return problems
 

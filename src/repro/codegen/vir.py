@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.coalescing import AccessInfo
 from ..analysis.memspace import MemSpace
+from ..errors import TimingUnavailable
 from ..ir.stmt import Loop
 from ..ir.symbols import Symbol
 
@@ -119,6 +120,12 @@ class Instr:
     loop: Loop | None = None
     comment: str = ""
 
+    def __reduce__(self):
+        # Positional state: the default one of a slots class names all 15
+        # fields in every instruction, a quarter of a compiled program's
+        # pickled bytes.
+        return Instr, tuple(getattr(self, name) for name in self.__slots__)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [self.op.value]
         if self.func:
@@ -155,7 +162,7 @@ class LaunchConfig:
         for loop in self.vector_loops + self.gang_loops:
             trips = loop.trip_count(env)
             if trips is None:
-                raise ValueError(
+                raise TimingUnavailable(
                     f"cannot evaluate trip count of loop {loop.var.name}"
                 )
             total *= max(trips, 1)

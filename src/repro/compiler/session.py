@@ -38,6 +38,7 @@ from ..codegen.kernelgen import CodegenOptions, generate_kernel
 from ..executors import parse_executor
 from ..gpu.arch import GpuArch, KEPLER_K20XM
 from ..gpu.registers import ptxas_info
+from ..errors import TimingUnavailable
 from ..gpu.timing import estimate_time, profile_thread
 from ..ir.builder import build_module
 from ..ir.stmt import clone_region
@@ -45,7 +46,7 @@ from ..ir.module import KernelFunction
 from ..lang.parser import parse_program
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import current_trace_id, span
-from ..pipeline.cache import CompileCache, cache_key
+from ..pipeline.cache import CompileCache, cache_key, env_token
 from ..pipeline.diskcache import DiskCache
 from ..pipeline.passes import Pass, PassContext, PassManager, run_safara
 from ..pipeline.trace import CompileTrace, SessionStats
@@ -91,7 +92,8 @@ class CompileJob:
 
     ``env`` does not influence code generation today, but it is part of
     the cache key (the paper's pipeline may constant-fold problem sizes in
-    the future, and the experiments key their reuse on it).
+    the future, and the experiments key their reuse on it), and the
+    compile stores each kernel's timing verdict under it.
     """
 
     source: str
@@ -335,6 +337,7 @@ class CompilerSession:
         if self.disk_cache is not None:
             program = self.disk_cache.get(key)
             if program is not None:
+                program.bind_detail(self.disk_cache, key)
                 self.cache.put(key, program)
                 return program
         return None
@@ -355,7 +358,23 @@ class CompilerSession:
     def _compile_job(
         self, job: CompileJob, key: str | None = None
     ) -> CompiledProgram:
-        return self.compile_function(self._parse_job(job), job.config, cache_key=key)
+        """Compile one job, and store each kernel's timing verdict for one
+        launch under the job's env (none where that env cannot time it)."""
+        program = self.compile_function(self._parse_job(job), job.config, cache_key=key)
+        env = job.env or {}
+        program.timing_env = env_token(env)
+        for ck in program.kernels:
+            try:
+                ck.timing = estimate_time(
+                    ck.vir,
+                    ck.ptxas,
+                    env,
+                    arch=job.config.arch,
+                    issue_scale=job.config.issue_efficiency,
+                )
+            except TimingUnavailable:
+                pass
+        return program
 
     # -- batch compilation -------------------------------------------------
 
@@ -434,8 +453,17 @@ class CompilerSession:
         ``launches`` is a global launch count, a per-kernel-name map, or a
         list aligned with region order (benchmarks launch hot kernels once
         per time step).
+
+        Under the env the program was compiled with, a kernel's verdict is
+        the one stored at compile, scaled to its launch count (the same
+        expression :func:`~repro.gpu.timing.estimate_time` uses, so the
+        result is bit-identical); under any other env the model walks the
+        kernel's VIR.
         """
         timing = ProgramTiming(program=compiled)
+        arch = compiled.config.arch
+        stored_env = env_token(env) == compiled.timing_env
+        stored = 0
         for idx, ck in enumerate(compiled.kernels):
             if isinstance(launches, int):
                 n = launches
@@ -443,18 +471,24 @@ class CompilerSession:
                 n = launches[idx] if idx < len(launches) else 1
             else:
                 n = launches.get(ck.name, 1)
+            if stored_env and ck.timing is not None:
+                stored += 1
+                timing.kernels.append(ck.timing.for_launches(n, arch))
+                continue
             timing.kernels.append(
                 estimate_time(
                     ck.vir,
                     ck.ptxas,
                     env,
-                    arch=compiled.config.arch,
+                    arch=arch,
                     launches=n,
                     issue_scale=compiled.config.issue_efficiency,
                 )
             )
         with self._lock:
-            self.stats.record_timing()
+            self.stats.record_timing(
+                stored=stored, walked=len(compiled.kernels) - stored
+            )
         return timing
 
     def execute(

@@ -49,6 +49,15 @@ class ConfigError(ReproError, ValueError):
     passed to :meth:`~repro.compiler.options.CompilerConfig.derive`)."""
 
 
+class TimingUnavailable(ReproError, ValueError):
+    """The timing model cannot be evaluated under the given env: a loop's
+    trip count (or the launch's thread count) depends on a binding the
+    env does not supply.
+
+    Subclasses :class:`ValueError`, which these sites raised before.
+    """
+
+
 class TuneError(ReproError):
     """The autotuner was asked something impossible (unknown strategy,
     empty knob space, un-timeable kernel)."""
@@ -170,6 +179,7 @@ __all__ = [
     "ReproError",
     "CacheError",
     "ConfigError",
+    "TimingUnavailable",
     "TuneError",
     "ProtocolError",
     "BadRequestError",

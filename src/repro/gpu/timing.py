@@ -27,11 +27,12 @@ which changes registers, occupancy and traffic, which changes time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..analysis.coalescing import AccessInfo, AccessPattern
 from ..analysis.memspace import MemSpace
 from ..codegen.vir import Instr, Op, VirKernel
+from ..errors import TimingUnavailable
 from .arch import GpuArch, KEPLER_K20XM
 from .memory import access_latency, warp_transaction_bytes
 from .occupancy import Occupancy, compute_occupancy
@@ -85,6 +86,20 @@ class KernelTiming:
     def cycles(self) -> float:
         return max(self.compute_cycles, self.bandwidth_cycles, self.latency_cycles)
 
+    def for_launches(self, launches: int, arch: GpuArch) -> "KernelTiming":
+        """This verdict for ``launches`` executions, with a profile of its
+        own: every other field does not depend on the launch count."""
+        return replace(
+            self,
+            time_ms=launch_time_ms(self.cycles, launches, arch),
+            profile=replace(self.profile),
+        )
+
+
+def launch_time_ms(cycles: float, launches: int, arch: GpuArch) -> float:
+    """Wall time of ``launches`` executions of a kernel taking ``cycles``."""
+    return launches * cycles / (arch.clock_mhz * 1e3)
+
 
 def profile_thread(
     kernel: VirKernel,
@@ -114,7 +129,7 @@ def profile_thread(
                 # supplies an average trip count as __trips_<var>.
                 trips = env.get(f"__trips_{ins.loop.var.name}")
             if trips is None:
-                raise ValueError(
+                raise TimingUnavailable(
                     f"trip count of loop {ins.loop.var.name if ins.loop else '?'} "
                     "not evaluable; missing env entries?"
                 )
@@ -220,7 +235,7 @@ def estimate_time(
         bandwidth_cycles: "bandwidth",
         latency_cycles: "latency",
     }[cycles]
-    time_ms = launches * cycles / (arch.clock_mhz * 1e3)
+    time_ms = launch_time_ms(cycles, launches, arch)
     return KernelTiming(
         name=kernel.name,
         total_threads=total_threads,

@@ -52,6 +52,7 @@ METRIC_FAMILIES = (
     ("session", "session (compiles, executions, timing)"),
     ("cache", "cache (memory / disk / function-object tiers)"),
     ("pipeline", "pipeline (per-pass instrumentation)"),
+    ("gpu", "gpu (timing model)"),
     ("esat", "esat (equality saturation / extraction)"),
     ("codegen", "codegen (generated-NumPy tier)"),
     ("tune", "tune (autotuner)"),

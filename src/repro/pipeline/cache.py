@@ -36,6 +36,12 @@ def config_token(config) -> str:
     return repr(config)
 
 
+def env_token(env: Mapping[str, int]) -> str:
+    """The canonical text of an env binding, as keys hash it: equal for
+    equal bindings in any order, different for ``64`` and ``64.0``."""
+    return repr(sorted(env.items()))
+
+
 def cache_key(
     source: str,
     config,
@@ -57,7 +63,7 @@ def cache_key(
     h.update(repr(config.arch).encode())
     h.update(b"\x00")
     if env:
-        h.update(repr(sorted(env.items())).encode())
+        h.update(env_token(env).encode())
     h.update(b"\x00")
     if kernel_name is not None:
         h.update(kernel_name.encode())

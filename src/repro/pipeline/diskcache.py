@@ -26,14 +26,21 @@ Design points:
   able to take the service down;
 * **size-bounded LRU** — ``max_bytes`` caps the total payload size;
   eviction removes oldest-``mtime`` entries first, and hits refresh the
-  file's mtime (``os.utime``) so recently-served entries survive;
+  file's mtime (``os.utime``) so recently-served entries survive.  A put
+  adds its size to a running total kept under the lock; only a total
+  over ``max_bytes`` rescans the directory (which also picks up what
+  other processes wrote since the cache was opened);
 * **versioned envelope** — entries embed ``FORMAT_VERSION`` and their own
   key; a version bump or a key mismatch (e.g. a truncated copy of another
-  entry) reads as a miss, not an error.
+  entry) reads as a miss, not an error.  The value's own pickling decides
+  what a hit unpickles: a compiled program keeps its VIR and pass
+  reports in a bytes section read on first use
+  (:class:`~repro.compiler.driver.DetailSection`).
 
 Metrics (registered in the shared :class:`~repro.obs.metrics.MetricsRegistry`
 namespace): ``cache.disk.hits`` / ``.misses`` / ``.writes`` /
-``.evictions`` / ``.corrupt``, plus the ``cache.disk.bytes`` gauge.
+``.evictions`` / ``.corrupt`` / ``.detail_loads``, plus the
+``cache.disk.bytes`` gauge.
 Lookups and stores emit ``cache.disk.lookup`` / ``cache.disk.store``
 tracing spans.
 """
@@ -50,9 +57,11 @@ from ..errors import CacheError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import span
 
-#: Envelope version.  v3 programs carry no kernel function; an envelope
-#: of any other version is a counted miss, rewritten by the next put.
-FORMAT_VERSION = 3
+#: Envelope version.  v4 programs pickle their VIR and pass reports as
+#: one bytes section, unpickled on first read, and carry a timing
+#: verdict; an envelope of any other version is a counted miss,
+#: rewritten by the next put.
+FORMAT_VERSION = 4
 
 #: Default size bound: generous for compiled-program pickles (a few KB
 #: each) while keeping a shared cache directory from growing unbounded.
@@ -94,11 +103,18 @@ class DiskCache:
         self._corrupt = self.metrics.counter(
             "cache.disk.corrupt", "unreadable entries discarded on load"
         )
+        self._detail_loads = self.metrics.counter(
+            "cache.disk.detail_loads",
+            "detail sections (VIR, pass reports) unpickled after a hit",
+        )
         self._bytes = self.metrics.gauge(
             "cache.disk.bytes", "total payload bytes on disk"
         )
         self._lock = threading.Lock()
-        self._bytes.set(self.total_bytes())
+        #: Payload bytes on disk as of the last scan plus this instance's
+        #: writes since (guarded by ``_lock``).
+        self._total = self.total_bytes()
+        self._bytes.set(self._total)
 
     # -- paths -------------------------------------------------------------
 
@@ -148,13 +164,9 @@ class DiskCache:
                 return None
             except Exception as exc:
                 # Corrupt entry: discard it so the next write is clean.
-                self._corrupt.inc()
                 self._misses.inc()
                 sp.set(hit=False, corrupt=True, error=type(exc).__name__)
-                try:
-                    path.unlink(missing_ok=True)
-                except OSError:
-                    pass
+                self.discard(key)
                 return None
             # Refresh recency so size-based eviction spares hot entries.
             try:
@@ -165,13 +177,32 @@ class DiskCache:
             sp.set(hit=True)
             return value
 
+    def discard(self, key: str) -> None:
+        """Delete the entry under ``key`` as corrupt, counting it; an entry
+        already gone is not an error (and not counted again)."""
+        path = self._path(key)
+        try:
+            size = path.stat().st_size
+            path.unlink()
+        except OSError:
+            return
+        self._corrupt.inc()
+        with self._lock:
+            self._total -= size
+            self._bytes.set(self._total)
+
+    def record_detail_load(self) -> None:
+        """Count one detail section unpickled after a hit."""
+        self._detail_loads.inc()
+
     def peek(self, key: str) -> bool:
         """Membership test without touching counters or entry recency."""
         return self._path(key).exists()
 
     def put(self, key: str, value: Any) -> None:
-        """Persist ``value`` under ``key`` atomically, then evict LRU
-        entries until the cache fits ``max_bytes``."""
+        """Persist ``value`` under ``key`` atomically, then, if the
+        running total is over ``max_bytes``, evict LRU entries until the
+        cache fits."""
         path = self._path(key)
         envelope = {"format": FORMAT_VERSION, "key": key, "value": value}
         blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
@@ -182,16 +213,23 @@ class DiskCache:
             )
             try:
                 tmp.write_bytes(blob)
+                try:
+                    replaced = path.stat().st_size
+                except FileNotFoundError:
+                    replaced = 0
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
             self._writes.inc()
             with self._lock:
-                self._evict_to_fit()
+                self._total += len(blob) - replaced
+                if self._total > self.max_bytes:
+                    self._evict_to_fit()
+                self._bytes.set(self._total)
 
     def _evict_to_fit(self) -> None:
-        """Drop oldest-mtime entries until total size <= max_bytes.
-        Caller holds the lock."""
+        """Rescan the directory, then drop oldest-mtime entries until the
+        total size is <= max_bytes.  Caller holds the lock."""
         entries = []
         total = 0
         for p in self._entries():
@@ -211,7 +249,7 @@ class DiskCache:
                 total -= size
                 if total <= self.max_bytes:
                     break
-        self._bytes.set(total)
+        self._total = total
 
     # -- introspection -----------------------------------------------------
 
@@ -243,6 +281,10 @@ class DiskCache:
     def corrupt(self) -> int:
         return int(self._corrupt.value)
 
+    @property
+    def detail_loads(self) -> int:
+        return int(self._detail_loads.value)
+
     def clear(self) -> None:
         """Delete every entry (counters are kept)."""
         with self._lock:
@@ -251,6 +293,7 @@ class DiskCache:
                     p.unlink()
                 except OSError:
                     pass
+            self._total = 0
             self._bytes.set(0)
 
     def as_dict(self) -> dict:
@@ -264,6 +307,7 @@ class DiskCache:
             "writes": int(self._writes.value),
             "evictions": self.evictions,
             "corrupt": self.corrupt,
+            "detail_loads": self.detail_loads,
         }
 
     def summary(self) -> str:

@@ -135,6 +135,13 @@ class SessionStats:
         self._timings = m.counter(
             "session.timings", "timing-model evaluations"
         )
+        self._timing_stored = m.counter(
+            "gpu.timing.stored",
+            "kernels timed from the verdict stored at compile",
+        )
+        self._timing_walked = m.counter(
+            "gpu.timing.walked", "kernels timed by walking the VIR"
+        )
         self._feedback_optimizations = m.counter(
             "session.feedback_optimizations",
             "stand-alone feedback optimisations (session.optimize_region)",
@@ -257,8 +264,11 @@ class SessionStats:
         if not report.applied:
             self._esat_fallbacks.inc()
 
-    def record_timing(self) -> None:
+    def record_timing(self, *, stored: int, walked: int) -> None:
+        """Count one ``time_program`` call and how its kernels were timed."""
         self._timings.inc()
+        self._timing_stored.inc(stored)
+        self._timing_walked.inc(walked)
 
     def record_feedback_optimization(self) -> None:
         self._feedback_optimizations.inc()
@@ -312,6 +322,10 @@ class SessionStats:
         return {
             "compilations": self.compilations,
             "timings": self.timings,
+            "timing_kernels": {
+                "stored": int(self._timing_stored.value),
+                "walked": int(self._timing_walked.value),
+            },
             "feedback_optimizations": self.feedback_optimizations,
             "pass_totals": self.pass_totals(),
             "traces": [t.as_dict() for t in self.traces],

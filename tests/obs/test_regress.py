@@ -186,6 +186,39 @@ class TestMain:
         assert "compile.function" in names and "pipeline" in names
 
 
+class TestServeRow:
+    @pytest.fixture(scope="class")
+    def serve_row(self, regress):
+        return regress.collect_serve()
+
+    def test_row_gates_pass(self, regress, serve_row):
+        assert regress.check_serve(serve_row) == []
+
+    def test_warm_restart_reads_only_the_verdict(self, serve_row):
+        assert serve_row["warm_backend_compilations"] == 0
+        assert serve_row["disk_hits"] == len(serve_row["benchmarks"])
+        assert serve_row["warm_timing_walks"] == 0
+        assert serve_row["warm_detail_loads"] == 0
+        assert serve_row["warm_model_ms"] == serve_row["cold_model_ms"]
+        assert set(serve_row["cold_model_ms"]) == set(serve_row["benchmarks"])
+
+    def test_check_serve_flags_each_violation(self, regress, serve_row):
+        walked = dict(serve_row, warm_timing_walks=2)
+        assert any("walked the VIR" in p for p in regress.check_serve(walked))
+        loaded = dict(serve_row, warm_detail_loads=1)
+        assert any("detail sections" in p for p in regress.check_serve(loaded))
+        name = serve_row["benchmarks"][0]
+        drifted = dict(
+            serve_row,
+            warm_model_ms={**serve_row["warm_model_ms"], name: -1.0},
+        )
+        assert any(name in p for p in regress.check_serve(drifted))
+        backend = dict(serve_row, warm_backend_compilations=3)
+        assert any("feedback loop" in p for p in regress.check_serve(backend))
+        missed = dict(serve_row, disk_hits=0)
+        assert any("hit the disk cache" in p for p in regress.check_serve(missed))
+
+
 class TestSloRow:
     @pytest.fixture(scope="class")
     def slo_row(self, regress):

@@ -32,7 +32,7 @@ kernel demo(const double u[1:nz][1:ny][1:nx], double out[1:nz][1:ny][1:nx],
 """
 
 STATS_KEYS = {
-    "compilations", "timings", "feedback_optimizations",
+    "compilations", "timings", "timing_kernels", "feedback_optimizations",
     "pass_totals", "traces", "execution", "cache",
 }
 EXECUTION_KEYS = {
@@ -103,6 +103,27 @@ class TestStatsSchema:
                 assert "le_inf" in entry["buckets"]
             else:
                 assert isinstance(entry["value"], (int, float))
+
+    def test_timing_and_detail_counters(self, tmp_path):
+        """``time_program`` counts each kernel answered from the verdict
+        stored at compile or by walking the VIR; the disk tier counts the
+        detail sections it unpickled after a hit."""
+        env = {"nx": 64, "ny": 32, "nz": 16}
+        CompilerSession(cache_dir=tmp_path).compile_source(SRC, BASE, env=env)
+        warm = CompilerSession(cache_dir=tmp_path)
+        program = warm.compile_source(SRC, BASE, env=env)
+        warm.time_program(program, env)
+        warm.time_program(program, dict(env, nx=128))
+        d = json.loads(json.dumps(warm.stats_dict()))
+        assert d["timing_kernels"] == {"stored": 1, "walked": 1}
+        assert d["cache"]["disk"]["detail_loads"] == 1
+        metrics = warm.metrics.as_dict()
+        for name, value in (
+            ("gpu.timing.stored", 1),
+            ("gpu.timing.walked", 1),
+            ("cache.disk.detail_loads", 1),
+        ):
+            assert metrics[name] == {"type": "counter", "value": value}
 
     def test_cli_stats_flag_round_trips(self, tmp_path, capsys):
         path = tmp_path / "demo.acc"

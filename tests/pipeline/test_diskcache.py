@@ -2,6 +2,7 @@
 corruption tolerance, and the two-tier wiring through CompilerSession."""
 
 import os
+import pathlib
 import pickle
 
 import pytest
@@ -149,6 +150,39 @@ class TestEviction:
         cache.max_bytes = entry_bytes * 2 + entry_bytes // 2  # room for ~2
         cache.put(cache_key(SRC + "tail", BASE), "payload")
         assert cache.peek(keys[0])  # hot entry survived
+
+
+class TestPutCost:
+    """A put keeps a running byte total instead of statting every entry."""
+
+    def test_stat_calls_stay_flat_as_the_cache_fills(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        calls = []
+        real_stat = pathlib.Path.stat
+
+        def counting_stat(self, *args, **kwargs):
+            calls.append(self)
+            return real_stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "stat", counting_stat)
+        per_put = []
+        for i in range(40):
+            before = len(calls)
+            cache.put(cache_key(SRC + "\n" * i, BASE), "x" * 64)
+            per_put.append(len(calls) - before)
+        assert len(cache) == 40
+        assert max(per_put) <= 2, per_put
+
+    def test_running_total_matches_a_scan(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        keys = [cache_key(SRC + "\n" * i, BASE) for i in range(6)]
+        for key in keys:
+            cache.put(key, "x" * 64)
+        cache.put(keys[0], "y" * 512)  # a rewrite replaces, not adds
+        gauge = cache.metrics.get("cache.disk.bytes")
+        assert gauge.value == cache.total_bytes()
+        # A reopened cache starts from a scan and agrees.
+        assert DiskCache(tmp_path).metrics.get("cache.disk.bytes").value == gauge.value
 
 
 class TestSessionWiring:
