@@ -230,6 +230,7 @@ def _code_map() -> dict[str, type]:
         "compile_error": CompileFailedError,
         "execution_error": ExecutionFailedError,
         "tune_error": TuneError,
+        "timing_unavailable": TimingUnavailable,
         "quota_exceeded": QuotaExceededError,
         "shard_unavailable": ShardUnavailableError,
         "shutting_down": ShuttingDownError,

@@ -60,9 +60,16 @@ class FeedbackTimeout(TransientFeedbackError):
     :func:`deadline_scope`).  Transient: a retry gets a fresh budget."""
 
 
-#: Exception types (beyond the explicit taxonomy) treated as transient:
-#: OS-level hiccups an external assembler produces under load.
-_TRANSIENT_TYPES = (TimeoutError, InterruptedError, ConnectionError, BlockingIOError)
+#: The exception types :func:`classify_failure` calls transient — the
+#: taxonomy's own plus OS-level hiccups an external assembler produces
+#: under load.  A retry loop catches exactly these.
+TRANSIENT_FAILURES = (
+    TransientFeedbackError,
+    TimeoutError,
+    InterruptedError,
+    ConnectionError,
+    BlockingIOError,
+)
 
 
 def classify_failure(exc: BaseException) -> str:
@@ -71,13 +78,7 @@ def classify_failure(exc: BaseException) -> str:
     Unknown exceptions are permanent: retrying a deterministic compiler
     on the same input reproduces the same crash.
     """
-    if isinstance(exc, TransientFeedbackError):
-        return "transient"
-    if isinstance(exc, PermanentFeedbackError):
-        return "permanent"
-    if isinstance(exc, _TRANSIENT_TYPES):
-        return "transient"
-    return "permanent"
+    return "transient" if isinstance(exc, TRANSIENT_FAILURES) else "permanent"
 
 
 _local = threading.local()

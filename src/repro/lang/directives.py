@@ -21,6 +21,7 @@ using the main lexer, so locations remain accurate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DirectiveError, SourceLocation
@@ -113,6 +114,62 @@ class ComputeDirective:
 
 
 AccDirective = ComputeDirective | LoopDirective
+
+
+#: Binary operators a gang/vector size folds with: precedence, function.
+#: C's ``/`` and ``%`` between integers are integer operations; they floor
+#: here, like Python's ``//`` and ``%``.
+_FOLD_OPS = {
+    TokenKind.PLUS: (1, operator.add),
+    TokenKind.MINUS: (1, operator.sub),
+    TokenKind.STAR: (2, operator.mul),
+    TokenKind.SLASH: (2, operator.floordiv),
+    TokenKind.PERCENT: (2, operator.mod),
+}
+
+
+def _fold_int(tokens: list[Token]) -> int | None:
+    """The value of a size expression built from decimal integer literals,
+    ``+ - * / %``, unary ``-`` and parentheses, or ``None`` for anything
+    else (names, calls, other literals, division by zero, nesting deeper
+    than the interpreter's recursion limit).  A literal with a leading
+    zero is refused: C would read it as octal."""
+    pos = 0
+
+    def operand() -> int:
+        nonlocal pos
+        tok = tokens[pos] if pos < len(tokens) else None
+        pos += 1
+        kind = tok.kind if tok is not None else TokenKind.EOF
+        if kind is TokenKind.MINUS:
+            return -operand()
+        if kind is TokenKind.LPAREN:
+            value = expression(1)
+            if pos >= len(tokens) or tokens[pos].kind is not TokenKind.RPAREN:
+                raise ValueError("unbalanced parentheses")
+            pos += 1
+            return value
+        text = tok.value if kind is TokenKind.INT_LIT else ""
+        if text.isdigit() and str(int(text)) == text:
+            return int(text)
+        raise ValueError("not integer arithmetic")
+
+    def expression(min_precedence: int) -> int:
+        nonlocal pos
+        value = operand()
+        while pos < len(tokens) and tokens[pos].kind in _FOLD_OPS:
+            precedence, op = _FOLD_OPS[tokens[pos].kind]
+            if precedence < min_precedence:
+                break
+            pos += 1
+            value = op(value, expression(precedence + 1))
+        return value
+
+    try:
+        value = expression(1)
+    except (ValueError, ZeroDivisionError, RecursionError):
+        return None
+    return value if pos == len(tokens) else None
 
 
 class _DirectiveParser:
@@ -309,10 +366,11 @@ class _DirectiveParser:
         """Parse a gang/vector size.
 
         Real OpenACC allows arbitrary expressions like ``(NX-1+63)/64``; we
-        fold constant arithmetic and otherwise keep the raw text (the launch
-        configuration model treats non-constant sizes as runtime values).
+        fold integer-literal arithmetic (:func:`_fold_int`) and otherwise
+        keep the raw text (the launch configuration model treats
+        non-constant sizes as runtime values).
         """
-        parts: list[str] = []
+        parts: list[Token] = []
         depth = 0
         while True:
             tok = self._peek()
@@ -324,21 +382,10 @@ class _DirectiveParser:
                 if depth == 0:
                     break
                 depth -= 1
-            parts.append(tok.value)
+            parts.append(tok)
             self._next()
-        text = " ".join(parts)
-        try:
-            # C semantics: '/' between integers is integer division.
-            value = eval(
-                compile(text.replace("/", "//"), "<size>", "eval"),
-                {"__builtins__": {}},
-                {},
-            )
-        except Exception:
-            return text
-        if isinstance(value, int):
-            return value
-        return text
+        value = _fold_int(parts)
+        return value if value is not None else " ".join(t.value for t in parts)
 
     def _parse_compute_clause(self, directive: "ComputeDirective", name: str) -> bool:
         """Try to parse one compute-construct clause; return False if ``name``

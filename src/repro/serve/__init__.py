@@ -3,7 +3,12 @@ sessions.
 
 * :mod:`repro.serve.protocol` — the JSON-lines request/response schemas
   and error codes;
-* :mod:`repro.serve.broker` — bounded admission, a worker pool of
+* :mod:`repro.serve.frontdoor` — the front door both serving tiers
+  subclass: one admission path (validation, trace id, quota hook,
+  draining, bounded capacity), counted and flight-recorded rejections,
+  one exception → wire-code table, and the ``submit`` / ``handle`` /
+  ``drain`` surface;
+* :mod:`repro.serve.broker` — the single-process tier: a worker pool of
   per-worker :class:`~repro.compiler.session.CompilerSession` objects
   sharing one metrics registry and one persistent disk cache, per-request
   deadlines, retry-with-backoff on transient backend failures, and
@@ -19,7 +24,8 @@ sessions.
   (``repro top``, ``repro serve-trace``, ``repro loadgen --socket``)
   connect with;
 * :mod:`repro.serve.cluster` — the sharded tier behind ``repro serve
-  --shards N``: a consistent-hash router over N broker shards with
+  --shards N``: a consistent-hash router (the front door's other
+  subclass) over N broker shards with
   hot-key replication, hedged retries, per-tenant quotas and graceful
   drain/restart (:mod:`repro.serve.hashring` provides the rendezvous
   hashing, :mod:`repro.serve.quota` the token buckets — see
@@ -33,6 +39,7 @@ from .broker import Broker, BrokerConfig
 from .client import SocketClient
 from .cluster import ClusterConfig, Router, routing_key, run_cluster
 from .daemon import SocketServer, run_daemon, serve_loop, serve_socket
+from .frontdoor import FrontDoor
 from .placement import PlacementCandidate, PlacementDecision, choose_placement
 from .protocol import ServeError, error_response, ok_response, validate_request
 
@@ -40,6 +47,7 @@ __all__ = [
     "Broker",
     "BrokerConfig",
     "ClusterConfig",
+    "FrontDoor",
     "PlacementCandidate",
     "PlacementDecision",
     "Router",

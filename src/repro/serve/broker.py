@@ -1,11 +1,12 @@
-"""The async request broker: admission, workers, retries, degradation.
+"""The async request broker: workers, retries, deadlines, degradation.
 
 :class:`Broker` sits between the wire protocol (:mod:`repro.serve.daemon`)
-and the compiler (:class:`~repro.compiler.session.CompilerSession`):
+and the compiler (:class:`~repro.compiler.session.CompilerSession`).  It
+is the ``serve`` tier of the shared :class:`~repro.serve.frontdoor.
+FrontDoor`, which owns admission (at most ``workers + queue_limit``
+requests in flight; past that, ``queue_full``, the protocol's 429),
+rejection and the exception → wire-code table.  The broker adds:
 
-* **bounded admission** — at most ``workers + queue_limit`` requests are
-  in flight; past that, :meth:`submit` answers ``queue_full`` immediately
-  (the protocol's 429) instead of letting latency grow without bound;
 * **worker pool over per-worker sessions** — each worker thread owns a
   private :class:`CompilerSession` (its own in-memory cache and pass
   pipeline), but all sessions share one :class:`MetricsRegistry` and one
@@ -29,7 +30,7 @@ and the compiler (:class:`~repro.compiler.session.CompilerSession`):
   with their reasons under ``serve.degradations.*``.
 
 Everything is exported through the shared registry: ``serve.requests.*``,
-``serve.rejected``, ``serve.retries``, ``serve.degradations.*``,
+``serve.rejected[.<code>]``, ``serve.retries``, ``serve.degradations.*``,
 ``serve.codegen.tier.*`` (execution tier answering each ``run``) and the
 ``serve.codegen.codegen_ms`` histogram, ``serve.wait_ms`` /
 ``serve.handle_ms`` histograms, the ``serve.latency_ms.<op>``
@@ -53,29 +54,23 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import uuid
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
 from ..compiler.options import ALL_CONFIGS, SMALL_DIM_SAFARA
 from ..compiler.session import CompileJob, CompilerSession
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError, code_for
 from ..executors import parse_executor
-from ..feedback.driver import (
-    FeedbackTimeout,
-    classify_failure,
-    deadline_scope,
-)
+from ..feedback.driver import TRANSIENT_FAILURES, FeedbackTimeout, deadline_scope
 from ..gpu.arch import arch_key, list_archs
 from ..gpu.vector_exec import VectorUnsupported, fallback_listener
-from ..lang.errors import MiniAccError
-from ..obs.flight import FlightRecorder, RequestRecord, span_dict, to_chrome
-from ..obs.metrics import MS_BUCKETS, MetricsRegistry
+from ..obs.flight import RequestRecord, span_dict
+from ..obs.metrics import MS_BUCKETS
 from ..obs.tracer import Span, request_collector, span, trace_scope
 from ..pipeline.diskcache import DiskCache
 from . import protocol
+from .frontdoor import FrontDoor
 from .placement import PlacementDecision, choose_placement
 from .protocol import ServeError
 
@@ -134,14 +129,20 @@ class BrokerConfig:
     seed: int = 0
 
 
-class Broker:
+class Broker(FrontDoor):
     """Bounded, retrying, deadline-aware front end over compiler sessions."""
 
     def __init__(self, config: BrokerConfig | None = None):
         self.config = config or BrokerConfig()
         if self.config.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.metrics = MetricsRegistry()
+        super().__init__(
+            "serve",
+            workers=self.config.workers,
+            queue_limit=self.config.queue_limit,
+            flight_slow=self.config.flight_slow,
+            flight_errors=self.config.flight_errors,
+        )
         self.disk_cache = (
             DiskCache(
                 self.config.cache_dir,
@@ -151,23 +152,12 @@ class Broker:
             if self.config.cache_dir is not None
             else None
         )
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="repro-serve"
-        )
         self._sessions = threading.local()
         self._all_sessions: list[CompilerSession] = []
-        self._lock = threading.Lock()
         #: ``run``-request kernels by source content hash (see _run_kernel).
         self._kernels: OrderedDict[str, object] = OrderedDict()
-        self._pending = 0
-        self._stopping = False
         self._rng = Random(self.config.seed)
         self._sleep = time.sleep  # overridable for tests
-        self._started = time.monotonic()
-        self.flight = FlightRecorder(
-            max_slow=self.config.flight_slow,
-            max_errors=self.config.flight_errors,
-        )
         #: Per-request scratch (one worker thread processes one request
         #: at a time): degradation events attributed to the in-flight
         #: request, harvested into its flight record.
@@ -178,12 +168,6 @@ class Broker:
         )
 
         m = self.metrics
-        self._queue_depth = m.gauge(
-            "serve.queue_depth", "requests admitted and not yet answered"
-        )
-        self._rejected = m.counter(
-            "serve.rejected", "requests refused at admission (queue_full)"
-        )
         self._retries = m.counter(
             "serve.retries", "retry attempts after transient failures"
         )
@@ -209,15 +193,6 @@ class Broker:
             "serve.placement.model_ms",
             help="modeled time of the chosen placement",
         )
-        # Quantile-exact admission→response latency per op, registered
-        # eagerly so the telemetry surface is stable from request zero.
-        self._latency = {
-            op: m.log_histogram(
-                f"serve.latency_ms.{op}",
-                help=f"admission → response latency of {op} requests",
-            )
-            for op in ("compile", "run", "tune", "stats")
-        }
 
     # -- sessions ----------------------------------------------------------
 
@@ -235,101 +210,11 @@ class Broker:
                 self._all_sessions.append(session)
         return session
 
-    # -- admission ---------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._pending
-
-    @staticmethod
-    def _trace_id_for(request) -> str:
-        """The request's correlation id: the client's ``trace_id`` when
-        present and well-formed, else a fresh broker-generated one (also
-        for rejections — every response is correlatable)."""
-        supplied = request.get("trace_id") if isinstance(request, dict) else None
-        if (
-            isinstance(supplied, str)
-            and 0 < len(supplied) <= protocol.MAX_TRACE_ID_LEN
-        ):
-            return supplied
-        return uuid.uuid4().hex[:16]
-
-    def submit(self, request: dict) -> "Future[dict]":
-        """Admit a request; always returns a future resolving to a
-        response dict (rejections resolve immediately)."""
-        request_id = request.get("id") if isinstance(request, dict) else None
-        trace_id = self._trace_id_for(request)
-        try:
-            protocol.validate_request(request)
-        except ServeError as exc:
-            return self._rejection(request_id, exc.code, exc.message, trace_id)
-        op = request["op"]
-        self.metrics.counter(
-            f"serve.requests.{op}", f"admitted {op} requests"
-        )  # registered even if this one is rejected, for a stable surface
-        with self._lock:
-            if self._stopping:
-                return self._rejection(
-                    request_id,
-                    protocol.SHUTTING_DOWN,
-                    "daemon is draining; resubmit to the next instance",
-                    trace_id,
-                )
-            capacity = self.config.workers + self.config.queue_limit
-            if self._pending >= capacity:
-                self._rejected.inc()
-                return self._rejection(
-                    request_id,
-                    protocol.QUEUE_FULL,
-                    f"admission queue full ({self._pending} in flight, "
-                    f"capacity {capacity}); retry later",
-                    trace_id,
-                )
-            self._pending += 1
-            self._queue_depth.set(self._pending)
-        self.metrics.counter(f"serve.requests.{op}").inc()
-        deadline_ms = request.get("deadline_ms") or self.config.default_deadline_ms
-        enqueue_t = time.monotonic()
-        deadline = enqueue_t + deadline_ms / 1000.0
-        return self._pool.submit(
-            self._process, request, enqueue_t, deadline, trace_id
-        )
-
-    def _rejection(
-        self, request_id, code: str, message: str, trace_id: str | None = None
-    ) -> "Future[dict]":
-        """An immediately-resolved error future.  Rejections are real
-        errors to the client, so they are flight-recorded too (spanless:
-        they never reached a worker) — the recorder can explain a
-        ``queue_full`` burst after the fact."""
-        future: "Future[dict]" = Future()
-        future.set_result(
-            protocol.error_response(
-                request_id, code, message, trace_id=trace_id
-            )
-        )
-        if trace_id is not None:
-            self.flight.record(
-                RequestRecord(
-                    trace_id=trace_id,
-                    op="(rejected)",
-                    ok=False,
-                    duration_ms=0.0,
-                    error_code=code,
-                )
-            )
-        return future
-
-    def handle(self, request: dict) -> dict:
-        """Synchronous convenience: submit and wait (the one-shot client)."""
-        return self.submit(request).result()
-
     # -- processing --------------------------------------------------------
 
-    def _process(
-        self, request: dict, enqueue_t: float, deadline: float, trace_id: str
-    ) -> dict:
+    def _process(self, request: dict, enqueue_t: float, trace_id: str) -> dict:
+        """Answer the request under its trace scope and span collector,
+        then flight-record it with its span tree."""
         request_id = request.get("id")
         op = request["op"]
         start = time.monotonic()
@@ -342,68 +227,25 @@ class Broker:
         #: bookkeeping after the response took.
         anchor_us = collector._now_us()
         self._req.degradations = []
-        try:
-            with trace_scope(trace_id, collector):
-                self._synth_span(
-                    collector,
-                    trace_id,
-                    "queue.wait",
-                    anchor_us - wait_ms * 1000.0,
-                    wait_ms * 1000.0,
-                    wait_ms=round(wait_ms, 4),
-                )
-                with span("serve.request", op=op, id=request_id) as sp:
-                    if op == "compile":
-                        response = self._handle_compile(request, deadline)
-                    elif op == "run":
-                        response = self._handle_run(request, deadline)
-                    elif op == "tune":
-                        response = self._handle_tune(request, deadline)
-                    elif op == "stats":
-                        response = protocol.ok_response(request_id, self.stats())
-                    elif op == "trace":
-                        response = protocol.ok_response(
-                            request_id, self._handle_trace(request)
-                        )
-                    elif op == "watch":
-                        response = protocol.ok_response(
-                            request_id, self.telemetry_snapshot()
-                        )
-                    elif op == "drain":
-                        # Cluster-router op: a single-process broker has
-                        # no shards to drain (use shutdown instead).
-                        response = protocol.error_response(
-                            request_id,
-                            protocol.BAD_REQUEST,
-                            "op 'drain' targets a cluster router shard; "
-                            "this is a single-process daemon (use "
-                            "'shutdown' to drain it)",
-                        )
-                    else:  # "shutdown" — answered here, drained by the daemon
-                        response = protocol.ok_response(
-                            request_id, {"stopping": True}
-                        )
-                    sp.set(ok=response["ok"])
-                    if not response["ok"]:
-                        sp.set(error=response["error"]["code"])
-        except ServeError as exc:
-            response = protocol.error_response(
-                request_id, exc.code, exc.message, retryable=exc.retryable
+        with trace_scope(trace_id, collector):
+            self._synth_span(
+                collector,
+                trace_id,
+                "queue.wait",
+                anchor_us - wait_ms * 1000.0,
+                wait_ms * 1000.0,
+                wait_ms=round(wait_ms, 4),
             )
-        except Exception as exc:  # a service bug must still answer
-            response = protocol.error_response(
-                request_id, protocol.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        finally:
-            self._handle_ms.observe((time.monotonic() - start) * 1000.0)
-            with self._lock:
-                self._pending -= 1
-                self._queue_depth.set(self._pending)
-        response["trace_id"] = trace_id
+            with span("serve.request", op=op, id=request_id) as sp:
+                response = super()._process(request, enqueue_t, trace_id)
+                error_code = None if response["ok"] else response["error"]["code"]
+                sp.set(ok=response["ok"])
+                if error_code is not None:
+                    sp.set(error=error_code)
+        self._handle_ms.observe((time.monotonic() - start) * 1000.0)
+        if error_code == protocol.DEADLINE_EXCEEDED:
+            self._deadline_exceeded.inc()
         total_ms = (time.monotonic() - enqueue_t) * 1000.0
-        hist = self._latency.get(op)
-        if hist is not None:
-            hist.observe(total_ms)
         # One connected tree per request: synthesize the root span
         # covering admission → response, then hand the collector's spans
         # to the flight recorder.
@@ -427,9 +269,7 @@ class Broker:
                 op=op,
                 ok=response["ok"],
                 duration_ms=total_ms,
-                error_code=(
-                    None if response["ok"] else response["error"]["code"]
-                ),
+                error_code=error_code,
                 spans=[span_dict(s) for s in collector.spans],
                 degradations=list(
                     getattr(self._req, "degradations", None) or ()
@@ -438,6 +278,23 @@ class Broker:
             )
         )
         return response
+
+    def _dispatch(self, request: dict, trace_id: str, enqueue_t: float) -> dict:
+        op = request["op"]
+        if op == "drain":
+            raise ServeError(
+                protocol.BAD_REQUEST,
+                "op 'drain' targets a cluster router shard; this is a "
+                "single-process daemon (use 'shutdown' to drain it)",
+            )
+        # The budget runs from admission, so queue wait eats into it.
+        deadline_ms = request.get("deadline_ms") or self.config.default_deadline_ms
+        deadline = enqueue_t + deadline_ms / 1000.0
+        if op == "compile":
+            return self._handle_compile(request, deadline)
+        if op == "run":
+            return self._handle_run(request, deadline)
+        return self._handle_tune(request, deadline)
 
     @staticmethod
     def _synth_span(
@@ -524,18 +381,31 @@ class Broker:
         request: dict,
         config,
         env: dict[str, int],
-    ) -> "PlacementDecision":
+    ) -> "PlacementDecision | None":
         """Run the fleet placement policy under a ``placement`` span,
-        exporting ``serve.placement.*`` metrics."""
+        exporting ``serve.placement.*`` metrics.
+
+        A failure answers ``None`` (counted in ``serve.placement.errors``,
+        its wire code on the span): the request falls through to the
+        single-arch path, which meets the same failure and answers it
+        with its own code."""
         with span("placement", fleet=",".join(self._fleet)) as sp:
-            decision = choose_placement(
-                session,
-                request["source"],
-                config,
-                self._fleet,
-                env,
-                kernel_name=request.get("kernel"),
-            )
+            try:
+                decision = choose_placement(
+                    session,
+                    request["source"],
+                    config,
+                    self._fleet,
+                    env,
+                    kernel_name=request.get("kernel"),
+                )
+            except ReproError as exc:
+                sp.set(error=code_for(exc))
+                self.metrics.counter(
+                    "serve.placement.errors",
+                    "placement attempts that failed and fell through",
+                ).inc()
+                return None
             sp.set(arch=decision.arch, model_ms=decision.model_ms)
         self._placements.inc()
         self._placement_ms.observe(decision.model_ms)
@@ -558,17 +428,10 @@ class Broker:
             self._placement_pinned.inc()
         elif self._fleet and env:
             # Placement compiles every fleet variant through the shared
-            # cache; if it fails, fall through to the single-arch path,
-            # which owns the retry/error taxonomy and will surface the
-            # same failure with the right code.
-            try:
-                placement = self._place(session, request, config, env)
+            # cache.
+            placement = self._place(session, request, config, env)
+            if placement is not None:
                 config = config.derive(arch=placement.arch)
-            except Exception:
-                self.metrics.counter(
-                    "serve.placement.errors",
-                    "placement attempts that failed and fell through",
-                ).inc()
         job = CompileJob(
             source=request["source"],
             config=config,
@@ -587,9 +450,7 @@ class Broker:
         attempt = 0
         while True:
             if self._remaining_ms(deadline) <= 0.0:
-                self._deadline_exceeded.inc()
-                return protocol.error_response(
-                    request_id,
+                raise ServeError(
                     protocol.DEADLINE_EXCEEDED,
                     f"deadline passed after {attempt} attempt(s)",
                 )
@@ -607,31 +468,19 @@ class Broker:
                         env=job.env,
                     )
                 break
-            except MiniAccError as exc:
-                return protocol.error_response(
-                    request_id, protocol.PARSE_ERROR, str(exc)
-                )
-            except Exception as exc:
-                if classify_failure(exc) != "transient":
-                    return protocol.error_response(
-                        request_id,
-                        protocol.COMPILE_ERROR,
-                        f"{type(exc).__name__}: {exc}",
-                    )
+            except TRANSIENT_FAILURES as exc:
+                # Permanent failures propagate to the front door's table
+                # (parse_error, compile_error, ...) without a retry.
                 if isinstance(exc, FeedbackTimeout) and self._remaining_ms(
                     deadline
                 ) <= 0.0:
-                    self._deadline_exceeded.inc()
-                    return protocol.error_response(
-                        request_id, protocol.DEADLINE_EXCEEDED, str(exc)
-                    )
+                    raise
                 if attempt >= self.config.max_retries:
-                    return protocol.error_response(
-                        request_id,
+                    raise ServeError(
                         protocol.TRANSIENT_FAILURE,
                         f"still failing after {attempt + 1} attempts: "
                         f"{type(exc).__name__}: {exc}",
-                    )
+                    ) from exc
                 self._backoff(attempt, deadline)
                 attempt += 1
                 self._retries.inc()
@@ -653,6 +502,8 @@ class Broker:
             ],
         }
         if env:
+            # Raises TimingUnavailable (timing_unavailable) when the env
+            # lacks a binding a trip count needs; the compile stays cached.
             timing = session.time_program(program, env)
             result["timing"] = {
                 "total_ms": round(timing.total_ms, 6),
@@ -717,12 +568,7 @@ class Broker:
         content_key = hashlib.sha256(
             ("run:" + request["source"]).encode()
         ).hexdigest()
-        try:
-            fn = self._run_kernel(content_key, request["source"])
-        except MiniAccError as exc:
-            return protocol.error_response(
-                request_id, protocol.PARSE_ERROR, str(exc)
-            )
+        fn = self._run_kernel(content_key, request["source"])
         # Fleet routing: model every fleet variant's time at the run's
         # problem size and record the verdict (a pinned arch skips the
         # policy; placement failures fall through to an unrouted run).
@@ -731,15 +577,9 @@ class Broker:
         if pinned is not None:
             self._placement_pinned.inc()
         elif self._fleet and env_int:
-            try:
-                placement = self._place(
-                    session, request, self._config_for(request), env_int
-                )
-            except Exception:
-                self.metrics.counter(
-                    "serve.placement.errors",
-                    "placement attempts that failed and fell through",
-                ).inc()
+            placement = self._place(
+                session, request, self._config_for(request), env_int
+            )
         try:
             run_args = build_run_args(fn, request.get("env") or {})
         except ValueError as exc:
@@ -780,17 +620,10 @@ class Broker:
                     content_key=content_key,
                 )
         except VectorUnsupported as exc:
-            return protocol.error_response(
-                request_id,
+            raise ServeError(
                 protocol.EXECUTION_ERROR,
                 f"codegen executor unsupported: {exc}",
-            )
-        except Exception as exc:
-            return protocol.error_response(
-                request_id,
-                protocol.EXECUTION_ERROR,
-                f"{type(exc).__name__}: {exc}",
-            )
+            ) from None
         self.metrics.counter(
             f"serve.codegen.tier.{info.used}",
             "run requests answered by this execution tier",
@@ -840,7 +673,6 @@ class Broker:
         """Autotune under the request deadline (the deadline scope is
         re-installed inside ``compile_many`` workers, so even a
         mid-SAFARA trial compile stops at the fence)."""
-        from ..errors import TuneError
         from ..tune import tune
 
         request_id = request.get("id")
@@ -854,38 +686,18 @@ class Broker:
             self._placement_pinned.inc()
         elif self._fleet:
             archs = list(self._fleet)
-        try:
-            with deadline_scope(deadline):
-                result = tune(
-                    request["source"],
-                    env=env,
-                    launches=request.get("launches", 1),
-                    base=base,
-                    strategy=request.get("strategy", "beam"),
-                    budget=request.get("budget"),
-                    session=session,
-                    ledger=self._tune_ledger_path(),
-                    kernel_name=request.get("kernel"),
-                    archs=archs,
-                )
-        except MiniAccError as exc:
-            return protocol.error_response(
-                request_id, protocol.PARSE_ERROR, str(exc)
-            )
-        except FeedbackTimeout as exc:
-            self._deadline_exceeded.inc()
-            return protocol.error_response(
-                request_id, protocol.DEADLINE_EXCEEDED, str(exc)
-            )
-        except TuneError as exc:
-            return protocol.error_response(
-                request_id, protocol.TUNE_ERROR, str(exc)
-            )
-        except Exception as exc:
-            return protocol.error_response(
-                request_id,
-                protocol.TUNE_ERROR,
-                f"{type(exc).__name__}: {exc}",
+        with deadline_scope(deadline):
+            result = tune(
+                request["source"],
+                env=env,
+                launches=request.get("launches", 1),
+                base=base,
+                strategy=request.get("strategy", "beam"),
+                budget=request.get("budget"),
+                session=session,
+                ledger=self._tune_ledger_path(),
+                kernel_name=request.get("kernel"),
+                archs=archs,
             )
         return protocol.ok_response(request_id, result.as_dict())
 
@@ -913,76 +725,25 @@ class Broker:
             out["disk_cache"] = self.disk_cache.as_dict()
         return out
 
-    def _handle_trace(self, request: dict) -> dict:
-        """The ``trace`` op: the flight recorder's retained traces.
-
-        With a ``trace_id`` field, answers for that one request (the op's
-        own correlation id doubles as the selector — ``found: false``
-        when it aged out of retention, not an error).  ``perfetto: true``
-        additionally renders the Chrome ``trace_event`` document (of the
-        selected record, or of the slowest retained one)."""
-        perfetto = bool(request.get("perfetto"))
-        wanted = request.get("trace_id")
-        if wanted:
-            rec = self.flight.get(wanted)
-            out: dict = {
-                "trace_id": wanted,
-                "found": rec is not None,
-                "record": rec.as_dict() if rec is not None else None,
-            }
-            if perfetto and rec is not None:
-                out["chrome"] = to_chrome(rec)
-            return out
-        out = self.flight.snapshot()
-        if perfetto:
-            slowest = self.flight.slowest()
-            if slowest:
-                out["chrome"] = to_chrome(slowest[0])
-        return out
-
-    def telemetry_snapshot(self) -> dict:
-        """One live-telemetry frame (the ``watch`` op; ``repro top``).
-
-        Counters are cumulative — clients diff consecutive frames
-        against ``ts`` (a monotonic-seconds stamp) for rates.  Latency
-        quantiles come from the ``serve.latency_ms.*`` log-histograms.
-        """
+    def _frame(self) -> dict:
+        """The broker's telemetry fields: retries, degradations, cache
+        hit rates, placements and execution tiers."""
         m = self.metrics
-
-        def value(name: str) -> float:
-            metric = m.get(name)
-            v = metric.value if metric is not None else 0
-            return int(v) if v == int(v) else round(v, 4)
+        value = self._value
 
         def rate(hits: str, misses: str) -> float | None:
             h, miss = value(hits), value(misses)
             return round(h / (h + miss), 4) if h + miss else None
 
-        requests = {
-            op: value(f"serve.requests.{op}")
-            for op in protocol.VALID_OPS
-            if m.get(f"serve.requests.{op}") is not None
-        }
-        placement = {
-            name.rsplit(".", 1)[1]: value(name)
-            for name in m.names()
-            if name.startswith("serve.placement.chosen.")
-        }
-        tiers = {
-            name.rsplit(".", 1)[1]: value(name)
-            for name in m.names()
-            if name.startswith("serve.codegen.tier.")
-        }
+        def by_last_part(prefix: str) -> dict:
+            return {
+                name.rsplit(".", 1)[1]: value(name)
+                for name in m.names()
+                if name.startswith(prefix)
+            }
+
         return {
-            "ts": round(time.monotonic(), 6),
-            "uptime_s": round(time.monotonic() - self._started, 3),
             "workers": self.config.workers,
-            "queue_limit": self.config.queue_limit,
-            "queue_depth": self.pending,
-            "stopping": self._stopping,
-            "requests": requests,
-            "requests_total": sum(requests.values()),
-            "rejected": value("serve.rejected"),
             "retries": value("serve.retries"),
             "deadline_exceeded": value("serve.deadline_exceeded"),
             "degradations": {
@@ -995,24 +756,7 @@ class Broker:
                 "disk_hit_rate": rate("cache.disk.hits", "cache.disk.misses"),
                 "fnobj_hit_rate": rate("cache.fnobj.hits", "cache.fnobj.misses"),
             },
-            "placement": placement,
-            "codegen_tiers": tiers,
-            "latency_ms": {
-                op: hist.as_dict()
-                for op, hist in self._latency.items()
-                if hist.count
-            },
+            "placement": by_last_part("serve.placement.chosen."),
+            "codegen_tiers": by_last_part("serve.codegen.tier."),
             "flight_recorded": self.flight.recorded,
         }
-
-    def drain(self) -> None:
-        """Stop admitting, then wait for in-flight requests to finish."""
-        with self._lock:
-            self._stopping = True
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "Broker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.drain()

@@ -1,9 +1,10 @@
 """The sharded serving tier: a consistent-hash router over N broker
 shards.
 
-One :class:`Router` owns the client-facing stream or socket (it
-duck-types :class:`~repro.serve.broker.Broker`, so the daemon front ends
-in :mod:`repro.serve.daemon` and the load generator drive it unchanged)
+One :class:`Router` owns the client-facing stream or socket (it is the
+``cluster`` tier of the :class:`~repro.serve.frontdoor.FrontDoor` the
+broker also subclasses, so the daemon front ends in
+:mod:`repro.serve.daemon` and the load generator drive it unchanged)
 and spreads keyed requests (``compile`` / ``run`` / ``tune``) over N
 shards, each a full broker — worker pool, retries, deadlines, placement
 — sharing one content-addressed disk-cache namespace.  See
@@ -26,8 +27,9 @@ shards, each a full broker — worker pool, retries, deadlines, placement
   Duplicated work is safe: keyed ops are deterministic and cached.
 * **Admission quotas** — with a configured per-tenant rate, keyed
   requests charge a token bucket keyed by the protocol's ``tenant``
-  field before routing (:mod:`repro.serve.quota`); an empty bucket
-  answers the retryable ``quota_exceeded``.
+  field before routing (:mod:`repro.serve.quota`, the front door's
+  admission check); an empty bucket answers the retryable
+  ``quota_exceeded``.
 * **Drain/restart** — the ``drain`` op (``repro cluster-drain``) marks a
   shard draining (no new routes), waits out its in-flight requests,
   stops it, and optionally restarts it.  The restarted shard rejoins
@@ -55,13 +57,13 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
 
-from ..obs.metrics import MetricsRegistry
 from . import hashring, protocol
 from .broker import Broker, BrokerConfig
 from .client import SocketClient
+from .frontdoor import FrontDoor, number
 from .protocol import ServeError
 from .quota import TenantQuotas
 
@@ -409,7 +411,7 @@ class ProcessShard:
             return None
         try:
             response = future.result(timeout=timeout)
-        except Exception:
+        except (TimeoutError, ConnectionError):
             return None
         return response.get("result") if response.get("ok") else None
 
@@ -425,12 +427,14 @@ class ProcessShard:
         return self._control({**request, "op": "trace"}, timeout)
 
 
-class Router:
+class Router(FrontDoor):
     """The consistent-hash front end over the shard fleet.
 
-    Duck-types the broker surface the daemon and load generator rely on:
-    ``submit`` → ``Future[response]``, ``handle``, ``metrics``,
-    ``telemetry_snapshot``, ``drain``, and context management.
+    Shares the broker's front door (admission, rejection, answering and
+    the ``submit`` / ``handle`` / ``drain`` surface); its own work is
+    routing, hedging, shard drains and the fan-out of ``stats``,
+    ``trace`` and telemetry.  Rejections are flight-recorded here, so
+    the router's ``trace`` op finds them before asking the shards.
     """
 
     def __init__(
@@ -444,11 +448,13 @@ class Router:
             raise ValueError("a cluster needs at least one shard")
         if self.config.replication < 1:
             raise ValueError("replication must be >= 1")
-        self.metrics = MetricsRegistry()
-        self._lock = threading.Lock()
-        self._pending = 0
-        self._stopping = False
-        self._started = time.monotonic()
+        super().__init__(
+            "cluster",
+            workers=self.config.router_workers,
+            queue_limit=self.config.queue_limit,
+            flight_slow=self.config.broker.flight_slow,
+            flight_errors=self.config.broker.flight_errors,
+        )
         self._socket_dir: str | None = None
 
         if shards is not None:
@@ -480,10 +486,6 @@ class Router:
                 for i in range(self.config.shards)
             ]
 
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.router_workers,
-            thread_name_prefix="repro-router",
-        )
         self._quotas = (
             None
             if self.config.tenant_rate is None
@@ -498,12 +500,6 @@ class Router:
         self._HOT_EVERY = 32
 
         m = self.metrics
-        self._rejected = m.counter(
-            "cluster.rejected", "requests refused at router admission"
-        )
-        self._quota_rejected = m.counter(
-            "cluster.quota_rejected", "requests refused by tenant quotas"
-        )
         self._hedges = m.counter(
             "cluster.hedges", "hedged (duplicated) shard requests sent"
         )
@@ -520,9 +516,6 @@ class Router:
         self._restarts = m.counter(
             "cluster.restarts", "shards restarted after a drain"
         )
-        self._queue_depth = m.gauge(
-            "cluster.queue_depth", "requests inside the router, unanswered"
-        )
         self._shards_up = m.gauge("cluster.shards_up", "shards accepting load")
         self._shards_up.set(sum(1 for s in self.shards if s.state == "up"))
         for shard in self.shards:
@@ -534,123 +527,26 @@ class Router:
             "cluster.shard_ms",
             help="router→shard service time (hedge-delay basis)",
         )
-        self._latency = {
-            op: m.log_histogram(
-                f"cluster.latency_ms.{op}",
-                help=f"router admission → response latency of {op} requests",
+
+    def _admit(self, request: dict) -> None:
+        """Charge a keyed request to its tenant's token bucket."""
+        if (
+            self._quotas is not None
+            and request["op"] in KEYED_OPS
+            and not self._quotas.try_acquire(request.get("tenant"))
+        ):
+            raise ServeError(
+                protocol.QUOTA_EXCEEDED,
+                f"tenant {request.get('tenant') or '(anonymous)'!s} is "
+                f"over its admission quota "
+                f"({self.config.tenant_rate}/s, burst "
+                f"{self.config.tenant_burst}); retry with backoff",
             )
-            for op in ("compile", "run", "tune", "stats")
-        }
 
-    # -- admission ---------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._pending
-
-    def _rejection(
-        self, request_id, code: str, message: str, trace_id: str
-    ) -> "Future[dict]":
-        future: "Future[dict]" = Future()
-        future.set_result(
-            protocol.error_response(request_id, code, message, trace_id=trace_id)
-        )
-        return future
-
-    def submit(self, request: dict) -> "Future[dict]":
-        """Admit a request; always returns a future resolving to a
-        response dict (mirrors :meth:`Broker.submit`)."""
-        request_id = request.get("id") if isinstance(request, dict) else None
-        trace_id = Broker._trace_id_for(request)
-        try:
-            protocol.validate_request(request)
-        except ServeError as exc:
-            self._rejected.inc()
-            return self._rejection(request_id, exc.code, exc.message, trace_id)
-        op = request["op"]
-        self.metrics.counter(
-            f"cluster.requests.{op}", f"admitted {op} requests"
-        )
-        if op in KEYED_OPS and self._quotas is not None:
-            if not self._quotas.try_acquire(request.get("tenant")):
-                self._quota_rejected.inc()
-                return self._rejection(
-                    request_id,
-                    protocol.QUOTA_EXCEEDED,
-                    f"tenant {request.get('tenant') or '(anonymous)'!s} is "
-                    f"over its admission quota "
-                    f"({self.config.tenant_rate}/s, burst "
-                    f"{self.config.tenant_burst}); retry with backoff",
-                    trace_id,
-                )
-        with self._lock:
-            if self._stopping:
-                return self._rejection(
-                    request_id,
-                    protocol.SHUTTING_DOWN,
-                    "router is draining; resubmit to the next instance",
-                    trace_id,
-                )
-            capacity = self.config.router_workers + self.config.queue_limit
-            if self._pending >= capacity:
-                self._rejected.inc()
-                return self._rejection(
-                    request_id,
-                    protocol.QUEUE_FULL,
-                    f"router queue full ({self._pending} in flight, "
-                    f"capacity {capacity}); retry later",
-                    trace_id,
-                )
-            self._pending += 1
-            self._queue_depth.set(self._pending)
-        self.metrics.counter(f"cluster.requests.{op}").inc()
-        enqueue_t = time.monotonic()
-        return self._pool.submit(self._process, request, enqueue_t, trace_id)
-
-    def handle(self, request: dict) -> dict:
-        """Synchronous convenience: submit and wait."""
-        return self.submit(request).result()
-
-    # -- processing --------------------------------------------------------
-
-    def _process(self, request: dict, enqueue_t: float, trace_id: str) -> dict:
-        request_id = request.get("id")
-        op = request["op"]
-        try:
-            if op in KEYED_OPS:
-                response = self._route(request, trace_id)
-            elif op == "stats":
-                response = protocol.ok_response(request_id, self.stats())
-            elif op == "trace":
-                response = protocol.ok_response(
-                    request_id, self._handle_trace(request)
-                )
-            elif op == "watch":
-                response = protocol.ok_response(
-                    request_id, self.telemetry_snapshot()
-                )
-            elif op == "drain":
-                response = self._handle_drain(request)
-            else:  # "shutdown" — answered here, drained by the daemon
-                response = protocol.ok_response(request_id, {"stopping": True})
-        except ServeError as exc:
-            response = protocol.error_response(
-                request_id, exc.code, exc.message, retryable=exc.retryable
-            )
-        except Exception as exc:  # a router bug must still answer
-            response = protocol.error_response(
-                request_id, protocol.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        finally:
-            with self._lock:
-                self._pending -= 1
-                self._queue_depth.set(self._pending)
-        response["trace_id"] = trace_id
-        hist = self._latency.get(op)
-        if hist is not None:
-            hist.observe((time.monotonic() - enqueue_t) * 1000.0)
-        return response
+    def _dispatch(self, request: dict, trace_id: str, enqueue_t: float) -> dict:
+        if request["op"] == "drain":
+            return self._handle_drain(request)
+        return self._route(request, trace_id)
 
     # -- routing -----------------------------------------------------------
 
@@ -772,7 +668,7 @@ class Router:
             winner = in_flight.pop(future)
             try:
                 response = future.result()
-            except Exception:
+            except ConnectionError:
                 continue  # transport death; maybe the other leg answers
             self._service_ms.observe((time.monotonic() - start) * 1000.0)
             if winner is not shard:
@@ -847,10 +743,14 @@ class Router:
 
     def _handle_trace(self, request: dict) -> dict:
         """Fan the ``trace`` op out to the shards: a specific
-        ``trace_id`` answers from the first shard that retains it (the
-        router propagates its trace id downstream, so the record lives
-        wherever the request ran); without one, a per-shard snapshot."""
+        ``trace_id`` answers from the router's own recorder when the
+        router refused that request, else from the first shard that
+        retains it (the router propagates its trace id downstream, so the
+        record lives wherever the request ran); without one, a per-shard
+        snapshot."""
         wanted = request.get("trace_id")
+        if wanted and self.flight.get(wanted) is not None:
+            return super()._handle_trace(request)
         snapshots = []
         for shard in self.shards:
             if shard.state != "up":
@@ -905,46 +805,25 @@ class Router:
             out["router"]["quotas"] = self._quotas.snapshot()
         return out
 
-    def telemetry_snapshot(self) -> dict:
-        """One live-telemetry frame, shaped like the broker's (so
+    def _frame(self) -> dict:
+        """The router's telemetry fields, shaped like the broker's (so
         ``repro top`` renders a router unchanged) plus a ``cluster``
         stanza and per-shard rollup rows."""
-        m = self.metrics
-
-        def value(name: str) -> float:
-            metric = m.get(name)
-            v = metric.value if metric is not None else 0
-            return int(v) if v == int(v) else round(v, 4)
-
-        frames = []
-        for shard in self.shards:
-            frame = shard.telemetry(timeout=2.0) if shard.state == "up" else None
-            frames.append((shard, frame))
+        value = self._value
+        frames = [
+            (shard, shard.telemetry(timeout=2.0) if shard.state == "up" else None)
+            for shard in self.shards
+        ]
         live = [f for _, f in frames if f is not None]
 
         def total(key: str) -> float:
-            v = sum(f.get(key) or 0 for f in live)
-            return int(v) if v == int(v) else round(v, 4)
+            return number(sum(f.get(key) or 0 for f in live))
 
-        def mean_rate(*path: str) -> float | None:
-            values = []
-            for f in live:
-                node = f
-                for part in path:
-                    node = (node or {}).get(part)
-                values.append(node)
+        def mean_rate(key: str) -> float | None:
+            values = [(f.get("cache") or {}).get(key) for f in live]
             values = [v for v in values if v is not None]
             return round(sum(values) / len(values), 4) if values else None
 
-        requests = {}
-        for op in protocol.VALID_OPS:
-            count = value(f"cluster.requests.{op}") + value(
-                f"serve.requests.{op}"  # the daemon's watch counter
-            )
-            if m.get(f"cluster.requests.{op}") is not None or m.get(
-                f"serve.requests.{op}"
-            ) is not None:
-                requests[op] = count
         placement: dict = {}
         tiers: dict = {}
         for f in live:
@@ -960,61 +839,33 @@ class Router:
                 "routed": value(f"cluster.routed.{shard.shard_id}"),
             }
             if frame is not None:
+                cache = frame.get("cache") or {}
                 row.update(
-                    {
-                        "requests_total": frame.get("requests_total", 0),
-                        "queue_depth": frame.get("queue_depth", 0),
-                        "memory_hit_rate": (frame.get("cache") or {}).get(
-                            "memory_hit_rate"
-                        ),
-                        "disk_hit_rate": (frame.get("cache") or {}).get(
-                            "disk_hit_rate"
-                        ),
-                    }
+                    requests_total=frame.get("requests_total", 0),
+                    queue_depth=frame.get("queue_depth", 0),
+                    memory_hit_rate=cache.get("memory_hit_rate"),
+                    disk_hit_rate=cache.get("disk_hit_rate"),
                 )
             shard_rows.append(row)
         return {
-            "ts": round(time.monotonic(), 6),
-            "uptime_s": round(time.monotonic() - self._started, 3),
             "workers": sum(
                 s.config.workers for s in self.shards if s.state == "up"
             ),
-            "queue_limit": self.config.queue_limit,
-            "queue_depth": self.pending,
-            "stopping": self._stopping,
-            "requests": requests,
-            "requests_total": sum(requests.values()),
-            "rejected": value("cluster.rejected"),
             "retries": total("retries"),
             "deadline_exceeded": total("deadline_exceeded"),
             "degradations": {
-                "total": sum(
-                    (f.get("degradations") or {}).get("total", 0) for f in live
-                ),
-                "deadline": sum(
-                    (f.get("degradations") or {}).get("deadline", 0)
-                    for f in live
-                ),
-                "vector_fallback": sum(
-                    (f.get("degradations") or {}).get("vector_fallback", 0)
-                    for f in live
-                ),
+                key: sum((f.get("degradations") or {}).get(key, 0) for f in live)
+                for key in ("total", "deadline", "vector_fallback")
             },
             # Mean across live shards (rates cannot be exactly merged
             # without raw hit/miss counts; per-shard exact rates are in
             # the rollup rows below).
             "cache": {
-                "memory_hit_rate": mean_rate("cache", "memory_hit_rate"),
-                "disk_hit_rate": mean_rate("cache", "disk_hit_rate"),
-                "fnobj_hit_rate": mean_rate("cache", "fnobj_hit_rate"),
+                key: mean_rate(key)
+                for key in ("memory_hit_rate", "disk_hit_rate", "fnobj_hit_rate")
             },
             "placement": placement,
             "codegen_tiers": tiers,
-            "latency_ms": {
-                op: hist.as_dict()
-                for op, hist in self._latency.items()
-                if hist.count
-            },
             "flight_recorded": total("flight_recorded"),
             "cluster": {
                 "shards": len(self.shards),
@@ -1025,7 +876,7 @@ class Router:
                 "hedge_wins": value("cluster.hedge_wins"),
                 "hedge_wasted": value("cluster.hedge_wasted"),
                 "failovers": value("cluster.failovers"),
-                "quota_rejected": value("cluster.quota_rejected"),
+                "quota_rejected": value("cluster.rejected.quota_exceeded"),
                 "drains": value("cluster.drains"),
                 "restarts": value("cluster.restarts"),
             },
@@ -1036,24 +887,16 @@ class Router:
 
     def drain(self) -> None:
         """Stop admitting, answer everything in flight, stop the shards."""
-        with self._lock:
-            self._stopping = True
-        self._pool.shutdown(wait=True)
+        super().drain()
         for shard in self.shards:
             if shard.state == "up":
                 shard.state = "draining"
                 try:
                     shard.stop()
-                except Exception:
-                    pass
+                except (OSError, subprocess.TimeoutExpired):
+                    pass  # the shard process is gone or will not exit
                 shard.state = "down"
         self._shards_up.set(0)
-
-    def __enter__(self) -> "Router":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.drain()
 
 
 def run_cluster(config: ClusterConfig, socket_path: str | None = None) -> int:

@@ -2,20 +2,21 @@
 unix-domain socket.
 
 Reads one request per line from a text stream (normally stdin), submits
-each to the :class:`~repro.serve.broker.Broker`, and writes one response
-per line (normally to stdout) **as results complete** — responses may be
-out of order with respect to requests; clients correlate by ``id`` (and
+each to the serving tier (a :class:`~repro.serve.frontdoor.FrontDoor`:
+the broker, or a cluster router), and writes one response per line
+(normally to stdout) **as results complete** — responses may be out of
+order with respect to requests; clients correlate by ``id`` (and
 by ``trace_id``, which every response carries).
 
 Two ops are intercepted at this layer instead of occupying a broker
 worker:
 
-* ``watch`` streams telemetry: the daemon emits one response line per
-  interval (each an :func:`~repro.serve.broker.Broker.telemetry_snapshot`
-  with a ``seq`` number), for ``count`` frames or until the stream
-  closes.  A worker thread that slept between frames would be a denial
-  of service against the admission queue — watching must never cost
-  serving capacity.
+* ``watch`` streams telemetry: admitted by
+  :meth:`~repro.serve.frontdoor.FrontDoor.admit_stream`, it emits one
+  frame per interval (a ``telemetry_snapshot`` with a ``seq`` number),
+  for ``count`` frames or until the stream closes.  A worker thread that
+  slept between frames would be a denial of service against the
+  admission queue — watching must never cost serving capacity.
 * ``shutdown`` is still answered by the broker, but the daemon sees it
   go by and drains afterwards.
 
@@ -43,7 +44,7 @@ from typing import IO
 
 from .broker import Broker, BrokerConfig
 from . import protocol
-from .protocol import ServeError
+from .frontdoor import FrontDoor
 
 
 def _emit(stream: IO[str], lock: threading.Lock, response: dict) -> None:
@@ -58,16 +59,16 @@ DEFAULT_WATCH_INTERVAL_MS = 1000.0
 
 
 def _watch_stream(
-    broker: Broker,
+    broker: FrontDoor,
     stdout: IO[str],
     lock: threading.Lock,
     request: dict,
+    trace_id: str,
     stop: threading.Event,
 ) -> None:
     """Emit telemetry frames for one ``watch`` request until ``count``
     frames are sent, the stream dies, or ``stop`` is set."""
     request_id = request.get("id")
-    trace_id = Broker._trace_id_for(request)
     interval_s = (
         request.get("interval_ms") or DEFAULT_WATCH_INTERVAL_MS
     ) / 1000.0
@@ -91,38 +92,27 @@ def _watch_stream(
 
 
 def _start_watch(
-    broker: Broker,
+    broker: FrontDoor,
     stdout: IO[str],
     lock: threading.Lock,
     request: dict,
     stop: threading.Event,
 ) -> None:
-    """Validate and launch one ``watch`` stream on its own thread."""
-    trace_id = Broker._trace_id_for(request)
-    try:
-        protocol.validate_request(request)
-    except ServeError as exc:
-        _emit(
-            stdout,
-            lock,
-            protocol.error_response(
-                request.get("id"), exc.code, exc.message, trace_id=trace_id
-            ),
-        )
+    """Admit and launch one ``watch`` stream on its own thread."""
+    trace_id, refusal = broker.admit_stream(request)
+    if refusal is not None:
+        _emit(stdout, lock, refusal)
         return
-    broker.metrics.counter(
-        "serve.requests.watch", "admitted watch requests"
-    ).inc()
     threading.Thread(
         target=_watch_stream,
-        args=(broker, stdout, lock, request, stop),
+        args=(broker, stdout, lock, request, trace_id, stop),
         name="repro-watch",
         daemon=True,
     ).start()
 
 
 def handle_stream(
-    broker: Broker, stdin: IO[str], stdout: IO[str]
+    broker: FrontDoor, stdin: IO[str], stdout: IO[str]
 ) -> bool:
     """Run the line protocol over one request/response stream pair.
 
@@ -167,7 +157,7 @@ def handle_stream(
 
 
 def serve_loop(
-    broker: Broker,
+    broker: FrontDoor,
     stdin: IO[str] | None = None,
     stdout: IO[str] | None = None,
 ) -> int:
@@ -180,14 +170,14 @@ def serve_loop(
 
 
 class SocketServer:
-    """A unix-domain-socket front end over one broker.
+    """A unix-domain-socket front end over one broker or router.
 
     Each accepted connection runs :func:`handle_stream` on its own
     thread; a ``shutdown`` request from any connection stops the accept
     loop (after which the caller drains the broker).
     """
 
-    def __init__(self, broker: Broker, path: str):
+    def __init__(self, broker: FrontDoor, path: str):
         self.broker = broker
         self.path = path
         if os.path.exists(path):
@@ -247,7 +237,7 @@ class SocketServer:
         self.close()
 
 
-def serve_socket(broker: Broker, path: str) -> int:
+def serve_socket(broker: FrontDoor, path: str) -> int:
     """Listen on a unix socket until a client sends ``shutdown``."""
     server = SocketServer(broker, path)
     print(f"repro serve: listening on {path}", file=sys.stderr)

@@ -42,6 +42,7 @@ response raises the same exception type the in-process API would have.
 
 from __future__ import annotations
 
+import uuid
 from typing import Any
 
 from ..errors import ReproError
@@ -71,6 +72,10 @@ COMPILE_ERROR = "compile_error"
 EXECUTION_ERROR = "execution_error"
 #: The autotuner failed (unknown strategy, empty space, un-timeable kernel).
 TUNE_ERROR = "tune_error"
+#: The timing model cannot be evaluated under the request's ``env`` (a
+#: trip count depends on a binding it lacks).  Permanent for that env;
+#: the compile itself succeeded and is cached.
+TIMING_UNAVAILABLE = "timing_unavailable"
 #: The daemon is draining after a shutdown request.
 SHUTTING_DOWN = "shutting_down"
 #: The tenant's token bucket is empty — per-tenant admission throttling
@@ -123,6 +128,16 @@ class ServeError(ReproError):
         self.retryable = (
             retryable if retryable is not None else code in RETRYABLE_CODES
         )
+
+
+def trace_id_for(request: Any) -> str:
+    """The request's correlation id: the client's ``trace_id`` when
+    present and well-formed, else a freshly generated one (also for
+    rejections — every response is correlatable)."""
+    supplied = request.get("trace_id") if isinstance(request, dict) else None
+    if isinstance(supplied, str) and 0 < len(supplied) <= MAX_TRACE_ID_LEN:
+        return supplied
+    return uuid.uuid4().hex[:16]
 
 
 def validate_request(obj: Any) -> dict:

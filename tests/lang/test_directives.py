@@ -78,6 +78,40 @@ class TestCombinedConstruct:
         assert isinstance(d.combined_loop.gang, str)
         assert "NX" in d.combined_loop.gang
 
+    @pytest.mark.parametrize(
+        "size, value",
+        [
+            ("-7/2", -4),
+            ("7%-3", -2),
+            ("-(3)*-2", 6),
+            ("2*(3+4)%5", 4),
+            ("7-2-1", 4),
+            ("+".join(["1"] * 5000), 5000),
+        ],
+        ids=lambda v: v if not isinstance(v, str) or len(v) < 40 else f"{v[:10]}...({len(v)})",
+    )
+    def test_size_arithmetic_folds_with_floor_division(self, size, value):
+        d = parse_directive(f"pragma acc kernels loop gang vector({size})")
+        assert d.combined_loop.vector == value
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            "(lambda: 7)()",
+            "[0 for a in [1] * 3 for b in [1] * 3]",
+            "1/0",
+            "064",
+            "64.0",
+            "2 3",
+            "-" * 100_000 + "1",
+            "(" * 100_000 + "1" + ")" * 100_000,
+        ],
+        ids=lambda size: size if len(size) < 40 else f"{size[:10]}...({len(size)})",
+    )
+    def test_size_that_is_not_integer_arithmetic_is_kept_as_text(self, size):
+        d = parse_directive(f"pragma acc kernels loop gang vector({size})")
+        assert isinstance(d.combined_loop.vector, str)
+
 
 class TestLoopConstruct:
     def test_seq(self):

@@ -16,6 +16,8 @@ from repro.feedback.driver import (
 )
 from repro.serve.broker import Broker, BrokerConfig
 
+from .tiers import TIERS, front_door
+
 SRC = """
 kernel axpy(const double x[1:n], double y[1:n], int n) {
   #pragma acc kernels loop gang vector(64)
@@ -85,40 +87,49 @@ class TestCompile:
         assert response["error"]["code"] == "unknown_config"
 
     def test_malformed_request_rejected(self):
-        with make_broker() as broker:
-            assert broker.handle({"op": "compile"})["error"]["code"] == "bad_request"
-            assert broker.handle({"op": "dance"})["error"]["code"] == "bad_request"
-            assert broker.handle([1, 2])["error"]["code"] == "bad_request"
+        for tier in TIERS:
+            with front_door(tier) as door:
+                for request in ({"op": "compile"}, {"op": "dance"}, [1, 2]):
+                    response = door.handle(request)
+                    assert response["error"]["code"] == "bad_request", tier
+            # Every refusal is counted, with its code.
+            assert door.metrics.get(f"{tier}.rejected").value == 3
+            assert door.metrics.get(f"{tier}.rejected.bad_request").value == 3
 
 
 class TestAdmission:
+    """The front door's admission, on the broker and on the router."""
+
     def test_queue_full_rejects_with_429_semantics(self):
-        release = threading.Event()
-        started = threading.Event()
-        with make_broker(workers=1, queue_limit=0) as broker:
-            broker._sleep = lambda s: None
+        for tier in TIERS:
+            release = threading.Event()
+            started = threading.Event()
+            with front_door(tier, workers=1, queue_limit=0) as door:
 
-            def stall(kernel, iteration):
-                started.set()
-                release.wait(timeout=30)
+                def stall(kernel, iteration):
+                    started.set()
+                    release.wait(timeout=30)
 
-            with fault_scope(stall):
-                first = broker.submit(compile_request(1))
-                assert started.wait(timeout=30)
-                # Worker busy, no queue slots: immediate rejection.
-                second = broker.handle(compile_request(2))
-                release.set()
-                assert first.result(timeout=30)["ok"]
-        assert not second["ok"]
-        assert second["error"]["code"] == "queue_full"
-        assert second["error"]["retryable"] is True
-        assert broker.metrics.get("serve.rejected").value == 1
+                with fault_scope(stall):
+                    first = door.submit(compile_request(1))
+                    assert started.wait(timeout=30), tier
+                    # Pool thread busy, no queue slots: immediate rejection.
+                    second = door.handle(compile_request(2))
+                    release.set()
+                    assert first.result(timeout=30)["ok"], tier
+            assert not second["ok"]
+            assert second["error"]["code"] == "queue_full", tier
+            assert second["error"]["retryable"] is True
+            assert door.metrics.get(f"{tier}.rejected").value == 1
+            assert door.metrics.get(f"{tier}.rejected.queue_full").value == 1
 
     def test_draining_broker_rejects(self):
-        broker = make_broker()
-        broker.drain()
-        response = broker.handle(compile_request())
-        assert response["error"]["code"] == "shutting_down"
+        for tier in TIERS:
+            door = front_door(tier)
+            door.drain()
+            response = door.handle(compile_request())
+            assert response["error"]["code"] == "shutting_down", tier
+            assert door.metrics.get(f"{tier}.rejected.shutting_down").value == 1
 
 
 class TestFaultInjection:

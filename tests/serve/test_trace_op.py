@@ -15,6 +15,8 @@ import pytest
 from repro.obs.flight import span_tree
 from repro.serve.broker import Broker, BrokerConfig
 
+from .tiers import TIERS, front_door
+
 FLEET = ("kepler-k20xm", "cdna2-mi250")
 
 SRC = """
@@ -67,13 +69,14 @@ class TestTraceIdEcho:
             assert response["trace_id"] == "bad-src"
 
     def test_echoed_on_admission_rejection(self):
-        with make_broker() as broker:
-            response = broker.handle(
-                {"id": 1, "op": "frobnicate", "trace_id": "rej-1"}
-            )
-            assert response["ok"] is False
-            assert response["error"]["code"] == "bad_request"
-            assert response["trace_id"] == "rej-1"
+        for tier in TIERS:
+            with front_door(tier, fleet=FLEET) as door:
+                response = door.handle(
+                    {"id": 1, "op": "frobnicate", "trace_id": "rej-1"}
+                )
+                assert response["ok"] is False
+                assert response["error"]["code"] == "bad_request", tier
+                assert response["trace_id"] == "rej-1", tier
 
     def test_invalid_trace_id_is_rejected_with_generated_id(self):
         with make_broker() as broker:
@@ -84,12 +87,20 @@ class TestTraceIdEcho:
             assert response["trace_id"] != "x" * 129
 
     def test_rejections_are_flight_recorded_spanless(self):
-        with make_broker() as broker:
-            broker.handle({"id": 1, "op": "frobnicate", "trace_id": "rej-2"})
-            rec = broker.flight.get("rej-2")
-            assert rec is not None
-            assert rec.op == "(rejected)" and rec.ok is False
-            assert rec.spans == []
+        for tier in TIERS:
+            with front_door(tier, fleet=FLEET) as door:
+                door.handle({"id": 1, "op": "frobnicate", "trace_id": "rej-2"})
+                rec = door.flight.get("rej-2")
+                assert rec is not None, tier
+                assert rec.op == "(rejected)" and rec.ok is False
+                assert rec.spans == []
+                # The tier's own trace op finds it (the router answers
+                # from its recorder before asking the shards).
+                found = door.handle(
+                    {"id": 2, "op": "trace", "trace_id": "rej-2"}
+                )["result"]
+                assert found["found"], tier
+                assert found["record"]["op"] == "(rejected)", tier
 
 
 class TestRequestTrace:

@@ -23,6 +23,7 @@ from repro.errors import (
     ReproError,
     ShardUnavailableError,
     ShuttingDownError,
+    TimingUnavailable,
     TuneError,
     UnknownConfigError,
     code_for,
@@ -68,6 +69,7 @@ class TestCodeMapping:
             protocol.COMPILE_ERROR, protocol.EXECUTION_ERROR,
             protocol.TUNE_ERROR, protocol.SHUTTING_DOWN, protocol.INTERNAL,
             protocol.QUOTA_EXCEEDED, protocol.SHARD_UNAVAILABLE,
+            protocol.TIMING_UNAVAILABLE,
         ]
         seen = {}
         for code in codes:
@@ -89,6 +91,7 @@ class TestCodeMapping:
             protocol.EXECUTION_ERROR, protocol.TUNE_ERROR,
             protocol.SHUTTING_DOWN, protocol.INTERNAL,
             protocol.QUOTA_EXCEEDED, protocol.SHARD_UNAVAILABLE,
+            protocol.TIMING_UNAVAILABLE,
         ):
             assert code_for(error_for(code, "msg")) == code
 
@@ -195,3 +198,29 @@ kernel axpy(const double x[1:n], double y[1:n], int n) {
         assert response["error"]["code"] == protocol.TUNE_ERROR
         with pytest.raises(TuneError, match="unknown strategy"):
             raise_for_response(response)
+
+    def test_untimeable_compile_answers_timing_unavailable(self):
+        """The compile succeeds and is cached; only the timing under this
+        env is impossible (354.cg's inner loop needs ``__trips_k``)."""
+        from repro.bench import SPEC, load_all
+        from repro.serve.broker import Broker, BrokerConfig
+
+        load_all()
+        request = {
+            "id": 1,
+            "op": "compile",
+            "source": SPEC.get("354.cg").source,
+            "env": {"nrows": 12, "nrows1": 13, "nnz": 48},
+        }
+        with Broker(BrokerConfig(workers=1)) as broker:
+            first = broker.handle(request)
+            again = broker.handle(dict(request, id=2))
+        for response in (first, again):
+            assert response["error"]["code"] == protocol.TIMING_UNAVAILABLE
+            assert response["error"]["retryable"] is False
+            with pytest.raises(TimingUnavailable, match="trip count"):
+                raise_for_response(response)
+        # The repeat is a memory hit: one compilation for both requests.
+        assert broker.metrics.get("session.compilations").value == 1
+        assert broker.metrics.get("cache.hits").value == 1
+        assert broker.metrics.get("serve.errors.unexpected") is None
