@@ -96,6 +96,49 @@ def _build_run_args(fn, env: dict[str, int], seed: int = 0) -> dict[str, object]
         ) from None
 
 
+def _read_source(path: str) -> str:
+    """A command's MiniACC source: the file at ``path``, stdin for ``-``."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as f:
+        return f.read()
+
+
+def _config_named(name: str):
+    """The named configuration; an unknown name is a usage error listing
+    the known ones."""
+    config = ALL_CONFIGS.get(name)
+    if config is None:
+        known = ", ".join(sorted(ALL_CONFIGS))
+        raise SystemExit(f"unknown config {name!r}; known: {known}")
+    return config
+
+
+def _first_function(source: str):
+    """The first kernel function of ``source``, freshly parsed (a run and
+    the CUDA rendering read its IR)."""
+    from .ir.builder import build_module
+    from .lang.parser import parse_program
+
+    return build_module(parse_program(source)).functions[0]
+
+
+def _traced(command, args: argparse.Namespace) -> int:
+    """Run ``command(args)``; with ``--trace OUT``, under an enabled
+    tracer whose spans are written to OUT as a Chrome trace."""
+    if not args.trace:
+        return command(args)
+    from .obs.chrome import write_chrome_trace
+    from .obs.tracer import Tracer
+
+    tracer = Tracer(enabled=True)
+    with tracer.activate():
+        rc = command(args)
+    write_chrome_trace(args.trace, tracer)
+    print(f"trace: {len(tracer.spans)} spans -> {args.trace}")
+    return rc
+
+
 def _derive_arch(config, arch_name: str):
     """``config`` retargeted to a named arch profile; unknown names are
     CLI usage errors listing the registry."""
@@ -108,30 +151,17 @@ def _derive_arch(config, arch_name: str):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    if args.trace:
-        from .obs.chrome import write_chrome_trace
-        from .obs.tracer import Tracer
-
-        tracer = Tracer(enabled=True)
-        with tracer.activate():
-            rc = _cmd_compile(args)
-        write_chrome_trace(args.trace, tracer)
-        print(f"trace: {len(tracer.spans)} spans -> {args.trace}")
-        return rc
-    return _cmd_compile(args)
+    return _traced(_cmd_compile, args)
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
+    source = _read_source(args.file)
     config_names = args.config or [BASE.name, SMALL_DIM_SAFARA.name]
     env = _parse_env(args.env)
     # A private session so --stats reports exactly this invocation.
     session = CompilerSession(executor=args.executor)
     for name in config_names:
-        config = ALL_CONFIGS.get(name)
-        if config is None:
-            known = ", ".join(sorted(ALL_CONFIGS))
-            raise SystemExit(f"unknown config {name!r}; known: {known}")
+        config = _config_named(name)
         if args.arch:
             config = _derive_arch(config, args.arch)
         if args.saturate is not None:
@@ -164,19 +194,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             print(f"  total: {timing.total_ms:.3f} ms")
         if args.cuda:
             from .codegen.cuda_text import render_cuda
-            from .ir.builder import build_module
-            from .lang.parser import parse_program
 
-            fn = build_module(parse_program(source)).functions[0]
+            fn = _first_function(source)
             for index, region in enumerate(fn.regions(), start=1):
                 print(render_cuda(region, fn.symtab, config.codegen_options(),
                                   name=f"{fn.name}_k{index}"))
         print()
     if args.run:
-        from .ir.builder import build_module
-        from .lang.parser import parse_program
-
-        fn = build_module(parse_program(source)).functions[0]
+        fn = _first_function(source)
         run_args = _build_run_args(fn, env)
         _arrays, stats, info = session.execute(fn, run_args)
         line = f"run: executor={info.used}"
@@ -199,21 +224,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
-    config = ALL_CONFIGS.get(args.config)
-    if config is None:
-        known = ", ".join(sorted(ALL_CONFIGS))
-        raise SystemExit(f"unknown config {args.config!r}; known: {known}")
+    source = _read_source(args.file)
+    config = _config_named(args.config)
     from .obs.profiler import profile_source
 
     session = CompilerSession()
     profile = profile_source(source, config, session=session)
     if args.run:
-        from .ir.builder import build_module
-        from .lang.parser import parse_program
-
         env = _parse_env(args.env)
-        fn = build_module(parse_program(source)).functions[0]
+        fn = _first_function(source)
         run_args = _build_run_args(fn, env)
         _arrays, stats, info = session.execute(fn, run_args)
         profile.execution = {
@@ -236,14 +255,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Compile a file in-process and render the session's metrics registry
     (`repro stats FILE`): every counter, gauge, and histogram the compile
     touched, as text or JSON."""
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
+    source = _read_source(args.file)
     config_names = args.config or [BASE.name, SMALL_DIM_SAFARA.name]
     session = CompilerSession()
     for name in config_names:
-        config = ALL_CONFIGS.get(name)
-        if config is None:
-            known = ", ".join(sorted(ALL_CONFIGS))
-            raise SystemExit(f"unknown config {name!r}; known: {known}")
+        config = _config_named(name)
         session.compile_source(source, config)
     if args.json:
         import json
@@ -255,28 +271,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    if args.trace:
-        from .obs.chrome import write_chrome_trace
-        from .obs.tracer import Tracer
-
-        tracer = Tracer(enabled=True)
-        with tracer.activate():
-            rc = _cmd_tune(args)
-        write_chrome_trace(args.trace, tracer)
-        print(f"trace: {len(tracer.spans)} spans -> {args.trace}")
-        return rc
-    return _cmd_tune(args)
+    return _traced(_cmd_tune, args)
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .errors import ConfigError, TuneError
     from .tune import tune
 
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
-    base = ALL_CONFIGS.get(args.config)
-    if base is None:
-        known = ", ".join(sorted(ALL_CONFIGS))
-        raise SystemExit(f"unknown config {args.config!r}; known: {known}")
+    source = _read_source(args.file)
+    base = _config_named(args.config)
     env = _parse_env(args.env)
     if not env:
         raise SystemExit("tune needs --env (the problem sizes the model scores)")
@@ -699,7 +702,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     from .serve.broker import Broker
 
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
+    source = _read_source(args.file)
     op = "tune" if args.tune else "run" if args.run else "compile"
     request: dict = {"id": 0, "op": op, "source": source}
     if args.config:

@@ -8,9 +8,10 @@ A session owns the three pieces every compilation needs:
   from the feedback history);
 * the **content-addressed compile cache**
   (:class:`~repro.pipeline.cache.CompileCache`) keyed by
-  hash(source text, config, env bindings, arch), with hit/miss/evict
-  counters — the SAFARA loop recompiles constantly and the experiments
-  multiply that by configurations × benchmarks.  An optional
+  hash(source text, config, kernel name) — what a compile reads; the env
+  is not in it — with hit/miss/evict counters: the SAFARA loop recompiles
+  constantly and the experiments multiply that by configurations ×
+  benchmarks.  An optional
   :class:`~repro.pipeline.diskcache.DiskCache` behind it persists the
   compiled program only: a compile never generates NumPy source, which
   is made and bound on execution (:meth:`CompilerSession.execute`) and
@@ -88,12 +89,13 @@ class _SyntheticTripEnv(dict):
 
 @dataclass(frozen=True, slots=True)
 class CompileJob:
-    """One unit of batch compilation for :meth:`CompilerSession.compile_many`.
+    """One unit of compilation for :meth:`CompilerSession.compile_job`
+    and :meth:`CompilerSession.compile_many`.
 
-    ``env`` does not influence code generation today, but it is part of
-    the cache key (the paper's pipeline may constant-fold problem sizes in
-    the future, and the experiments key their reuse on it), and the
-    compile stores each kernel's timing verdict under it.
+    ``env`` is not part of the job's key: a compile does not read problem
+    sizes.  It names only the env under which the compile that makes the
+    program stores each kernel's timing verdict; a job that hits the
+    cache keeps the verdict of the compile that made the program.
     """
 
     source: str
@@ -101,11 +103,14 @@ class CompileJob:
     kernel_name: str | None = None
     filename: str = "<string>"
     env: dict[str, int] | None = None
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def key(self) -> str:
-        return cache_key(
-            self.source, self.config, env=self.env, kernel_name=self.kernel_name
-        )
+        """The job's cache key, derived once."""
+        if self._key is None:
+            key = cache_key(self.source, self.config, kernel_name=self.kernel_name)
+            object.__setattr__(self, "_key", key)
+        return self._key
 
 
 class CompilerSession:
@@ -309,38 +314,45 @@ class CompilerSession:
         env: dict[str, int] | None = None,
     ) -> CompiledProgram:
         """Parse + lower + compile one kernel function from source text,
-        memoised in the session's compile cache."""
-        job = CompileJob(
-            source=source,
-            config=config,
-            kernel_name=kernel_name,
-            filename=filename,
-            env=dict(env) if env else None,
+        memoised in the session's compile cache (:meth:`compile_job`)."""
+        program, _tier = self.compile_job(
+            CompileJob(
+                source=source,
+                config=config,
+                kernel_name=kernel_name,
+                filename=filename,
+                env=dict(env) if env else None,
+            )
         )
-        key = job.key()
-        with span("compile", config=config.name, cache_key=key) as sp:
-            cached = self._cache_lookup(key)
-            if cached is not None:
-                sp.set(cache_hit=True)
-                return cached
-            sp.set(cache_hit=False)
-            program = self._compile_job(job, key)
-            self._cache_store(key, program)
         return program
 
-    def _cache_lookup(self, key: str) -> CompiledProgram | None:
+    def compile_job(self, job: CompileJob) -> tuple[CompiledProgram, str | None]:
+        """Compile one job through the cache: returns the program and the
+        tier that answered it (``"memory"``, ``"disk"``, or ``None`` for a
+        fresh compile)."""
+        key = job.key()
+        with span("compile", config=job.config.name, cache_key=key) as sp:
+            program, tier = self._cache_lookup(key)
+            sp.set(cache_hit=program is not None)
+            if program is None:
+                program = self._compile_fresh(job, key)
+                self._cache_store(key, program)
+        return program, tier
+
+    def _cache_lookup(self, key: str) -> tuple[CompiledProgram | None, str | None]:
         """Two-tier lookup: memory first, then the persistent tier (a disk
-        hit is promoted into the in-memory cache)."""
+        hit is promoted into the in-memory cache).  Returns the program
+        and the tier that held it, ``(None, None)`` on a miss."""
         cached = self.cache.get(key)
         if cached is not None:
-            return cached
+            return cached, "memory"
         if self.disk_cache is not None:
             program = self.disk_cache.get(key)
             if program is not None:
                 program.bind_detail(self.disk_cache, key)
                 self.cache.put(key, program)
-                return program
-        return None
+                return program, "disk"
+        return None, None
 
     def _cache_store(self, key: str, program: CompiledProgram) -> None:
         self.cache.put(key, program)
@@ -355,7 +367,7 @@ class CompilerSession:
             else module.function(job.kernel_name)
         )
 
-    def _compile_job(
+    def _compile_fresh(
         self, job: CompileJob, key: str | None = None
     ) -> CompiledProgram:
         """Compile one job, and store each kernel's timing verdict for one
@@ -387,7 +399,9 @@ class CompilerSession:
         """Compile a batch of jobs, fanned out over a thread pool.
 
         Results come back aligned with ``jobs``.  Duplicate jobs (same
-        cache key) compile once; cache hits never reach the pool.  The
+        cache key — jobs that differ only in env are duplicates) compile
+        once, storing the timing verdict under the first job's env; cache
+        hits never reach the pool.  The
         compile core is deterministic, so a parallel batch is bit-identical
         to a serial loop over the same jobs.  The pool pays off only when
         the backend has latency to overlap: compilation is CPU-bound
@@ -405,7 +419,7 @@ class CompilerSession:
 
         to_compile: list[str] = []
         for key in indices_for:
-            cached = self._cache_lookup(key)
+            cached, _tier = self._cache_lookup(key)
             if cached is not None:
                 for i in indices_for[key]:
                     results[i] = cached
@@ -418,7 +432,7 @@ class CompilerSession:
             )
             workers = max(1, min(workers, len(to_compile)))
             if workers == 1:
-                compiled = [self._compile_job(job_for[k], k) for k in to_compile]
+                compiled = [self._compile_fresh(job_for[k], k) for k in to_compile]
             else:
                 # Backend deadlines are thread-local; re-install the
                 # caller's active deadline inside each worker so a batch
@@ -427,9 +441,9 @@ class CompilerSession:
 
                 def compile_one(k: str) -> CompiledProgram:
                     if deadline is None:
-                        return self._compile_job(job_for[k], k)
+                        return self._compile_fresh(job_for[k], k)
                     with deadline_scope(deadline):
-                        return self._compile_job(job_for[k], k)
+                        return self._compile_fresh(job_for[k], k)
 
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     compiled = list(pool.map(compile_one, to_compile))
@@ -454,11 +468,12 @@ class CompilerSession:
         list aligned with region order (benchmarks launch hot kernels once
         per time step).
 
-        Under the env the program was compiled with, a kernel's verdict is
-        the one stored at compile, scaled to its launch count (the same
+        Under the env of the compile that made the program (``timing_env``;
+        a cache hit under another env keeps it), a kernel's verdict is the
+        one stored at compile, scaled to its launch count (the same
         expression :func:`~repro.gpu.timing.estimate_time` uses, so the
         result is bit-identical); under any other env the model walks the
-        kernel's VIR.
+        kernel's VIR, loading it from the disk tier on first use.
         """
         timing = ProgramTiming(program=compiled)
         arch = compiled.config.arch

@@ -244,9 +244,9 @@ def _prewarm(send, schedule) -> int:
     for _, request in schedule:
         src = request["source"]
         if src not in seen:
-            # Strip the run-only ``__len_*`` pointer sizes: the compile
-            # cache key includes the env, and compile requests carry the
-            # bare problem sizes.
+            # Strip the run-only ``__len_*`` pointer sizes: the stored
+            # timing verdict is matched on the env, and compile requests
+            # carry the bare problem sizes.
             env = {
                 k: v
                 for k, v in request["env"].items()

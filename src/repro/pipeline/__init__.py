@@ -3,8 +3,8 @@ the content-addressed compile cache.
 
 * :mod:`repro.pipeline.passes` — ``Pass`` / ``PassManager`` and the five
   passes wrapping the paper's transformations;
-* :mod:`repro.pipeline.cache` — the (source, config, env, arch)-keyed
-  LRU compile cache with hit/miss/evict counters;
+* :mod:`repro.pipeline.cache` — the (source, config, kernel)-keyed LRU
+  compile cache with hit/miss/evict counters;
 * :mod:`repro.pipeline.diskcache` — the persistent, sharded on-disk tier
   behind the in-memory cache (warm starts survive process restarts);
 * :mod:`repro.pipeline.trace` — structured per-pass instrumentation

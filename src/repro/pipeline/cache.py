@@ -2,16 +2,18 @@
 
 The SAFARA loop is feedback-driven — every region is compiled through the
 backend repeatedly — and the experiment harness multiplies that by
-(configurations × benchmarks), recompiling identical (source, config, env,
-arch) tuples constantly.  :class:`CompileCache` memoises compiled programs
-under a content hash of exactly those inputs, with LRU eviction and
-hit/miss/evict counters.
+(configurations × benchmarks), recompiling identical (source, config,
+kernel) tuples constantly.  :class:`CompileCache` memoises compiled
+programs under a content hash of exactly those inputs, with LRU eviction
+and hit/miss/evict counters.
 
-Keys are *content-addressed*: two configurations with equal field values
-produce the same key regardless of object identity, and any changed field
-(including the architecture or an env binding) produces a different key.
-Compilation is deterministic (see ``tests/compiler/test_driver.py``), so a
-hit is bit-identical to a recompile.
+Keys are *content-addressed* over what a compile reads: two
+configurations with equal field values produce the same key regardless of
+object identity, and any changed field (the architecture included)
+produces a different key.  Problem sizes (the env) are not read by a
+compile, so they are not in the key.  Compilation is deterministic (see
+``tests/compiler/test_driver.py``), so a hit is bit-identical to a
+recompile.
 """
 
 from __future__ import annotations
@@ -37,33 +39,19 @@ def config_token(config) -> str:
 
 
 def env_token(env: Mapping[str, int]) -> str:
-    """The canonical text of an env binding, as keys hash it: equal for
-    equal bindings in any order, different for ``64`` and ``64.0``."""
+    """The canonical text of an env binding, which a stored timing verdict
+    is matched on: equal for equal bindings in any order, different for
+    ``64`` and ``64.0``."""
     return repr(sorted(env.items()))
 
 
-def cache_key(
-    source: str,
-    config,
-    *,
-    env: Mapping[str, int] | None = None,
-    kernel_name: str | None = None,
-) -> str:
-    """SHA-256 key over (source text, config, env bindings, arch).
-
-    The arch rides inside the config token; it is still listed separately
-    in the digest so a config subclass that externalised it would keep
-    distinct keys.
-    """
+def cache_key(source: str, config, *, kernel_name: str | None = None) -> str:
+    """SHA-256 key over (source text, config, kernel name): exactly what a
+    compile reads.  The arch rides inside the config token."""
     h = hashlib.sha256()
     h.update(source.encode())
     h.update(b"\x00")
     h.update(config_token(config).encode())
-    h.update(b"\x00")
-    h.update(repr(config.arch).encode())
-    h.update(b"\x00")
-    if env:
-        h.update(env_token(env).encode())
     h.update(b"\x00")
     if kernel_name is not None:
         h.update(kernel_name.encode())
@@ -121,11 +109,6 @@ class CompileCache:
                 self._hits.inc()
             sp.set(hit=True)
             return value
-
-    def peek(self, key: str) -> bool:
-        """Membership test without touching the counters or LRU order."""
-        with self._lock:
-            return key in self._data
 
     def put(self, key: str, value: Any) -> None:
         with self._lock:

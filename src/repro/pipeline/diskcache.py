@@ -4,8 +4,8 @@ The in-memory :class:`~repro.pipeline.cache.CompileCache` dies with the
 process, so every `repro` invocation — and every worker of the serving
 daemon after a restart — starts cold and re-runs the SAFARA feedback loop
 from scratch.  :class:`DiskCache` persists compiled programs under the
-*same* content hash (``cache_key(source, config, env, arch)``), so a warm
-start serves a previously-compiled program without a single backend
+*same* content hash (``cache_key(source, config, kernel_name=...)``), so a
+warm start serves a previously-compiled program without a single backend
 (ptxas-simulator) invocation.
 
 Layout (``docs/serving.md`` documents it for operators)::
@@ -18,8 +18,8 @@ Design points:
 * **atomic writes** — entries are written to a ``.tmp-<pid>-<tid>`` file
   in the shard directory and ``os.replace``d into place, so readers never
   observe a torn entry and concurrent writers of the same key are
-  last-writer-wins (both wrote identical bytes anyway: compilation is
-  deterministic);
+  last-writer-wins (both wrote the same compiled kernels: compilation is
+  deterministic; only the stored timing verdict follows the writer's env);
 * **corruption tolerance** — any failure to read, unpickle, or validate
   an entry is a *miss*: the bad file is deleted, the ``corrupt`` counter
   incremented, and the caller recompiles.  A disk cache must never be
@@ -35,7 +35,9 @@ Design points:
   entry) reads as a miss, not an error.  The value's own pickling decides
   what a hit unpickles: a compiled program keeps its VIR and pass
   reports in a bytes section read on first use
-  (:class:`~repro.compiler.driver.DetailSection`).
+  (:class:`~repro.compiler.driver.DetailSection`).  A change of key
+  derivation needs no version bump: no old key is ever looked up again,
+  so the old files age out through the size bound.
 
 Metrics (registered in the shared :class:`~repro.obs.metrics.MetricsRegistry`
 namespace): ``cache.disk.hits`` / ``.misses`` / ``.writes`` /
@@ -194,10 +196,6 @@ class DiskCache:
     def record_detail_load(self) -> None:
         """Count one detail section unpickled after a hit."""
         self._detail_loads.inc()
-
-    def peek(self, key: str) -> bool:
-        """Membership test without touching counters or entry recency."""
-        return self._path(key).exists()
 
     def put(self, key: str, value: Any) -> None:
         """Persist ``value`` under ``key`` atomically, then, if the

@@ -438,15 +438,6 @@ class Broker(FrontDoor):
             kernel_name=request.get("kernel"),
             env=env,
         )
-        key = job.key()
-        tier = (
-            "memory"
-            if session.cache.peek(key)
-            else "disk"
-            if self.disk_cache is not None and self.disk_cache.peek(key)
-            else None
-        )
-
         attempt = 0
         while True:
             if self._remaining_ms(deadline) <= 0.0:
@@ -461,12 +452,7 @@ class Broker(FrontDoor):
                     arch=arch_key(config.arch),
                     attempt=attempt,
                 ), deadline_scope(deadline):
-                    program = session.compile_source(
-                        job.source,
-                        job.config,
-                        kernel_name=job.kernel_name,
-                        env=job.env,
-                    )
+                    program, tier = session.compile_job(job)
                 break
             except TRANSIENT_FAILURES as exc:
                 # Permanent failures propagate to the front door's table
@@ -488,7 +474,7 @@ class Broker(FrontDoor):
         result: dict = {
             "config": config.name,
             "arch": arch_key(config.arch),
-            "cache_key": key,
+            "cache_key": job.key(),
             "cached": tier,
             "attempts": attempt + 1,
             "kernels": [

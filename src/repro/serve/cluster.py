@@ -866,7 +866,8 @@ class Router(FrontDoor):
             },
             "placement": placement,
             "codegen_tiers": tiers,
-            "flight_recorded": total("flight_recorded"),
+            # The shards' records plus the router's own (its refusals).
+            "flight_recorded": total("flight_recorded") + self.flight.recorded,
             "cluster": {
                 "shards": len(self.shards),
                 "up": sum(1 for s in self.shards if s.state == "up"),
@@ -886,15 +887,18 @@ class Router(FrontDoor):
     # -- lifecycle ---------------------------------------------------------
 
     def drain(self) -> None:
-        """Stop admitting, answer everything in flight, stop the shards."""
+        """Stop admitting, answer everything in flight, stop the shards.
+        A shard that fails to stop (its process gone or not exiting) is
+        counted under ``cluster.shard_stop_errors.<type>`` and the drain
+        goes on to the next."""
         super().drain()
         for shard in self.shards:
             if shard.state == "up":
                 shard.state = "draining"
                 try:
                     shard.stop()
-                except (OSError, subprocess.TimeoutExpired):
-                    pass  # the shard process is gone or will not exit
+                except (OSError, subprocess.TimeoutExpired) as exc:
+                    self._count("shard_stop_errors", type(exc).__name__)
                 shard.state = "down"
         self._shards_up.set(0)
 

@@ -8,8 +8,10 @@ the broker, or a cluster router), and writes one response per line
 order with respect to requests; clients correlate by ``id`` (and
 by ``trace_id``, which every response carries).
 
-Two ops are intercepted at this layer instead of occupying a broker
-worker:
+A line that is not JSON is refused through the tier's front door
+(:meth:`~repro.serve.frontdoor.FrontDoor.reject_line`: ``bad_json``,
+counted and flight-recorded like any refusal).  Two ops are intercepted
+at this layer instead of occupying a broker worker:
 
 * ``watch`` streams telemetry: admitted by
   :meth:`~repro.serve.frontdoor.FrontDoor.admit_stream`, it emits one
@@ -132,11 +134,7 @@ def handle_stream(
             try:
                 request = json.loads(line)
             except json.JSONDecodeError as exc:
-                _emit(
-                    stdout,
-                    write_lock,
-                    protocol.error_response(None, protocol.BAD_JSON, str(exc)),
-                )
+                _emit(stdout, write_lock, broker.reject_line(str(exc)))
                 continue
             if isinstance(request, dict) and request.get("op") == "watch":
                 _start_watch(broker, stdout, write_lock, request, stop_watch)

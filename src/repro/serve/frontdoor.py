@@ -159,6 +159,12 @@ class FrontDoor:
         self._requests_of(request["op"]).inc()
         return trace_id, None
 
+    def reject_line(self, message: str) -> dict:
+        """Refuse a request line that is not JSON (``bad_json``), counted
+        and flight-recorded like every refusal; returns the response."""
+        trace_id = protocol.trace_id_for(None)
+        return self._reject(None, protocol.BAD_JSON, message, trace_id)
+
     def _requests_of(self, op: str) -> Counter:
         counter = self._requests.get(op)
         if counter is None:

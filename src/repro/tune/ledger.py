@@ -3,8 +3,9 @@
 A tuning run over N points is minutes of SAFARA feedback compiles; a
 killed or re-run tune should not repeat the work.  The ledger keys every
 scored point under a *task key* — a content hash of (source, base
-config, env, launches), built exactly like the compile cache's
-:func:`~repro.pipeline.cache.cache_key` — so a warm re-tune of the same
+config, env, launches): the compile cache's
+:func:`~repro.pipeline.cache.cache_key` recipe plus the problem size and
+launch counts the scores depend on — so a warm re-tune of the same
 task replays scores from disk and performs **zero** backend compiles,
 while any change to the source, base config, problem size, or launch
 counts starts a fresh task.
@@ -40,9 +41,9 @@ def task_key(
     env: Mapping[str, int] | None = None,
     launches: "dict | list | int" = 1,
 ) -> str:
-    """SHA-256 task identity: same recipe as the compile cache's key
+    """SHA-256 task identity: the compile cache key's recipe
     (frozen-dataclass ``repr`` covers every config field, arch included),
-    plus the launch counts the scores depend on."""
+    plus the env and launch counts the scores depend on."""
     h = hashlib.sha256()
     h.update(source.encode())
     h.update(b"\x00")

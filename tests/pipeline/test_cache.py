@@ -1,13 +1,15 @@
 """Content-addressed compile-cache semantics: key stability, hit/miss
-discrimination on every key component, LRU eviction, counters."""
+discrimination on every key component (and none on the env, which a
+compile does not read), LRU eviction, counters."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.compiler import BASE, SMALL_DIM_SAFARA, CompilerSession
+from repro.compiler import BASE, SMALL_DIM_SAFARA, CompileJob, CompilerSession
 from repro.gpu.arch import FERMI_LIKE, KEPLER_K20XM
 from repro.pipeline import CompileCache, cache_key
+from repro.pipeline.cache import env_token
 
 SRC = """
 kernel axpy(const double x[1:n], double y[1:n], int n) {
@@ -42,16 +44,16 @@ class TestCacheKey:
             SRC, BASE.with_arch(FERMI_LIKE)
         )
 
-    def test_changed_env_changes_key(self):
-        assert cache_key(SRC, BASE, env={"n": 512}) != cache_key(
-            SRC, BASE, env={"n": 1024}
-        )
-        assert cache_key(SRC, BASE, env={"n": 512}) != cache_key(SRC, BASE)
+    def test_env_does_not_change_key(self):
+        keys = {
+            CompileJob(SRC, BASE, env=env).key()
+            for env in ({"n": 512}, {"n": 1024}, {"n": 512.0}, None)
+        }
+        assert keys == {cache_key(SRC, BASE)}
 
     def test_env_order_does_not_matter(self):
-        assert cache_key(SRC, BASE, env={"a": 1, "b": 2}) == cache_key(
-            SRC, BASE, env={"b": 2, "a": 1}
-        )
+        assert env_token({"a": 1, "b": 2}) == env_token({"b": 2, "a": 1})
+        assert env_token({"n": 64}) != env_token({"n": 64.0})
 
     def test_kernel_name_in_key(self):
         assert cache_key(SRC, BASE, kernel_name="axpy") != cache_key(SRC, BASE)
@@ -118,12 +120,15 @@ class TestSessionCaching:
         session.compile_source(SRC, BASE.with_arch(FERMI_LIKE))
         assert session.cache.misses == 2 and session.cache.hits == 0
 
-    def test_env_change_misses(self):
+    def test_env_change_is_a_memory_hit(self):
         session = CompilerSession()
-        session.compile_source(SRC, BASE, env={"n": 512})
-        session.compile_source(SRC, BASE, env={"n": 1024})
-        session.compile_source(SRC, BASE, env={"n": 512})
-        assert session.cache.misses == 2 and session.cache.hits == 1
+        first = session.compile_source(SRC, BASE, env={"n": 512})
+        assert session.compile_source(SRC, BASE, env={"n": 1024}) is first
+        assert session.compile_source(SRC, BASE) is first
+        assert session.cache.misses == 1 and session.cache.hits == 2
+        assert session.stats.compilations == 1
+        # The verdict stays stored under the env of the compile that made it.
+        assert first.timing_env == env_token({"n": 512})
 
     def test_cached_hit_is_bit_identical_to_fresh_compile(self):
         warm = CompilerSession()

@@ -5,6 +5,7 @@ configuration — and must deduplicate within a batch."""
 from repro.bench.suites.registry import load_all
 from repro.compiler import ALL_CONFIGS, BASE, CompileJob, CompilerSession
 from repro.bench.runner import benchmark_job
+from repro.pipeline.cache import env_token
 
 SRC = """
 kernel axpy(const double x[1:n], double y[1:n], int n) {
@@ -80,6 +81,26 @@ class TestBatchSemantics:
         assert all(p is programs[0] for p in programs)
         assert session.stats.compilations == 1
         assert session.cache.misses == 1
+
+    def test_jobs_differing_only_in_env_compile_once(self):
+        session = CompilerSession()
+        envs = [{"n": 1 << 20}, {"n": 1 << 22}, None, {"n": 1 << 20}]
+        jobs = [CompileJob(source=SRC, config=BASE, env=env) for env in envs]
+        programs = session.compile_many(jobs, max_workers=4)
+        assert all(p is programs[0] for p in programs)
+        assert session.stats.compilations == 1
+        assert session.cache.misses == 1
+        # The verdict is stored under the first job's env; timing under
+        # any other env walks the VIR and matches a fresh compile's.
+        assert programs[0].timing_env == env_token(envs[0])
+        for env in envs[:2]:
+            fresh = CompilerSession()
+            own = fresh.compile_source(SRC, BASE, env=env)
+            assert (
+                session.time_program(programs[0], env).total_ms
+                == fresh.time_program(own, env).total_ms
+            )
+        assert session.metrics.get("gpu.timing.walked").value == 1
 
     def test_warm_batch_is_all_hits(self):
         session = CompilerSession()

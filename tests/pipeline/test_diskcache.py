@@ -60,11 +60,11 @@ class TestLayout:
         DiskCache(tmp_path).put(KEY, "payload")
         assert DiskCache(tmp_path).get(KEY) == "payload"
 
-    def test_peek_does_not_count(self, tmp_path):
+    def test_put_does_not_count(self, tmp_path):
         cache = DiskCache(tmp_path)
-        assert not cache.peek(KEY)
+        assert len(cache) == 0
         cache.put(KEY, 1)
-        assert cache.peek(KEY)
+        assert len(cache) == 1
         assert cache.hits == 0 and cache.misses == 0
 
 
@@ -149,7 +149,7 @@ class TestEviction:
         entry_bytes = cache.total_bytes() // 3
         cache.max_bytes = entry_bytes * 2 + entry_bytes // 2  # room for ~2
         cache.put(cache_key(SRC + "tail", BASE), "payload")
-        assert cache.peek(keys[0])  # hot entry survived
+        assert first.exists()  # hot entry survived
 
 
 class TestPutCost:
@@ -311,7 +311,7 @@ class TestParseCount:
         assert parses == []
 
     def test_threaded_batch_parses_each_job_once(self, tmp_path, parses):
-        jobs = [(SRC, BASE, None, "<string>", {"n": n}) for n in range(6)]
+        jobs = [(SRC + "\n" * n, BASE) for n in range(6)]
         session = CompilerSession(cache_dir=tmp_path)
         session.compile_many(jobs, max_workers=3)
         assert session.stats.compilations == len(jobs)

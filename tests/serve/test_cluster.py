@@ -126,6 +126,26 @@ class TestRouting:
             assert first["result"]["cached"] is None  # cold
             assert second["result"]["cached"] == "memory"
 
+    def test_a_second_env_hits_the_warm_shard_memory(self):
+        """The env is not in the compile key: one kernel compiled at two
+        problem sizes compiles once, and each answer is timed under its
+        own env exactly as a cold shard times it."""
+        requests = [
+            {"op": "compile", "source": AXPY, "env": {"n": n}}
+            for n in (1 << 20, 1 << 22)
+        ]
+        with Router(quiet_config()) as router:
+            first, second = (router.handle(dict(r)) for r in requests)
+            assert first["shard"] == second["shard"]
+            assert first["result"]["cached"] is None
+            assert second["result"]["cached"] == "memory"
+            assert first["result"]["cache_key"] == second["result"]["cache_key"]
+        with Router(quiet_config()) as fresh:
+            cold = fresh.handle(dict(requests[1]))
+        assert cold["result"]["cached"] is None
+        assert second["result"]["timing"] == cold["result"]["timing"]
+        assert second["result"]["timing"] != first["result"]["timing"]
+
 
 class TestHotKeyReplication:
     def test_hot_key_rotates_over_distinct_shards(self):
@@ -374,6 +394,27 @@ class TestDrainRestart:
             cluster = router.telemetry_snapshot()["cluster"]
             assert cluster["drains"] == 1 and cluster["restarts"] == 1
 
+    def test_a_shard_that_fails_to_stop_is_counted_and_the_drain_goes_on(
+        self, monkeypatch
+    ):
+        router = Router(quiet_config())
+        stuck = router.shards[0]
+        real_stop = stuck.stop
+
+        def refuse(timeout: float = 60.0) -> None:
+            raise OSError("shard process is gone")
+
+        monkeypatch.setattr(stuck, "stop", refuse)
+        try:
+            router.drain()
+        finally:
+            real_stop()
+        metrics = router.metrics
+        assert metrics.get("cluster.shard_stop_errors").value == 1
+        assert metrics.get("cluster.shard_stop_errors.OSError").value == 1
+        assert [s.state for s in router.shards] == ["down", "down"]
+        assert router.shards[1].broker is None  # the next shard was stopped
+
     def test_draining_shard_takes_no_new_routes(self, tmp_path):
         config = quiet_config(
             broker=BrokerConfig(workers=1, cache_dir=str(tmp_path / "cache"))
@@ -496,6 +537,15 @@ class TestRollups:
             rows = frame["shards"]
             assert [row["shard"] for row in rows] == [0, 1]
             assert sum(row["routed"] for row in rows) == 1
+
+    def test_flight_recorded_counts_the_routers_own_records(self):
+        with Router(quiet_config()) as router:
+            shards = router.telemetry_snapshot()["flight_recorded"]
+            refused = router.handle({"id": 1, "op": "compile"})  # no source
+            assert refused["error"]["code"] == protocol.BAD_REQUEST
+            assert router.flight.recorded == 1
+            frame = router.telemetry_snapshot()
+            assert frame["flight_recorded"] == shards + 1
 
     def test_router_drives_the_load_generator_unchanged(self, tmp_path):
         """The router duck-types the broker surface, so ``run_load``

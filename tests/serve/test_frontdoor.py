@@ -12,7 +12,7 @@ from repro.feedback.driver import PermanentFeedbackError
 from repro.serve import broker as broker_module
 from repro.serve import protocol
 from repro.serve.broker import Broker, BrokerConfig
-from repro.serve.daemon import _start_watch
+from repro.serve.daemon import _start_watch, handle_stream
 from repro.serve.protocol import ServeError
 
 from .tiers import TIERS, front_door
@@ -123,6 +123,23 @@ class TestPlacementFallThrough:
 
 
 class TestStreamAdmission:
+    def test_a_line_that_is_not_json_is_refused_at_the_front_door(self):
+        for tier in TIERS:
+            out = io.StringIO()
+            with front_door(tier) as door:
+                handle_stream(door, io.StringIO("{not json\n"), out)
+                (response,) = map(json.loads, out.getvalue().splitlines())
+                assert response["error"]["code"] == protocol.BAD_JSON, tier
+                assert response["id"] is None
+                assert door.metrics.get(f"{tier}.rejected").value == 1
+                assert door.metrics.get(f"{tier}.rejected.bad_json").value == 1
+                found = door.handle(
+                    {"id": 2, "op": "trace", "trace_id": response["trace_id"]}
+                )["result"]
+            assert found["found"], tier
+            assert found["record"]["op"] == "(rejected)"
+            assert found["record"]["error_code"] == protocol.BAD_JSON
+
     def test_watch_is_counted_under_the_tiers_own_prefix(self):
         for tier in TIERS:
             out = io.StringIO()
