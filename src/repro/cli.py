@@ -97,11 +97,17 @@ def _build_run_args(fn, env: dict[str, int], seed: int = 0) -> dict[str, object]
 
 
 def _read_source(path: str) -> str:
-    """A command's MiniACC source: the file at ``path``, stdin for ``-``."""
+    """A command's MiniACC source: the file at ``path``, stdin for ``-``.
+    An unreadable file is a usage error, not a traceback."""
     if path == "-":
         return sys.stdin.read()
-    with open(path) as f:
-        return f.read()
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
 def _config_named(name: str):

@@ -105,8 +105,13 @@ class CompileJob:
     env: dict[str, int] | None = None
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def key(self) -> str:
-        """The job's cache key, derived once."""
+    def key(self, pipeline: str | None = None) -> str:
+        """The job's cache key under a pass pipeline's ``key_token``
+        (``None``: the default pipeline, whose key is derived once)."""
+        if pipeline is not None:
+            return cache_key(
+                self.source, self.config, kernel_name=self.kernel_name, pipeline=pipeline
+            )
         if self._key is None:
             key = cache_key(self.source, self.config, kernel_name=self.kernel_name)
             object.__setattr__(self, "_key", key)
@@ -330,7 +335,7 @@ class CompilerSession:
         """Compile one job through the cache: returns the program and the
         tier that answered it (``"memory"``, ``"disk"``, or ``None`` for a
         fresh compile)."""
-        key = job.key()
+        key = self.job_key(job)
         with span("compile", config=job.config.name, cache_key=key) as sp:
             program, tier = self._cache_lookup(key)
             sp.set(cache_hit=program is not None)
@@ -338,6 +343,10 @@ class CompilerSession:
                 program = self._compile_fresh(job, key)
                 self._cache_store(key, program)
         return program, tier
+
+    def job_key(self, job: CompileJob) -> str:
+        """``job``'s cache key under this session's pass pipeline."""
+        return job.key(self.pipeline.key_token)
 
     def _cache_lookup(self, key: str) -> tuple[CompiledProgram | None, str | None]:
         """Two-tier lookup: memory first, then the persistent tier (a disk
@@ -413,7 +422,7 @@ class CompilerSession:
         indices_for: dict[str, list[int]] = {}
         job_for: dict[str, CompileJob] = {}
         for i, job in enumerate(jobs):
-            key = job.key()
+            key = self.job_key(job)
             indices_for.setdefault(key, []).append(i)
             job_for.setdefault(key, job)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import DirectiveError, SourceLocation
 from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .tokens import BINARY_PRECEDENCE, Token, TokenKind
 
 #: Reduction operators OpenACC defines that MiniACC supports.
 REDUCTION_OPS = frozenset({"+", "*", "max", "min"})
@@ -116,15 +116,15 @@ class ComputeDirective:
 AccDirective = ComputeDirective | LoopDirective
 
 
-#: Binary operators a gang/vector size folds with: precedence, function.
-#: C's ``/`` and ``%`` between integers are integer operations; they floor
-#: here, like Python's ``//`` and ``%``.
+#: Binary operators a gang/vector size folds with, at their
+#: :data:`BINARY_PRECEDENCE`.  C's ``/`` and ``%`` between integers are
+#: integer operations; they floor here, like Python's ``//`` and ``%``.
 _FOLD_OPS = {
-    TokenKind.PLUS: (1, operator.add),
-    TokenKind.MINUS: (1, operator.sub),
-    TokenKind.STAR: (2, operator.mul),
-    TokenKind.SLASH: (2, operator.floordiv),
-    TokenKind.PERCENT: (2, operator.mod),
+    TokenKind.PLUS: operator.add,
+    TokenKind.MINUS: operator.sub,
+    TokenKind.STAR: operator.mul,
+    TokenKind.SLASH: operator.floordiv,
+    TokenKind.PERCENT: operator.mod,
 }
 
 
@@ -158,11 +158,12 @@ def _fold_int(tokens: list[Token]) -> int | None:
         nonlocal pos
         value = operand()
         while pos < len(tokens) and tokens[pos].kind in _FOLD_OPS:
-            precedence, op = _FOLD_OPS[tokens[pos].kind]
+            kind = tokens[pos].kind
+            precedence = BINARY_PRECEDENCE[kind]
             if precedence < min_precedence:
                 break
             pos += 1
-            value = op(value, expression(precedence + 1))
+            value = _FOLD_OPS[kind](value, expression(precedence + 1))
         return value
 
     try:

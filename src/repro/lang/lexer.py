@@ -1,21 +1,81 @@
-"""Hand-written lexer for MiniACC.
+"""Lexer for MiniACC: one compiled master regex, matched at the current
+position.
 
-Design notes
-------------
-* ``#pragma`` lines become a single :attr:`TokenKind.PRAGMA` token carrying
-  the raw text after ``#``; the directive sub-grammar is handled by
-  :mod:`repro.lang.directives`.  Directive continuation lines ending in a
-  backslash are joined, mirroring the C preprocessor.
-* ``//`` and ``/* ... */`` comments are skipped; the latter may span lines.
-* Numeric literals support decimal integers, floats with exponents, and the
-  ``f``/``F`` suffix (recorded in the literal text so the parser can pick
-  ``float`` vs ``double`` constants).
+The regex has one alternative per kind of lexeme, tried in this order:
+
+* ``skip`` — a run of whitespace (space, tab, CR, LF), ``//`` comments
+  (to the end of the line) and ``/* ... */`` comments (which may span
+  lines);
+* ``open`` — a ``/*`` with no closing ``*/``: a :class:`LexError` at the
+  ``/*``;
+* ``pragma`` — ``#`` to the end of the line, continued onto the next line
+  while a line ends with a backslash, as in the C preprocessor.  It becomes
+  one :attr:`TokenKind.PRAGMA` token whose value is the text after ``#``
+  with its lines joined by single spaces; :mod:`repro.lang.directives`
+  lexes that text again through :func:`tokenize`;
+* ``number`` — a decimal integer or float (a fraction, an exponent, or
+  both) with an optional ``f``/``F`` or ``l``/``L`` suffix.  The suffix is
+  recorded in the value as ``f`` or ``L``, and ``f`` makes the literal a
+  float, so the parser can pick ``float`` vs ``double`` constants;
+* ``word`` — an identifier or a keyword;
+* ``op`` — an operator or punctuator.  The spellings are the values of
+  :class:`TokenKind`, tried longest first, so ``+=`` wins over ``+``.
+
+Any other character raises :class:`LexError`.  Lines and columns are
+1-based; only skipped and pragma text can hold a newline, so they are the
+only matches whose newlines are counted.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import LexError, SourceLocation
-from .tokens import KEYWORDS, MULTI_CHAR_OPS, SINGLE_CHAR_OPS, Token, TokenKind
+from .tokens import KEYWORDS, Token, TokenKind
+
+#: Operator and punctuator spellings: the kinds whose value has no letter.
+_OPERATORS = {
+    kind.value: kind
+    for kind in TokenKind
+    if not any(ch.isalpha() for ch in kind.value)
+}
+
+_TOKEN = re.compile(
+    r"""
+      (?P<skip> (?: [ \t\r\n]+ | //[^\n]* | /\*(?s:.*?)\*/ )+ )
+    | (?P<open> /\* )
+    | (?P<pragma> \# (?: [^\n]*\\[^\S\n]*\n )* [^\n]* )
+    | (?P<number>
+          (?: \d+ (?: \.(?: \d+ | (?![^\W\d_]) ) )? | \.\d+ )
+          (?: [eE][+-]?\d+ )? [fFlL]? )
+    | (?P<word> [^\W\d]\w* )
+    | (?P<op> %s )
+    """
+    % "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True)),
+    re.VERBOSE,
+)
+
+
+def _word_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _number(text: str) -> tuple[TokenKind, str]:
+    """The kind and value of a numeric literal."""
+    suffix = text[-1]
+    if suffix in "fF":
+        return TokenKind.FLOAT_LIT, text[:-1] + "f"
+    if suffix in "lL":
+        text = text[:-1]
+    kind = TokenKind.INT_LIT if text.isdecimal() else TokenKind.FLOAT_LIT
+    return kind, (text + "L" if suffix in "lL" else text)
+
+
+def _pragma_text(text: str) -> str:
+    """The directive after ``#``, its continuation lines joined."""
+    return " ".join(
+        line.rstrip().removesuffix("\\").strip() for line in text[1:].split("\n")
+    ).strip()
 
 
 class Lexer:
@@ -24,144 +84,40 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<string>"):
         self._src = source
         self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
-    # -- low-level helpers -------------------------------------------------
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self._pos + offset
-        return self._src[idx] if idx < len(self._src) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._src):
-                return
-            if self._src[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    # -- token scanners ----------------------------------------------------
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments (but stop before ``#``)."""
-        while self._pos < len(self._src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self._pos < len(self._src) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self._pos >= len(self._src):
-                    raise LexError("unterminated block comment", start)
-                self._advance(2)
-            else:
-                return
-
-    def _scan_pragma(self) -> Token:
-        loc = self._loc()
-        self._advance()  # consume '#'
-        parts: list[str] = []
-        while True:
-            start = self._pos
-            while self._pos < len(self._src) and self._peek() != "\n":
-                self._advance()
-            line = self._src[start : self._pos].rstrip()
-            if line.endswith("\\"):
-                parts.append(line[:-1])
-                self._advance()  # newline
-                continue
-            parts.append(line)
-            break
-        text = " ".join(p.strip() for p in parts).strip()
-        return Token(TokenKind.PRAGMA, text, loc)
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        elif self._peek() == "." and not self._peek(1).isalpha():
-            is_float = True
-            self._advance()
-        if self._peek() and self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) and self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._src[start : self._pos]
-        nxt = self._peek()
-        if nxt and nxt in "fF":
-            is_float = True
-            self._advance()
-            text += "f"
-        elif nxt and nxt in "lL":
-            self._advance()
-            text += "L"
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, loc)
-
-    def _scan_word(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._src[start : self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    # -- public API ----------------------------------------------------------
     def tokens(self) -> list[Token]:
         """Lex the whole buffer, returning tokens ending with ``EOF``."""
+        src, filename = self._src, self._filename
+        match = _TOKEN.match
         out: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self._pos >= len(self._src):
-                out.append(Token(TokenKind.EOF, "", self._loc()))
-                return out
-            ch = self._peek()
-            if ch == "#":
-                out.append(self._scan_pragma())
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                out.append(self._scan_number())
-            elif ch.isalpha() or ch == "_":
-                out.append(self._scan_word())
-            else:
-                loc = self._loc()
-                for spelling, kind in MULTI_CHAR_OPS:
-                    if self._src.startswith(spelling, self._pos):
-                        self._advance(len(spelling))
-                        out.append(Token(kind, spelling, loc))
-                        break
+        pos, line, line_start = 0, 1, 0
+        while pos < len(src):
+            m = match(src, pos)
+            # ``\w`` also holds numerals that are neither letters nor
+            # decimal digits (``²``, ``½``); a word cannot start with one.
+            if m is None or m.lastgroup == "word" and not _word_start(src[pos]):
+                loc = SourceLocation(line, pos - line_start + 1, filename)
+                raise LexError(f"unexpected character {src[pos]!r}", loc)
+            group, text = m.lastgroup, m.group()
+            if group != "skip":
+                loc = SourceLocation(line, pos - line_start + 1, filename)
+                if group == "word":
+                    kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+                    out.append(Token(kind, text, loc))
+                elif group == "op":
+                    out.append(Token(_OPERATORS[text], text, loc))
+                elif group == "number":
+                    out.append(Token(*_number(text), loc))
+                elif group == "pragma":
+                    out.append(Token(TokenKind.PRAGMA, _pragma_text(text), loc))
                 else:
-                    kind = SINGLE_CHAR_OPS.get(ch)
-                    if kind is None:
-                        raise LexError(f"unexpected character {ch!r}", loc)
-                    self._advance()
-                    out.append(Token(kind, ch, loc))
+                    raise LexError("unterminated block comment", loc)
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+            pos = m.end()
+        out.append(Token(TokenKind.EOF, "", SourceLocation(line, pos - line_start + 1, filename)))
+        return out
 
 
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:

@@ -3,7 +3,8 @@
 Produces the source-level AST of :mod:`repro.lang.ast_nodes`.  OpenACC
 pragmas are attached during parsing: a ``kernels``/``parallel`` pragma wraps
 the following statement in a :class:`RegionStmt`; a ``loop`` pragma is
-attached to the following ``for`` statement.
+attached to the following ``for`` statement.  Binary operators are parsed
+by precedence climbing over :data:`~repro.lang.tokens.BINARY_PRECEDENCE`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from . import ast_nodes as ast
 from .directives import ComputeDirective, LoopDirective, parse_directive
 from .errors import ParseError, SourceLocation
 from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .tokens import BINARY_PRECEDENCE, Token, TokenKind
 from ..obs.tracer import span
 
 #: Math intrinsics callable from kernel code.
@@ -154,44 +155,43 @@ class Parser:
         while not self._accept(TokenKind.RBRACE):
             if self._check(TokenKind.EOF):
                 raise ParseError("unterminated block", self._peek().loc)
-            stmt = self._parse_stmt()
-            if stmt is not None:
-                stmts.append(stmt)
+            stmts += self._parse_stmt()
         return stmts
 
     def _parse_body(self) -> list[ast.Stmt]:
         """Loop/if body: either a braced block or a single statement."""
         if self._check(TokenKind.LBRACE):
             return self._parse_block()
-        stmt = self._parse_stmt()
-        return [stmt] if stmt is not None else []
+        return self._parse_stmt()
 
-    def _parse_stmt(self) -> ast.Stmt | None:
+    def _parse_stmt(self) -> list[ast.Stmt]:
+        """One statement, as the statements it stands for: none for a
+        non-acc pragma, one per declarator for ``double a, b;``."""
         tok = self._peek()
         if tok.kind is TokenKind.PRAGMA:
             return self._parse_pragma_stmt()
         if tok.kind is TokenKind.KEYWORD:
             if tok.value == "for":
-                return self._parse_for(None)
+                return [self._parse_for(None)]
             if tok.value == "if":
-                return self._parse_if()
+                return [self._parse_if()]
             if tok.value == "return":
                 self._next()
                 self._expect(TokenKind.SEMI, "';'")
-                return ast.ReturnStmt(loc=tok.loc)
+                return [ast.ReturnStmt(loc=tok.loc)]
             if tok.value in _TYPE_NAMES or tok.value == "const":
                 return self._parse_decl()
         if tok.kind is TokenKind.LBRACE:
             # Anonymous block: flatten by returning an if(1)-style wrapper is
             # overkill; MiniACC treats it as an error to keep scoping simple.
             raise ParseError("naked blocks are not supported; use a loop or if", tok.loc)
-        return self._parse_assign()
+        return [self._parse_assign()]
 
-    def _parse_pragma_stmt(self) -> ast.Stmt | None:
+    def _parse_pragma_stmt(self) -> list[ast.Stmt]:
         tok = self._next()
         directive = parse_directive(tok.value, tok.loc)
         if directive is None:
-            return None  # non-acc pragma: skip.
+            return []  # non-acc pragma: skip.
         if isinstance(directive, ComputeDirective):
             if directive.combined_loop is not None:
                 if not self._check(TokenKind.KEYWORD, "for"):
@@ -200,15 +200,15 @@ class Parser:
                         tok.loc,
                     )
                 loop = self._parse_for(directive.combined_loop)
-                return ast.RegionStmt(directive=directive, body=[loop], loc=tok.loc)
+                return [ast.RegionStmt(directive=directive, body=[loop], loc=tok.loc)]
             body = self._parse_body()
             if not body:
                 raise ParseError("empty acc compute region", tok.loc)
-            return ast.RegionStmt(directive=directive, body=body, loc=tok.loc)
+            return [ast.RegionStmt(directive=directive, body=body, loc=tok.loc)]
         assert isinstance(directive, LoopDirective)
         if not self._check(TokenKind.KEYWORD, "for"):
             raise ParseError("'acc loop' directive must precede a for loop", tok.loc)
-        return self._parse_for(directive)
+        return [self._parse_for(directive)]
 
     def _parse_for(self, directive: LoopDirective | None) -> ast.ForStmt:
         kw = self._expect_kw("for")
@@ -284,7 +284,7 @@ class Parser:
                 else_body = self._parse_body()
         return ast.IfStmt(cond=cond, then_body=then_body, else_body=else_body, loc=kw.loc)
 
-    def _parse_decl(self) -> ast.Stmt:
+    def _parse_decl(self) -> list[ast.DeclStmt]:
         loc = self._peek().loc
         is_const = bool(self._accept(TokenKind.KEYWORD, "const"))
         type_tok = self._next()
@@ -308,11 +308,7 @@ class Parser:
             if self._accept(TokenKind.SEMI):
                 break
             self._expect(TokenKind.COMMA, "',' or ';'")
-        if len(decls) == 1:
-            return decls[0]
-        # Multi-declarator statement: wrap in an if-free sequence by chaining
-        # through a synthetic container understood by the IR builder.
-        return _DeclGroup(decls, loc)
+        return decls
 
     def _parse_assign(self) -> ast.Stmt:
         loc = self._peek().loc
@@ -337,7 +333,7 @@ class Parser:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_or()
+        cond = self._parse_binary(1)
         if self._accept(TokenKind.QUESTION):
             then = self._parse_expr()
             self._expect(TokenKind.COLON, "':'")
@@ -345,46 +341,14 @@ class Parser:
             return ast.Ternary(cond, then, otherwise)
         return cond
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._check(TokenKind.OR_OR):
-            tok = self._next()
-            left = ast.Binary("||", left, self._parse_and(), loc=tok.loc)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._check(TokenKind.AND_AND):
-            tok = self._next()
-            left = ast.Binary("&&", left, self._parse_equality(), loc=tok.loc)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._peek().kind in (TokenKind.EQ, TokenKind.NE):
-            tok = self._next()
-            left = ast.Binary(tok.value, left, self._parse_relational(), loc=tok.loc)
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_additive()
-        while self._peek().kind in (TokenKind.LT, TokenKind.LE, TokenKind.GT, TokenKind.GE):
-            tok = self._next()
-            left = ast.Binary(tok.value, left, self._parse_additive(), loc=tok.loc)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            tok = self._next()
-            left = ast.Binary(tok.value, left, self._parse_multiplicative(), loc=tok.loc)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        """Precedence climbing over :data:`BINARY_PRECEDENCE`: the
+        operators at ``min_precedence`` or tighter, left-associative."""
         left = self._parse_unary()
-        while self._peek().kind in (TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT):
+        while (precedence := BINARY_PRECEDENCE.get(self._peek().kind, 0)) >= min_precedence:
             tok = self._next()
-            left = ast.Binary(tok.value, left, self._parse_unary(), loc=tok.loc)
+            right = self._parse_binary(precedence + 1)
+            left = ast.Binary(tok.value, left, right, loc=tok.loc)
         return left
 
     def _parse_unary(self) -> ast.Expr:
@@ -418,7 +382,7 @@ class Parser:
         if tok.kind is TokenKind.FLOAT_LIT:
             text = tok.value
             is_single = text.endswith("f")
-            return ast.FloatLit(float(text.rstrip("f")), is_single=is_single, loc=tok.loc)
+            return ast.FloatLit(float(text.rstrip("fL")), is_single=is_single, loc=tok.loc)
         if tok.kind is TokenKind.IDENT:
             if tok.value in INTRINSICS and self._check(TokenKind.LPAREN):
                 self._next()
@@ -448,42 +412,11 @@ class Parser:
         raise ParseError(f"unexpected token {tok.value!r} in expression", tok.loc)
 
 
-class _DeclGroup(ast.Stmt):
-    """Internal: a multi-declarator statement (``double a, b, c;``).
-
-    Flattened into individual :class:`DeclStmt` by :func:`_flatten_decls`
-    before the program is returned, so external consumers never see it.
-    """
-
-    def __init__(self, decls: list[ast.DeclStmt], loc: SourceLocation):
-        self.decls = decls
-        self.loc = loc
-
-
-def _flatten_decls(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
-    out: list[ast.Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, _DeclGroup):
-            out.extend(stmt.decls)
-            continue
-        if isinstance(stmt, ast.ForStmt):
-            stmt.body = _flatten_decls(stmt.body)
-        elif isinstance(stmt, ast.IfStmt):
-            stmt.then_body = _flatten_decls(stmt.then_body)
-            stmt.else_body = _flatten_decls(stmt.else_body)
-        elif isinstance(stmt, ast.RegionStmt):
-            stmt.body = _flatten_decls(stmt.body)
-        out.append(stmt)
-    return out
-
-
 def parse_program(source: str, filename: str = "<string>") -> ast.Program:
     """Parse MiniACC ``source`` into a :class:`Program`."""
     with span("parse", filename=filename, bytes=len(source)) as sp:
         with span("lex", filename=filename):
             tokens = tokenize(source, filename)
         program = Parser(tokens).parse_program()
-        for kernel in program.kernels:
-            kernel.body = _flatten_decls(kernel.body)
         sp.set(kernels=len(program.kernels))
     return program

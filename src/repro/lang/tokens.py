@@ -83,43 +83,23 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-MULTI_CHAR_OPS: tuple[tuple[str, TokenKind], ...] = (
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("++", TokenKind.PLUS_PLUS),
-    ("--", TokenKind.MINUS_MINUS),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NE),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("&&", TokenKind.AND_AND),
-    ("||", TokenKind.OR_OR),
-)
-
-SINGLE_CHAR_OPS: dict[str, TokenKind] = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    ":": TokenKind.COLON,
-    "?": TokenKind.QUESTION,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-    "&": TokenKind.AMP,
+#: Binary operator precedence, loosest first; every level is
+#: left-associative.  The parser climbs it, and directive size expressions
+#: fold with the ``+ - * / %`` levels.
+BINARY_PRECEDENCE: dict[TokenKind, int] = {
+    TokenKind.OR_OR: 1,
+    TokenKind.AND_AND: 2,
+    TokenKind.EQ: 3,
+    TokenKind.NE: 3,
+    TokenKind.LT: 4,
+    TokenKind.LE: 4,
+    TokenKind.GT: 4,
+    TokenKind.GE: 4,
+    TokenKind.PLUS: 5,
+    TokenKind.MINUS: 5,
+    TokenKind.STAR: 6,
+    TokenKind.SLASH: 6,
+    TokenKind.PERCENT: 6,
 }
 
 

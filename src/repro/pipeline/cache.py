@@ -45,9 +45,18 @@ def env_token(env: Mapping[str, int]) -> str:
     return repr(sorted(env.items()))
 
 
-def cache_key(source: str, config, *, kernel_name: str | None = None) -> str:
-    """SHA-256 key over (source text, config, kernel name): exactly what a
-    compile reads.  The arch rides inside the config token."""
+def cache_key(
+    source: str,
+    config,
+    *,
+    kernel_name: str | None = None,
+    pipeline: str | None = None,
+) -> str:
+    """SHA-256 key over (source text, config, kernel name, pipeline):
+    exactly what a compile reads.  The arch rides inside the config token;
+    ``pipeline`` is a custom pass pipeline's
+    :attr:`~repro.pipeline.passes.PassManager.key_token` (``None`` for the
+    default pipeline, whose keys it leaves unchanged)."""
     h = hashlib.sha256()
     h.update(source.encode())
     h.update(b"\x00")
@@ -55,6 +64,9 @@ def cache_key(source: str, config, *, kernel_name: str | None = None) -> str:
     h.update(b"\x00")
     if kernel_name is not None:
         h.update(kernel_name.encode())
+    if pipeline is not None:
+        h.update(b"\x00")
+        h.update(pipeline.encode())
     return h.hexdigest()
 
 

@@ -240,9 +240,13 @@ def default_passes() -> list[Pass]:
     Instantiated through the :mod:`~repro.pipeline.registry`, so a
     subclass registered over a default key (e.g. a project-specific
     ``safara``) replaces the stock pass in every new session."""
+    return [cls() for cls in _default_pass_classes()]
+
+
+def _default_pass_classes() -> list[type[Pass]]:
     from .registry import PASSES
 
-    return [PASSES.get(key)() for key in DEFAULT_PASS_ORDER]
+    return [PASSES.get(key) for key in DEFAULT_PASS_ORDER]
 
 
 class PassManager:
@@ -252,6 +256,7 @@ class PassManager:
         self.passes: list[Pass] = (
             list(passes) if passes is not None else default_passes()
         )
+        self._update_key_token()
 
     def register(
         self,
@@ -267,12 +272,27 @@ class PassManager:
         anchor = before or after
         if anchor is None:
             self.passes.append(p)
-            return p
-        for i, existing in enumerate(self.passes):
-            if existing.name == anchor:
-                self.passes.insert(i if before else i + 1, p)
-                return p
-        raise KeyError(f"no pass named {anchor!r}")
+        else:
+            for i, existing in enumerate(self.passes):
+                if existing.name == anchor:
+                    self.passes.insert(i if before else i + 1, p)
+                    break
+            else:
+                raise KeyError(f"no pass named {anchor!r}")
+        self._update_key_token()
+        return p
+
+    def _update_key_token(self) -> None:
+        classes = [type(p) for p in self.passes]
+        #: What this pipeline adds to a compile's cache key: ``None`` for
+        #: the default pass classes in the default order, so stock keys
+        #: stay as they are; otherwise the classes' qualified names, so a
+        #: custom pipeline never shares cached programs with another.
+        self.key_token: str | None = (
+            None
+            if classes == _default_pass_classes()
+            else ",".join(f"{c.__module__}.{c.__qualname__}" for c in classes)
+        )
 
     def pass_names(self) -> list[str]:
         return [p.name for p in self.passes]

@@ -298,24 +298,31 @@ class SessionStats:
             ]
 
     def pass_totals(self) -> dict[str, dict]:
-        """Aggregate (calls, wall time, backend compiles) per pass name."""
+        """Calls, skips, wall time and backend compiles per pass name, read
+        from the ``pipeline.pass.*`` counters :meth:`record` keeps, so
+        they count every compile, not just the traces still held.  A pass
+        with no runs and no skips is left out."""
+        prefix = "pipeline.pass."
+        names = {
+            name[len(prefix):].rpartition(".")[0]
+            for name in self.metrics.names()
+            if name.startswith(prefix)
+        }
+
+        def value(name: str, field: str) -> float:
+            counter = self.metrics.get(f"{prefix}{name}.{field}")
+            return counter.value if counter is not None else 0
+
         totals: dict[str, dict] = {}
-        for trace in self.traces:
-            for region in trace.regions:
-                for p in region.passes:
-                    agg = totals.setdefault(
-                        p.name,
-                        {"calls": 0, "skipped": 0, "wall_ms": 0.0,
-                         "backend_compilations": 0},
-                    )
-                    if p.ran:
-                        agg["calls"] += 1
-                        agg["wall_ms"] += p.wall_ms
-                        agg["backend_compilations"] += p.backend_compilations
-                    else:
-                        agg["skipped"] += 1
-        for agg in totals.values():
-            agg["wall_ms"] = round(agg["wall_ms"], 4)
+        for name in sorted(names):
+            calls, skipped = int(value(name, "runs")), int(value(name, "skips"))
+            if calls or skipped:
+                totals[name] = {
+                    "calls": calls,
+                    "skipped": skipped,
+                    "wall_ms": round(value(name, "wall_ms"), 4),
+                    "backend_compilations": int(value(name, "backend_compilations")),
+                }
         return totals
 
     def as_dict(self) -> dict:

@@ -474,7 +474,7 @@ class Broker(FrontDoor):
         result: dict = {
             "config": config.name,
             "arch": arch_key(config.arch),
-            "cache_key": job.key(),
+            "cache_key": session.job_key(job),
             "cached": tier,
             "attempts": attempt + 1,
             "kernels": [

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
 
 DEMO = """
 kernel demo(const double u[1:nz][1:ny][1:nx], double out[1:nz][1:ny][1:nx],
@@ -148,3 +154,33 @@ class TestOtherCommands:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
             main(["experiments", "fig99"])
+
+
+class TestUnreadableSource:
+    @pytest.mark.parametrize("command", ["compile", "profile", "stats", "tune", "submit"])
+    def test_missing_file_is_a_usage_error(self, command, tmp_path):
+        missing = tmp_path / "nofile.acc"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(missing)])
+        assert exc.value.code == f"cannot read {missing}: No such file or directory"
+
+    def test_undecodable_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "binary.acc"
+        path.write_bytes(b"\xff\xfe kernel")
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", str(path)])
+        assert exc.value.code.startswith(f"cannot read {path}: 'utf-8' codec")
+
+    def test_missing_file_exits_1_with_one_line(self, tmp_path):
+        missing = tmp_path / "nofile.acc"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(missing)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"cannot read {missing}: No such file or directory"
+        ]

@@ -1,9 +1,10 @@
 """Unit tests for the MiniACC lexer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.lang import LexError, tokenize
-from repro.lang.tokens import TokenKind
+from repro.lang.tokens import KEYWORDS, TokenKind
 
 
 def kinds(src):
@@ -49,6 +50,28 @@ class TestBasicTokens:
     def test_float_suffix_marks_single_precision(self):
         toks = tokenize("2.5f")
         assert toks[0].value.endswith("f")
+
+    @pytest.mark.parametrize("src", ["1.e5", "1.f", "2.x"])
+    def test_dot_before_a_letter_ends_the_number(self, src):
+        with pytest.raises(LexError) as exc:
+            tokenize(src)
+        assert exc.value.loc.column == 2
+
+    @pytest.mark.parametrize(
+        "src, kind, value",
+        [("1F", TokenKind.FLOAT_LIT, "1f"), ("7l", TokenKind.INT_LIT, "7L"),
+         ("1._", TokenKind.FLOAT_LIT, "1."), ("1e+", TokenKind.INT_LIT, "1")],
+    )
+    def test_number_forms(self, src, kind, value):
+        tok = tokenize(src)[0]
+        assert (tok.kind, tok.value) == (kind, value)
+
+    def test_words_start_with_a_letter_or_underscore(self):
+        assert values("é1 _x x² ٣") == ["é1", "_x", "x²", "٣"]
+        assert kinds("٣")[0] is TokenKind.INT_LIT  # a Unicode decimal digit
+        for src in ["½", "²"]:
+            with pytest.raises(LexError, match="unexpected character"):
+                tokenize(src)
 
     def test_member_like_dot_is_error(self):
         with pytest.raises(LexError):
@@ -134,3 +157,72 @@ class TestLocations:
         with pytest.raises(LexError) as exc:
             tokenize("x @")
         assert exc.value.loc.column == 3
+
+
+# -- round trip ---------------------------------------------------------------
+
+_OPERATOR_KINDS = [k for k in TokenKind if not any(ch.isalpha() for ch in k.value)]
+_EXPONENT = r"([eE][+-]?[0-9]{1,3})"
+
+
+def _lexeme(kind, pattern):
+    return st.from_regex(pattern, fullmatch=True).map(lambda text: (kind, text))
+
+
+_words = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+_chunks = st.from_regex(r"[a-z0-9(),:]+( [a-z0-9(),:]+){0,3}", fullmatch=True)
+
+_lexemes = st.one_of(
+    _words.filter(lambda w: w not in KEYWORDS).map(lambda w: (TokenKind.IDENT, w)),
+    st.sampled_from(sorted(KEYWORDS)).map(lambda w: (TokenKind.KEYWORD, w)),
+    _lexeme(TokenKind.INT_LIT, r"[0-9]{1,6}L?"),
+    _lexeme(
+        TokenKind.FLOAT_LIT,
+        rf"([0-9]{{1,4}}\.[0-9]{{1,4}}{_EXPONENT}?|\.[0-9]{{1,4}}{_EXPONENT}?"
+        rf"|[0-9]{{1,4}}{_EXPONENT})f?|[0-9]{{1,4}}\.|[0-9]{{1,4}}f",
+    ),
+    st.sampled_from(_OPERATOR_KINDS).map(lambda k: (k, k.value)),
+    st.lists(_chunks, min_size=1, max_size=3).map(
+        lambda chunks: (TokenKind.PRAGMA, chunks)
+    ),
+)
+
+#: Trivia between two lexemes.  Each starts with whitespace, so it cannot
+#: merge with the lexeme before it (``/`` + ``/* */`` would open a ``//``).
+_trivia = st.lists(
+    st.sampled_from(
+        [" ", "\t", "\n", "\r\n", "// line comment\n", "/* block */", "/* two\n lines */"]
+    ),
+    max_size=3,
+).map(lambda pieces: " " + "".join(pieces))
+
+
+@st.composite
+def _rendered(draw):
+    """Source text for random lexemes, plus the tokens it must lex to."""
+    text, expected = "", []
+    for kind, spelling in draw(st.lists(_lexemes, max_size=40)):
+        offset = len(text)
+        if kind is TokenKind.PRAGMA:
+            # A directive runs to the end of its line; backslash-newline
+            # continues it, and its chunks are joined by single spaces.
+            text += "#" + " \\\n  ".join(spelling) + "\n"
+            value = " ".join(spelling)
+        else:
+            text += spelling
+            value = spelling
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        expected.append((kind, value, line, column))
+        text += draw(_trivia)
+    line = text.count("\n") + 1
+    expected.append((TokenKind.EOF, "", line, len(text) - text.rfind("\n")))
+    return text, expected
+
+
+class TestRoundTrip:
+    @given(_rendered())
+    def test_rendered_tokens_lex_back(self, case):
+        text, expected = case
+        got = [(t.kind, t.value, t.loc.line, t.loc.column) for t in tokenize(text)]
+        assert got == expected

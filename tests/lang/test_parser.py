@@ -261,6 +261,30 @@ class TestExpressions:
         e = parse_expr("a1 < 2 == 1")  # (a1 < 2) == 1
         assert e.op == "=="
 
+    def test_every_precedence_level(self):
+        # a || (b && (c == (d < (e + (f * g)))))
+        e = parse_expr("a || b && c == d < e + f * g")
+        ops = []
+        while isinstance(e, Binary):
+            ops.append(e.op)
+            assert isinstance(e.left, Name)
+            e = e.right
+        assert ops == ["||", "&&", "==", "<", "+", "*"]
+
+    def test_each_level_is_left_associative(self):
+        # ((((a % b) / c) * d) - e) + f
+        e = parse_expr("a % b / c * d - e + f")
+        ops = []
+        while isinstance(e, Binary):
+            ops.append(e.op)
+            assert isinstance(e.right, Name)
+            e = e.left
+        assert ops == ["+", "-", "*", "/", "%"]
+
+    def test_long_suffix_on_a_float(self):
+        e = parse_expr("1.5L")
+        assert isinstance(e, FloatLit) and e.value == 1.5 and not e.is_single
+
     def test_logical_ops(self):
         e = parse_expr("a1 && b1 || c1")
         assert e.op == "||"

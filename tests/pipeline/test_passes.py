@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bench import SPEC, load_all
 from repro.cli import main
 from repro.compiler import (
     BASE,
@@ -12,8 +13,10 @@ from repro.compiler import (
     SAFARA_ONLY,
     SMALL_DIM_SAFARA,
     UNROLL_SAFARA,
+    CompileJob,
     CompilerSession,
 )
+from repro.pipeline.cache import cache_key
 from repro.pipeline import (
     Pass,
     PassManager,
@@ -155,6 +158,47 @@ class TestCustomPasses:
         assert calls == ["chain_k1"]
         trace = session.stats.traces[0].regions[0]
         assert "counter" in [p.name for p in trace.passes]
+
+    def test_custom_pipeline_keeps_out_of_a_shared_disk_cache(self, tmp_path):
+        class Noop(Pass):
+            name = "noop"
+
+            def run(self, ctx):
+                return None
+
+        load_all()
+        job = CompileJob(SPEC.get("355.seismic").source, SMALL_DIM_SAFARA)
+        custom = CompilerSession(passes=[Noop()], cache_dir=str(tmp_path))
+        custom_program, _ = custom.compile_job(job)
+        assert all(k.safara is None for k in custom_program.kernels)
+
+        stock = CompilerSession(cache_dir=str(tmp_path))
+        program, tier = stock.compile_job(job)
+        assert tier is None  # compiled afresh, not the custom pipeline's program
+        fresh, _ = CompilerSession().compile_job(job)
+        assert all(k.safara is not None for k in program.kernels)
+        assert [k.backend_compilations for k in program.kernels] == [
+            k.backend_compilations for k in fresh.kernels
+        ]
+        # Each pipeline still hits its own entries across sessions.
+        again = CompilerSession(passes=[Noop()], cache_dir=str(tmp_path))
+        assert again.compile_job(job)[1] == "disk"
+        assert CompilerSession(cache_dir=str(tmp_path)).compile_job(job)[1] == "disk"
+
+    def test_stock_pipeline_keeps_the_plain_key(self):
+        job = CompileJob(SRC, BASE)
+        plain = cache_key(SRC, BASE)
+        assert CompilerSession().job_key(job) == plain
+        session = CompilerSession(passes=default_passes())
+        assert session.pipeline.key_token is None
+        assert session.job_key(job) == plain
+
+        class Counter(Pass):
+            name = "counter"
+
+        session.pipeline.register(Counter(), after="licm")
+        assert session.pipeline.key_token is not None
+        assert session.job_key(job) != plain
 
     def test_session_with_reduced_pipeline(self):
         # a session restricted to the baseline passes still compiles

@@ -186,6 +186,27 @@ class TestSessionStats:
         assert by_name["safara"]["backend_compilations"] >= 1
         assert by_name["unroll"]["ran"] is False
 
+    def test_pass_totals_count_past_the_trace_bound(self):
+        session = CompilerSession()
+        session.stats.max_traces = 2
+        for step in range(2, 8):  # six distinct programs
+            session.compile_source(SRC.replace("k = 2", f"k = {step}"), SMALL_DIM_SAFARA)
+        assert session.stats.compilations == 6 and len(session.stats.traces) == 2
+        totals = session.stats_dict()["pass_totals"]
+        metrics = session.metrics.as_dict()
+        assert totals["licm"]["calls"] == 6
+        for name, agg in totals.items():
+            assert agg["calls"] == metrics.get(f"pipeline.pass.{name}.runs", {}).get("value", 0)
+            assert agg["skipped"] == metrics.get(f"pipeline.pass.{name}.skips", {}).get("value", 0)
+
+    def test_pass_totals_empty_without_compiles(self):
+        session = CompilerSession()
+        assert session.stats_dict()["pass_totals"] == {}
+        session.compile_source(SRC, BASE)
+        assert session.stats_dict()["pass_totals"]
+        session.reset()
+        assert session.stats_dict()["pass_totals"] == {}
+
     def test_sessions_are_isolated(self):
         a, b = CompilerSession(), CompilerSession()
         a.compile_source(SRC, BASE)
