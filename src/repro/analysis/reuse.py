@@ -9,6 +9,21 @@ references touching the same memory locations, either within one iteration
 
 A reuse group is the unit the scalar-replacement transformation operates
 on, and the unit the SAFARA cost model prices (Section III-B.3).
+
+Grouping takes one pass over a loop's occurrences.  Each occurrence's
+*shape* is derived once: per dimension, the stride of the loop variable
+(the form multiplying it) and the subscript with the loop variable
+dropped.  Two references have an iteration distance only when they name
+the same array with the same rank and equal strides in every dimension,
+so occurrences are bucketed by (array, rank, strides).  Within a bucket
+the distance is a difference of the dropped subscripts divided by
+``stride × step``, so it is reflexive (0), symmetric (negated) and
+additive (``d(a, c) = d(a, b) + d(b, c)``): "has a distance" is an
+equivalence.  Attaching each occurrence to the first cluster whose
+representative it has a distance to therefore yields exactly the
+partition a pairwise union-find over :func:`iteration_distance` gives,
+with each member's distance to the representative (the group's first
+occurrence) computed on the way.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from dataclasses import dataclass, field
 from ..ir.expr import ArrayRef, Expr, array_refs
 from ..ir.stmt import Assign, If, LocalDecl, Loop, Stmt
 from ..ir.symbols import Symbol
-from .subscripts import subscript_forms
+from .subscripts import AffineForm, subscript_forms
 
 
 class GroupKind(enum.Enum):
@@ -148,6 +163,48 @@ def collect_occurrences(loop: Loop) -> list[RefOccurrence]:
     return occs
 
 
+def _shape(
+    ref: ArrayRef, var: Symbol
+) -> tuple[tuple[AffineForm, ...], tuple[AffineForm, ...]] | None:
+    """``ref``'s shape with respect to ``var``: per dimension, the stride
+    of ``var`` and the subscript with ``var`` dropped.  ``None`` when a
+    subscript is non-affine, or not affine in ``var``."""
+    forms = subscript_forms(ref)
+    if forms is None:
+        return None
+    strides = []
+    for f in forms:
+        stride = f.linear_coefficient(var)
+        if stride is None:
+            return None
+        strides.append(stride)
+    return tuple(strides), tuple(f.drop(var) for f in forms)
+
+
+def _shape_distance(
+    a_rests: tuple[AffineForm, ...],
+    b_rests: tuple[AffineForm, ...],
+    steps: tuple[AffineForm, ...],
+) -> int | None:
+    """Iterations by which ``a`` trails ``b``, given equal strides (scaled
+    by the loop step in ``steps``): the rests must differ by the same
+    integer multiple of the step in every dimension the variable strides,
+    and not at all elsewhere.  The difference may be symbolic only as an
+    exact multiple of the stride (e.g. planes of size ny*nx)."""
+    d: int | None = None
+    for ra, rb, step in zip(a_rests, b_rests, steps):
+        diff = rb - ra
+        if step.is_zero:
+            if not diff.is_zero:
+                return None
+            continue
+        ratio = diff.as_int_multiple_of(step)
+        if ratio is None or (d is not None and d != ratio):
+            return None
+        d = ratio
+    return 0 if d is None else d
+
+
 def iteration_distance(a: ArrayRef, b: ArrayRef, loop: Loop) -> int | None:
     """Number of ``loop`` iterations by which ``a`` trails ``b``.
 
@@ -155,38 +212,16 @@ def iteration_distance(a: ArrayRef, b: ArrayRef, loop: Loop) -> int | None:
     the location ``b`` touches at iteration ``t`` — i.e. positive ``d``
     means ``a`` re-reads data ``b`` produced/loaded ``d`` iterations ago.
     Returns ``None`` when the references are unrelated (different arrays,
-    non-affine, non-constant distance, or inconsistent across dimensions).
+    non-affine, different strides, non-constant distance, or inconsistent
+    across dimensions).
     """
     if a.sym is not b.sym or len(a.indices) != len(b.indices):
         return None
-    fa = subscript_forms(a)
-    fb = subscript_forms(b)
-    if fa is None or fb is None:
+    sa = _shape(a, loop.var)
+    sb = _shape(b, loop.var)
+    if sa is None or sb is None or sa[0] != sb[0]:
         return None
-    var = loop.var
-    d: int | None = None
-    for da, db in zip(fa, fb):
-        diff = db - da
-        # The difference must not itself involve the loop variable (same
-        # stride on both sides) — and may be symbolic only in ways that are
-        # exact multiples of the stride (e.g. planes of size ny*nx).
-        if diff.depends_on(var):
-            return None
-        cv = da.linear_coefficient(var)
-        if cv is None:
-            return None  # non-affine in the loop variable
-        if cv.is_zero:
-            if not diff.is_zero:
-                return None
-            continue
-        ratio = diff.as_int_multiple_of(cv.scale(loop.step))
-        if ratio is None:
-            return None
-        if d is None:
-            d = ratio
-        elif d != ratio:
-            return None
-    return 0 if d is None else d
+    return _shape_distance(sa[1], sb[1], tuple(s.scale(loop.step) for s in sa[0]))
 
 
 def volatile_symbols(loop: Loop) -> set[Symbol]:
@@ -213,42 +248,40 @@ def volatile_symbols(loop: Loop) -> set[Symbol]:
 
 
 def find_reuse_groups(loop: Loop) -> list[ReuseGroup]:
-    """Partition the loop-level references into reuse groups.
+    """Partition the loop-level references into reuse groups, in one pass
+    over their shapes (see the module docstring for why it is exact).
 
-    Groups with a single occurrence and no reuse potential are still
-    returned for INVARIANT references (hoisting a single invariant load
-    out of a sequential loop already saves ``trip_count - 1`` loads); other
-    singletons are filtered out.
+    Groups come out in the order of their first occurrence, members in
+    textual order.  Groups with a single occurrence and no reuse potential
+    are still returned for INVARIANT references (hoisting a single
+    invariant load out of a sequential loop already saves
+    ``trip_count - 1`` loads); other singletons are filtered out.
     """
-    occs = collect_occurrences(loop)
-    n = len(occs)
-    parent = list(range(n))
+    clusters: list[tuple[list[RefOccurrence], list[int]]] = []
+    #: (array, strides) -> [(representative rests, steps, cluster)].
+    buckets: dict[tuple, list[tuple]] = {}
+    for occ in collect_occurrences(loop):
+        shape = _shape(occ.ref, loop.var)
+        if shape is None:
+            continue  # relates to nothing, not even itself
+        strides, rests = shape
+        bucket = buckets.setdefault((occ.ref.sym, strides), [])
+        for rep_rests, steps, (members, rel) in bucket:
+            d = _shape_distance(rests, rep_rests, steps)
+            if d is not None:
+                members.append(occ)
+                rel.append(d)
+                break
+        else:
+            cluster = ([occ], [0])
+            clusters.append(cluster)
+            steps = tuple(s.scale(loop.step) for s in strides)
+            bucket.append((rests, steps, cluster))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if occs[i].ref.sym is not occs[j].ref.sym:
-                continue
-            if iteration_distance(occs[i].ref, occs[j].ref, loop) is not None:
-                union(i, j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-
+    volatile = volatile_symbols(loop) if clusters else set()
     groups: list[ReuseGroup] = []
-    for members in clusters.values():
-        group = _make_group(loop, [occs[i] for i in members])
+    for members, rel in clusters:
+        group = _make_group(loop, members, rel, volatile)
         if group is None:
             continue
         if group.ref_count > 1 or group.kind is GroupKind.INVARIANT:
@@ -256,30 +289,26 @@ def find_reuse_groups(loop: Loop) -> list[ReuseGroup]:
     return groups
 
 
-def _make_group(loop: Loop, members: list[RefOccurrence]) -> ReuseGroup | None:
-    members = sorted(members, key=lambda o: o.order)
-    base = members[0].ref
-    rel: list[int] = []
-    for occ in members:
-        d = iteration_distance(occ.ref, base, loop)
-        if d is None:
-            return None
-        rel.append(d)
+def _make_group(
+    loop: Loop,
+    members: list[RefOccurrence],
+    rel: list[int],
+    volatile: set[Symbol],
+) -> ReuseGroup | None:
+    """The group of ``members`` (textual order), given each one's distance
+    ``rel`` behind the first, and the loop's volatile symbols."""
     # lag = how many iterations after its value was first touched; the
     # generator has the minimal relative distance (it touches newest data).
     dmin = min(rel)
     lags = [d - dmin for d in rel]
+    base = members[0].ref
     forms = subscript_forms(base)
-    if forms is None:
-        return None
+    assert forms is not None  # every member has a shape
     # Subscripts through values defined inside the loop (indirect indices,
     # inner loop variables) pin the location only *within* one iteration:
     # such groups may carry intra-iteration reuse but never inter-iteration
     # or invariant hoisting.
-    volatile = volatile_symbols(loop)
-    is_volatile = any(
-        f.depends_on(sym) for f in forms for sym in volatile
-    )
+    is_volatile = any(f.depends_on(sym) for f in forms for sym in volatile)
     depends = any(f.depends_on(loop.var) for f in forms)
     if is_volatile:
         if max(lags) != 0:

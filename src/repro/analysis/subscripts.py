@@ -185,7 +185,21 @@ class AffineForm:
 
 def affine_of(e: Expr) -> AffineForm | None:
     """Normalise an integer expression into polynomial-affine form, or
-    ``None`` when it is not polynomial (division, modulo, array loads...)."""
+    ``None`` when it is not polynomial (division, modulo, array loads...).
+
+    The form is computed once per node and kept in the node's ``_affine``
+    slot (see :class:`~repro.ir.expr.Expr`), so shared subtrees and repeat
+    queries cost one attribute read."""
+    try:
+        return e._affine
+    except AttributeError:  # never asked, or unpickled
+        pass
+    form = _normalise(e)
+    object.__setattr__(e, "_affine", form)
+    return form
+
+
+def _normalise(e: Expr) -> AffineForm | None:
     if isinstance(e, IntConst):
         return AffineForm.constant(e.value)
     if isinstance(e, VarRef):
@@ -198,18 +212,14 @@ def affine_of(e: Expr) -> AffineForm | None:
             return None if inner is None else inner.scale(-1)
         return None
     if isinstance(e, BinOp):
-        if e.op in ("+", "-"):
+        if e.op in ("+", "-", "*"):
             lhs = affine_of(e.left)
-            rhs = affine_of(e.right)
+            rhs = affine_of(e.right) if lhs is not None else None
             if lhs is None or rhs is None:
                 return None
+            if e.op == "*":
+                return lhs.multiply(rhs)
             return lhs + rhs if e.op == "+" else lhs - rhs
-        if e.op == "*":
-            lhs = affine_of(e.left)
-            rhs = affine_of(e.right)
-            if lhs is None or rhs is None:
-                return None
-            return lhs.multiply(rhs)
         return None
     return None
 

@@ -21,8 +21,16 @@ from ..errors import ConfigError
 from ..gpu.arch import ARCHES, GpuArch, KEPLER_K20XM
 
 
+class _TokenSlot:
+    """The slot :func:`repro.pipeline.cache.config_token` keeps a config's
+    token in once derived.  Not a field, so it stays out of ``__init__``,
+    ``repr``, equality and pickled state."""
+
+    __slots__ = ("_token",)
+
+
 @dataclass(frozen=True, slots=True)
-class CompilerConfig:
+class CompilerConfig(_TokenSlot):
     """One complete compiler configuration."""
 
     name: str

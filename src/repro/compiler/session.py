@@ -29,9 +29,11 @@ deduplication.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -162,6 +164,11 @@ class CompilerSession:
         #: fails at construction, not on the first execute.
         self.executor = parse_executor(executor).value
         self._lock = threading.Lock()
+        #: Built functions by (source hash, filename, kernel name), LRU,
+        #: at most ``cache_size``: a source is parsed once per session and
+        #: each job compiles a clone (:meth:`_parse_job`).
+        self._functions: OrderedDict[tuple, KernelFunction] = OrderedDict()
+        self._functions_lock = threading.Lock()
 
     # -- core compilation --------------------------------------------------
 
@@ -175,10 +182,13 @@ class CompilerSession:
         """Compile every offload region of ``fn`` under ``config``.
 
         The function's IR is mutated by the passes (like a real
-        compilation); parse fresh per configuration.  Never cached — the
-        caller owns the IR object; use :meth:`compile_source` for the
-        cached path (which threads its ``cache_key`` through so the
-        resulting :class:`CompileTrace` can be joined to the cache entry).
+        compilation), so compile each ``fn`` once, or a
+        :meth:`~repro.ir.module.KernelFunction.clone` of it per
+        configuration.  Never cached — the caller owns the IR object; use
+        :meth:`compile_source` for the cached path, which parses each
+        source once per session and compiles a clone per job (and threads
+        its ``cache_key`` through so the resulting :class:`CompileTrace`
+        can be joined to the cache entry).
         """
         t0 = time.perf_counter()
         with span(
@@ -369,12 +379,32 @@ class CompilerSession:
             self.disk_cache.put(key, program)
 
     def _parse_job(self, job: CompileJob) -> KernelFunction:
-        module = build_module(parse_program(job.source, job.filename))
-        return (
-            module.functions[0]
-            if job.kernel_name is None
-            else module.function(job.kernel_name)
+        """A private copy of the job's function to compile: the session
+        parses and builds each (source, filename, kernel) once and hands
+        every job a :meth:`~repro.ir.module.KernelFunction.clone`, whose
+        fresh names and loop ids match a fresh parse's."""
+        key = (
+            hashlib.sha256(job.source.encode()).hexdigest(),
+            job.filename,
+            job.kernel_name,
         )
+        with self._functions_lock:
+            fn = self._functions.get(key)
+            if fn is not None:
+                self._functions.move_to_end(key)
+        if fn is None:
+            # Parse outside the lock: workers parsing other sources run on.
+            module = build_module(parse_program(job.source, job.filename))
+            fn = (
+                module.functions[0]
+                if job.kernel_name is None
+                else module.function(job.kernel_name)
+            )
+            with self._functions_lock:
+                self._functions[key] = fn
+                while len(self._functions) > self.cache.maxsize:
+                    self._functions.popitem(last=False)
+        return fn.clone()
 
     def _compile_fresh(
         self, job: CompileJob, key: str | None = None
@@ -608,10 +638,13 @@ class CompilerSession:
         return d
 
     def reset(self) -> None:
-        """Drop cached programs and zero every counter and trace.  The
-        persistent tier keeps its entries (that is its purpose); use
-        ``session.disk_cache.clear()`` to wipe it too."""
+        """Drop cached programs and parsed functions, and zero every
+        counter and trace.  The persistent tier keeps its entries (that
+        is its purpose); use ``session.disk_cache.clear()`` to wipe it
+        too."""
         self.cache.reset()
+        with self._functions_lock:
+            self._functions.clear()
         with self._lock:
             self.stats.reset()
 

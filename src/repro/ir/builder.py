@@ -62,6 +62,7 @@ class _FunctionBuilder:
         # are one object within the function (and so within its pickled
         # envelope), and the table dies with the builder.
         self._exprs: dict[Expr, Expr] = {}
+        self._regions = 0
 
     def _intern(self, e: Expr) -> Expr:
         return intern_expr(e, self._exprs)
@@ -237,6 +238,7 @@ class _FunctionBuilder:
             step=step,
             body=body,
             directive=s.directive,
+            loop_id=self._symtab.new_loop_id(),
         )
 
     def _build_region(self, s: ast.RegionStmt) -> Region:
@@ -246,7 +248,8 @@ class _FunctionBuilder:
             body = self._build_stmts(s.body)
         finally:
             self._pop_scope()
-        return Region(directive=s.directive, body=body)
+        self._regions += 1
+        return Region(directive=s.directive, body=body, region_id=self._regions)
 
     def _validate_clauses(self, directive: ComputeDirective, loc) -> None:
         for name in directive.small:

@@ -36,9 +36,19 @@ class Expr:
     excluded from ``__init__``/``repr`` and from pickled state — unpickled
     nodes recompute their hash on first use (``Symbol`` hashes by identity
     and is not stable across processes).
+
+    The second cache slot, ``_affine``, holds the node's polynomial-affine
+    form once :func:`repro.analysis.subscripts.affine_of` has computed it
+    (``None`` for a non-affine node; unset until first asked).  It follows
+    the same rules as ``_hash``: not a field, not pickled, recomputed by an
+    unpickled node.  Because nodes are immutable and hash-consed per build,
+    every shared subtree is normalised once, however many passes, SAFARA
+    iterations and reuse pairs ask for it; the form holds only
+    :class:`~repro.ir.symbols.Symbol` objects, never nodes, and dies with
+    the node.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_affine")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", -1)

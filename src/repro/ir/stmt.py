@@ -8,16 +8,12 @@ directive including the proposed ``dim``/``small`` clauses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from ..lang.directives import ComputeDirective, LoopDirective
 from .expr import ArrayRef, Expr, IntConst, VarRef
 from .symbols import Symbol
-
-_loop_ids = itertools.count(1)
-_region_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -67,7 +63,10 @@ class Loop(Stmt):
     step: int
     body: list[Stmt] = field(default_factory=list)
     directive: LoopDirective | None = None
-    loop_id: int = field(default_factory=lambda: next(_loop_ids))
+    #: Numbered per function, from 1 (the builder and the transforms draw
+    #: from :meth:`~repro.ir.symbols.SymbolTable.new_loop_id`), so a
+    #: function's ids do not depend on what the process built before.
+    loop_id: int = field(kw_only=True)
     #: Set by transformations that introduce loop-carried dependences into a
     #: previously parallel loop (the Carr-Kennedy hazard of Section III-A.1).
     sequentialized: bool = False
@@ -130,7 +129,8 @@ class Region(Stmt):
 
     directive: ComputeDirective
     body: list[Stmt] = field(default_factory=list)
-    region_id: int = field(default_factory=lambda: next(_region_ids))
+    #: Numbered per function, from 1, in source order.
+    region_id: int = field(kw_only=True)
 
     @property
     def name_hint(self) -> str:

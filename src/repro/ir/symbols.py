@@ -113,12 +113,30 @@ class SymbolTable:
 
     MiniACC scoping is simple enough (no shadowing across nested loops)
     that one flat table per kernel function suffices; the IR builder
-    enforces no-redeclaration.
+    enforces no-redeclaration.  The table also numbers the function's
+    loops (:meth:`new_loop_id`), so loops a transformation creates
+    continue the builder's numbering.
     """
 
     def __init__(self) -> None:
         self._symbols: dict[str, Symbol] = {}
         self._counter = 0
+        self._loop_ids = 0
+
+    def copy(self) -> "SymbolTable":
+        """An independent table over the same :class:`Symbol` objects, with
+        the same fresh-name and loop-id counters: names and ids it hands
+        out next match what this table would have handed out."""
+        out = SymbolTable()
+        out._symbols = dict(self._symbols)
+        out._counter = self._counter
+        out._loop_ids = self._loop_ids
+        return out
+
+    def new_loop_id(self) -> int:
+        """The next loop id of this function (1, 2, ...)."""
+        self._loop_ids += 1
+        return self._loop_ids
 
     def declare(self, sym: Symbol) -> Symbol:
         if sym.name in self._symbols:

@@ -33,9 +33,16 @@ def config_token(config) -> str:
 
     Frozen-dataclass ``repr`` covers every field, including the nested
     ``GpuArch`` and ``LatencyModel`` (both frozen dataclasses themselves),
-    so value-equal configs serialise identically.
+    so value-equal configs serialise identically.  Configs are immutable,
+    so the token is derived once per config object and kept in its
+    ``_token`` slot.
     """
-    return repr(config)
+    try:
+        return config._token
+    except AttributeError:  # first call, or an unpickled config
+        token = repr(config)
+        object.__setattr__(config, "_token", token)
+        return token
 
 
 def env_token(env: Mapping[str, int]) -> str:

@@ -120,6 +120,7 @@ def _clone_stmts(
                 step=stmt.step,
                 body=_clone_stmts(stmt.body, var, offset, symtab, local_map),
                 directive=stmt.directive,
+                loop_id=symtab.new_loop_id(),
             )
             out.append(inner)
         else:
@@ -175,6 +176,7 @@ def unroll_loop(
         step=1,
         body=remainder_body,
         directive=loop.directive,
+        loop_id=symtab.new_loop_id(),
     )
 
     loop.body = new_body

@@ -21,6 +21,7 @@ from repro.ir import (
     build_module,
     expr_type,
 )
+from repro.ir.stmt import loops_in
 from repro.ir.symbols import SymbolKind
 from repro.lang import SemanticError, parse_program
 
@@ -276,3 +277,46 @@ class TestModule:
             """
         )
         assert len(fn.regions()) == 2
+
+
+CLONE_SRC = """
+kernel k(double a[n], const double b[n], int n) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 1; i < n; i++) {
+    #pragma acc loop seq
+    for (j = 0; j < 4; j++) { a[i] = a[i] + b[j]; }
+  }
+  #pragma acc kernels loop gang vector(64)
+  for (i = 0; i < n; i++) { a[i] = 0.0; }
+}
+"""
+
+
+class TestClone:
+    def test_ids_are_numbered_per_function(self):
+        fn = lower(CLONE_SRC)
+        assert [r.region_id for r in fn.regions()] == [1, 2]
+        assert sorted(l.loop_id for l in loops_in(fn.body)) == [1, 2, 3]
+        assert lower(CLONE_SRC).regions()[1].region_id == 2
+
+    def test_symbol_table_copy_continues_both_counters(self):
+        symtab = lower(CLONE_SRC).symtab
+        symtab.fresh("t", F64)
+        copy = symtab.copy()
+        assert [s.name for s in copy] == [s.name for s in symtab]
+        assert all(a is b for a, b in zip(copy, symtab))
+        assert copy.fresh("t", F64).name == symtab.fresh("t", F64).name
+        assert copy.new_loop_id() == symtab.new_loop_id() == 4
+        copy.fresh("u", F64)
+        assert "u_3" in copy and "u_3" not in symtab
+
+    def test_function_clone_shares_symbols_and_exprs_not_statements(self):
+        fn = lower(CLONE_SRC)
+        clone = fn.clone()
+        assert clone.params == fn.params and clone.params is not fn.params
+        assert clone.symtab is not fn.symtab
+        loop, orig = clone.regions()[0].body[0], fn.regions()[0].body[0]
+        assert loop is not orig and loop.loop_id == orig.loop_id
+        assert loop.var is orig.var and loop.bound is orig.bound
+        loop.body.clear()
+        assert orig.body

@@ -2,6 +2,7 @@
 discrimination on every key component (and none on the env, which a
 compile does not read), LRU eviction, counters."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.compiler import BASE, SMALL_DIM_SAFARA, CompileJob, CompilerSession
 from repro.gpu.arch import FERMI_LIKE, KEPLER_K20XM
 from repro.pipeline import CompileCache, cache_key
-from repro.pipeline.cache import env_token
+from repro.pipeline.cache import config_token, env_token
 
 SRC = """
 kernel axpy(const double x[1:n], double y[1:n], int n) {
@@ -57,6 +58,26 @@ class TestCacheKey:
 
     def test_kernel_name_in_key(self):
         assert cache_key(SRC, BASE, kernel_name="axpy") != cache_key(SRC, BASE)
+
+    def test_stock_keys_are_pinned(self):
+        """Keys name envelopes on disk: deriving the config token once per
+        config object must not change a byte of them."""
+        assert cache_key(SRC, BASE) == (
+            "0979c7db8aea0dd68d8ab84ade95924cf21769c5b215e495c5d2d82eaf682628"
+        )
+        assert cache_key(SRC, SMALL_DIM_SAFARA, kernel_name="axpy") == (
+            "07a8cacfa0cb932157de7386a876d64e878182502b5af217e735a08e5ae3c15c"
+        )
+
+    def test_config_token_derived_once_per_config(self):
+        config = BASE.derive(register_limit=40)
+        token = config_token(config)
+        assert token == repr(config)
+        assert config_token(config) is token
+        # Not a field: out of equality, repr and pickled state.
+        assert config == BASE.derive(register_limit=40)
+        again = pickle.loads(pickle.dumps(config))
+        assert config_token(again) == token and config_token(again) is not token
 
 
 class TestCompileCache:
