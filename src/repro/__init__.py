@@ -95,23 +95,18 @@ def run(
     filename: str = "<string>",
     executor: str | None = None,
 ):
-    """Parse and execute MiniACC source functionally.
+    """Execute MiniACC source functionally through the process-default
+    session.
 
     ``args`` binds every array and scalar parameter of the kernel
     function.  Returns ``(arrays, stats, info)`` from the execution
     ladder — generated code, with scalar fallback unless ``executor``
-    overrides the session default.
+    overrides the session default.  Repeated calls with the same source
+    reuse its parse and generated program.
     """
-    from .ir.builder import build_module
-    from .lang.parser import parse_program
-
-    module = build_module(parse_program(source, filename))
-    fn = (
-        module.functions[0]
-        if kernel_name is None
-        else module.function(kernel_name)
+    return default_session().run(
+        source, args, kernel_name=kernel_name, filename=filename, executor=executor
     )
-    return default_session().execute(fn, args, executor=executor)
 
 
 # Imported last: the binding of the `tune` *function* deliberately

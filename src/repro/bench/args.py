@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..compiler.session import default_session
 from ..gpu.interpreter import numpy_dtype
-from ..ir.builder import build_module
 from ..ir.module import KernelFunction
-from ..lang.parser import parse_program
 from .core import BenchmarkSpec
 
 
@@ -22,10 +21,11 @@ def build_test_args(
     seed: int = 0,
     env: dict[str, int] | None = None,
 ) -> tuple[KernelFunction, dict[str, object]]:
-    """Parse the benchmark and build interpreter-ready arguments at test
-    scale (or at explicit ``env`` sizes).  Returns a *fresh* IR function
-    plus the argument dict (arrays are newly allocated; safe to mutate)."""
-    fn = build_module(parse_program(spec.source)).functions[0]
+    """Build interpreter-ready arguments for the benchmark at test scale
+    (or at explicit ``env`` sizes).  Returns a private clone of the default
+    session's parse plus the argument dict (arrays are newly allocated;
+    safe to mutate)."""
+    fn = default_session().function(spec.source).clone()
     env = dict(env) if env is not None else dict(spec.test_env or spec.env)
     rng = np.random.default_rng(seed)
     args: dict[str, object] = {

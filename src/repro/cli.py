@@ -96,6 +96,13 @@ def _build_run_args(fn, env: dict[str, int], seed: int = 0) -> dict[str, object]
         ) from None
 
 
+def _run(session: CompilerSession, source: str, filename: str, env: dict):
+    """``--run``: execute the file's first kernel on deterministic inputs
+    (see :func:`_build_run_args`)."""
+    fn = session.function(source, filename=filename)
+    return session.run(source, _build_run_args(fn, env), filename=filename)
+
+
 def _read_source(path: str) -> str:
     """A command's MiniACC source: the file at ``path``, stdin for ``-``.
     An unreadable file is a usage error, not a traceback."""
@@ -118,15 +125,6 @@ def _config_named(name: str):
         known = ", ".join(sorted(ALL_CONFIGS))
         raise SystemExit(f"unknown config {name!r}; known: {known}")
     return config
-
-
-def _first_function(source: str):
-    """The first kernel function of ``source``, freshly parsed (a run and
-    the CUDA rendering read its IR)."""
-    from .ir.builder import build_module
-    from .lang.parser import parse_program
-
-    return build_module(parse_program(source)).functions[0]
 
 
 def _traced(command, args: argparse.Namespace) -> int:
@@ -172,7 +170,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             config = _derive_arch(config, args.arch)
         if args.saturate is not None:
             config = config.derive(saturate=args.saturate)
-        program = session.compile_source(source, config)
+        program = session.compile_source(source, config, filename=args.file)
         print(f"== {config.name} ==")
         for kernel in program.kernels:
             line = f"  {kernel.ptxas.summary()}"
@@ -201,15 +199,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         if args.cuda:
             from .codegen.cuda_text import render_cuda
 
-            fn = _first_function(source)
+            fn = session.function(source, filename=args.file)
             for index, region in enumerate(fn.regions(), start=1):
                 print(render_cuda(region, fn.symtab, config.codegen_options(),
                                   name=f"{fn.name}_k{index}"))
         print()
     if args.run:
-        fn = _first_function(source)
-        run_args = _build_run_args(fn, env)
-        _arrays, stats, info = session.execute(fn, run_args)
+        _arrays, stats, info = _run(session, source, args.file, env)
         line = f"run: executor={info.used}"
         if info.fallback_reason:
             line += f" (fallback: {info.fallback_reason})"
@@ -235,12 +231,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from .obs.profiler import profile_source
 
     session = CompilerSession()
-    profile = profile_source(source, config, session=session)
+    profile = profile_source(source, config, session=session, filename=args.file)
     if args.run:
-        env = _parse_env(args.env)
-        fn = _first_function(source)
-        run_args = _build_run_args(fn, env)
-        _arrays, stats, info = session.execute(fn, run_args)
+        _arrays, stats, info = _run(session, source, args.file, _parse_env(args.env))
         profile.execution = {
             **info.as_dict(),
             "loads": stats.loads,
@@ -266,7 +259,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     session = CompilerSession()
     for name in config_names:
         config = _config_named(name)
-        session.compile_source(source, config)
+        session.compile_source(source, config, filename=args.file)
     if args.json:
         import json
 
@@ -1278,11 +1271,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .lang.errors import MiniAccError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
+    except MiniAccError as exc:
+        # A source error is the user's to fix: one `path:line:col:
+        # message` line, not a traceback.
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1037,7 +1038,7 @@ def compile_kernel(
 
 class FunctionCache:
     """Process-wide cache of bound function objects, keyed by (content
-    hash, argument-kind signature): one program per signature.
+    key, argument-kind signature): one program per signature.
 
     Metrics (``cache.fnobj.hits`` / ``cache.fnobj.misses``) are counted
     into the registry the *caller* passes — sessions and brokers each see
@@ -1089,7 +1090,7 @@ def get_or_compile(
     fn: KernelFunction,
     plan: KernelPlan | None = None,
     *,
-    content_key: str | None = None,
+    content_key: Hashable | None = None,
     signature=None,
     metrics=None,
 ) -> GeneratedKernel:

@@ -14,17 +14,19 @@ A session owns the three pieces every compilation needs:
   benchmarks.  An optional
   :class:`~repro.pipeline.diskcache.DiskCache` behind it persists the
   compiled program only: a compile never generates NumPy source, which
-  is made and bound on execution (:meth:`CompilerSession.execute`) and
-  persisted only by the serving broker's ``run`` path;
+  is made and bound on execution (:meth:`CompilerSession.run`) and kept
+  in memory only;
 * the **statistics** (:class:`~repro.pipeline.trace.SessionStats`):
   structured traces of every compile, serialisable to JSON for the CLI's
   ``--stats`` flag.
 
-The session's methods are the compile API; the :mod:`repro` facade
-(``repro.compile`` / ``repro.run`` / ``repro.tune``) wraps a module-level
-default session.  :func:`CompilerSession.compile_many` adds batch
-compilation fanned out over ``concurrent.futures`` workers with in-batch
-deduplication.
+The session is also the one front end: :meth:`CompilerSession.function`
+parses and builds each source once, and every compile, run, profile and
+tuner analysis starts from that parse.  The session's methods are the
+compile API; the :mod:`repro` facade (``repro.compile`` / ``repro.run`` /
+``repro.tune``) wraps a module-level default session.
+:func:`CompilerSession.compile_many` adds batch compilation fanned out
+over ``concurrent.futures`` workers with in-batch deduplication.
 """
 
 from __future__ import annotations
@@ -120,6 +122,12 @@ class CompileJob:
         return self._key
 
 
+def _parse_key(source: str, filename: str, kernel_name: str | None) -> tuple:
+    """What a parse reads: the source text, the filename its diagnostics
+    name, and the kernel it selects."""
+    return hashlib.sha256(source.encode()).hexdigest(), filename, kernel_name
+
+
 class CompilerSession:
     """One compiler service instance: cache + pass pipeline + stats.
 
@@ -133,7 +141,6 @@ class CompilerSession:
         *,
         cache_size: int = 512,
         passes: list[Pass] | None = None,
-        max_workers: int | None = None,
         executor: str = "auto",
         cache_dir: "str | None" = None,
         disk_cache: DiskCache | None = None,
@@ -157,7 +164,6 @@ class CompilerSession:
             self.disk_cache = None
         self.pipeline = PassManager(passes)
         self.stats = SessionStats(self.metrics)
-        self.max_workers = max_workers
         #: Default functional-execution engine for :meth:`execute` — one
         #: of :data:`repro.executors.EXECUTOR_NAMES` (``"auto"`` walks the
         #: ladder codegen → scalar).  Validated here so a typo
@@ -165,8 +171,8 @@ class CompilerSession:
         self.executor = parse_executor(executor).value
         self._lock = threading.Lock()
         #: Built functions by (source hash, filename, kernel name), LRU,
-        #: at most ``cache_size``: a source is parsed once per session and
-        #: each job compiles a clone (:meth:`_parse_job`).
+        #: at most ``cache_size``: a source is parsed once per session
+        #: (:meth:`function`).
         self._functions: OrderedDict[tuple, KernelFunction] = OrderedDict()
         self._functions_lock = threading.Lock()
 
@@ -378,33 +384,49 @@ class CompilerSession:
         if self.disk_cache is not None:
             self.disk_cache.put(key, program)
 
-    def _parse_job(self, job: CompileJob) -> KernelFunction:
-        """A private copy of the job's function to compile: the session
-        parses and builds each (source, filename, kernel) once and hands
-        every job a :meth:`~repro.ir.module.KernelFunction.clone`, whose
-        fresh names and loop ids match a fresh parse's."""
-        key = (
-            hashlib.sha256(job.source.encode()).hexdigest(),
-            job.filename,
-            job.kernel_name,
+    def function(
+        self,
+        source: str,
+        *,
+        kernel_name: str | None = None,
+        filename: str = "<string>",
+    ) -> KernelFunction:
+        """The built kernel function of ``source`` (its first, or the one
+        named ``kernel_name``), parsed once per session.
+
+        The function is shared and must be treated as read-only: it is
+        what :meth:`run` executes and what every compile clones.  Take a
+        :meth:`~repro.ir.module.KernelFunction.clone` before passing it to
+        anything that mutates IR (:meth:`compile_function`, the passes).
+        """
+        return self._function(
+            _parse_key(source, filename, kernel_name), source, kernel_name, filename
         )
+
+    def _function(
+        self, key: tuple, source: str, kernel_name: str | None, filename: str
+    ) -> KernelFunction:
         with self._functions_lock:
             fn = self._functions.get(key)
             if fn is not None:
                 self._functions.move_to_end(key)
-        if fn is None:
-            # Parse outside the lock: workers parsing other sources run on.
-            module = build_module(parse_program(job.source, job.filename))
-            fn = (
-                module.functions[0]
-                if job.kernel_name is None
-                else module.function(job.kernel_name)
-            )
-            with self._functions_lock:
-                self._functions[key] = fn
-                while len(self._functions) > self.cache.maxsize:
-                    self._functions.popitem(last=False)
-        return fn.clone()
+                return fn
+        # Parse outside the lock: workers parsing other sources run on.
+        module = build_module(parse_program(source, filename))
+        fn = module.functions[0] if kernel_name is None else module.function(kernel_name)
+        with self._functions_lock:
+            self._functions[key] = fn
+            while len(self._functions) > self.cache.maxsize:
+                self._functions.popitem(last=False)
+        return fn
+
+    def _parse_job(self, job: CompileJob) -> KernelFunction:
+        """A private copy of the job's function to compile: a clone of the
+        session's parse, whose fresh names and loop ids match a fresh
+        parse's."""
+        return self.function(
+            job.source, kernel_name=job.kernel_name, filename=job.filename
+        ).clone()
 
     def _compile_fresh(
         self, job: CompileJob, key: str | None = None
@@ -466,9 +488,7 @@ class CompilerSession:
                 to_compile.append(key)
 
         if to_compile:
-            workers = max_workers or self.max_workers or min(
-                32, (os.cpu_count() or 1) + 4
-            )
+            workers = max_workers or min(32, (os.cpu_count() or 1) + 4)
             workers = max(1, min(workers, len(to_compile)))
             if workers == 1:
                 compiled = [self._compile_fresh(job_for[k], k) for k in to_compile]
@@ -551,20 +571,42 @@ class CompilerSession:
         args: dict[str, object],
         *,
         executor: str | None = None,
-        content_key: str | None = None,
     ):
         """Run a kernel function functionally through the execution
         ladder (:func:`~repro.gpu.vector_exec.execute_kernel`).
 
-        ``executor`` overrides the session default for one call.
-        ``content_key`` (a stable content hash for ``fn``'s source) keys
-        the process-wide generated-function cache (together with the
-        argument kinds), so repeat executions skip planning and codegen.
+        ``executor`` overrides the session default for one call.  The
+        generated program is not cached across calls (``fn`` has no
+        content key); :meth:`run` executes from source and reuses it.
         Returns ``(arrays, stats, info)``; the
         :class:`~repro.gpu.vector_exec.ExecutionInfo` is also recorded in
         the session statistics (the ``execution`` section of
         :meth:`stats_dict`).
         """
+        return self._execute(fn, args, executor, None)
+
+    def run(
+        self,
+        source: str,
+        args: dict[str, object],
+        *,
+        kernel_name: str | None = None,
+        filename: str = "<string>",
+        executor: str | None = None,
+    ):
+        """Execute the kernel function of ``source`` (see :meth:`function`)
+        with ``args``, like :meth:`execute`.
+
+        The parse key (source hash, filename, kernel name) also keys the
+        process-wide generated-function cache, together with the
+        argument kinds, so a repeat run skips the front end, planning and
+        code generation.
+        """
+        key = _parse_key(source, filename, kernel_name)
+        fn = self._function(key, source, kernel_name, filename)
+        return self._execute(fn, args, executor, key)
+
+    def _execute(self, fn, args, executor, content_key):
         from ..gpu.vector_exec import execute_kernel
 
         arrays, stats, info = execute_kernel(

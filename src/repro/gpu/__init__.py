@@ -14,12 +14,6 @@ from .arch import (
     list_archs,
     register_arch,
 )
-from .device import (
-    LaunchRecord,
-    SimulatedDevice,
-    TransferEstimate,
-    estimate_transfers,
-)
 from .interpreter import (
     ExecutionStats,
     Interpreter,
@@ -64,12 +58,8 @@ __all__ = [
     "InterpreterError",
     "KEPLER_K20XM",
     "KernelTiming",
-    "LaunchRecord",
-    "SimulatedDevice",
-    "TransferEstimate",
     "VectorInterpreter",
     "VectorUnsupported",
-    "estimate_transfers",
     "execute_kernel",
     "LatencyMeasurement",
     "LiveInterval",

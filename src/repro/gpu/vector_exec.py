@@ -49,6 +49,7 @@ import math
 import re
 import threading
 import time
+from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -807,7 +808,7 @@ def execute_kernel(
     args: dict[str, object],
     *,
     executor: "str | Executor" = "auto",
-    content_key: str | None = None,
+    content_key: Hashable | None = None,
     metrics=None,
 ) -> tuple[dict[str, np.ndarray], ExecutionStats, ExecutionInfo]:
     """Execute ``fn`` with ``args`` (arrays are mutated in place).
@@ -826,10 +827,12 @@ def execute_kernel(
 
     ``content_key`` (optional) keys the in-memory generated-function cache
     together with the launch's argument-kind signature — callers that know
-    a stable content hash for ``fn``'s source pass it so repeat launches
-    skip planning and code generation entirely.  ``metrics`` (optional,
-    :class:`~repro.obs.metrics.MetricsRegistry`) receives the codegen
-    tier's cache, generation, guard and fallback counters.
+    a stable key for ``fn``'s content pass it (a session's
+    :meth:`~repro.compiler.session.CompilerSession.run` passes its parse
+    key) so repeat launches skip planning and code generation entirely.
+    ``metrics`` (optional, :class:`~repro.obs.metrics.MetricsRegistry`)
+    receives the codegen tier's cache, generation, guard and fallback
+    counters.
     """
     with span("execute", kernel=fn.name, requested=str(executor)) as sp:
         arrays, stats, info = _execute_kernel(
@@ -907,7 +910,7 @@ def _execute_kernel(
     args: dict[str, object],
     *,
     executor: "str | Executor",
-    content_key: str | None = None,
+    content_key: Hashable | None = None,
     metrics=None,
 ) -> tuple[dict[str, np.ndarray], ExecutionStats, ExecutionInfo]:
     from ..codegen import numpy_source  # deferred: avoids import cycle

@@ -309,15 +309,15 @@ def profile_program(program, fn) -> ProgramProfile:
     return profile
 
 
-def profile_source(source: str, config=None, *, session=None) -> ProgramProfile:
-    """Parse ``source``, compile its first function (uncached, through
+def profile_source(
+    source: str, config=None, *, session=None, filename: str = "<string>"
+) -> ProgramProfile:
+    """Compile a clone of ``source``'s first function (uncached, through
     ``session`` or the default one) and profile the result."""
     from ..compiler.options import SMALL_DIM_SAFARA
     from ..compiler.session import default_session
-    from ..ir.builder import build_module
-    from ..lang.parser import parse_program
 
     session = session if session is not None else default_session()
     config = config if config is not None else SMALL_DIM_SAFARA
-    fn = build_module(parse_program(source)).functions[0]
+    fn = session.function(source, filename=filename).clone()
     return profile_program(session.compile_function(fn, config), fn)

@@ -8,8 +8,8 @@ requests in flight; past that, ``queue_full``, the protocol's 429),
 rejection and the exception → wire-code table.  The broker adds:
 
 * **worker pool over per-worker sessions** — each worker thread owns a
-  private :class:`CompilerSession` (its own in-memory cache and pass
-  pipeline), but all sessions share one :class:`MetricsRegistry` and one
+  private :class:`CompilerSession` (its own in-memory cache, parses and
+  pass pipeline), but all sessions share one :class:`MetricsRegistry` and one
   persistent :class:`~repro.pipeline.diskcache.DiskCache`, so the service
   has a single metrics surface and a single warm store;
 * **per-request deadlines** — the clock starts at admission (queue wait
@@ -51,10 +51,8 @@ for the ``trace`` op / ``repro serve-trace``.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
 
@@ -154,8 +152,6 @@ class Broker(FrontDoor):
         )
         self._sessions = threading.local()
         self._all_sessions: list[CompilerSession] = []
-        #: ``run``-request kernels by source content hash (see _run_kernel).
-        self._kernels: OrderedDict[str, object] = OrderedDict()
         self._rng = Random(self.config.seed)
         self._sleep = time.sleep  # overridable for tests
         #: Per-request scratch (one worker thread processes one request
@@ -517,25 +513,6 @@ class Broker(FrontDoor):
         if sleep_ms > 0.0:
             self._sleep(sleep_ms / 1000.0)
 
-    def _run_kernel(self, content_key: str, source: str):
-        """The parsed kernel of a ``run`` request's source, shared by all
-        workers through a bounded LRU (execution only reads the IR)."""
-        from ..ir.builder import build_module
-        from ..lang.parser import parse_program
-
-        with self._lock:
-            fn = self._kernels.get(content_key)
-            if fn is not None:
-                self._kernels.move_to_end(content_key)
-                return fn
-        with span("compile", phase="frontend"):
-            fn = build_module(parse_program(source)).functions[0]
-        with self._lock:
-            self._kernels[content_key] = fn
-            while len(self._kernels) > self.config.cache_size:
-                self._kernels.popitem(last=False)
-        return fn
-
     def _handle_run(self, request: dict, deadline: float) -> dict:
         """Functional execution with deadline-pressure degradation."""
         from ..gpu.interpreter import build_run_args
@@ -547,14 +524,12 @@ class Broker(FrontDoor):
         except ConfigError as exc:
             raise ServeError(protocol.BAD_REQUEST, str(exc)) from None
         pinned = self._arch_for(request)
-        # Warm hot path: the parsed kernel and the generated-function
-        # cache are keyed by the request source's content hash (the cache
-        # adds the argument kinds).  Generated programs live in memory
-        # only; a restarted daemon regenerates on its first run.
-        content_key = hashlib.sha256(
-            ("run:" + request["source"]).encode()
-        ).hexdigest()
-        fn = self._run_kernel(content_key, request["source"])
+        # Warm hot path: the worker session's parse, and the generated
+        # program it keys by that parse (with the argument kinds).
+        # Generated programs live in memory only; a restarted daemon
+        # regenerates on its first run.
+        source, kernel_name = request["source"], request.get("kernel")
+        fn = session.function(source, kernel_name=kernel_name)
         # Fleet routing: model every fleet variant's time at the run's
         # problem size and record the verdict (a pinned arch skips the
         # policy; placement failures fall through to an unrouted run).
@@ -599,11 +574,8 @@ class Broker(FrontDoor):
 
         try:
             with fallback_listener(on_fallback):
-                _arrays, stats, info = session.execute(
-                    fn,
-                    run_args,
-                    executor=executor,
-                    content_key=content_key,
+                _arrays, stats, info = session.run(
+                    source, run_args, kernel_name=kernel_name, executor=executor
                 )
         except VectorUnsupported as exc:
             raise ServeError(

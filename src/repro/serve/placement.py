@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..compiler.session import CompileJob, CompilerSession
 from ..gpu.arch import arch_key
+from ..obs.tracer import span
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +96,8 @@ def choose_placement(
         )
         for key in keys
     ]
-    programs = session.compile_many(jobs)
+    with span("compile", config=config.name, archs=",".join(keys)):
+        programs = session.compile_many(jobs)
     candidates = []
     for key, job, program in zip(keys, jobs, programs):
         timing = session.time_program(program, env, launches=launches)

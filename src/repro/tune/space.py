@@ -256,21 +256,31 @@ def default_space(source: str) -> KnobSpace:
     )
 
 
-def safara_candidate_ceiling(source: str, base, *, filename: str = "<string>"):
-    """Max per-region SAFARA candidate count after the pipeline prefix
-    (autopar + LICM) at unroll 1, from the cost model alone — no backend
-    compile.  ``None`` when the ceiling cannot be computed soundly (a
-    Carr-Kennedy base mutates the region before SAFARA would see it).
+def safara_candidate_ceiling(
+    source: str,
+    base,
+    *,
+    kernel_name: str | None = None,
+    filename: str = "<string>",
+    session=None,
+):
+    """Max per-region SAFARA candidate count of the kernel the tuner
+    compiles (``kernel_name``, default the first) after the pipeline
+    prefix (autopar + LICM) at unroll 1, from the cost model alone — no
+    backend compile.  ``None`` when the ceiling cannot be computed soundly
+    (a Carr-Kennedy base mutates the region before SAFARA would see it).
+    The prefix runs in place, so it analyses a clone of ``session``'s
+    parse (default: the process-wide session).
     """
     if getattr(base, "carr_kennedy", False):
         return None
-    from ..ir.builder import build_module
-    from ..lang.parser import parse_program
+    from ..compiler.session import default_session
     from ..transforms.autopar import auto_parallelize
     from ..transforms.licm import apply_licm
     from ..transforms.safara import collect_candidates
 
-    fn = build_module(parse_program(source, filename)).functions[0]
+    session = session if session is not None else default_session()
+    fn = session.function(source, kernel_name=kernel_name, filename=filename).clone()
     has_roc = base.readonly_cache and base.arch.has_readonly_cache
     latency = base.latency or base.arch.latency
     ceiling = 0

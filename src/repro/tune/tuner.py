@@ -195,7 +195,11 @@ class Tuner:
                 arch_base.arch.max_registers_per_thread
             )
             self.candidate_ceilings[key] = safara_candidate_ceiling(
-                self.source, arch_base, filename=self.filename
+                self.source,
+                arch_base,
+                kernel_name=self.kernel_name,
+                filename=self.filename,
+                session=self.session,
             )
         self.ceiling = self.candidate_ceilings.get(None)
         points = self.space.points()

@@ -401,9 +401,7 @@ class TestSessionExecute:
         monkeypatch.setattr(numpy_source, "_CACHE", cache)
         session = CompilerSession()
         for _ in range(2):
-            _, _, info = session.execute(
-                lower(SRC), _args(), content_key="feed05"
-            )
+            _, _, info = session.run(SRC, _args())
             assert info.used == "codegen"
         d = session.stats_dict()["execution"]
         assert d["codegen"] == 2

@@ -184,3 +184,33 @@ class TestUnreadableSource:
         assert proc.stderr.splitlines() == [
             f"cannot read {missing}: No such file or directory"
         ]
+
+
+class TestSourceErrors:
+    """A MiniACC syntax error is one ``path:line:col: message`` line."""
+
+    BAD = "kernel oops( {\n"
+    MESSAGE = "{path}:1:14: expected type name, found '{{'"
+
+    @pytest.mark.parametrize(
+        "command", [["compile"], ["profile"], ["stats"], ["tune", "--env", "n=4"]]
+    )
+    def test_syntax_error_names_the_file(self, command, tmp_path):
+        path = tmp_path / "bad.acc"
+        path.write_text(self.BAD)
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], str(path), *command[1:]])
+        assert exc.value.code == self.MESSAGE.format(path=path)
+
+    def test_syntax_error_exits_1_with_one_line(self, tmp_path):
+        path = tmp_path / "bad.acc"
+        path.write_text(self.BAD)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [self.MESSAGE.format(path=path)]

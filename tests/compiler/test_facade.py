@@ -48,6 +48,23 @@ class TestFacadeSurface:
         repro.run(SRC, {"x": x, "y": y, "n": 8})
         assert y[1] == 2.0
 
+    def test_second_run_reuses_the_generated_program(self):
+        import numpy as np
+
+        source = SRC.replace("axpy", "axpy_rerun")
+        metrics = repro.default_session().metrics
+
+        def hits():
+            counter = metrics.get("cache.fnobj.hits")
+            return 0 if counter is None else counter.value
+
+        args = {"x": np.arange(8.0), "y": np.ones(8), "n": 8}
+        repro.run(source, args)
+        before = hits()
+        _arrays, _stats, info = repro.run(source, args)
+        assert info.used == "codegen"
+        assert hits() == before + 1
+
     def test_tune_is_reachable_from_the_facade(self):
         from repro.tune import tune as tune_fn
 

@@ -53,8 +53,8 @@ class TestParallelSerialParity:
             )
             for j in jobs
         ]
-        parallel_session = CompilerSession(max_workers=8)
-        parallel = parallel_session.compile_many(jobs)
+        parallel_session = CompilerSession()
+        parallel = parallel_session.compile_many(jobs, max_workers=8)
 
         assert len(parallel) == len(serial)
         for s, p in zip(serial, parallel):

@@ -132,6 +132,34 @@ class TestEquivalence:
         assert [envelope(p) for p in parallel] == [envelope(s) for s in serial]
 
 
+class TestRunAndCompileShareOneParse:
+    """A run executes the session's parse itself; a compile afterwards
+    clones that same parse and must still compile as a fresh parse."""
+
+    @pytest.fixture(scope="class")
+    def runnable(self):
+        from repro.bench.args import build_test_args
+
+        load_all()
+        specs = [*SPEC.all(), *NAS.all()]
+        assert len(specs) == 16
+        return [(spec, build_test_args(spec)[1]) for spec in specs]
+
+    @pytest.mark.parametrize("executor", ["auto", "scalar"])
+    def test_run_then_compile_parses_once(self, runnable, parse_count, executor):
+        from repro.bench.args import copy_args
+
+        session = CompilerSession()
+        compiled = []
+        for spec, args in runnable:
+            session.run(spec.source, copy_args(args), executor=executor)
+            job = CompileJob(spec.source, SMALL_DIM_SAFARA, env=dict(spec.env))
+            compiled.append((job, compile_job(session, job)))
+        assert sorted(parse_count) == sorted(spec.source for spec, _ in runnable)
+        for job, after_run in compiled:
+            assert envelope(after_run) == envelope(compile_job(CompilerSession(), job))
+
+
 class TestHistoryIndependence:
     """Loops and regions are numbered per function, not per process."""
 

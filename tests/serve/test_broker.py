@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+import repro.compiler.session as session_module
+import repro.lang.parser as parser_module
 from repro.compiler.options import SMALL_DIM_SAFARA
 from repro.feedback.driver import (
     FeedbackTimeout,
@@ -28,6 +30,37 @@ kernel axpy(const double x[1:n], double y[1:n], int n) {
 """
 
 BAD_SRC = "kernel oops( {"
+
+TWO_KERNELS = """
+kernel k0(double y[1:n], int n) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 1; i < n; i++) {
+    y[i] = 2.0 * y[i];
+  }
+}
+kernel k1(const double x[1:n], double y[1:n], int n) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 2; i < n; i++) {
+    y[i] = x[i] + y[i];
+  }
+}
+"""
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    """The sources parsed, in order, whether through the session's name
+    for the parser or the parser module's own."""
+    calls = []
+    real = parser_module.parse_program
+
+    def counting(source, filename="<string>"):
+        calls.append(source)
+        return real(source, filename)
+
+    monkeypatch.setattr(session_module, "parse_program", counting)
+    monkeypatch.setattr(parser_module, "parse_program", counting)
+    return calls
 
 
 def make_broker(**overrides) -> Broker:
@@ -315,18 +348,9 @@ class TestRun:
         assert response["result"]["executor"]["used"] == "scalar"
         assert broker.metrics.get("serve.degradations").value == 0
 
-    def test_repeated_source_is_parsed_once(self, monkeypatch):
-        import repro.lang.parser as parser
-
-        calls = []
-        real = parser.parse_program
-
-        def counting(source, *args, **kwargs):
-            calls.append(source)
-            return real(source, *args, **kwargs)
-
-        monkeypatch.setattr(parser, "parse_program", counting)
-        with make_broker(cache_size=1) as broker:
+    def test_repeated_source_is_parsed_once(self, parse_count):
+        calls = parse_count
+        with make_broker(workers=1, cache_size=1) as broker:
             first = broker.handle(self.run_request(1))
             second = broker.handle(self.run_request(2, env={"n": 64}))
             other = broker.handle(
@@ -338,6 +362,23 @@ class TestRun:
         assert other["result"]["kernel"] == "axpz"
         # The third source evicts the first from the one-entry cache.
         assert len(calls) == 3
+
+    def test_run_and_compile_share_one_parse(self, parse_count):
+        with make_broker(workers=1) as broker:
+            run = broker.handle(self.run_request(1))
+            compiled = broker.handle(compile_request(2))
+        assert run["ok"] and compiled["ok"]
+        assert parse_count == [SRC]
+
+    def test_run_honours_the_requested_kernel(self):
+        with make_broker() as broker:
+            compiled = broker.handle(compile_request(1, TWO_KERNELS, kernel="k1"))
+            run = broker.handle(self.run_request(2, source=TWO_KERNELS, kernel="k1"))
+        assert [k["name"] for k in compiled["result"]["kernels"]] == ["k1_k1"]
+        assert run["ok"]
+        assert run["result"]["kernel"] == "k1"
+        # k1's loop starts at 2: one iteration fewer than k0's.
+        assert run["result"]["stats"]["iterations"] == 254
 
     def test_parse_error_is_not_cached(self):
         with make_broker() as broker:

@@ -224,3 +224,63 @@ class TestPruningSoundness:
         best_full = min(scores[p.key()] for p in points)
         best_pruned = min(scores[p.key()] for p in unique)
         assert best_pruned == best_full
+
+
+class TestCeilingOfTheTunedKernel:
+    """The candidate-budget collapse reads the kernel being tuned, not the
+    source's first kernel."""
+
+    K0 = """
+kernel k0(double a[1:n], int n) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 1; i < n; i++) { a[i] = 0.0; }
+}
+"""
+
+    @pytest.fixture(scope="class")
+    def olbm(self):
+        from repro.bench import load_all
+
+        SPEC, _ = load_all()
+        return SPEC.get("304.olbm")
+
+    def test_ceiling_follows_kernel_name(self, olbm):
+        from repro.compiler import SMALL_DIM_SAFARA
+
+        alone = safara_candidate_ceiling(olbm.source, SMALL_DIM_SAFARA)
+        assert alone == 19
+        assert safara_candidate_ceiling(
+            self.K0 + olbm.source, SMALL_DIM_SAFARA, kernel_name="olbm"
+        ) == alone
+        assert safara_candidate_ceiling(self.K0 + olbm.source, SMALL_DIM_SAFARA) == 0
+
+    def test_tuner_prunes_with_the_tuned_kernels_ceiling(self, olbm):
+        from repro.compiler import SMALL_DIM_SAFARA
+
+        def build(source, kernel_name=None):
+            tuner = Tuner(
+                source,
+                env=dict(olbm.env),
+                base=SMALL_DIM_SAFARA,
+                kernel_name=kernel_name,
+                session=CompilerSession(),
+            )
+            tuner._build_space(None)
+            return tuner
+
+        alone = build(olbm.source)
+        behind_k0 = build(self.K0 + olbm.source, kernel_name="olbm")
+        assert behind_k0.ceiling == alone.ceiling == 19
+        assert len(behind_k0.points) == len(alone.points) == 80
+
+    def test_each_arch_analyses_a_fresh_clone(self, olbm):
+        """The pipeline prefix runs in place; the session's parse must
+        stay as parsed, so a second arch sees the same ceiling."""
+        from repro.compiler import SMALL_DIM_SAFARA
+
+        session = CompilerSession()
+        first = safara_candidate_ceiling(olbm.source, SMALL_DIM_SAFARA, session=session)
+        again = safara_candidate_ceiling(olbm.source, SMALL_DIM_SAFARA, session=session)
+        assert first == again == 19
+        fresh = CompilerSession().function(olbm.source)
+        assert repr(session.function(olbm.source).body) == repr(fresh.body)
