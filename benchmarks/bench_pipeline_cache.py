@@ -3,12 +3,12 @@
 Compiles every modelled benchmark under every configuration three ways:
 
 * **cold serial** — a fresh session, one `compile_source` per job;
-* **cold parallel** — a fresh session, one `compile_many` batch (used for
+* **cold batch** — a fresh session, one `compile_many` batch (used for
   the bit-identity check against the serial results);
-* **warm parallel** — the same batch again on the now-populated session.
+* **warm batch** — the same batch again on the now-populated session.
 
 Asserts the acceptance properties: the warm-cache batch is >= 3x faster
-than the cold serial baseline, and parallel results are bit-identical to
+than the cold serial baseline, and batch results are bit-identical to
 the serial loop.  Writes ``benchmarks/results/pipeline.txt``.
 """
 
@@ -47,19 +47,19 @@ def _run_pipeline_cache() -> ExperimentResult:
 
     batch_session = CompilerSession()
     t0 = time.perf_counter()
-    parallel = batch_session.compile_many(jobs)
-    cold_parallel_s = time.perf_counter() - t0
+    cold = batch_session.compile_many(jobs)
+    cold_batch_s = time.perf_counter() - t0
 
     identical = all(
-        _fingerprint(s) == _fingerprint(p) for s, p in zip(serial, parallel)
+        _fingerprint(s) == _fingerprint(c) for s, c in zip(serial, cold)
     )
 
     t0 = time.perf_counter()
     warm = batch_session.compile_many(jobs)
-    warm_parallel_s = time.perf_counter() - t0
-    warm_identity = all(w is p for w, p in zip(warm, parallel))
+    warm_batch_s = time.perf_counter() - t0
+    warm_identity = all(w is c for w, c in zip(warm, cold))
 
-    speedup = cold_serial_s / warm_parallel_s if warm_parallel_s else float("inf")
+    speedup = cold_serial_s / warm_batch_s if warm_batch_s else float("inf")
     result = ExperimentResult(
         experiment="pipeline",
         title="compile cache + batch compilation sweep "
@@ -78,24 +78,24 @@ def _run_pipeline_cache() -> ExperimentResult:
     )
     result.rows.append(
         {
-            "phase": "cold-parallel",
-            "seconds": cold_parallel_s,
+            "phase": "cold-batch",
+            "seconds": cold_batch_s,
             "hits": 0,
             "misses": batch_session.cache.misses,
-            "speedup_vs_cold_serial": cold_serial_s / cold_parallel_s,
+            "speedup_vs_cold_serial": cold_serial_s / cold_batch_s,
         }
     )
     result.rows.append(
         {
-            "phase": "warm-parallel",
-            "seconds": warm_parallel_s,
+            "phase": "warm-batch",
+            "seconds": warm_batch_s,
             "hits": batch_session.cache.hits,
             "misses": batch_session.cache.misses,
             "speedup_vs_cold_serial": speedup,
         }
     )
     result.notes.append(
-        f"parallel bit-identical to serial: {'yes' if identical else 'NO'}"
+        f"batch bit-identical to serial: {'yes' if identical else 'NO'}"
     )
     result.notes.append(
         "warm batch returns the cached objects "
@@ -108,9 +108,9 @@ def _run_pipeline_cache() -> ExperimentResult:
 
 def test_pipeline_cache(record_experiment):
     result = record_experiment(_run_pipeline_cache)
-    warm = result.row("phase", "warm-parallel")
+    warm = result.row("phase", "warm-batch")
     cold = result.row("phase", "cold-serial")
-    assert warm["_identical"], "parallel batch diverged from serial loop"
+    assert warm["_identical"], "batch diverged from serial loop"
     assert warm["hits"] >= warm["misses"], "warm batch should be all cache hits"
     assert warm["speedup_vs_cold_serial"] >= 3.0, (
         f"warm-cache batch only {warm['speedup_vs_cold_serial']:.1f}x faster "

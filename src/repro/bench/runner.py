@@ -4,8 +4,8 @@ configuration and evaluate the timing model at the spec's problem size.
 Runs route through a :class:`~repro.compiler.session.CompilerSession`
 (the module-level default unless one is passed), so repeated experiment
 sweeps over the same (source, config, env) tuples hit the session's
-content-addressed compile cache, and multi-config runs fan out through
-:meth:`~repro.compiler.session.CompilerSession.compile_many`.
+content-addressed compile cache, and multi-config runs are one batch
+through :meth:`~repro.compiler.session.CompilerSession.compile_many`.
 """
 
 from __future__ import annotations

@@ -25,18 +25,16 @@ parses and builds each source once, and every compile, run, profile and
 tuner analysis starts from that parse.  The session's methods are the
 compile API; the :mod:`repro` facade (``repro.compile`` / ``repro.run`` /
 ``repro.tune``) wraps a module-level default session.
-:func:`CompilerSession.compile_many` adds batch compilation fanned out
-over ``concurrent.futures`` workers with in-batch deduplication.
+:func:`CompilerSession.compile_many` compiles a batch with in-batch
+deduplication.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..codegen.kernelgen import CodegenOptions, generate_kernel
@@ -48,6 +46,7 @@ from ..gpu.timing import estimate_time, profile_thread
 from ..ir.builder import build_module
 from ..ir.stmt import clone_region
 from ..ir.module import KernelFunction
+from ..lang.errors import SemanticError, SourceLocation
 from ..lang.parser import parse_program
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import current_trace_id, span
@@ -57,12 +56,7 @@ from ..pipeline.passes import Pass, PassContext, PassManager, run_safara
 from ..pipeline.trace import CompileTrace, SessionStats
 from ..analysis.cost_model import LatencyModel
 from ..transforms.safara import SafaraReport
-from ..feedback.driver import (
-    FeedbackCompiler,
-    backend_latency,
-    current_deadline,
-    deadline_scope,
-)
+from ..feedback.driver import FeedbackCompiler
 from .driver import CompiledKernel, CompiledProgram, ProgramTiming
 from .guards import GuardedKernel, _compile_guarded
 from .options import BASE, CompilerConfig
@@ -132,8 +126,9 @@ class CompilerSession:
     """One compiler service instance: cache + pass pipeline + stats.
 
     Sessions are cheap; create a private one to isolate statistics or to
-    register custom passes.  All methods are thread-safe — ``compile_many``
-    drives them from worker threads.
+    register custom passes.  All methods are thread-safe: the facade's
+    default session and the serving broker's workers call them from
+    many threads.
     """
 
     def __init__(
@@ -251,7 +246,6 @@ class CompilerSession:
             kernel_name=name,
         )
         region_trace = self.pipeline.run(ctx)
-        backend_latency()
         with span("codegen", kernel=name) as cg_span:
             vir = generate_kernel(region, symtab, codegen_opts, name=name)
             info = ptxas_info(vir, config.arch, config.register_limit)
@@ -413,7 +407,16 @@ class CompilerSession:
                 return fn
         # Parse outside the lock: workers parsing other sources run on.
         module = build_module(parse_program(source, filename))
-        fn = module.functions[0] if kernel_name is None else module.function(kernel_name)
+        fn = next(
+            (f for f in module.functions if kernel_name in (None, f.name)), None
+        )
+        if fn is None:
+            defined = ", ".join(f.name for f in module.functions) or "none"
+            wanted = "" if kernel_name is None else f" named {kernel_name!r}"
+            raise SemanticError(
+                f"the source defines no kernel{wanted} (kernels: {defined})",
+                SourceLocation(filename=filename),
+            )
         with self._functions_lock:
             self._functions[key] = fn
             while len(self._functions) > self.cache.maxsize:
@@ -452,65 +455,22 @@ class CompilerSession:
     # -- batch compilation -------------------------------------------------
 
     def compile_many(
-        self,
-        jobs: "list[CompileJob | tuple]",
-        *,
-        max_workers: int | None = None,
+        self, jobs: "list[CompileJob | tuple]"
     ) -> list[CompiledProgram]:
-        """Compile a batch of jobs, fanned out over a thread pool.
+        """Compile a batch of jobs on the caller's thread.
 
         Results come back aligned with ``jobs``.  Duplicate jobs (same
         cache key — jobs that differ only in env are duplicates) compile
-        once, storing the timing verdict under the first job's env; cache
-        hits never reach the pool.  The
-        compile core is deterministic, so a parallel batch is bit-identical
-        to a serial loop over the same jobs.  The pool pays off only when
-        the backend has latency to overlap: compilation is CPU-bound
-        Python, so a cold batch with no backend stalls runs no faster
-        than a serial loop, and can run slower (docs/pipeline.md).
+        once through :meth:`compile_job`, storing the timing verdict under
+        the first job's env.
         """
         jobs = [j if isinstance(j, CompileJob) else CompileJob(*j) for j in jobs]
-        results: list[CompiledProgram | None] = [None] * len(jobs)
-        indices_for: dict[str, list[int]] = {}
-        job_for: dict[str, CompileJob] = {}
-        for i, job in enumerate(jobs):
-            key = self.job_key(job)
-            indices_for.setdefault(key, []).append(i)
-            job_for.setdefault(key, job)
-
-        to_compile: list[str] = []
-        for key in indices_for:
-            cached, _tier = self._cache_lookup(key)
-            if cached is not None:
-                for i in indices_for[key]:
-                    results[i] = cached
-            else:
-                to_compile.append(key)
-
-        if to_compile:
-            workers = max_workers or min(32, (os.cpu_count() or 1) + 4)
-            workers = max(1, min(workers, len(to_compile)))
-            if workers == 1:
-                compiled = [self._compile_fresh(job_for[k], k) for k in to_compile]
-            else:
-                # Backend deadlines are thread-local; re-install the
-                # caller's active deadline inside each worker so a batch
-                # under deadline_scope() still honors it.
-                deadline = current_deadline()
-
-                def compile_one(k: str) -> CompiledProgram:
-                    if deadline is None:
-                        return self._compile_fresh(job_for[k], k)
-                    with deadline_scope(deadline):
-                        return self._compile_fresh(job_for[k], k)
-
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    compiled = list(pool.map(compile_one, to_compile))
-            for key, program in zip(to_compile, compiled):
-                self._cache_store(key, program)
-                for i in indices_for[key]:
-                    results[i] = program
-        return results  # type: ignore[return-value]
+        programs: dict[str, CompiledProgram] = {}
+        keys = [self.job_key(job) for job in jobs]
+        for key, job in zip(keys, jobs):
+            if key not in programs:
+                programs[key] = self.compile_job(job)[0]
+        return [programs[key] for key in keys]
 
     # -- downstream services ----------------------------------------------
 
@@ -705,9 +665,7 @@ def default_session() -> CompilerSession:
     return _default_session
 
 
-def compile_many(
-    jobs: "list[CompileJob | tuple]", *, max_workers: int | None = None
-) -> list[CompiledProgram]:
+def compile_many(jobs: "list[CompileJob | tuple]") -> list[CompiledProgram]:
     """Batch-compile through the default session (see
     :meth:`CompilerSession.compile_many`)."""
-    return default_session().compile_many(jobs, max_workers=max_workers)
+    return default_session().compile_many(jobs)

@@ -8,11 +8,9 @@ from .driver import (
     FeedbackTimeout,
     PermanentFeedbackError,
     TransientFeedbackError,
-    backend_latency,
     classify_failure,
     deadline_scope,
     fault_scope,
-    latency_scope,
 )
 
 __all__ = [
@@ -21,9 +19,7 @@ __all__ = [
     "FeedbackTimeout",
     "PermanentFeedbackError",
     "TransientFeedbackError",
-    "backend_latency",
     "classify_failure",
     "deadline_scope",
     "fault_scope",
-    "latency_scope",
 ]

@@ -126,46 +126,6 @@ def fault_scope(hook: Callable[[str, int], None]) -> Iterator[None]:
         _fault_hook = previous
 
 
-#: Process-wide simulated backend latency (seconds per invocation).  The
-#: in-process ptxas model answers in microseconds; a real external
-#: assembler takes tens of milliseconds.  Benchmarks install a latency to
-#: measure how well fan-out layers (``compile_many``, the autotuner)
-#: overlap backend stalls across workers.
-_latency_s: float = 0.0
-
-
-@contextmanager
-def latency_scope(seconds: float) -> Iterator[None]:
-    """Simulate external-assembler latency for the scope (process-wide).
-
-    Every backend invocation inside the scope sleeps ``seconds`` before
-    answering, on whichever thread performs it.  Scopes restore the
-    previous latency on exit.
-    """
-    global _latency_s
-    previous = _latency_s
-    _latency_s = float(seconds)
-    try:
-        yield
-    finally:
-        _latency_s = previous
-
-
-def backend_latency() -> None:
-    """Stall for the installed simulated backend latency (no-op by
-    default); backend call sites invoke this next to the real work."""
-    if _latency_s > 0.0:
-        time.sleep(_latency_s)
-
-
-def current_deadline() -> float | None:
-    """This thread's active backend deadline (``time.monotonic()``-based),
-    or ``None``.  Fan-out layers (``CompilerSession.compile_many``, the
-    autotuner) read it here to re-install the caller's deadline inside
-    their worker threads — :func:`deadline_scope` is thread-local."""
-    return getattr(_local, "deadline", None)
-
-
 def check_deadline() -> None:
     """Raise :class:`FeedbackTimeout` if this thread's deadline passed."""
     deadline = getattr(_local, "deadline", None)
@@ -192,7 +152,6 @@ class FeedbackCompiler:
         hook = _fault_hook
         if hook is not None:
             hook(self.name or "<region>", len(self.history))
-        backend_latency()
         with span(
             "ptxas",
             kernel=self.name or "<region>",

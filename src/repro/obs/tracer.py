@@ -17,9 +17,9 @@ Design constraints:
   context manager unless a tracer is active *and* enabled.  The
   acceptance bar is <5% overhead on the vectorized-execution benchmark
   with no sink attached;
-* **thread-safe** — :meth:`CompilerSession.compile_many` drives compiles
-  from worker threads; spans carry a stable small ``tid`` so each worker
-  renders as its own track.
+* **thread-safe** — the serving broker compiles and runs on worker
+  threads; spans carry a stable small ``tid`` so each worker renders as
+  its own track.
 
 Instrumentation sites do not pass a tracer around: there is one *active*
 tracer (:func:`get_tracer`), disabled by default, swapped in scoped

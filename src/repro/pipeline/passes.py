@@ -52,9 +52,10 @@ class PassContext:
     config: "object"  # CompilerConfig; untyped to avoid an import cycle
     options: CodegenOptions
     kernel_name: str
-    #: Backend compilations attributed to the whole region compile.  The
-    #: final code generation adds one more after the pipeline finishes.
-    backend_compilations: int = 1
+    #: Backend compilations attributed to the whole region compile: the
+    #: pipeline's own (SAFARA's feedback runs), to which the final code
+    #: generation adds one after the pipeline finishes.
+    backend_compilations: int = 0
     #: Reports keyed by each pass's ``report_key`` (consumed by the driver
     #: to populate :class:`~repro.compiler.driver.CompiledKernel`).
     reports: dict[str, object] = field(default_factory=dict)

@@ -628,9 +628,9 @@ class Broker(FrontDoor):
         return None
 
     def _handle_tune(self, request: dict, deadline: float) -> dict:
-        """Autotune under the request deadline (the deadline scope is
-        re-installed inside ``compile_many`` workers, so even a
-        mid-SAFARA trial compile stops at the fence)."""
+        """Autotune under the request deadline (the tuner compiles on
+        this thread, inside the deadline scope, so even a mid-SAFARA
+        trial compile stops at the fence)."""
         from ..tune import tune
 
         request_id = request.get("id")

@@ -11,10 +11,9 @@ with the analytic timing model at the request's problem size.  The
 winner is the candidate with the lowest modeled time; exact ties go to
 fleet order, so operators control preference by ordering the fleet.
 
-Batching matters: all candidate variants go through
-``CompilerSession.compile_many`` in one call, so a fleet of N archs
-costs one batch (and, warm, zero backend compiles) rather than N
-serial compiles.
+All candidate variants go through ``CompilerSession.compile_many`` in
+one call on the worker's thread, so a warm fleet of N archs costs N
+cache hits and zero backend compiles.
 """
 
 from __future__ import annotations

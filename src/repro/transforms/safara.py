@@ -36,17 +36,6 @@ from .carr_kennedy import _parent_stmts
 from .scalar_replacement import ReplacementResult, can_replace, replace_group
 
 
-class RegisterFeedback(Protocol):
-    """The GPU-assembler feedback interface (PTXAS info in the paper).
-
-    Implemented by :mod:`repro.feedback.driver` over the simulated
-    register allocator; any callable returning an object with a
-    ``registers`` attribute works.
-    """
-
-    def __call__(self, region: Region) -> "HasRegisters": ...
-
-
 class HasRegisters(Protocol):
     registers: int
 

@@ -11,8 +11,8 @@ config, env, launches) task:
    worse than the default configuration;
 3. let the strategy pick further points; every batch goes through the
    tuning ledger (warm re-tunes replay scores, zero compiles), then
-   ``CompilerSession.compile_many`` (two-tier compile cache, thread
-   pool), then the analytic timing model.
+   ``CompilerSession.compile_many`` (two-tier compile cache), then the
+   analytic timing model.
 
 Observability: the whole run is a ``tune`` span; every scored point —
 ledger hit or fresh — is a ``tune.trial`` span, so a ``--trace`` export

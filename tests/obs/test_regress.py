@@ -115,7 +115,7 @@ STUB_ROWS = {
     },
     "hotpath": {
         "warm_compile_p50_ms": 0.03, "codegen_speedup_x": 10.0,
-        "benchmarks": ["BT"], "compile_many_scaling_x": 3.0,
+        "benchmarks": ["BT"],
     },
     "slo": {"completed": 30, "offered_rps": 25.0, "warm_hit_rate": 1.0, "p99_ms": 10.0},
     "fleet": {"placements": {"BT": {"arch": "cdna2-mi250"}}},

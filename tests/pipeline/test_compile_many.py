@@ -1,10 +1,23 @@
-"""Batch compilation: parallel `compile_many` must be bit-identical to a
-serial loop over the same jobs — for every benchmark under every
-configuration — and must deduplicate within a batch."""
+"""Batch compilation: `compile_many` must deduplicate within a batch and
+return programs aligned with its jobs, and jobs compiled concurrently on
+one session must be bit-identical to a serial loop over the same jobs —
+for every benchmark under every configuration."""
+
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 from repro.bench.suites.registry import load_all
-from repro.compiler import ALL_CONFIGS, BASE, CompileJob, CompilerSession
+from repro.compiler import (
+    ALL_CONFIGS,
+    BASE,
+    SAFARA_ONLY,
+    CompileJob,
+    CompilerSession,
+)
 from repro.bench.runner import benchmark_job
+from repro.feedback import FeedbackTimeout, deadline_scope
 from repro.pipeline.cache import env_token
 
 SRC = """
@@ -41,27 +54,51 @@ def _all_jobs():
     ]
 
 
+@pytest.fixture(scope="module")
+def serial():
+    """Every benchmark under every configuration, compiled by a
+    ``compile_source`` loop."""
+    jobs = _all_jobs()
+    assert len(jobs) == 16 * len(ALL_CONFIGS)
+    session = CompilerSession()
+    programs = [
+        session.compile_source(
+            j.source, j.config, kernel_name=j.kernel_name, env=j.env
+        )
+        for j in jobs
+    ]
+    return jobs, programs
+
+
 class TestParallelSerialParity:
-    def test_parallel_bit_identical_to_serial_all_benchmarks_all_configs(self):
-        jobs = _all_jobs()
-        assert len(jobs) == 16 * len(ALL_CONFIGS)
-
-        serial_session = CompilerSession()
-        serial = [
-            serial_session.compile_source(
-                j.source, j.config, kernel_name=j.kernel_name, env=j.env
-            )
-            for j in jobs
-        ]
+    def test_parallel_bit_identical_to_serial_all_benchmarks_all_configs(
+        self, serial
+    ):
+        jobs, serial_programs = serial
         parallel_session = CompilerSession()
-        parallel = parallel_session.compile_many(jobs, max_workers=8)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = [
+                program
+                for program, _tier in pool.map(parallel_session.compile_job, jobs)
+            ]
 
-        assert len(parallel) == len(serial)
-        for s, p in zip(serial, parallel):
+        assert len(parallel) == len(serial_programs)
+        for s, p in zip(serial_programs, parallel):
             assert _fingerprint(s) == _fingerprint(p)
-        # every job is unique → the parallel batch compiled each exactly once
+        # every job is unique → the threads compiled each exactly once
         assert parallel_session.cache.misses == len(jobs)
         assert parallel_session.stats.compilations == len(jobs)
+
+    def test_batch_bit_identical_to_serial_all_benchmarks_all_configs(
+        self, serial
+    ):
+        jobs, serial_programs = serial
+        batch_session = CompilerSession()
+        batch = batch_session.compile_many(jobs)
+        assert [_fingerprint(p) for p in batch] == [
+            _fingerprint(s) for s in serial_programs
+        ]
+        assert batch_session.stats.compilations == len(jobs)
 
 
 class TestBatchSemantics:
@@ -86,7 +123,7 @@ class TestBatchSemantics:
         session = CompilerSession()
         envs = [{"n": 1 << 20}, {"n": 1 << 22}, None, {"n": 1 << 20}]
         jobs = [CompileJob(source=SRC, config=BASE, env=env) for env in envs]
-        programs = session.compile_many(jobs, max_workers=4)
+        programs = session.compile_many(jobs)
         assert all(p is programs[0] for p in programs)
         assert session.stats.compilations == 1
         assert session.cache.misses == 1
@@ -125,29 +162,18 @@ class TestBatchSemantics:
     def test_serial_worker_path(self):
         session = CompilerSession()
         jobs = [CompileJob(source=SRC, config=BASE)]
-        (program,) = session.compile_many(jobs, max_workers=1)
+        (program,) = session.compile_many(jobs)
         assert program.kernels
+        assert session.stats.compilations == 1
 
-    def test_thread_mode_overlaps_backend_latency(self):
-        """With injected backend latency, 4 workers over 8 distinct jobs
-        must beat the serial wall-clock — the scaling the hotpath
-        regression row gates at 1.5x."""
-        import time as _time
-
-        from repro.feedback import latency_scope
-
-        jobs = [
-            CompileJob(source=SRC.replace("axpy", f"axpy{i}"), config=BASE)
-            for i in range(8)
-        ]
-        with latency_scope(0.02):
-            t0 = _time.perf_counter()
-            CompilerSession().compile_many(jobs, max_workers=1)
-            serial_s = _time.perf_counter() - t0
-            t0 = _time.perf_counter()
-            CompilerSession().compile_many(jobs, max_workers=4)
-            parallel_s = _time.perf_counter() - t0
-        assert parallel_s < serial_s * 0.7, (serial_s, parallel_s)
+    def test_expired_deadline_raises_on_the_callers_thread(self):
+        """The batch runs on the caller's thread, so the caller's
+        thread-local deadline reaches SAFARA's feedback loop."""
+        session = CompilerSession()
+        with deadline_scope(time.monotonic() - 1.0):
+            with pytest.raises(FeedbackTimeout):
+                session.compile_many([CompileJob(source=SRC, config=SAFARA_ONLY)])
+        assert session.stats.compilations == 0
 
     def test_module_level_compile_many_uses_default_session(self):
         import repro

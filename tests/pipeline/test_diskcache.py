@@ -4,10 +4,11 @@ corruption tolerance, and the two-tier wiring through CompilerSession."""
 import os
 import pathlib
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.compiler import BASE, SMALL_DIM_SAFARA, CompilerSession
+from repro.compiler import BASE, SMALL_DIM_SAFARA, CompileJob, CompilerSession
 from repro.pipeline import DiskCache, cache_key
 from repro.pipeline.diskcache import FORMAT_VERSION
 
@@ -311,8 +312,9 @@ class TestParseCount:
         assert parses == []
 
     def test_threaded_batch_parses_each_job_once(self, tmp_path, parses):
-        jobs = [(SRC + "\n" * n, BASE) for n in range(6)]
+        jobs = [CompileJob(SRC + "\n" * n, BASE) for n in range(6)]
         session = CompilerSession(cache_dir=tmp_path)
-        session.compile_many(jobs, max_workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            list(pool.map(session.compile_job, jobs))
         assert session.stats.compilations == len(jobs)
         assert len(parses) == len(jobs)

@@ -10,6 +10,8 @@ import json
 import pathlib
 import pickle
 import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -128,8 +130,36 @@ class TestEquivalence:
     def test_compile_many_parallel_equals_serial(self):
         jobs = bench_jobs()
         serial = [compile_job(CompilerSession(), j) for j in jobs]
-        parallel = CompilerSession().compile_many(jobs, max_workers=4)
+        session = CompilerSession()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(lambda j: compile_job(session, j), jobs))
         assert [envelope(p) for p in parallel] == [envelope(s) for s in serial]
+
+
+class TestBackendCount:
+    def test_reported_count_equals_generate_kernel_calls(self, monkeypatch):
+        """A kernel's ``backend_compilations`` is the number of times its
+        compile ran the code generator: the final lowering plus SAFARA's
+        feedback runs, 356 over the 64 jobs."""
+        import repro.feedback.driver as feedback_driver
+
+        calls: Counter = Counter()
+        for module in (session_module, feedback_driver):
+
+            def counting(*args, real=module.generate_kernel, **kwargs):
+                calls[kwargs["name"]] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "generate_kernel", counting)
+        session = CompilerSession()
+        total = 0
+        for job in bench_jobs():
+            calls.clear()
+            program = compile_job(session, job)
+            reported = {k.name: k.backend_compilations for k in program.kernels}
+            assert dict(calls) == reported, job.config.name
+            total += sum(reported.values())
+        assert total == 356
 
 
 class TestRunAndCompileShareOneParse:
@@ -245,7 +275,8 @@ class TestFunctionCache:
         sys.setswitchinterval(1e-6)
         try:
             session = CompilerSession(cache_size=2)
-            parallel = session.compile_many(jobs, max_workers=8)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(lambda j: compile_job(session, j), jobs))
         finally:
             sys.setswitchinterval(interval)
         assert [envelope(p) for p in parallel] == [envelope(s) for s in serial]

@@ -224,3 +224,47 @@ kernel axpy(const double x[1:n], double y[1:n], int n) {
         assert broker.metrics.get("session.compilations").value == 1
         assert broker.metrics.get("cache.hits").value == 1
         assert broker.metrics.get("serve.errors.unexpected") is None
+
+    def test_unknown_kernel_name_is_a_parse_error(self):
+        """A kernel the source does not define is a typed front-end error
+        that names the kernels it does define, in-process and through a
+        1-worker broker, for both ``compile`` and ``run``."""
+        from repro.compiler import CompilerSession
+        from repro.lang.errors import MiniAccError, SemanticError
+        from repro.serve.broker import Broker, BrokerConfig
+
+        src = """
+kernel axpy(const double x[1:n], double y[1:n], int n) {
+  #pragma acc kernels loop gang vector(64)
+  for (i = 1; i < n; i++) {
+    y[i] = x[i] + y[i];
+  }
+}
+"""
+        session = CompilerSession()
+        with pytest.raises(SemanticError, match="'nope'.*axpy"):
+            session.function(src, kernel_name="nope")
+        with pytest.raises(SemanticError, match="no kernel"):
+            session.function("")
+
+        with Broker(BrokerConfig(workers=1)) as broker:
+            responses = [
+                broker.handle(
+                    {"id": 1, "op": "compile", "source": src, "kernel": "nope"}
+                ),
+                broker.handle(
+                    {"id": 2, "op": "run", "source": src, "kernel": "nope",
+                     "env": {"n": 64}}
+                ),
+                broker.handle({"id": 3, "op": "compile", "source": "// none\n"}),
+            ]
+            unexpected = [
+                name
+                for name in broker.metrics.as_dict()
+                if name.startswith("serve.errors.unexpected")
+            ]
+        for response in responses:
+            assert response["error"]["code"] == protocol.PARSE_ERROR
+            with pytest.raises(MiniAccError, match="no kernel"):
+                raise_for_response(response)
+        assert unexpected == []
