@@ -27,9 +27,11 @@ Commands
     factor for the best modeled runtime at ``--env``.  ``--strategy``
     picks the search (exhaustive/greedy/beam), ``--fleet`` widens it
     across arch profiles (per-arch best table), ``--budget`` caps the
-    trials, ``--ledger`` makes re-tunes resumable, ``--json`` emits the
-    machine-readable result, ``--trace`` a Chrome trace with one
-    ``tune.trial`` span per scored point (see ``docs/tuning.md``).
+    trials, ``--cache-dir`` makes re-tunes resumable (a re-tune over the
+    same directory answers every trial from the compile disk cache),
+    ``--json`` emits the machine-readable result, ``--trace`` a Chrome
+    trace with one ``tune.trial`` span per scored point (see
+    ``docs/tuning.md``).
 
 ``serve``
     Run the long-running compile-and-run daemon: JSON-lines requests on
@@ -283,7 +285,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if not env:
         raise SystemExit("tune needs --env (the problem sizes the model scores)")
     archs = [a for a in (args.fleet or "").split(",") if a] or None
-    session = CompilerSession()
+    session = CompilerSession(cache_dir=args.cache_dir)
     try:
         result = tune(
             source,
@@ -293,7 +295,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             budget=args.budget,
             session=session,
-            ledger=args.ledger,
             filename=args.file,
             archs=archs,
         )
@@ -304,10 +305,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
         return 0
+
+    def count(name: str) -> int:
+        metric = session.metrics.get(name)
+        return int(metric.value) if metric is not None else 0
+
     print(
         f"tune: {result.strategy} searched {len(result.trials)} of "
         f"{result.unique_points} points ({result.pruned} pruned from "
-        f"{result.space_size}; {result.ledger_hits} ledger hits)"
+        f"{result.space_size}; {session.stats.compilations} compiled, "
+        f"{count('cache.hits')} memory hits, "
+        f"{count('cache.disk.hits')} disk hits)"
     )
     print(
         f"  reference {result.reference.config_name}: "
@@ -346,8 +354,6 @@ def _broker_config(args: argparse.Namespace) -> "BrokerConfig":
         kwargs["max_retries"] = args.retries
     if args.cache_dir is not None:
         kwargs["cache_dir"] = args.cache_dir
-    if getattr(args, "tune_ledger", None) is not None:
-        kwargs["tune_ledger"] = args.tune_ledger
     if getattr(args, "fleet", None):
         from .errors import ConfigError
         from .gpu.arch import get_arch
@@ -926,10 +932,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None, help="max trial points to score"
     )
     p.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="resumable tuning ledger (JSON); warm re-tunes replay scores "
-        "and do zero backend compiles",
+        "--cache-dir",
+        dest="cache_dir",
+        metavar="DIR",
+        help="persistent compile-cache directory; a re-tune over the same "
+        "directory answers every trial from disk and compiles nothing",
     )
     p.add_argument(
         "--fleet",
@@ -972,12 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="cache_dir",
             help="persistent compile-cache directory (warm starts survive "
             "restarts; shared between serve and submit)",
-        )
-        p.add_argument(
-            "--tune-ledger",
-            dest="tune_ledger",
-            help="tuning-ledger path for 'tune' requests (default: "
-            "<cache-dir>/tune_ledger.json when --cache-dir is set)",
         )
         p.add_argument(
             "--fleet",

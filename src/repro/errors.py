@@ -241,9 +241,9 @@ def _code_map() -> dict[str, type]:
 def error_for(code: str, message: str) -> ReproError:
     """The exception instance for a wire error code (unknown codes map to
     :class:`InternalServiceError` so clients never crash on a newer
-    server)."""
+    server).  ``str()`` of the result is ``message`` unchanged."""
     cls = _code_map().get(code, InternalServiceError)
-    return cls(message)
+    return getattr(cls, "from_wire", cls)(message)
 
 
 def code_for(exc: BaseException) -> str:

@@ -7,6 +7,7 @@ token.  The compiler driver converts these into user-facing diagnostics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import ReproError
@@ -24,6 +25,10 @@ class SourceLocation:
         return f"{self.filename}:{self.line}:{self.column}"
 
 
+#: ``str(MiniAccError)``: ``<filename>:<line>:<column>: <message>``.
+_LOCATED = re.compile(r"(.+?):(\d+):(\d+): (.*)", re.DOTALL)
+
+
 class MiniAccError(ReproError):
     """Base class for every error produced by the MiniACC front end.
 
@@ -35,6 +40,20 @@ class MiniAccError(ReproError):
         self.loc = loc or SourceLocation()
         self.message = message
         super().__init__(f"{self.loc}: {message}")
+
+    @classmethod
+    def from_wire(cls, text: str) -> "MiniAccError":
+        """Rebuild an error from its ``str()`` (a serve response's
+        message), which already starts with the location: the location
+        is parsed back off instead of prefixed again, so
+        ``str(cls.from_wire(text)) == text``."""
+        match = _LOCATED.match(text)
+        if match is None:
+            err = cls(text)
+            err.args = (text,)  # no location to parse: keep the text as is
+            return err
+        filename, line, column, message = match.groups()
+        return cls(message, SourceLocation(int(line), int(column), filename))
 
 
 class LexError(MiniAccError):

@@ -3,8 +3,9 @@
 Replaces the ad-hoc integer fields that used to live on ``SessionStats``
 and ``CompileCache`` with named, typed, self-describing metrics that one
 registry can render as text (``repro stats``) or JSON
-(``CompilerSession.metrics``).  The old attributes survive as
-compatibility properties over these counters.
+(``CompilerSession.metrics``).  Callers read a counter by name
+(``metrics.get("session.timings")``); the only attribute views left
+are ``SessionStats.compilations`` and ``CompileCache.hits`` and friends.
 
 Conventions:
 

@@ -11,9 +11,10 @@ cache key of its program so traces can be joined to cache entries.
 
 :class:`SessionStats` aggregates those traces.  Its counters are backed
 by a :class:`~repro.obs.metrics.MetricsRegistry` (shared with the
-session's :class:`~repro.pipeline.cache.CompileCache`); the historical
-attributes — ``compilations``, ``timings``, ``scalar_fallbacks``, … —
-survive as compatibility properties over the named metrics.
+session's :class:`~repro.pipeline.cache.CompileCache`); read them from
+the registry by name (``session.compilations``, ``session.timings``,
+``session.executions.scalar_fallback``, …).  Only ``compilations``
+remains as a property.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ class SessionStats:
     """Aggregate counters and traces for one compiler session.
 
     Counters live in a metrics registry (pass one to share it with the
-    compile cache; a private one is created otherwise).  Read-only
-    properties such as ``stats.compilations`` report the counters.
+    compile cache; a private one is created otherwise).  The read-only
+    ``stats.compilations`` reports the ``session.compilations`` counter.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
@@ -200,35 +201,9 @@ class SessionStats:
         #: Oldest traces are dropped past this bound.
         self.max_traces: int = 4096
 
-    # -- compatibility properties over the named metrics -------------------
-
     @property
     def compilations(self) -> int:
         return int(self._compilations.value)
-
-    @property
-    def timings(self) -> int:
-        return int(self._timings.value)
-
-    @property
-    def feedback_optimizations(self) -> int:
-        return int(self._feedback_optimizations.value)
-
-    @property
-    def executions(self) -> int:
-        return int(self._executions.value)
-
-    @property
-    def codegen_executions(self) -> int:
-        return int(self._codegen_executions.value)
-
-    @property
-    def scalar_fallbacks(self) -> int:
-        return int(self._scalar_fallbacks.value)
-
-    @property
-    def scalar_requested(self) -> int:
-        return int(self._scalar_requested.value)
 
     # -- recording ---------------------------------------------------------
 
@@ -328,19 +303,19 @@ class SessionStats:
     def as_dict(self) -> dict:
         return {
             "compilations": self.compilations,
-            "timings": self.timings,
+            "timings": int(self._timings.value),
             "timing_kernels": {
                 "stored": int(self._timing_stored.value),
                 "walked": int(self._timing_walked.value),
             },
-            "feedback_optimizations": self.feedback_optimizations,
+            "feedback_optimizations": int(self._feedback_optimizations.value),
             "pass_totals": self.pass_totals(),
             "traces": [t.as_dict() for t in self.traces],
             "execution": {
-                "executions": self.executions,
-                "codegen": self.codegen_executions,
-                "scalar_fallbacks": self.scalar_fallbacks,
-                "scalar_requested": self.scalar_requested,
+                "executions": int(self._executions.value),
+                "codegen": int(self._codegen_executions.value),
+                "scalar_fallbacks": int(self._scalar_fallbacks.value),
+                "scalar_requested": int(self._scalar_requested.value),
                 "kernels": list(self.execution_traces),
             },
         }

@@ -110,11 +110,6 @@ class BrokerConfig:
     #: are routed to the modeled-best profile, and ``tune`` requests
     #: search the fleet as an axis (see docs/serving.md).
     fleet: tuple[str, ...] | None = None
-    #: Resumable tuning-ledger path for ``tune`` requests.  ``None``
-    #: defaults to ``<cache_dir>/tune_ledger.json`` when a cache
-    #: directory is configured (warm re-tunes then survive restarts,
-    #: like the compile cache), else tuning runs without a ledger.
-    tune_ledger: str | None = None
     #: Flight-recorder retention: the N slowest requests…
     flight_slow: int = 32
     #: …and the most recent M errored requests keep their span trees.
@@ -618,19 +613,12 @@ class Broker(FrontDoor):
             result["placement"] = placement.as_dict()
         return protocol.ok_response(request_id, result)
 
-    def _tune_ledger_path(self) -> str | None:
-        if self.config.tune_ledger is not None:
-            return self.config.tune_ledger
-        if self.config.cache_dir is not None:
-            import os
-
-            return os.path.join(self.config.cache_dir, "tune_ledger.json")
-        return None
-
     def _handle_tune(self, request: dict, deadline: float) -> dict:
         """Autotune under the request deadline (the tuner compiles on
         this thread, inside the deadline scope, so even a mid-SAFARA
-        trial compile stops at the fence)."""
+        trial compile stops at the fence).  The worker session's disk
+        cache is what makes a repeated tune compile-free, across
+        restarts too."""
         from ..tune import tune
 
         request_id = request.get("id")
@@ -653,7 +641,6 @@ class Broker(FrontDoor):
                 strategy=request.get("strategy", "beam"),
                 budget=request.get("budget"),
                 session=session,
-                ledger=self._tune_ledger_path(),
                 kernel_name=request.get("kernel"),
                 archs=archs,
             )

@@ -330,8 +330,6 @@ class ProcessShard:
         ]
         if c.cache_dir is not None:
             argv += ["--cache-dir", c.cache_dir]
-        if c.tune_ledger is not None:
-            argv += ["--tune-ledger", c.tune_ledger]
         if c.fleet:
             argv += ["--fleet", ",".join(c.fleet)]
         return argv

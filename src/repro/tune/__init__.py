@@ -4,8 +4,9 @@ Searches the optimization-config space — register cap, SAFARA on/off and
 candidate budget, ``dim``/``small`` clause honoring, unroll factor — for
 the point with the best modeled runtime, with pluggable strategies
 (``exhaustive`` / ``greedy`` / ``beam``), cost-model pruning before any
-backend compile, batched evaluation through the session compile cache,
-and a resumable JSON ledger (``docs/tuning.md``).
+backend compile, and batched evaluation through the session compile
+cache.  A session over a ``cache_dir`` makes re-tunes resumable: they
+replay from the compile disk cache (``docs/tuning.md``).
 
 This package consumes the compiler exclusively through the stable
 :mod:`repro` facade; note that ``repro.tune`` the *attribute* of the
@@ -13,7 +14,6 @@ This package consumes the compiler exclusively through the stable
 importable as usual).
 """
 
-from .ledger import TuneLedger, task_key
 from .space import (
     AXES,
     KnobSpace,
@@ -47,7 +47,6 @@ __all__ = [
     "Strategy",
     "TrialPoint",
     "TrialResult",
-    "TuneLedger",
     "TuneResult",
     "Tuner",
     "canonicalize",
@@ -56,7 +55,6 @@ __all__ = [
     "prune_points",
     "safara_candidate_ceiling",
     "source_uses_clauses",
-    "task_key",
     "tune",
     "tune_error_code",
 ]

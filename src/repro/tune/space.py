@@ -71,9 +71,8 @@ class TrialPoint:
     esat_weights: "tuple[tuple[str, float], ...] | None" = None
 
     def key(self) -> str:
-        """Stable content key for the ledger and within-run dedup (the
-        arch/saturation suffixes appear only off their defaults, so
-        ledgers written before those axes existed stay replayable)."""
+        """Stable content key for within-run dedup (the arch/saturation
+        suffixes appear only off their defaults)."""
         rl = "none" if self.register_limit is None else self.register_limit
         cand = (
             "none"
@@ -159,7 +158,7 @@ class KnobSpace:
     #: Single-valued by default — fleet tuning widens it.
     archs: tuple = (None,)
     #: Equality-saturation axis.  Single-valued (off) by default so
-    #: pre-existing spaces, ledgers and budgets are unchanged; widen to
+    #: pre-existing spaces and budgets are unchanged; widen to
     #: ``(False, True)`` to let the tuner weigh the esat pass.
     saturate: tuple = (False,)
     #: Extraction-weight axis: ``None`` = extractor defaults; widen with

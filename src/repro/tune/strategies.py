@@ -2,8 +2,8 @@
 
 Every strategy receives a :class:`SearchContext` (built by the tuner)
 whose ``evaluate()`` is the only way to score points: it dedups against
-already-scored keys, consults the tuning ledger, batches cache misses
-through ``CompilerSession.compile_many``, and enforces the trial budget.
+already-scored keys, batches the new points through
+``CompilerSession.compile_many``, and enforces the trial budget.
 The tuner scores the *reference point first*, before any strategy runs,
 so the reported best can never be worse than the default configuration
 regardless of how a strategy explores.

@@ -1,4 +1,4 @@
-"""The tuner core: score trial points, track the best, persist the ledger.
+"""The tuner core: score trial points and track the best.
 
 One :func:`tune` call searches the knob space for one (source, base
 config, env, launches) task:
@@ -9,21 +9,24 @@ config, env, launches) task:
 2. score the *reference* point (the paper's full
    ``OpenUH(SAFARA+small+dim)`` default) so the result can never be
    worse than the default configuration;
-3. let the strategy pick further points; every batch goes through the
-   tuning ledger (warm re-tunes replay scores, zero compiles), then
+3. let the strategy pick further points; every batch goes through
    ``CompilerSession.compile_many`` (two-tier compile cache), then the
    analytic timing model.
 
-Observability: the whole run is a ``tune`` span; every scored point —
-ledger hit or fresh — is a ``tune.trial`` span, so a ``--trace`` export
-shows the complete search.  Metrics (session registry): ``tune.trials``,
-``tune.ledger.hits`` / ``.misses``, ``tune.pruned``, ``tune.batches``,
-``tune.trial_ms`` (histogram) and the ``tune.best_model_ms`` gauge.
+A tune persists only through its session: over a ``cache_dir``, every
+trial's program (with its timing verdict) lands in the compile disk
+cache, so a re-tune in a fresh session over the same directory compiles
+nothing and replays the same scores.
+
+Observability: the whole run is a ``tune`` span; every scored point is a
+``tune.trial`` span, so a ``--trace`` export shows the complete search.
+Metrics (session registry): ``tune.trials``, ``tune.pruned``,
+``tune.batches``, ``tune.trial_ms`` (histogram) and the
+``tune.best_model_ms`` gauge.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -32,7 +35,6 @@ from ..errors import TuneError
 from ..gpu.arch import arch_key, get_arch
 from ..gpu.occupancy import compute_occupancy
 from ..obs.tracer import span
-from .ledger import TuneLedger, task_key
 from .space import (
     KnobSpace,
     TrialPoint,
@@ -46,8 +48,10 @@ from .strategies import SearchContext, Strategy, make_strategy
 
 #: Golden result-schema version (``repro tune --json`` consumers pin it).
 #: v2: trial points carry an ``arch`` knob and the top level gains
-#: ``per_arch_best`` (the fleet axis).
-RESULT_VERSION = 2
+#: ``per_arch_best`` (the fleet axis).  v3: drops the task hash,
+#: ``evaluated``, ``ledger`` and each trial's ``source``; re-tunes replay
+#: from the compile disk cache, so every trial is evaluated.
+RESULT_VERSION = 3
 
 
 @dataclass(slots=True)
@@ -59,9 +63,6 @@ class TrialResult:
     model_ms: float
     max_registers: int
     min_occupancy: float
-    #: ``"evaluated"`` (compiled + timed this run) or ``"ledger"``
-    #: (replayed from a previous run's ledger entry).
-    source: str = "evaluated"
     trial_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -71,7 +72,6 @@ class TrialResult:
             "model_ms": round(self.model_ms, 6),
             "max_registers": self.max_registers,
             "min_occupancy": round(self.min_occupancy, 4),
-            "source": self.source,
         }
 
 
@@ -81,7 +81,6 @@ class TuneResult:
 
     strategy: str
     budget: int | None
-    task_key: str
     space_size: int
     unique_points: int
     pruned: int
@@ -89,16 +88,9 @@ class TuneResult:
     best: TrialResult
     best_config: "object"
     trials: list[TrialResult] = field(default_factory=list)
-    ledger_path: str | None = None
-    ledger_hits: int = 0
-    ledger_misses: int = 0
     #: Best trial per arch axis value, keyed by canonical registry key
     #: (the base config's arch included) — the ``--fleet`` result table.
     per_arch_best: dict[str, TrialResult] = field(default_factory=dict)
-
-    @property
-    def evaluated(self) -> int:
-        return sum(1 for t in self.trials if t.source == "evaluated")
 
     @property
     def speedup_over_reference(self) -> float:
@@ -109,17 +101,10 @@ class TuneResult:
             "version": RESULT_VERSION,
             "strategy": self.strategy,
             "budget": self.budget,
-            "task_key": self.task_key,
             "space": {
                 "size": self.space_size,
                 "unique": self.unique_points,
                 "pruned": self.pruned,
-            },
-            "evaluated": self.evaluated,
-            "ledger": {
-                "path": self.ledger_path,
-                "hits": self.ledger_hits,
-                "misses": self.ledger_misses,
             },
             "reference": self.reference.as_dict(),
             "best": self.best.as_dict(),
@@ -143,7 +128,6 @@ class Tuner:
         base=BASE,
         budget: int | None = None,
         session: CompilerSession | None = None,
-        ledger: "TuneLedger | str | os.PathLike | None" = None,
         kernel_name: str | None = None,
         filename: str = "<string>",
     ):
@@ -157,17 +141,11 @@ class Tuner:
         self.base = base
         self.budget = budget
         self.session = session or default_session()
-        if ledger is not None and not isinstance(ledger, TuneLedger):
-            ledger = TuneLedger(ledger)
-        self.ledger = ledger
         self.kernel_name = kernel_name
         self.filename = filename
-        self.task = task_key(source, base, env=self.env, launches=launches)
 
         m = self.session.metrics
         self._trials = m.counter("tune.trials", "trial points scored")
-        self._hits = m.counter("tune.ledger.hits", "trials replayed from the ledger")
-        self._misses = m.counter("tune.ledger.misses", "trials compiled and timed")
         self._pruned = m.counter("tune.pruned", "points merged away before compile")
         self._batches = m.counter("tune.batches", "evaluate() batches")
         self._trial_ms = m.histogram("tune.trial_ms", help="per-trial wall time")
@@ -176,8 +154,6 @@ class Tuner:
         self.scored: dict[str, TrialResult] = {}
         self.trials: list[TrialResult] = []
         self._started = 0
-        self.ledger_hits = 0
-        self.ledger_misses = 0
 
     # -- search-space plumbing --------------------------------------------
 
@@ -277,8 +253,8 @@ class Tuner:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, points: list[TrialPoint]) -> list[TrialResult]:
-        """Score a batch: ledger replay, then batched compile + timing
-        model for the misses.  Dedups against already-scored keys and
+        """Score a batch: batched compile (through the session's compile
+        cache) + timing model.  Dedups against already-scored keys and
         stops admitting points once the budget is spent."""
         todo: list[TrialPoint] = []
         for p in points:
@@ -290,56 +266,21 @@ class Tuner:
             todo.append(p)
         if not todo:
             return []
-        misses: list[TrialPoint] = []
-        for p in todo:
-            entry = self.ledger.get(self.task, p.key()) if self.ledger else None
-            if entry is not None and self._replay(p, entry):
-                continue
-            misses.append(p)
-        if misses:
-            jobs = [
-                CompileJob(
-                    source=self.source,
-                    config=p.apply(self.base),
-                    kernel_name=self.kernel_name,
-                    filename=self.filename,
-                    env=self.env,
-                )
-                for p in misses
-            ]
-            programs = self.session.compile_many(jobs)
-            for p, program in zip(misses, programs):
-                self._score(p, program)
-            if self.ledger is not None:
-                self.ledger.flush()
+        jobs = [
+            CompileJob(
+                source=self.source,
+                config=p.apply(self.base),
+                kernel_name=self.kernel_name,
+                filename=self.filename,
+                env=self.env,
+            )
+            for p in todo
+        ]
+        for p, program in zip(todo, self.session.compile_many(jobs)):
+            self._score(p, program)
         self._batches.inc()
         self._best_gauge.set(self.best().model_ms)
         return [self.scored[p.key()] for p in todo]
-
-    def _replay(self, point: TrialPoint, entry: dict) -> bool:
-        """Admit a ledger entry as a trial; False if it is malformed."""
-        try:
-            result = TrialResult(
-                point=point,
-                config_name=str(entry["config"]),
-                model_ms=float(entry["model_ms"]),
-                max_registers=int(entry["max_registers"]),
-                min_occupancy=float(entry["min_occupancy"]),
-                source="ledger",
-            )
-        except (KeyError, TypeError, ValueError):
-            return False
-        with span(
-            "tune.trial",
-            point=point.key(),
-            config=result.config_name,
-            cached=True,
-        ) as sp:
-            sp.set(model_ms=result.model_ms, registers=result.max_registers)
-        self._record(result)
-        self.ledger_hits += 1
-        self._hits.inc()
-        return True
 
     def _score(self, point: TrialPoint, program) -> None:
         t0 = time.perf_counter()
@@ -361,26 +302,10 @@ class Tuner:
                 trial_ms=(time.perf_counter() - t0) * 1000.0,
             )
             sp.set(model_ms=result.model_ms, registers=result.max_registers)
-        self._record(result)
-        self.ledger_misses += 1
-        self._misses.inc()
-        self._trial_ms.observe(result.trial_ms)
-        if self.ledger is not None:
-            self.ledger.record(
-                self.task,
-                point.key(),
-                {
-                    "config": result.config_name,
-                    "model_ms": result.model_ms,
-                    "max_registers": result.max_registers,
-                    "min_occupancy": result.min_occupancy,
-                },
-            )
-
-    def _record(self, result: TrialResult) -> None:
-        self.scored[result.point.key()] = result
+        self.scored[point.key()] = result
         self.trials.append(result)
         self._trials.inc()
+        self._trial_ms.observe(result.trial_ms)
 
     # -- the run -----------------------------------------------------------
 
@@ -388,7 +313,7 @@ class Tuner:
         self, strategy: "str | Strategy" = "beam", space: KnobSpace | None = None
     ) -> TuneResult:
         strat = make_strategy(strategy)
-        with span("tune", strategy=strat.name, task=self.task) as sp:
+        with span("tune", strategy=strat.name) as sp:
             self._build_space(space)
             sp.set(
                 space=self.space.size,
@@ -427,7 +352,6 @@ class Tuner:
         return TuneResult(
             strategy=strat.name,
             budget=self.budget,
-            task_key=self.task,
             space_size=self.space.size,
             unique_points=len(self.points),
             pruned=self.pruned,
@@ -435,9 +359,6 @@ class Tuner:
             best=best,
             best_config=best.point.apply(self.base),
             trials=list(self.trials),
-            ledger_path=str(self.ledger.path) if self.ledger else None,
-            ledger_hits=self.ledger_hits,
-            ledger_misses=self.ledger_misses,
             per_arch_best=per_arch_best,
         )
 
@@ -452,7 +373,6 @@ def tune(
     budget: int | None = None,
     space: KnobSpace | None = None,
     session: CompilerSession | None = None,
-    ledger: "TuneLedger | str | os.PathLike | None" = None,
     kernel_name: str | None = None,
     filename: str = "<string>",
     archs: "list | tuple | None" = None,
@@ -462,9 +382,10 @@ def tune(
 
     The returned :class:`TuneResult` carries the winning
     :class:`~repro.compiler.options.CompilerConfig` (``best_config``),
-    the reference score it beat, and every trial; pass ``ledger=`` a path
-    to make re-tunes resumable (a warm re-tune replays every score and
-    performs zero backend compiles).
+    the reference score it beat, and every trial.  To make re-tunes
+    resumable, pass a ``session`` over a ``cache_dir``: a re-tune in a
+    fresh session over the same directory answers every trial from the
+    compile disk cache and performs zero compiles.
 
     ``archs`` widens the search to a fleet: each name is resolved in the
     arch registry (unknown names raise
@@ -490,7 +411,6 @@ def tune(
         base=base,
         budget=budget,
         session=session,
-        ledger=ledger,
         kernel_name=kernel_name,
         filename=filename,
     )

@@ -107,11 +107,11 @@ STUB_ROWS = {
     "serve": {"warm_compile_ms": 8.0, "cold_compile_ms": 230.0, "disk_hits": 5},
     "tune": {
         "benchmark": "355.seismic", "tuned_ms": 1.0, "default_ms": 1.04,
-        "speedup_over_default": 1.04, "trials": 12,
+        "speedup_over_default": 1.04, "trials": 12, "warm_disk_hits": 12,
     },
     "esat": {
         "register_wins": ["BT"], "kernels": {"BT": {}},
-        "geomean_speedup": 1.03, "warm_ledger_hits": 12,
+        "geomean_speedup": 1.03, "warm_disk_hits": 12,
     },
     "hotpath": {
         "warm_compile_p50_ms": 0.03, "codegen_speedup_x": 10.0,
@@ -266,14 +266,19 @@ class TestTuneRow:
         assert tune_row["speedup_over_default"] >= 1.0
 
     def test_warm_retune_is_compile_free(self, tune_row):
-        assert tune_row["warm_evaluated"] == 0
+        assert tune_row["warm_compilations"] == 0
         assert tune_row["warm_backend_compilations"] == 0
-        assert tune_row["warm_ledger_hits"] == tune_row["trials"]
+        assert tune_row["warm_disk_hits"] == tune_row["trials"]
+        assert tune_row["warm_scores_match"] is True
 
     def test_check_tune_flags_each_violation(self, regress, tune_row):
         slower = dict(tune_row, tuned_ms=tune_row["default_ms"] * 2)
         assert any("slower" in p for p in regress.check_tune(slower))
-        recompiled = dict(tune_row, warm_evaluated=3)
-        assert any("replay" in p for p in regress.check_tune(recompiled))
+        recompiled = dict(tune_row, warm_compilations=3)
+        assert any("compiled 3" in p for p in regress.check_tune(recompiled))
         backend = dict(tune_row, warm_backend_compilations=7)
         assert any("backend" in p for p in regress.check_tune(backend))
+        missed = dict(tune_row, warm_disk_hits=tune_row["trials"] - 1)
+        assert any("disk cache" in p for p in regress.check_tune(missed))
+        rescored = dict(tune_row, warm_scores_match=False)
+        assert any("differ" in p for p in regress.check_tune(rescored))

@@ -118,7 +118,7 @@ class TestShimCompatibility:
         report, feedback = session.optimize_region(fn.regions()[0], fn.symtab)
         assert feedback.compilations >= 1
         assert feedback.history
-        assert session.stats.feedback_optimizations == 1
+        assert session.metrics.get("session.feedback_optimizations").value == 1
 
     def test_shims_share_the_default_session_cache(self):
         session = default_session()

@@ -1,5 +1,5 @@
 """The ``tune`` op of the serve protocol: validation, execution through
-the broker, deadline behavior, and the shared tuning ledger."""
+the broker, deadline behavior, and re-tunes from the shared disk cache."""
 
 import pytest
 
@@ -60,8 +60,7 @@ class TestBrokerTune:
         assert response["ok"]
         result = response["result"]
         assert result["best"]["model_ms"] <= result["reference"]["model_ms"]
-        assert result["trials"]
-        assert result["evaluated"] <= 4
+        assert 0 < len(result["trials"]) <= 4
 
     def test_unknown_strategy_maps_to_tune_error(self):
         with Broker(BrokerConfig(workers=1)) as broker:
@@ -81,25 +80,21 @@ class TestBrokerTune:
         assert not response["ok"]
         assert response["error"]["code"] == protocol.UNKNOWN_CONFIG
 
-    def test_ledger_persists_across_requests(self, tmp_path):
-        ledger = str(tmp_path / "tune_ledger.json")
-        with Broker(BrokerConfig(workers=2, tune_ledger=ledger)) as broker:
+    def test_restarted_broker_answers_a_repeated_tune_from_disk(
+        self, tmp_path
+    ):
+        config = BrokerConfig(workers=2, cache_dir=str(tmp_path / "cache"))
+        with Broker(config) as broker:
             cold = broker.handle(tune_request())
+        with Broker(config) as broker:
             warm = broker.handle(tune_request(request_id=2))
+            compiled = broker.metrics.get("session.compilations").value
+            disk_hits = broker.disk_cache.hits
         assert cold["ok"] and warm["ok"]
-        assert cold["result"]["ledger"]["misses"] > 0
-        assert warm["result"]["evaluated"] == 0
-        assert warm["result"]["ledger"]["hits"] == len(warm["result"]["trials"])
-
-    def test_ledger_defaults_into_the_cache_dir(self, tmp_path):
-        cache = tmp_path / "cache"
-        with Broker(BrokerConfig(workers=1, cache_dir=str(cache))) as broker:
-            response = broker.handle(tune_request(budget=2))
-        assert response["ok"]
-        assert response["result"]["ledger"]["path"] == str(
-            cache / "tune_ledger.json"
-        )
-        assert (cache / "tune_ledger.json").exists()
+        assert compiled == 0
+        assert disk_hits == len(warm["result"]["trials"])
+        assert warm["result"]["best"] == cold["result"]["best"]
+        assert warm["result"]["trials"] == cold["result"]["trials"]
 
     def test_tiny_deadline_yields_deadline_exceeded(self):
         with Broker(BrokerConfig(workers=1)) as broker:

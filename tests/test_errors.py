@@ -95,6 +95,15 @@ class TestCodeMapping:
         ):
             assert code_for(error_for(code, "msg")) == code
 
+    @pytest.mark.parametrize(
+        "message",
+        ["msg", "<string>:0:0: the source defines no kernel named nope",
+         "k.acc:3:7: expected ';'\nnear: x:1:2: y"],
+    )
+    def test_wire_message_round_trips_unchanged(self, message):
+        for code in errors._code_map():
+            assert str(error_for(code, message)) == message, code
+
     def test_subclasses_map_to_the_family_code(self):
         from repro.lang.errors import LexError, ParseError
 
@@ -268,3 +277,19 @@ kernel axpy(const double x[1:n], double y[1:n], int n) {
             with pytest.raises(MiniAccError, match="no kernel"):
                 raise_for_response(response)
         assert unexpected == []
+
+    def test_unknown_kernel_names_its_location_once(self):
+        from repro.lang.errors import MiniAccError, SourceLocation
+        from repro.serve.broker import Broker, BrokerConfig
+
+        src = "kernel k(double y[1:n], int n) { y[1] = 0.0; }\n"
+        with Broker(BrokerConfig(workers=1)) as broker:
+            response = broker.handle(
+                {"id": 1, "op": "compile", "source": src, "kernel": "nope"}
+            )
+        with pytest.raises(MiniAccError) as caught:
+            raise_for_response(response)
+        text = str(caught.value)
+        assert text == response["error"]["message"]
+        assert text.count(str(SourceLocation())) == 1
+        assert "no kernel named 'nope'" in text

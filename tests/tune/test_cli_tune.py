@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.tune import RESULT_VERSION
 
@@ -28,15 +29,11 @@ ENV_ARGS = ["--env", "nx=32", "--env", "ny=16", "--env", "nz=8"]
 
 #: The golden schema of ``repro tune --json``: exact key sets, per level.
 GOLDEN_TOP = {
-    "version", "strategy", "budget", "task_key", "space", "evaluated",
-    "ledger", "reference", "best", "speedup_over_reference",
-    "per_arch_best", "trials",
+    "version", "strategy", "budget", "space", "reference", "best",
+    "speedup_over_reference", "per_arch_best", "trials",
 }
 GOLDEN_SPACE = {"size", "unique", "pruned"}
-GOLDEN_LEDGER = {"path", "hits", "misses"}
-GOLDEN_TRIAL = {
-    "point", "config", "model_ms", "max_registers", "min_occupancy", "source",
-}
+GOLDEN_TRIAL = {"point", "config", "model_ms", "max_registers", "min_occupancy"}
 GOLDEN_POINT = {
     "register_limit", "safara", "safara_max_candidates",
     "honor_small", "honor_dim", "unroll_factor", "arch",
@@ -81,15 +78,14 @@ class TestJsonGoldenSchema:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == GOLDEN_TOP
-        assert doc["version"] == RESULT_VERSION
+        assert doc["version"] == RESULT_VERSION == 3
         assert set(doc["space"]) == GOLDEN_SPACE
-        assert set(doc["ledger"]) == GOLDEN_LEDGER
         assert doc["trials"], "at least the reference must be scored"
         for trial in [doc["reference"], doc["best"], *doc["trials"]]:
             assert set(trial) == GOLDEN_TRIAL
             assert set(trial["point"]) == GOLDEN_POINT
         assert doc["speedup_over_reference"] >= 1.0
-        assert doc["evaluated"] == len(doc["trials"])
+        assert len(doc["trials"]) == doc["space"]["unique"]
         assert doc["space"]["size"] >= doc["space"]["unique"]
 
     def test_json_is_sorted_and_deterministic(self, demo_file, capsys):
@@ -104,18 +100,29 @@ class TestJsonGoldenSchema:
             del doc["trials"]  # order may differ across thread pools
         assert a == b
 
-    def test_ledger_path_round_trips(self, demo_file, tmp_path, capsys):
-        ledger = str(tmp_path / "ledger.json")
-        main(["tune", demo_file, *ENV_ARGS, "--budget", "2", "--ledger",
-              ledger, "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ledger"]["path"] == ledger
-        assert doc["ledger"]["misses"] == 2
-        main(["tune", demo_file, *ENV_ARGS, "--budget", "2", "--ledger",
-              ledger, "--json"])
+    def test_cache_dir_retune_compiles_nothing(
+        self, demo_file, tmp_path, capsys, monkeypatch
+    ):
+        sessions = []
+
+        class Recording(cli.CompilerSession):
+            def __init__(self, **kw):
+                super().__init__(**kw)
+                sessions.append(self)
+
+        monkeypatch.setattr(cli, "CompilerSession", Recording)
+        argv = ["tune", demo_file, *ENV_ARGS, "--budget", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        main([*argv, "--json"])
+        cold = json.loads(capsys.readouterr().out)
+        assert sessions[-1].stats.compilations == 2
+        main([*argv, "--json"])
         warm = json.loads(capsys.readouterr().out)
-        assert warm["ledger"]["hits"] == 2
-        assert warm["evaluated"] == 0
+        assert sessions[-1].stats.compilations == 0
+        assert sessions[-1].disk_cache.hits == 2
+        assert warm == cold
+        main(argv)
+        assert "0 compiled, 0 memory hits, 2 disk hits" in capsys.readouterr().out
 
 
 class TestTraceExport:

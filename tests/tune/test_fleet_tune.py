@@ -125,7 +125,8 @@ class TestRegisterCapCollapsePerArch:
 
 
 class TestSeismicFleetWarmRetune:
-    """The acceptance run: 355.seismic, two archs, resumable ledger."""
+    """The acceptance run: 355.seismic, two archs, re-tuned from the
+    compile disk cache."""
 
     @pytest.fixture(scope="class")
     def seismic(self):
@@ -137,23 +138,25 @@ class TestSeismicFleetWarmRetune:
     def test_cold_then_warm_retune_zero_backend_compilations(
         self, seismic, tmp_path
     ):
-        ledger = tmp_path / "ledger.json"
         kw = dict(
             env=dict(seismic.env),
             launches=seismic.launches,
             strategy="beam",
             budget=8,
             archs=FLEET,
-            ledger=ledger,
         )
-        cold = tune(seismic.source, session=CompilerSession(), **kw)
+        cold_session = CompilerSession(cache_dir=tmp_path)
+        cold = tune(seismic.source, session=cold_session, **kw)
         assert set(cold.per_arch_best) == set(FLEET)
-        assert cold.evaluated == len(cold.trials) > 0
+        assert cold_session.stats.compilations == len(cold.trials) > 0
 
-        warm_session = CompilerSession()
+        warm_session = CompilerSession(cache_dir=tmp_path)
         warm = tune(seismic.source, session=warm_session, **kw)
-        assert warm.evaluated == 0
-        assert warm.ledger_hits == len(cold.trials)
+        assert warm_session.stats.compilations == 0
+        assert warm_session.disk_cache.hits == len(cold.trials)
+        assert [(t.point, t.model_ms) for t in warm.trials] == [
+            (t.point, t.model_ms) for t in cold.trials
+        ]
         metric = warm_session.metrics.get(
             "pipeline.pass.safara.backend_compilations"
         )

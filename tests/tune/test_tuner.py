@@ -1,4 +1,5 @@
-"""End-to-end tuner behavior: search, ledger warm starts, observability."""
+"""End-to-end tuner behavior: search, warm starts from the compile disk
+cache, observability."""
 
 import pytest
 
@@ -88,38 +89,52 @@ class TestValidation:
             run_tune(strategy="zzz")
 
 
-class TestLedgerWarmStart:
-    def test_warm_retune_does_zero_backend_compilations(self, tmp_path):
-        ledger = tmp_path / "ledger.json"
-        cold = run_tune(ledger=ledger)
-        assert cold.evaluated == cold.unique_points
-        assert cold.ledger_hits == 0
+def scores(result):
+    return [
+        (t.point.key(), t.model_ms, t.max_registers, t.min_occupancy)
+        for t in result.trials
+    ]
 
-        # A fresh session: nothing in any compile cache, only the ledger.
-        session = CompilerSession()
-        warm = run_tune(ledger=ledger, session=session)
-        assert warm.evaluated == 0
-        assert warm.ledger_hits == warm.unique_points
+
+class TestLedgerWarmStart:
+    """A tune persists through its session's compile disk cache: a
+    re-tune in a fresh session over the same directory compiles nothing."""
+
+    def test_warm_retune_does_zero_backend_compilations(self, tmp_path):
+        cold_session = CompilerSession(cache_dir=tmp_path)
+        cold = run_tune(session=cold_session)
+        assert cold_session.stats.compilations == cold.unique_points
+
+        # A fresh session: an empty memory cache over the same directory.
+        session = CompilerSession(cache_dir=tmp_path)
+        warm = run_tune(session=session)
         assert session.stats.compilations == 0
+        assert session.disk_cache.hits == warm.unique_points
         safara = session.metrics.get("pipeline.pass.safara.backend_compilations")
         assert safara is None or safara.value == 0
-        assert warm.best.model_ms == cold.best.model_ms
+        assert scores(warm) == scores(cold)
         assert warm.best.point == cold.best.point
 
     def test_partial_run_resumes_where_it_stopped(self, tmp_path):
-        ledger = tmp_path / "ledger.json"
-        partial = run_tune(ledger=ledger, budget=2)
-        assert partial.evaluated == 2
-        resumed = run_tune(ledger=ledger)
-        assert resumed.ledger_hits == 2
-        assert resumed.evaluated == resumed.unique_points - 2
+        partial = run_tune(session=CompilerSession(cache_dir=tmp_path), budget=2)
+        assert len(partial.trials) == 2
+        session = CompilerSession(cache_dir=tmp_path)
+        resumed = run_tune(session=session)
+        assert session.disk_cache.hits == 2
+        assert session.stats.compilations == resumed.unique_points - 2
 
     def test_task_isolation(self, tmp_path):
-        """A different env is a different task: no cross-replay."""
-        ledger = tmp_path / "ledger.json"
-        run_tune(ledger=ledger)
-        other = run_tune(ledger=ledger, env={"nx": 64, "ny": 16, "nz": 8})
-        assert other.ledger_hits == 0
+        """Another env reuses the compiled programs (a compile does not
+        read problem sizes) but scores every trial at its own env."""
+        run_tune(session=CompilerSession(cache_dir=tmp_path))
+        other_env = {"nx": 64, "ny": 16, "nz": 8}
+        session = CompilerSession(cache_dir=tmp_path)
+        other = run_tune(session=session, env=other_env)
+        assert session.stats.compilations == 0
+        fresh = run_tune(
+            session=CompilerSession(cache_dir=tmp_path / "empty"), env=other_env
+        )
+        assert scores(other) == scores(fresh)
 
 
 class TestObservability:
@@ -131,23 +146,23 @@ class TestObservability:
         assert names.count("tune") == 1
         assert names.count("tune.trial") == len(result.trials)
 
-    def test_ledger_replays_are_cached_spans(self, tmp_path):
-        ledger = tmp_path / "ledger.json"
-        run_tune(ledger=ledger)
+    def test_warm_retune_trials_are_spans(self, tmp_path):
+        run_tune(session=CompilerSession(cache_dir=tmp_path))
         tracer = Tracer(enabled=True)
         with tracer.activate():
-            warm = run_tune(ledger=ledger)
+            warm = run_tune(session=CompilerSession(cache_dir=tmp_path))
         trials = [s for s in tracer.spans if s.name == "tune.trial"]
         assert len(trials) == warm.unique_points
-        assert all(s.args.get("cached") for s in trials)
+        assert {s.args["point"] for s in trials} == {
+            t.point.key() for t in warm.trials
+        }
 
-    def test_metrics_account_for_the_run(self, tmp_path):
+    def test_metrics_account_for_the_run(self):
         session = CompilerSession()
-        ledger = tmp_path / "ledger.json"
-        result = run_tune(session=session, ledger=ledger)
+        result = run_tune(session=session)
         m = session.metrics
         assert m.get("tune.trials").value == len(result.trials)
-        assert m.get("tune.ledger.misses").value == result.evaluated
+        assert m.get("tune.trial_ms").count == len(result.trials)
         assert m.get("tune.pruned").value == result.pruned
         assert m.get("tune.best_model_ms").value == result.best.model_ms
         assert m.get("tune.batches").value >= 1
