@@ -47,10 +47,6 @@ class AccessInfo:
     pattern: AccessPattern
     stride_elems: int | None
 
-    @property
-    def is_coalesced(self) -> bool:
-        return self.pattern is AccessPattern.COALESCED
-
 
 def classify_access(
     ref: ArrayRef,

@@ -22,8 +22,10 @@ from ..analysis.memspace import MemSpace
 from ..errors import TimingUnavailable
 from ..ir.stmt import Loop
 from ..ir.symbols import Symbol
+from ..pickling import positional_pickle
 
 
+@positional_pickle
 @dataclass(eq=False, slots=True)
 class VReg:
     """A virtual register (identity equality).
@@ -97,6 +99,7 @@ MARKER_OPS = frozenset(
 )
 
 
+@positional_pickle
 @dataclass(slots=True)
 class Instr:
     """One VIR instruction."""
@@ -119,12 +122,6 @@ class Instr:
     # -- structure attributes ------------------------------------------------
     loop: Loop | None = None
     comment: str = ""
-
-    def __reduce__(self):
-        # Positional state: the default one of a slots class names all 15
-        # fields in every instruction, a quarter of a compiled program's
-        # pickled bytes.
-        return Instr, tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [self.op.value]

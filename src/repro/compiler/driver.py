@@ -11,9 +11,10 @@ The pipeline itself lives in :mod:`repro.pipeline` (the ``Pass`` /
 types defined here.
 
 Because the transformations mutate IR in place, each configuration
-compiles from a *fresh* parse of the source
-(:meth:`~repro.compiler.session.CompilerSession.compile_source`) —
-exactly as separate compiler invocations would.
+compiles a private clone of the session's one parse of the source
+(:meth:`~repro.compiler.session.CompilerSession.compile_source`); a clone
+compiles to exactly what a fresh parse would, as separate compiler
+invocations do.
 """
 
 from __future__ import annotations

@@ -237,7 +237,13 @@ class CompilerSession:
 
     def _lower_region(self, region, symtab, config, codegen_opts, name):
         """Run the pass pipeline over one region and lower it: returns
-        ``(vir, ptxas_info, pass_context, region_trace)``."""
+        ``(vir, ptxas_info, pass_context, region_trace)``.
+
+        When the pipeline's last pass left the lowering of its last
+        backend compile (SAFARA's final feedback run) and that compile
+        used this kernel's options, arch, register limit and name, it is
+        the final lowering: the backend does not run again.
+        """
         ctx = PassContext(
             region=region,
             symtab=symtab,
@@ -246,13 +252,20 @@ class CompilerSession:
             kernel_name=name,
         )
         region_trace = self.pipeline.run(ctx)
-        with span("codegen", kernel=name) as cg_span:
-            vir = generate_kernel(region, symtab, codegen_opts, name=name)
-            info = ptxas_info(vir, config.arch, config.register_limit)
+        last = ctx.lowering
+        reused = last is not None and last.matches(
+            codegen_opts, config.arch, config.register_limit, name
+        )
+        with span("codegen", kernel=name, reused=reused) as cg_span:
+            if reused:
+                vir, info = last.vir, last.info
+            else:
+                vir = generate_kernel(region, symtab, codegen_opts, name=name)
+                info = ptxas_info(vir, config.arch, config.register_limit)
+                ctx.backend_compilations += 1
             cg_span.set(
                 registers=info.registers, spill_bytes=info.spill_bytes
             )
-        ctx.backend_compilations += 1
         return vir, info, ctx, region_trace
 
     def _lower_region_guarded(self, region, symtab, config, codegen_opts, name):

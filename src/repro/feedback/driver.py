@@ -34,6 +34,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from ..codegen.kernelgen import CodegenOptions, generate_kernel
+from ..codegen.vir import VirKernel
 from ..errors import ReproError
 from ..gpu.arch import GpuArch, KEPLER_K20XM
 from ..gpu.registers import PtxasInfo, ptxas_info
@@ -136,9 +137,44 @@ def check_deadline() -> None:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class Lowering:
+    """One backend compile of a region: its VIR, its ``PTXAS Info`` and
+    the inputs besides the region that produced them."""
+
+    vir: VirKernel
+    info: PtxasInfo
+    options: CodegenOptions
+    arch: GpuArch
+    register_limit: int | None
+    name: str | None
+
+    def matches(
+        self,
+        options: CodegenOptions,
+        arch: GpuArch,
+        register_limit: int | None,
+        name: str | None,
+    ) -> bool:
+        """True when a compile with these inputs, of the region as it was
+        lowered, would produce this lowering."""
+        return (
+            self.options == options
+            and self.arch == arch
+            and self.register_limit == register_limit
+            and self.name == name
+        )
+
+
 @dataclass(slots=True)
 class FeedbackCompiler:
-    """Callable register-feedback oracle over the simulated backend."""
+    """Callable register-feedback oracle over the simulated backend.
+
+    ``last`` is the lowering of the most recent call.  SAFARA changes no
+    IR after its last feedback compile, so that lowering is the region's
+    final one (paper Section III-B.2: the last backend compile is the
+    one that ships).
+    """
 
     symtab: SymbolTable
     options: CodegenOptions = field(default_factory=CodegenOptions)
@@ -146,6 +182,7 @@ class FeedbackCompiler:
     register_limit: int | None = None
     name: str | None = None
     history: list[PtxasInfo] = field(default_factory=list)
+    last: Lowering | None = None
 
     def __call__(self, region: Region) -> PtxasInfo:
         check_deadline()
@@ -163,6 +200,9 @@ class FeedbackCompiler:
             info = ptxas_info(kernel, self.arch, self.register_limit)
             sp.set(registers=info.registers, spill_bytes=info.spill_bytes)
         self.history.append(info)
+        self.last = Lowering(
+            kernel, info, self.options, self.arch, self.register_limit, self.name
+        )
         return info
 
     @property

@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..pickling import positional_pickle
 from .arch import GpuArch, KEPLER_K20XM
 
 
+@positional_pickle
 @dataclass(frozen=True, slots=True)
 class Occupancy:
     """Resident-block/warp capacity of one SM for a given kernel."""

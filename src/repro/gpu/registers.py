@@ -19,8 +19,10 @@ output (``Used N registers, M bytes spill stores, K bytes spill loads``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..codegen.vir import Instr, MARKER_OPS, Op, VirKernel, VReg
+from ..pickling import positional_pickle
 from .arch import GpuArch, KEPLER_K20XM
 
 
@@ -37,10 +39,8 @@ class LiveInterval:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    def overlaps(self, pos: int) -> bool:
-        return self.start <= pos <= self.end
 
-
+@positional_pickle
 @dataclass(slots=True)
 class PtxasInfo:
     """The feedback record the compiler reads back (paper: "PTXAS Info")."""
@@ -64,6 +64,11 @@ class PtxasInfo:
         return f"{text} — {self.kernel_name}"
 
 
+_LOOP_BEGIN = Op.LOOP_BEGIN
+_LOOP_END = Op.LOOP_END
+_interval_order = attrgetter("start", "end")
+
+
 def compute_live_intervals(instrs: list[Instr]) -> list[LiveInterval]:
     """Live intervals with loop back-edge extension.
 
@@ -75,72 +80,69 @@ def compute_live_intervals(instrs: list[Instr]) -> list[LiveInterval]:
     3. a vreg used inside a loop at a position before its first in-loop
        definition receives its value from the previous iteration — it is
        live across the back edge, hence through the whole region.
+
+    One pass over the instructions builds every interval (rule 1) and,
+    per loop region, each occurring vreg's rule-3 verdict: whether the
+    first in-region instruction it occurs in uses it without defining
+    it.  Rules 2 and 3 then visit the regions inner first, each touching
+    only the vregs that occur in it.  A widening stays inside every
+    region enclosing the one that made it, so the outer regions' rule-2
+    test reads the same verdict off the widened interval.
     """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    first_def: dict[int, int] = {}
-    uses: dict[int, int] = {}
-    regs: dict[int, VReg] = {}
-
-    def touch(reg: VReg, pos: int, is_def: bool) -> None:
-        key = reg.id
-        regs[key] = reg
-        first.setdefault(key, pos)
-        last[key] = max(last.get(key, pos), pos)
-        if is_def:
-            first_def.setdefault(key, pos)
-        else:
-            uses[key] = uses.get(key, 0) + 1
-
-    loop_stack: list[int] = []
-    loop_regions: list[tuple[int, int]] = []
+    intervals: dict[int, LiveInterval] = {}
+    #: Per open loop region: its begin position and, per vreg occurring
+    #: in it so far, the rule-3 verdict of its first occurrence.
+    open_loops: list[tuple[int, dict[int, bool]]] = []
+    regions: list[tuple[int, int, dict[int, bool]]] = []
     for pos, ins in enumerate(instrs):
-        if ins.op is Op.LOOP_BEGIN:
-            loop_stack.append(pos)
-        elif ins.op is Op.LOOP_END:
-            begin = loop_stack.pop()
-            loop_regions.append((begin, pos))
-        for src in ins.srcs:
-            touch(src, pos, is_def=False)
-        if ins.dst is not None:
-            touch(ins.dst, pos, is_def=True)
-        if ins.dst2 is not None:
-            touch(ins.dst2, pos, is_def=True)
+        op = ins.op
+        if op is _LOOP_BEGIN:
+            open_loops.append((pos, {}))
+        srcs = ins.srcs
+        dst = ins.dst
+        dst2 = ins.dst2
+        for reg in srcs:
+            iv = intervals.get(reg.id)
+            if iv is None:
+                intervals[reg.id] = LiveInterval(reg, pos, pos, 1)
+            else:
+                iv.end = pos
+                iv.use_count += 1
+        for reg in (dst, dst2):
+            if reg is not None:
+                iv = intervals.get(reg.id)
+                if iv is None:
+                    intervals[reg.id] = LiveInterval(reg, pos, pos, 0)
+                else:
+                    iv.end = pos
+        if open_loops:
+            for _, seen in open_loops:
+                # Definitions first: an instruction that defines the vreg
+                # it also reads does not take it from the previous
+                # iteration.
+                if dst is not None and dst.id not in seen:
+                    seen[dst.id] = False
+                if dst2 is not None and dst2.id not in seen:
+                    seen[dst2.id] = False
+                for reg in srcs:
+                    if reg.id not in seen:
+                        seen[reg.id] = True
+            if op is _LOOP_END:
+                begin, seen = open_loops.pop()
+                regions.append((begin, pos, seen))
 
-    intervals = {
-        key: LiveInterval(
-            vreg=regs[key], start=first[key], end=last[key], use_count=uses.get(key, 0)
-        )
-        for key in first
-    }
-
-    # Occurrence positions per vreg for the loop rules.
-    occ: dict[int, list[tuple[int, bool]]] = {}
-    for pos, ins in enumerate(instrs):
-        for src in ins.srcs:
-            occ.setdefault(src.id, []).append((pos, False))
-        if ins.dst is not None:
-            occ.setdefault(ins.dst.id, []).append((pos, True))
-        if ins.dst2 is not None:
-            occ.setdefault(ins.dst2.id, []).append((pos, True))
-
-    for begin, end in loop_regions:
-        for key, positions in occ.items():
-            inside = [(p, d) for (p, d) in positions if begin <= p <= end]
-            if not inside:
-                continue
+    for begin, end, seen in regions:
+        for key, live_in in seen.items():
             iv = intervals[key]
-            outside = iv.start < begin or iv.end > end
-            if outside:
+            if iv.start < begin or iv.end > end:
+                # Rule 2.
                 iv.start = min(iv.start, begin)
                 iv.end = max(iv.end, end)
-                continue
-            in_defs = [p for (p, d) in inside if d]
-            in_uses = [p for (p, d) in inside if not d]
-            if in_uses and (not in_defs or min(in_uses) < min(in_defs)):
+            elif live_in:
+                # Rule 3.
                 iv.start = begin
                 iv.end = end
-    return sorted(intervals.values(), key=lambda iv: (iv.start, iv.end))
+    return sorted(intervals.values(), key=_interval_order)
 
 
 def max_pressure(intervals: list[LiveInterval]) -> int:

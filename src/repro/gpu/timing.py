@@ -27,12 +27,13 @@ which changes registers, occupancy and traffic, which changes time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..analysis.coalescing import AccessInfo, AccessPattern
 from ..analysis.memspace import MemSpace
 from ..codegen.vir import Instr, Op, VirKernel
 from ..errors import TimingUnavailable
+from ..pickling import positional_pickle
 from .arch import GpuArch, KEPLER_K20XM
 from .memory import access_latency, warp_transaction_bytes
 from .occupancy import Occupancy, compute_occupancy
@@ -56,6 +57,7 @@ def _f64_cost(arch: GpuArch) -> float:
     return 1.0 / max(arch.f64_throughput_ratio, 1e-9)
 
 
+@positional_pickle
 @dataclass(slots=True)
 class ThreadProfile:
     """Per-thread dynamic counts extracted from the VIR stream."""
@@ -67,6 +69,7 @@ class ThreadProfile:
     stores: float = 0.0
 
 
+@positional_pickle
 @dataclass(slots=True)
 class KernelTiming:
     """The timing verdict for one kernel launch."""
@@ -89,10 +92,20 @@ class KernelTiming:
     def for_launches(self, launches: int, arch: GpuArch) -> "KernelTiming":
         """This verdict for ``launches`` executions, with a profile of its
         own: every other field does not depend on the launch count."""
-        return replace(
-            self,
-            time_ms=launch_time_ms(self.cycles, launches, arch),
-            profile=replace(self.profile),
+        p = self.profile
+        return KernelTiming(
+            self.name,
+            self.total_threads,
+            self.threads_per_block,
+            self.occupancy,
+            self.compute_cycles,
+            self.bandwidth_cycles,
+            self.latency_cycles,
+            launch_time_ms(self.cycles, launches, arch),
+            self.bound,
+            ThreadProfile(
+                p.issue_cycles, p.mem_latency, p.mem_bytes_warp, p.loads, p.stores
+            ),
         )
 
 

@@ -10,8 +10,8 @@ climb read from the :class:`~repro.feedback.driver.FeedbackCompiler`
 history.
 
 Passes mutate the region IR in place, exactly like the transformations
-they wrap; a region must therefore come from a fresh parse per
-configuration, as always.
+they wrap; a region must therefore come from its own parse (or a clone of
+one) per configuration, as always.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.cost_model import LatencyModel
 from ..codegen.kernelgen import CodegenOptions
-from ..feedback.driver import FeedbackCompiler
+from ..feedback.driver import FeedbackCompiler, Lowering
 from ..gpu.arch import GpuArch, KEPLER_K20XM
 from ..gpu.registers import PtxasInfo
 from ..ir.stmt import Region, walk_stmts
@@ -53,14 +53,18 @@ class PassContext:
     options: CodegenOptions
     kernel_name: str
     #: Backend compilations attributed to the whole region compile: the
-    #: pipeline's own (SAFARA's feedback runs), to which the final code
-    #: generation adds one after the pipeline finishes.
+    #: pipeline's own (SAFARA's feedback runs), plus one for the final
+    #: code generation when it cannot reuse :attr:`lowering`.
     backend_compilations: int = 0
     #: Reports keyed by each pass's ``report_key`` (consumed by the driver
     #: to populate :class:`~repro.compiler.driver.CompiledKernel`).
     reports: dict[str, object] = field(default_factory=dict)
     #: Set by a pass that ran the backend: the PTXAS history it produced.
     ptxas_history: list[PtxasInfo] | None = None
+    #: Set by a pass whose last backend compile lowered the region as it
+    #: leaves the pass (SAFARA); the final lowering reuses it.  Cleared
+    #: before every later pass, which may change the region.
+    lowering: Lowering | None = None
 
 
 class Pass:
@@ -226,6 +230,7 @@ class SafaraPass(Pass):
         )
         ctx.backend_compilations = feedback.compilations
         ctx.ptxas_history = feedback.history
+        ctx.lowering = feedback.last
         return report
 
 
@@ -307,6 +312,7 @@ class PassManager:
                     trace.passes.append(PassTrace(name=p.name, ran=False))
                     continue
                 ctx.ptxas_history = None
+                ctx.lowering = None
                 compilations_before = ctx.backend_compilations
                 before = ir_size(ctx.region)
                 with obs_span(f"pass:{p.name}", kernel=ctx.kernel_name) as sp:

@@ -70,14 +70,6 @@ class SafaraReport:
         return sum(len(it.applied) for it in self.iterations)
 
     @property
-    def loads_saved_per_iteration(self) -> int:
-        return sum(
-            r.loads_saved_per_iteration
-            for it in self.iterations
-            for r in it.applied
-        )
-
-    @property
     def converged_reason(self) -> str:
         if not self.iterations:
             return "no-candidates"
