@@ -36,7 +36,7 @@ Subpackages:
   onto the serve protocol's wire error codes;
 * :mod:`repro.obs` — span tracer, metrics registry, kernel profiler;
 * :mod:`repro.serve` — the long-running compile-and-run daemon (bounded
-  admission, retries with backoff, deadlines, JSON-lines protocol);
+  admission, deadlines, JSON-lines protocol);
 * :mod:`repro.tune` — the feedback-guided per-kernel autotuner;
 * :mod:`repro.bench` — SPEC/NAS benchmark models and the per-figure
   experiment harness.

@@ -2,8 +2,10 @@
 
 Used by the integration tests and the examples: builds random (but
 deterministic) NumPy inputs matching a benchmark's parameter declarations
-at its reduced ``test_env`` sizes, honouring per-benchmark overrides for
-index arrays (CSR structure, neighbour lists).
+at its reduced ``test_env`` sizes through
+:func:`repro.gpu.interpreter.build_run_args`, adding each benchmark's
+scalar values, pointer sizes and own index arrays (CSR structure,
+neighbour lists).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..compiler.session import default_session
-from ..gpu.interpreter import numpy_dtype
+from ..gpu.interpreter import build_run_args
 from ..ir.module import KernelFunction
 from .core import BenchmarkSpec
 
@@ -28,43 +30,13 @@ def build_test_args(
     fn = default_session().function(spec.source).clone()
     env = dict(env) if env is not None else dict(spec.test_env or spec.env)
     rng = np.random.default_rng(seed)
-    args: dict[str, object] = {
-        k: v for k, v in env.items() if not k.startswith("__")
-    }
-    args.update(spec.scalar_args)
-
-    overrides: dict[str, np.ndarray] = {}
-    if spec.make_test_args is not None:
-        overrides = spec.make_test_args(env, rng)
-
-    pointer_sizes = spec.pointer_sizes(env)
-    for param in fn.params:
-        if param.array is None:
-            if param.name not in args:
-                raise KeyError(f"no value for scalar parameter {param.name!r}")
-            continue
-        if param.name in overrides:
-            args[param.name] = overrides[param.name]
-            continue
-        if param.array.is_pointer:
-            size = pointer_sizes.get(param.name)
-            if size is None:
-                raise KeyError(
-                    f"benchmark {spec.name} lacks pointer_lens entry for "
-                    f"{param.name!r}"
-                )
-            shape: tuple[int, ...] = (size,)
-        else:
-            shape = tuple(
-                d.extent if isinstance(d.extent, int) else int(env[d.extent.name])
-                for d in param.array.dims
-            )
-        dtype = numpy_dtype(param)
-        if np.issubdtype(dtype, np.floating):
-            args[param.name] = rng.uniform(0.5, 2.0, size=shape).astype(dtype)
-        else:
-            args[param.name] = rng.integers(0, 3, size=shape).astype(dtype)
-    return fn, args
+    # The benchmark's own arrays draw first; the generic ones follow
+    # from the same generator.
+    given = spec.make_test_args(env, rng) if spec.make_test_args else None
+    run_env = {**env, **spec.scalar_args}
+    for name, size in spec.pointer_sizes(env).items():
+        run_env[f"__len_{name}"] = size
+    return fn, build_run_args(fn, run_env, rng, given=given)
 
 
 def copy_args(args: dict[str, object]) -> dict[str, object]:

@@ -350,8 +350,6 @@ def _broker_config(args: argparse.Namespace) -> "BrokerConfig":
         kwargs["queue_limit"] = args.queue_limit
     if args.deadline_ms is not None:
         kwargs["default_deadline_ms"] = args.deadline_ms
-    if args.retries is not None:
-        kwargs["max_retries"] = args.retries
     if args.cache_dir is not None:
         kwargs["cache_dir"] = args.cache_dir
     if getattr(args, "fleet", None):
@@ -537,8 +535,8 @@ def _render_top_frame(frame: dict, previous: dict | None) -> str:
         + "  ".join(
             f"{op} {n}" for op, n in sorted(frame["requests"].items())
         ),
-        f"backpressure   rejected {frame['rejected']}   retries "
-        f"{frame['retries']}   deadline_exceeded {frame['deadline_exceeded']}",
+        f"backpressure   rejected {frame['rejected']}   "
+        f"deadline_exceeded {frame['deadline_exceeded']}",
         f"degradations   total {frame['degradations']['total']}   "
         f"deadline {frame['degradations']['deadline']}   "
         f"vector_fallback {frame['degradations']['vector_fallback']}",
@@ -968,11 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             dest="deadline_ms",
             help="default per-request deadline in milliseconds",
-        )
-        p.add_argument(
-            "--retries",
-            type=int,
-            help="retry attempts for transient backend failures (default: 3)",
         )
         p.add_argument(
             "--cache-dir",

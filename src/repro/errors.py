@@ -166,10 +166,7 @@ _REEXPORTS = {
     "ParseError": "repro.lang.errors",
     "DirectiveError": "repro.lang.errors",
     "SemanticError": "repro.lang.errors",
-    # feedback-loop failure taxonomy
-    "FeedbackError": "repro.feedback.driver",
-    "TransientFeedbackError": "repro.feedback.driver",
-    "PermanentFeedbackError": "repro.feedback.driver",
+    # the feedback loop's deadline
     "FeedbackTimeout": "repro.feedback.driver",
     # structured protocol failure (server side)
     "ServeError": "repro.serve.protocol",
@@ -226,7 +223,6 @@ def _code_map() -> dict[str, type]:
         "parse_error": lang.MiniAccError,
         "queue_full": QueueFullError,
         "deadline_exceeded": feedback.FeedbackTimeout,
-        "transient_failure": feedback.TransientFeedbackError,
         "compile_error": CompileFailedError,
         "execution_error": ExecutionFailedError,
         "tune_error": TuneError,

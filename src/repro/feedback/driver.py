@@ -6,23 +6,18 @@ region's *current* IR to VIR, runs the ptxas-simulator, and returns the
 show the iteration-by-iteration register climb the paper describes
 ("backend compilation is performed multiple times").
 
-Because a real assembler is an *external* tool — it can hang, crash, or
-fail transiently — the driver also carries the failure semantics the
-serving broker (:mod:`repro.serve.broker`) builds on:
+The simulated assembler is in-process and deterministic, so the driver
+carries no retry policy: a failed backend call fails its compile, and
+nothing calls it again.  What the driver does carry, for the serving
+broker (:mod:`repro.serve.broker`) and its tests:
 
 * a **deadline**: :func:`deadline_scope` installs a thread-local
   monotonic deadline; every backend invocation checks it first and raises
-  :class:`FeedbackTimeout` once it passes, so a hung feedback loop cannot
-  hold a worker forever;
-* a **failure taxonomy**: :class:`TransientFeedbackError` (worth
-  retrying: the tool was busy, the machine was loaded) vs
-  :class:`PermanentFeedbackError` (retrying is pointless: the input is
-  bad).  :func:`classify_failure` maps arbitrary exceptions onto it —
-  the broker retries transients with backoff and fails permanents fast;
-* a **fault-injection point**: :func:`fault_scope` installs a
-  thread-local hook called before each backend run.  Tests and chaos
-  drills inject timeouts and crashes exactly where a real ptxas would
-  produce them, without touching compiler code.
+  :class:`FeedbackTimeout` once it passes, so a long feedback loop cannot
+  hold a worker past its request's budget;
+* a **test hook**: :func:`fault_scope` installs a process-wide hook
+  called before each backend run, so a test can stall or fail a backend
+  call exactly where the assembler runs, without touching compiler code.
 """
 
 from __future__ import annotations
@@ -43,43 +38,9 @@ from ..ir.symbols import SymbolTable
 from ..obs.tracer import span
 
 
-class FeedbackError(ReproError):
-    """Base of every backend-invocation failure (part of the unified
-    :class:`~repro.errors.ReproError` hierarchy)."""
-
-
-class TransientFeedbackError(FeedbackError):
-    """The backend failed in a way worth retrying (busy tool, load spike)."""
-
-
-class PermanentFeedbackError(FeedbackError):
-    """The backend rejected the input; retrying cannot succeed."""
-
-
-class FeedbackTimeout(TransientFeedbackError):
+class FeedbackTimeout(ReproError):
     """The thread's deadline passed mid-feedback-loop (see
-    :func:`deadline_scope`).  Transient: a retry gets a fresh budget."""
-
-
-#: The exception types :func:`classify_failure` calls transient — the
-#: taxonomy's own plus OS-level hiccups an external assembler produces
-#: under load.  A retry loop catches exactly these.
-TRANSIENT_FAILURES = (
-    TransientFeedbackError,
-    TimeoutError,
-    InterruptedError,
-    ConnectionError,
-    BlockingIOError,
-)
-
-
-def classify_failure(exc: BaseException) -> str:
-    """``"transient"`` (retry with backoff) or ``"permanent"`` (fail fast).
-
-    Unknown exceptions are permanent: retrying a deterministic compiler
-    on the same input reproduces the same crash.
-    """
-    return "transient" if isinstance(exc, TRANSIENT_FAILURES) else "permanent"
+    :func:`deadline_scope`); wire code ``deadline_exceeded``."""
 
 
 _local = threading.local()
@@ -101,9 +62,9 @@ def deadline_scope(deadline: float | None) -> Iterator[None]:
         _local.deadline = previous
 
 
-#: Process-wide fault-injection hook (faults are injected from *outside*
-#: the worker threads that hit them — a test or chaos drill installs the
-#: hook; every backend invocation in the process sees it).
+#: Process-wide test hook (faults are injected from *outside* the worker
+#: threads that hit them — a test installs the hook; every backend
+#: invocation in the process sees it).
 _fault_hook: Callable[[str, int], None] | None = None
 
 
@@ -112,11 +73,9 @@ def fault_scope(hook: Callable[[str, int], None]) -> Iterator[None]:
     """Install a process-wide fault-injection hook for the scope.
 
     ``hook(kernel_name, iteration)`` runs before each backend invocation
-    — on whichever thread performs it — and may raise, typically
-    :class:`TransientFeedbackError` or :class:`FeedbackTimeout`, to
-    simulate an external-assembler failure.  Scopes restore the previous
-    hook on exit; keep compiles that should see the faults inside the
-    scope.
+    — on whichever thread performs it — and may sleep (a slow backend)
+    or raise (a failing one).  Scopes restore the previous hook on exit;
+    keep compiles that should see the faults inside the scope.
     """
     global _fault_hook
     previous = _fault_hook

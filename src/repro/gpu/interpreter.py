@@ -374,17 +374,25 @@ def numpy_dtype(sym: Symbol) -> type:
 
 
 def build_run_args(
-    fn: KernelFunction, env: dict, seed: int = 0
+    fn: KernelFunction,
+    env: dict,
+    seed: int | np.random.Generator = 0,
+    *,
+    given: dict[str, np.ndarray] | None = None,
 ) -> dict[str, object]:
     """Deterministic functional-run arguments for a kernel function.
 
     Scalars come from ``env``; array arguments are random but seeded
     (identical across processes), with extents resolved from ``env`` and
-    raw-pointer sizes from ``env['__len_<name>']``.  Shared by the CLI's
-    ``--run`` flag and the serving daemon's ``run`` op.  Raises
+    raw-pointer sizes from ``env['__len_<name>']``.  ``seed`` may be a
+    NumPy ``Generator``, which is drawn from as it stands.  Arrays in
+    ``given`` (a benchmark's index arrays) are used as they are and draw
+    nothing.  Shared by the CLI's ``--run`` flag, the serving daemon's
+    ``run`` op and :func:`repro.bench.args.build_test_args`.  Raises
     :class:`ValueError` naming the missing binding otherwise.
     """
     rng = np.random.default_rng(seed)
+    given = given or {}
     run_args: dict[str, object] = {
         k: v for k, v in env.items() if not k.startswith("__")
     }
@@ -395,6 +403,9 @@ def build_run_args(
                     f"run needs env {param.name}=<value> for scalar "
                     f"parameter {param.name!r}"
                 )
+            continue
+        if param.name in given:
+            run_args[param.name] = given[param.name]
             continue
         if param.array.is_pointer:
             size = env.get(f"__len_{param.name}")

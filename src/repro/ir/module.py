@@ -39,12 +39,6 @@ class KernelFunction:
         """All offload regions, in source order."""
         return regions_in(self.body)
 
-    def array_params(self) -> list[Symbol]:
-        return [p for p in self.params if p.is_array]
-
-    def scalar_params(self) -> list[Symbol]:
-        return [p for p in self.params if not p.is_array]
-
 
 @dataclass(slots=True)
 class Module:

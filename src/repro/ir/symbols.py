@@ -175,6 +175,3 @@ class SymbolTable:
 
     def arrays(self) -> list[Symbol]:
         return [s for s in self if s.is_array]
-
-    def scalars(self) -> list[Symbol]:
-        return [s for s in self if not s.is_array]

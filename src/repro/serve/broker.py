@@ -1,4 +1,4 @@
-"""The async request broker: workers, retries, deadlines, degradation.
+"""The async request broker: workers, deadlines, degradation.
 
 :class:`Broker` sits between the wire protocol (:mod:`repro.serve.daemon`)
 and the compiler (:class:`~repro.compiler.session.CompilerSession`).  It
@@ -16,12 +16,10 @@ rejection and the exception → wire-code table.  The broker adds:
   eats into the budget); the deadline is pushed into the feedback driver
   (:func:`~repro.feedback.driver.deadline_scope`), so even a mid-SAFARA
   compile stops at the fence instead of holding a worker;
-* **retry with exponential backoff and jitter** — failures classified
-  transient by :func:`~repro.feedback.driver.classify_failure` are
-  retried up to ``max_retries`` times, sleeping
-  ``min(cap, base·2^attempt)`` scaled by deterministic jitter; permanent
-  failures (parse errors, deterministic compiler bugs) fail fast with a
-  structured, non-retryable error;
+* **one answer per failure** — the compiler and its simulated assembler
+  are deterministic, so a failed compile is answered once with its wire
+  code (``parse_error``, ``compile_error``, ``deadline_exceeded``, ...)
+  and never retried inside the broker;
 * **graceful degradation** — ``run`` requests under deadline pressure
   (remaining budget below ``degrade_threshold_ms``) are demoted from the
   generated-code executor to the scalar interpreter, and codegen
@@ -30,7 +28,8 @@ rejection and the exception → wire-code table.  The broker adds:
   with their reasons under ``serve.degradations.*``.
 
 Everything is exported through the shared registry: ``serve.requests.*``,
-``serve.rejected[.<code>]``, ``serve.retries``, ``serve.degradations.*``,
+``serve.rejected[.<code>]``, ``serve.deadline_exceeded``,
+``serve.degradations.*``,
 ``serve.codegen.tier.*`` (execution tier answering each ``run``) and the
 ``serve.codegen.codegen_ms`` histogram, ``serve.wait_ms`` /
 ``serve.handle_ms`` histograms, the ``serve.latency_ms.<op>``
@@ -54,13 +53,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from random import Random
 
 from ..compiler.options import ALL_CONFIGS, SMALL_DIM_SAFARA
 from ..compiler.session import CompileJob, CompilerSession
 from ..errors import ConfigError, ReproError, code_for
 from ..executors import parse_executor
-from ..feedback.driver import TRANSIENT_FAILURES, FeedbackTimeout, deadline_scope
+from ..feedback.driver import deadline_scope
 from ..gpu.arch import arch_key, list_archs
 from ..gpu.vector_exec import VectorUnsupported, fallback_listener
 from ..obs.flight import RequestRecord, span_dict
@@ -85,13 +83,6 @@ class BrokerConfig:
     #: Budget per request (admission → response) when the request does
     #: not carry its own ``deadline_ms``.
     default_deadline_ms: float = 30_000.0
-    #: Retry attempts after the first try, for transient failures only.
-    max_retries: int = 3
-    #: Exponential-backoff base and cap (milliseconds).
-    backoff_base_ms: float = 25.0
-    backoff_cap_ms: float = 1_000.0
-    #: Backoff is scaled by ``1 + jitter·U[0,1)`` to decorrelate retries.
-    jitter: float = 0.25
     #: ``run`` requests with less remaining budget than this are demoted
     #: to the scalar executor rather than risk a codegen plan + fallback.
     degrade_threshold_ms: float = 250.0
@@ -118,12 +109,10 @@ class BrokerConfig:
     #: overflowing spans are counted in ``dropped_spans``, never lost
     #: silently).
     trace_max_spans: int = 512
-    #: Seed for the jitter RNG (deterministic backoff schedules in tests).
-    seed: int = 0
 
 
 class Broker(FrontDoor):
-    """Bounded, retrying, deadline-aware front end over compiler sessions."""
+    """Bounded, deadline-aware front end over compiler sessions."""
 
     def __init__(self, config: BrokerConfig | None = None):
         self.config = config or BrokerConfig()
@@ -147,8 +136,6 @@ class Broker(FrontDoor):
         )
         self._sessions = threading.local()
         self._all_sessions: list[CompilerSession] = []
-        self._rng = Random(self.config.seed)
-        self._sleep = time.sleep  # overridable for tests
         #: Per-request scratch (one worker thread processes one request
         #: at a time): degradation events attributed to the in-flight
         #: request, harvested into its flight record.
@@ -159,9 +146,6 @@ class Broker(FrontDoor):
         )
 
         m = self.metrics
-        self._retries = m.counter(
-            "serve.retries", "retry attempts after transient failures"
-        )
         self._deadline_exceeded = m.counter(
             "serve.deadline_exceeded", "requests that ran out of budget"
         )
@@ -407,7 +391,7 @@ class Broker(FrontDoor):
         return decision
 
     def _handle_compile(self, request: dict, deadline: float) -> dict:
-        """Compile with retry-on-transient inside the request deadline."""
+        """Compile inside the request deadline."""
         request_id = request.get("id")
         session = self._session()
         config = self._config_for(request)
@@ -429,45 +413,23 @@ class Broker(FrontDoor):
             kernel_name=request.get("kernel"),
             env=env,
         )
-        attempt = 0
-        while True:
-            if self._remaining_ms(deadline) <= 0.0:
-                raise ServeError(
-                    protocol.DEADLINE_EXCEEDED,
-                    f"deadline passed after {attempt} attempt(s)",
-                )
-            try:
-                with span(
-                    "compile",
-                    config=config.name,
-                    arch=arch_key(config.arch),
-                    attempt=attempt,
-                ), deadline_scope(deadline):
-                    program, tier = session.compile_job(job)
-                break
-            except TRANSIENT_FAILURES as exc:
-                # Permanent failures propagate to the front door's table
-                # (parse_error, compile_error, ...) without a retry.
-                if isinstance(exc, FeedbackTimeout) and self._remaining_ms(
-                    deadline
-                ) <= 0.0:
-                    raise
-                if attempt >= self.config.max_retries:
-                    raise ServeError(
-                        protocol.TRANSIENT_FAILURE,
-                        f"still failing after {attempt + 1} attempts: "
-                        f"{type(exc).__name__}: {exc}",
-                    ) from exc
-                self._backoff(attempt, deadline)
-                attempt += 1
-                self._retries.inc()
+        # Queue wait and placement may have used up the budget already.
+        if self._remaining_ms(deadline) <= 0.0:
+            raise ServeError(
+                protocol.DEADLINE_EXCEEDED, "deadline passed before the compile"
+            )
+        # A failure propagates to the front door's table (parse_error,
+        # compile_error, deadline_exceeded, ...) and is answered once.
+        with span(
+            "compile", config=config.name, arch=arch_key(config.arch)
+        ), deadline_scope(deadline):
+            program, tier = session.compile_job(job)
 
         result: dict = {
             "config": config.name,
             "arch": arch_key(config.arch),
             "cache_key": session.job_key(job),
             "cached": tier,
-            "attempts": attempt + 1,
             "kernels": [
                 {
                     "name": k.name,
@@ -496,17 +458,6 @@ class Broker(FrontDoor):
         if placement is not None:
             result["placement"] = placement.as_dict()
         return protocol.ok_response(request_id, result)
-
-    def _backoff(self, attempt: int, deadline: float) -> None:
-        """Sleep ``min(cap, base·2^attempt)·(1 + jitter·U[0,1))``, clipped
-        to the remaining budget."""
-        c = self.config
-        backoff_ms = min(c.backoff_cap_ms, c.backoff_base_ms * (2.0**attempt))
-        with self._lock:
-            scale = 1.0 + c.jitter * self._rng.random()
-        sleep_ms = min(backoff_ms * scale, max(0.0, self._remaining_ms(deadline)))
-        if sleep_ms > 0.0:
-            self._sleep(sleep_ms / 1000.0)
 
     def _handle_run(self, request: dict, deadline: float) -> dict:
         """Functional execution with deadline-pressure degradation."""
@@ -671,8 +622,8 @@ class Broker(FrontDoor):
         return out
 
     def _frame(self) -> dict:
-        """The broker's telemetry fields: retries, degradations, cache
-        hit rates, placements and execution tiers."""
+        """The broker's telemetry fields: deadline misses, degradations,
+        cache hit rates, placements and execution tiers."""
         m = self.metrics
         value = self._value
 
@@ -689,7 +640,6 @@ class Broker(FrontDoor):
 
         return {
             "workers": self.config.workers,
-            "retries": value("serve.retries"),
             "deadline_exceeded": value("serve.deadline_exceeded"),
             "degradations": {
                 "total": value("serve.degradations"),

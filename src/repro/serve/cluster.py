@@ -6,7 +6,7 @@ One :class:`Router` owns the client-facing stream or socket (it is the
 broker also subclasses, so the daemon front ends in
 :mod:`repro.serve.daemon` and the load generator drive it unchanged)
 and spreads keyed requests (``compile`` / ``run`` / ``tune``) over N
-shards, each a full broker — worker pool, retries, deadlines, placement
+shards, each a full broker — worker pool, deadlines, placement
 — sharing one content-addressed disk-cache namespace.  See
 ``docs/sharding.md`` for the architecture and failure matrix.
 
@@ -325,8 +325,6 @@ class ProcessShard:
             str(c.queue_limit),
             "--deadline-ms",
             str(c.default_deadline_ms),
-            "--retries",
-            str(c.max_retries),
         ]
         if c.cache_dir is not None:
             argv += ["--cache-dir", c.cache_dir]
@@ -849,7 +847,6 @@ class Router(FrontDoor):
             "workers": sum(
                 s.config.workers for s in self.shards if s.state == "up"
             ),
-            "retries": total("retries"),
             "deadline_exceeded": total("deadline_exceeded"),
             "degradations": {
                 key: sum((f.get("degradations") or {}).get(key, 0) for f in live)

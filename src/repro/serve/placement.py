@@ -83,7 +83,7 @@ def choose_placement(
     ``fleet`` entries are arch names already validated by the broker;
     ``env`` must bind the problem sizes (the timing model evaluates trip
     counts).  Raises whatever the compile raises — the caller owns the
-    retry/deadline policy.
+    deadline policy.
     """
     keys = [arch_key(name) for name in fleet]
     jobs = [

@@ -64,8 +64,6 @@ PARSE_ERROR = "parse_error"
 QUEUE_FULL = "queue_full"
 #: The per-request deadline passed before a result was produced.
 DEADLINE_EXCEEDED = "deadline_exceeded"
-#: A transient backend failure survived every retry (retryable).
-TRANSIENT_FAILURE = "transient_failure"
 #: The compile failed permanently (deterministic failure; do not retry).
 COMPILE_ERROR = "compile_error"
 #: Functional execution failed (bad env bindings, runtime error).
@@ -92,7 +90,6 @@ RETRYABLE_CODES = frozenset(
     {
         QUEUE_FULL,
         DEADLINE_EXCEEDED,
-        TRANSIENT_FAILURE,
         QUOTA_EXCEEDED,
         SHARD_UNAVAILABLE,
     }

@@ -1,5 +1,6 @@
-"""Broker semantics: admission, deadlines, retries with backoff, fault
-injection, degradation, and warm restarts through the shared disk cache."""
+"""Broker semantics: admission, deadlines, one outcome per injected
+backend fault, degradation, and warm restarts through the shared disk
+cache."""
 
 import threading
 import time
@@ -9,13 +10,8 @@ import pytest
 import repro.compiler.session as session_module
 import repro.lang.parser as parser_module
 from repro.compiler.options import SMALL_DIM_SAFARA
-from repro.feedback.driver import (
-    FeedbackTimeout,
-    PermanentFeedbackError,
-    TransientFeedbackError,
-    classify_failure,
-    fault_scope,
-)
+from repro.errors import ReproError
+from repro.feedback.driver import FeedbackTimeout, fault_scope
 from repro.serve.broker import Broker, BrokerConfig
 
 from .tiers import TIERS, front_door
@@ -64,22 +60,13 @@ def parse_count(monkeypatch):
 
 
 def make_broker(**overrides) -> Broker:
-    defaults = dict(workers=2, backoff_base_ms=1.0, backoff_cap_ms=5.0)
+    defaults = dict(workers=2)
     defaults.update(overrides)
     return Broker(BrokerConfig(**defaults))
 
 
 def compile_request(request_id=1, source=SRC, **fields) -> dict:
     return {"id": request_id, "op": "compile", "source": source, **fields}
-
-
-class TestClassification:
-    def test_taxonomy(self):
-        assert classify_failure(TransientFeedbackError("busy")) == "transient"
-        assert classify_failure(FeedbackTimeout("late")) == "transient"
-        assert classify_failure(TimeoutError()) == "transient"
-        assert classify_failure(PermanentFeedbackError("bad")) == "permanent"
-        assert classify_failure(ValueError("bug")) == "permanent"
 
 
 class TestCompile:
@@ -166,71 +153,42 @@ class TestAdmission:
 
 
 class TestFaultInjection:
-    def test_transient_failures_are_retried_with_backoff(self):
-        failures = {"left": 2}
-        sleeps: list[float] = []
-        with make_broker(workers=1, max_retries=3) as broker:
-            broker._sleep = sleeps.append
-
-            def flaky(kernel, iteration):
-                if failures["left"] > 0:
-                    failures["left"] -= 1
-                    raise TransientFeedbackError("assembler busy")
-
-            with fault_scope(flaky):
-                response = broker.handle(compile_request())
-        assert response["ok"]
-        assert response["result"]["attempts"] == 3
-        assert broker.metrics.get("serve.retries").value == 2
-        # Exponential: second wait strictly longer than the first even
-        # with jitter (base*2 > base*(1+jitter) for jitter < 1).
-        assert len(sleeps) == 2 and sleeps[1] > sleeps[0]
-
-    def test_transient_failures_exhaust_retries(self):
-        with make_broker(workers=1, max_retries=2) as broker:
-            broker._sleep = lambda s: None
-
-            def always_down(kernel, iteration):
-                raise TransientFeedbackError("assembler down")
-
-            with fault_scope(always_down):
-                response = broker.handle(compile_request())
-        assert not response["ok"]
-        assert response["error"]["code"] == "transient_failure"
-        assert response["error"]["retryable"] is True
-        assert broker.metrics.get("serve.retries").value == 2
-
-    def test_permanent_failures_fail_fast(self):
-        calls = {"n": 0}
-        with make_broker(workers=1, max_retries=5) as broker:
-            broker._sleep = lambda s: None
-
-            def broken(kernel, iteration):
-                calls["n"] += 1
-                raise PermanentFeedbackError("bad input")
-
-            with fault_scope(broken):
-                response = broker.handle(compile_request())
-        assert not response["ok"]
-        assert response["error"]["code"] == "compile_error"
-        assert response["error"]["retryable"] is False
-        assert calls["n"] == 1  # no retries
-        assert broker.metrics.get("serve.retries").value == 0
-
-    def test_injected_timeout_with_budget_left_is_retried(self):
-        failures = {"left": 1}
+    @pytest.mark.parametrize(
+        "fault, code, retryable, counter",
+        [
+            # Budget left is no second chance: the timeout is the answer.
+            (FeedbackTimeout("simulated hang"), "deadline_exceeded", True,
+             "serve.deadline_exceeded"),
+            # A hierarchy error with no code of its own takes the op's.
+            (ReproError("bad input"), "compile_error", False, None),
+            # A bug is answered with the op's code and counted by type.
+            (RuntimeError("boom"), "compile_error", False,
+             "serve.errors.unexpected.RuntimeError"),
+        ],
+        ids=["timeout-with-budget-left", "repro-error-without-code", "bug"],
+    )
+    def test_each_backend_fault_has_one_outcome(
+        self, fault, code, retryable, counter
+    ):
+        calls = []
         with make_broker(workers=1) as broker:
-            broker._sleep = lambda s: None
 
-            def times_out_once(kernel, iteration):
-                if failures["left"] > 0:
-                    failures["left"] -= 1
-                    raise FeedbackTimeout("simulated hang")
+            def inject(kernel, iteration):
+                calls.append(iteration)
+                raise fault
 
-            with fault_scope(times_out_once):
+            with fault_scope(inject):
                 response = broker.handle(compile_request(deadline_ms=60_000))
-        assert response["ok"]
-        assert response["result"]["attempts"] == 2
+        assert not response["ok"]
+        assert response["error"]["code"] == code
+        assert response["error"]["retryable"] is retryable
+        assert calls == [0]  # the backend was called once
+        counters = ("serve.deadline_exceeded",
+                    "serve.errors.unexpected.RuntimeError")
+        for name in counters:
+            metric = broker.metrics.get(name)
+            value = metric.value if metric is not None else 0
+            assert value == (1 if name == counter else 0), name
 
     def test_deadline_exhaustion_yields_deadline_exceeded(self):
         with make_broker(workers=1) as broker:
@@ -261,7 +219,7 @@ kernel pair(const double x[1:n], double y[1:n], double z[1:n], int n) {
   }
 }
 """
-        with make_broker(workers=1, max_retries=0) as broker:
+        with make_broker(workers=1) as broker:
             def slow_assembler(kernel, iteration):
                 time.sleep(0.03)
 

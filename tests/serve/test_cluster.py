@@ -4,23 +4,27 @@ failover, drain/restart with zero warm-cache loss, and the rollup
 surfaces (stats / telemetry / trace fan-out).
 
 Everything here drives :class:`LocalShard` routers — in-process, no
-subprocesses — so the suite stays deterministic and fast; the
-``ProcessShard`` path is covered by the CLI smoke in CI and the
-regression ledger's ``cluster`` row.
+subprocesses — so the suite stays deterministic and fast.  A running
+``ProcessShard`` is covered only by the CLI smoke in CI (the regression
+ledger's ``cluster`` row uses local shards too); the command line it
+starts its daemon with is checked here, without spawning it.
 """
 
 import threading
 import time
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import _broker_config, build_parser
 from repro.errors import BadRequestError, raise_for_response
 from repro.serve import hashring, protocol
 from repro.serve.broker import Broker, BrokerConfig
 from repro.serve.cluster import (
     ClusterConfig,
     LocalShard,
+    ProcessShard,
     Router,
     routing_key,
 )
@@ -65,6 +69,26 @@ def quiet_config(**overrides) -> ClusterConfig:
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+class TestProcessShardArgv:
+    def test_shard_command_line_round_trips_through_repro_serve(self):
+        """The flags a process shard passes its daemon parse under
+        ``repro serve``'s own parser and rebuild the shard's config, so
+        a flag dropped from the CLI fails here, not only in CI's smoke."""
+        config = BrokerConfig(
+            workers=3,
+            queue_limit=7,
+            default_deadline_ms=1234.5,
+            cache_dir="/tmp/shard-cache",
+            fleet=("kepler-k20xm", "cdna2-mi250"),
+        )
+        shard = SimpleNamespace(config=config, socket_path="/tmp/shard-1.sock")
+        argv = ProcessShard._argv(shard)
+        assert argv[1:4] == ["-m", "repro", "serve"]
+        args = build_parser().parse_args(argv[3:])
+        assert args.socket == "/tmp/shard-1.sock"
+        assert _broker_config(args) == config
 
 
 class TestRoutingKey:
@@ -528,7 +552,7 @@ class TestRollups:
             for key in (
                 "ts", "uptime_s", "workers", "queue_limit", "queue_depth",
                 "stopping", "requests", "requests_total", "rejected",
-                "retries", "deadline_exceeded", "degradations", "cache",
+                "deadline_exceeded", "degradations", "cache",
                 "placement", "codegen_tiers", "latency_ms", "flight_recorded",
             ):
                 assert key in frame, key

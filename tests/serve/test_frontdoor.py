@@ -7,8 +7,7 @@ import json
 import threading
 import time
 
-from repro.errors import TimingUnavailable
-from repro.feedback.driver import PermanentFeedbackError
+from repro.errors import ReproError, TimingUnavailable
 from repro.serve import broker as broker_module
 from repro.serve import protocol
 from repro.serve.broker import Broker, BrokerConfig
@@ -75,7 +74,7 @@ class TestErrorTable:
             (TimingUnavailable("no trip count"),
              protocol.TIMING_UNAVAILABLE, False),
             # A hierarchy error with no code of its own takes the op's.
-            (PermanentFeedbackError("bad input"), protocol.COMPILE_ERROR, False),
+            (ReproError("bad input"), protocol.COMPILE_ERROR, False),
         ]
         for tier in TIERS:
             with front_door(tier) as door:

@@ -35,12 +35,12 @@ from repro.serve import protocol
 
 class TestHierarchy:
     def test_every_family_descends_from_repro_error(self):
-        from repro.feedback.driver import FeedbackError, FeedbackTimeout
+        from repro.feedback.driver import FeedbackTimeout
         from repro.lang.errors import MiniAccError, ParseError
 
         for cls in (
             CacheError, ConfigError, TuneError, ProtocolError,
-            MiniAccError, ParseError, FeedbackError, FeedbackTimeout,
+            MiniAccError, ParseError, FeedbackTimeout,
         ):
             assert issubclass(cls, ReproError), cls
 
@@ -65,7 +65,7 @@ class TestCodeMapping:
         codes = [
             protocol.BAD_JSON, protocol.BAD_REQUEST, protocol.UNKNOWN_CONFIG,
             protocol.UNKNOWN_ARCH, protocol.PARSE_ERROR, protocol.QUEUE_FULL,
-            protocol.DEADLINE_EXCEEDED, protocol.TRANSIENT_FAILURE,
+            protocol.DEADLINE_EXCEEDED,
             protocol.COMPILE_ERROR, protocol.EXECUTION_ERROR,
             protocol.TUNE_ERROR, protocol.SHUTTING_DOWN, protocol.INTERNAL,
             protocol.QUOTA_EXCEEDED, protocol.SHARD_UNAVAILABLE,
@@ -117,6 +117,10 @@ class TestCodeMapping:
 
     def test_unknown_inputs_degrade_to_internal(self):
         assert isinstance(error_for("zzz_new_code", "m"), InternalServiceError)
+        # A code older servers sent and this one no longer does.
+        assert isinstance(
+            error_for("transient_failure", "m"), InternalServiceError
+        )
         assert code_for(KeyError("zzz")) == protocol.INTERNAL
 
     def test_protocol_error_carries_its_own_code(self):
