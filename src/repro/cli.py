@@ -438,10 +438,6 @@ def _render_record(record: dict) -> str:
         f"trace {record['trace_id']}  op={record['op']}  {status}  "
         f"{record['duration_ms']:.3f} ms"
     ]
-    if record.get("degradations"):
-        for event in record["degradations"]:
-            detail = {k: v for k, v in event.items() if k != "trace_id"}
-            lines.append(f"  degradation: {detail}")
     if record.get("dropped_spans"):
         lines.append(f"  (collector dropped {record['dropped_spans']} spans)")
     lines.extend(_render_span_tree(record.get("span_tree", []), indent=1))
@@ -537,9 +533,6 @@ def _render_top_frame(frame: dict, previous: dict | None) -> str:
         ),
         f"backpressure   rejected {frame['rejected']}   "
         f"deadline_exceeded {frame['deadline_exceeded']}",
-        f"degradations   total {frame['degradations']['total']}   "
-        f"deadline {frame['degradations']['deadline']}   "
-        f"vector_fallback {frame['degradations']['vector_fallback']}",
     ]
     cache = frame["cache"]
 
@@ -565,6 +558,7 @@ def _render_top_frame(frame: dict, previous: dict | None) -> str:
                 f"{tier} {n}"
                 for tier, n in sorted(frame["codegen_tiers"].items())
             )
+            + f"   scalar_fallbacks {frame['scalar_fallbacks']}"
         )
     cluster = frame.get("cluster")
     if cluster:

@@ -47,10 +47,8 @@ from __future__ import annotations
 import logging
 import math
 import re
-import threading
 import time
 from collections.abc import Hashable
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,33 +65,6 @@ logger = logging.getLogger(__name__)
 class VectorUnsupported(Exception):
     """The batched runtime cannot reproduce scalar semantics here; callers
     fall back to the interpreter (the message is the logged reason)."""
-
-
-_fallback_local = threading.local()
-
-
-@contextmanager
-def fallback_listener(callback):
-    """Install a thread-local degradation hook for the calling thread.
-
-    ``callback(kernel_name, reason)`` fires every time an ``auto``
-    execution inside the scope falls back to the scalar interpreter.  The
-    serving broker uses this to count degradations (with their reasons)
-    in its metrics registry without threading a callback through every
-    execution call site.
-    """
-    previous = getattr(_fallback_local, "callback", None)
-    _fallback_local.callback = callback
-    try:
-        yield
-    finally:
-        _fallback_local.callback = previous
-
-
-def _notify_fallback(kernel: str, reason: str) -> None:
-    callback = getattr(_fallback_local, "callback", None)
-    if callback is not None:
-        callback(kernel, reason)
 
 
 # -- value kinds -------------------------------------------------------------
@@ -865,7 +836,6 @@ def _reason_slug(reason: str) -> str:
 
 def _scalar_fallback(fn, args, requested, reason, demoted, metrics):
     logger.info("codegen executor: %s falls back to scalar: %s", fn.name, reason)
-    _notify_fallback(fn.name, reason)
     if metrics is not None:
         metrics.counter(
             f"codegen.fallbacks.{_reason_slug(reason)}",

@@ -200,7 +200,7 @@ class _Recorder:
         self.errors_by_code: dict[str, int] = {}
         self.completed = 0
         self.ok = 0
-        self.degraded = 0
+        self.fallbacks = 0
         self.warm_hits = 0
         self.compile_ok = 0
         #: Shard index → answered requests, when the target annotates
@@ -223,8 +223,8 @@ class _Recorder:
                 self.ok += 1
                 result = response.get("result") or {}
                 executor = result.get("executor") or {}
-                if executor.get("degraded") or executor.get("fallback_reason"):
-                    self.degraded += 1
+                if executor.get("fallback_reason"):
+                    self.fallbacks += 1
                 if op == "compile":
                     self.compile_ok += 1
                     if result.get("cached") in ("memory", "disk"):
@@ -352,8 +352,10 @@ def _report(
         "errors_by_code": dict(sorted(recorder.errors_by_code.items())),
         "error_rate": round(errors / scheduled, 4) if scheduled else 0.0,
         "queue_full_rate": round(queue_full / scheduled, 4) if scheduled else 0.0,
+        #: Share of completed requests the scalar interpreter answered
+        #: after a codegen fallback.
         "degradation_rate": (
-            round(recorder.degraded / recorder.completed, 4)
+            round(recorder.fallbacks / recorder.completed, 4)
             if recorder.completed
             else 0.0
         ),

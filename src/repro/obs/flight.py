@@ -10,8 +10,7 @@ the broker feeds one :class:`RequestRecord` per finished request:
 * **all errored** requests are retained up to their own bound (a FIFO
   ring — the newest failures win);
 * each record carries the request's full span list (already bounded by
-  the per-request collector's ``max_spans``), its ``trace_id``, and any
-  degradation events attributed to it.
+  the per-request collector's ``max_spans``) and its ``trace_id``.
 
 Memory is bounded by construction: ``max_slow + max_errors`` records of
 at most ``max_spans`` spans each, regardless of traffic.
@@ -61,8 +60,6 @@ class RequestRecord:
     #: Flat span list (dicts from :func:`span_dict`); the tree is implied
     #: by timestamp containment per tid, like a Chrome trace.
     spans: list[dict] = field(default_factory=list)
-    #: Degradation events attributed to this request (reason dicts).
-    degradations: list[dict] = field(default_factory=list)
     #: Spans the per-request collector dropped at its memory bound.
     dropped_spans: int = 0
 
@@ -78,7 +75,6 @@ class RequestRecord:
             "error_code": self.error_code,
             "spans": list(self.spans),
             "span_tree": span_tree(self.spans),
-            "degradations": list(self.degradations),
             "dropped_spans": self.dropped_spans,
         }
 

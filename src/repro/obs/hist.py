@@ -1,8 +1,8 @@
 """Log-spaced latency histograms with exact quantile extraction.
 
-The fixed-boundary :class:`~repro.obs.metrics.Histogram` is built for
-cross-run comparability (the regression ledger diffs cumulative bucket
-counts), but its ~14 coarse buckets cannot answer "what is p999?" — a
+The fixed-boundary :class:`~repro.obs.metrics.Histogram` is cheap to
+observe and prints a stable set of cumulative buckets in ``repro stats``,
+but its coarse fixed buckets cannot answer "what is p999?" — a
 question the SLO harness (:mod:`repro.loadgen`) and the live-telemetry
 ``watch`` op ask constantly.  :class:`LogHistogram` is the HDR-histogram
 answer: geometric buckets spanning ``[min_value, max_value]`` with a

@@ -12,9 +12,10 @@ Conventions:
 * names are dotted paths (``session.compilations``, ``cache.hits``,
   ``pipeline.pass.safara.wall_ms``) — the text renderer sorts by name so
   related metrics group visually;
-* histograms use *fixed* bucket boundaries chosen at creation: cumulative
-  bucket counts stay comparable across runs and machines, which is what
-  the benchmark-regression ledger needs;
+* histograms use *fixed* bucket boundaries chosen at creation: ``observe``
+  is a bisect into a small list, and every snapshot of a histogram carries
+  the same bucket keys (``le_0.1``, …), which ``repro stats`` prints;
+  quantiles come from :meth:`MetricsRegistry.log_histogram`;
 * registration is get-or-create and type-checked, so two subsystems
   naming the same counter share it instead of shadowing each other.
 
@@ -37,7 +38,7 @@ from .hist import LogHistogram
 #: compile p50 is ~0.016 ms) to seconds (a full SAFARA sweep).  The
 #: sub-millisecond boundaries were appended below the original 0.1
 #: floor; every pre-existing bucket name (``le_0.1``…) is unchanged, so
-#: ledgers and ``repro stats`` consumers keep their keys.
+#: ``repro stats`` consumers keep their keys.
 MS_BUCKETS = (0.005, 0.01, 0.025, 0.05,
               0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
               250.0, 500.0, 1000.0, 2500.0)
@@ -57,7 +58,7 @@ METRIC_FAMILIES = (
     ("esat", "esat (equality saturation / extraction)"),
     ("codegen", "codegen (generated-NumPy tier)"),
     ("tune", "tune (autotuner)"),
-    ("serve", "serve (broker, placement, degradations, latency)"),
+    ("serve", "serve (broker, deadlines, placement, latency)"),
     ("cluster", "cluster (router, sharding, hedging, quotas)"),
     ("loadgen", "loadgen (open-loop load generator)"),
 )
@@ -214,7 +215,8 @@ class MetricsRegistry:
     def log_histogram(self, name: str, help: str = "", **kw) -> LogHistogram:
         """A log-spaced quantile histogram (:mod:`repro.obs.hist`) —
         use for latencies where p99/p999 matter (``serve.latency_ms.*``);
-        the fixed-bucket :meth:`histogram` stays the ledger's type."""
+        the fixed-bucket :meth:`histogram` answers count, sum and mean
+        only."""
         return self._get_or_create(LogHistogram, name, help, **kw)
 
     def get(self, name: str):

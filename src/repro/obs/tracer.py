@@ -219,8 +219,8 @@ def current_trace() -> TraceContext | None:
 
 def current_trace_id() -> str | None:
     """The calling thread's active request ``trace_id``, or ``None`` —
-    subsystems use this to tag events (degradations, execution records)
-    with the request that caused them."""
+    the compiler session tags each execution record with the request
+    that caused it."""
     ctx = getattr(_trace_ctx, "current", None)
     return ctx.trace_id if ctx is not None else None
 

@@ -61,9 +61,11 @@ from ..obs.tracer import span
 
 #: Envelope version.  v4 programs pickle their VIR and pass reports as
 #: one bytes section, unpickled on first read, and carry a timing
-#: verdict; an envelope of any other version is a counted miss,
-#: rewritten by the next put.
-FORMAT_VERSION = 4
+#: verdict; v5 pass reports no longer carry a per-replacement load-saving
+#: estimate (a v4 detail section cannot unpickle under v5 classes).  An
+#: envelope of any other version is a counted miss, rewritten by the
+#: next put.
+FORMAT_VERSION = 5
 
 #: Default size bound: generous for compiled-program pickles (a few KB
 #: each) while keeping a shared cache directory from growing unbounded.

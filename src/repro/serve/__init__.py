@@ -11,8 +11,9 @@ sessions.
 * :mod:`repro.serve.broker` — the single-process tier: a worker pool of
   per-worker :class:`~repro.compiler.session.CompilerSession` objects
   sharing one metrics registry and one persistent disk cache, per-request
-  deadlines, one answer per failed request (no retries), and graceful
-  degradation to the scalar executor;
+  deadlines (a request whose budget is gone before its work starts
+  answers ``deadline_exceeded``), and one answer per failed request (no
+  retries);
 * :mod:`repro.serve.placement` — the fleet placement policy: route each
   request to the modeled-best (arch, config) pair across the broker's
   configured device fleet;

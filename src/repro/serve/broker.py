@@ -1,4 +1,4 @@
-"""The async request broker: workers, deadlines, degradation.
+"""The async request broker: workers, deadlines, one answer per failure.
 
 :class:`Broker` sits between the wire protocol (:mod:`repro.serve.daemon`)
 and the compiler (:class:`~repro.compiler.session.CompilerSession`).  It
@@ -14,22 +14,17 @@ rejection and the exception → wire-code table.  The broker adds:
   has a single metrics surface and a single warm store;
 * **per-request deadlines** — the clock starts at admission (queue wait
   eats into the budget); the deadline is pushed into the feedback driver
-  (:func:`~repro.feedback.driver.deadline_scope`), so even a mid-SAFARA
-  compile stops at the fence instead of holding a worker;
+  (:func:`~repro.feedback.driver.deadline_scope`) around fleet placement
+  and the compile, so even a mid-SAFARA compile stops at the fence
+  instead of holding a worker, and a ``compile`` or ``run`` whose budget
+  is gone before its work starts answers ``deadline_exceeded``;
 * **one answer per failure** — the compiler and its simulated assembler
   are deterministic, so a failed compile is answered once with its wire
   code (``parse_error``, ``compile_error``, ``deadline_exceeded``, ...)
-  and never retried inside the broker;
-* **graceful degradation** — ``run`` requests under deadline pressure
-  (remaining budget below ``degrade_threshold_ms``) are demoted from the
-  generated-code executor to the scalar interpreter, and codegen
-  fallbacks are observed through the hook
-  (:func:`~repro.gpu.vector_exec.fallback_listener`); both are counted
-  with their reasons under ``serve.degradations.*``.
+  and never retried inside the broker.
 
 Everything is exported through the shared registry: ``serve.requests.*``,
 ``serve.rejected[.<code>]``, ``serve.deadline_exceeded``,
-``serve.degradations.*``,
 ``serve.codegen.tier.*`` (execution tier answering each ``run``) and the
 ``serve.codegen.codegen_ms`` histogram, ``serve.wait_ms`` /
 ``serve.handle_ms`` histograms, the ``serve.latency_ms.<op>``
@@ -58,9 +53,9 @@ from ..compiler.options import ALL_CONFIGS, SMALL_DIM_SAFARA
 from ..compiler.session import CompileJob, CompilerSession
 from ..errors import ConfigError, ReproError, code_for
 from ..executors import parse_executor
-from ..feedback.driver import deadline_scope
+from ..feedback.driver import FeedbackTimeout, deadline_scope
 from ..gpu.arch import arch_key, list_archs
-from ..gpu.vector_exec import VectorUnsupported, fallback_listener
+from ..gpu.vector_exec import VectorUnsupported
 from ..obs.flight import RequestRecord, span_dict
 from ..obs.metrics import MS_BUCKETS
 from ..obs.tracer import Span, request_collector, span, trace_scope
@@ -83,9 +78,6 @@ class BrokerConfig:
     #: Budget per request (admission → response) when the request does
     #: not carry its own ``deadline_ms``.
     default_deadline_ms: float = 30_000.0
-    #: ``run`` requests with less remaining budget than this are demoted
-    #: to the scalar executor rather than risk a codegen plan + fallback.
-    degrade_threshold_ms: float = 250.0
     #: Persistent cache directory (``None`` → memory-only service).
     cache_dir: str | None = None
     #: Size bound for the persistent tier.
@@ -136,10 +128,6 @@ class Broker(FrontDoor):
         )
         self._sessions = threading.local()
         self._all_sessions: list[CompilerSession] = []
-        #: Per-request scratch (one worker thread processes one request
-        #: at a time): degradation events attributed to the in-flight
-        #: request, harvested into its flight record.
-        self._req = threading.local()
         # A misconfigured fleet fails at construction, not per-request.
         self._fleet: tuple[str, ...] = tuple(
             arch_key(name) for name in (self.config.fleet or ())
@@ -148,9 +136,6 @@ class Broker(FrontDoor):
         m = self.metrics
         self._deadline_exceeded = m.counter(
             "serve.deadline_exceeded", "requests that ran out of budget"
-        )
-        self._degraded_total = m.counter(
-            "serve.degradations", "executions demoted to the scalar engine"
         )
         self._wait_ms = m.histogram(
             "serve.wait_ms", MS_BUCKETS, help="admission → worker pickup"
@@ -201,7 +186,6 @@ class Broker(FrontDoor):
         #: from, so their relative order never depends on how long the
         #: bookkeeping after the response took.
         anchor_us = collector._now_us()
-        self._req.degradations = []
         with trace_scope(trace_id, collector):
             self._synth_span(
                 collector,
@@ -246,9 +230,6 @@ class Broker(FrontDoor):
                 duration_ms=total_ms,
                 error_code=error_code,
                 spans=[span_dict(s) for s in collector.spans],
-                degradations=list(
-                    getattr(self._req, "degradations", None) or ()
-                ),
                 dropped_spans=collector.dropped,
             )
         )
@@ -286,28 +267,14 @@ class Broker(FrontDoor):
         sp.dur_us = dur_us
         collector._record(sp)
 
-    def _degradation(self, reason: str, **detail) -> None:
-        """Attribute one degradation event to the in-flight request (the
-        flight record's ``degradations`` list) and mark it on the trace."""
-        from ..obs.tracer import current_trace_id
-
-        event = {"reason": reason, "trace_id": current_trace_id(), **detail}
-        events = getattr(self._req, "degradations", None)
-        if events is not None:
-            events.append(event)
-        self._synth_degradation_span(event)
-
-    def _synth_degradation_span(self, event: dict) -> None:
-        from ..obs.tracer import current_trace
-
-        ctx = current_trace()
-        if ctx is not None and ctx.collector is not None:
-            sp = Span(ctx.collector, "degradation", "serve", dict(event))
-            sp.ts_us = ctx.collector._now_us()
-            ctx.collector._record(sp)
-
-    def _remaining_ms(self, deadline: float) -> float:
-        return (deadline - time.monotonic()) * 1000.0
+    @staticmethod
+    def _check_budget(deadline: float, work: str) -> None:
+        """Answer ``deadline_exceeded`` when queue wait and placement
+        used up the budget before ``work`` starts."""
+        if time.monotonic() >= deadline:
+            raise ServeError(
+                protocol.DEADLINE_EXCEEDED, f"deadline passed before the {work}"
+            )
 
     def _config_for(self, request: dict):
         name = request.get("config") or self.config.default_config
@@ -356,15 +323,20 @@ class Broker(FrontDoor):
         request: dict,
         config,
         env: dict[str, int],
+        deadline: float,
     ) -> "PlacementDecision | None":
-        """Run the fleet placement policy under a ``placement`` span,
-        exporting ``serve.placement.*`` metrics.
+        """Run the fleet placement policy under a ``placement`` span and
+        the request's deadline, exporting ``serve.placement.*`` metrics.
 
-        A failure answers ``None`` (counted in ``serve.placement.errors``,
-        its wire code on the span): the request falls through to the
-        single-arch path, which meets the same failure and answers it
-        with its own code."""
-        with span("placement", fleet=",".join(self._fleet)) as sp:
+        A budget that runs out mid-placement raises
+        :class:`~repro.feedback.driver.FeedbackTimeout` (the request's
+        ``deadline_exceeded`` answer).  Any other failure answers ``None``
+        (counted in ``serve.placement.errors``, its wire code on the
+        span): the request falls through to the single-arch path, which
+        meets the same failure and answers it with its own code."""
+        with span(
+            "placement", fleet=",".join(self._fleet)
+        ) as sp, deadline_scope(deadline):
             try:
                 decision = choose_placement(
                     session,
@@ -374,6 +346,8 @@ class Broker(FrontDoor):
                     env,
                     kernel_name=request.get("kernel"),
                 )
+            except FeedbackTimeout:
+                raise  # the budget is gone: the request's answer
             except ReproError as exc:
                 sp.set(error=code_for(exc))
                 self.metrics.counter(
@@ -404,7 +378,7 @@ class Broker(FrontDoor):
         elif self._fleet and env:
             # Placement compiles every fleet variant through the shared
             # cache.
-            placement = self._place(session, request, config, env)
+            placement = self._place(session, request, config, env, deadline)
             if placement is not None:
                 config = config.derive(arch=placement.arch)
         job = CompileJob(
@@ -413,11 +387,7 @@ class Broker(FrontDoor):
             kernel_name=request.get("kernel"),
             env=env,
         )
-        # Queue wait and placement may have used up the budget already.
-        if self._remaining_ms(deadline) <= 0.0:
-            raise ServeError(
-                protocol.DEADLINE_EXCEEDED, "deadline passed before the compile"
-            )
+        self._check_budget(deadline, "compile")
         # A failure propagates to the front door's table (parse_error,
         # compile_error, deadline_exceeded, ...) and is answered once.
         with span(
@@ -460,7 +430,7 @@ class Broker(FrontDoor):
         return protocol.ok_response(request_id, result)
 
     def _handle_run(self, request: dict, deadline: float) -> dict:
-        """Functional execution with deadline-pressure degradation."""
+        """Functional execution inside the request deadline."""
         from ..gpu.interpreter import build_run_args
 
         request_id = request.get("id")
@@ -485,44 +455,17 @@ class Broker(FrontDoor):
             self._placement_pinned.inc()
         elif self._fleet and env_int:
             placement = self._place(
-                session, request, self._config_for(request), env_int
+                session, request, self._config_for(request), env_int, deadline
             )
         try:
             run_args = build_run_args(fn, request.get("env") or {})
         except ValueError as exc:
             raise ServeError(protocol.BAD_REQUEST, str(exc)) from None
-
-        executor = requested
-        degraded: str | None = None
-        if (
-            requested == "auto"
-            and self._remaining_ms(deadline) < self.config.degrade_threshold_ms
-        ):
-            executor = "scalar"
-            degraded = "deadline_pressure"
-            self._degraded_total.inc()
-            self.metrics.counter(
-                "serve.degradations.deadline",
-                "runs demoted to scalar under deadline pressure",
-            ).inc()
-            self._degradation(
-                "deadline_pressure",
-                remaining_ms=round(self._remaining_ms(deadline), 3),
-            )
-
-        def on_fallback(kernel: str, reason: str) -> None:
-            self._degraded_total.inc()
-            self.metrics.counter(
-                "serve.degradations.vector_fallback",
-                "auto executions that fell back to the scalar engine",
-            ).inc()
-            self._degradation("vector_fallback", kernel=kernel, detail=reason)
-
+        self._check_budget(deadline, "run")
         try:
-            with fallback_listener(on_fallback):
-                _arrays, stats, info = session.run(
-                    source, run_args, kernel_name=kernel_name, executor=executor
-                )
+            _arrays, stats, info = session.run(
+                source, run_args, kernel_name=kernel_name, executor=requested
+            )
         except VectorUnsupported as exc:
             raise ServeError(
                 protocol.EXECUTION_ERROR,
@@ -550,7 +493,6 @@ class Broker(FrontDoor):
                 "requested": requested,
                 "used": info.used,
                 "fallback_reason": info.fallback_reason,
-                "degraded": degraded,
             },
             "stats": {
                 "loads": stats.loads,
@@ -622,8 +564,8 @@ class Broker(FrontDoor):
         return out
 
     def _frame(self) -> dict:
-        """The broker's telemetry fields: deadline misses, degradations,
-        cache hit rates, placements and execution tiers."""
+        """The broker's telemetry fields: deadline misses, scalar
+        fallbacks, cache hit rates, placements and execution tiers."""
         m = self.metrics
         value = self._value
 
@@ -641,11 +583,7 @@ class Broker(FrontDoor):
         return {
             "workers": self.config.workers,
             "deadline_exceeded": value("serve.deadline_exceeded"),
-            "degradations": {
-                "total": value("serve.degradations"),
-                "deadline": value("serve.degradations.deadline"),
-                "vector_fallback": value("serve.degradations.vector_fallback"),
-            },
+            "scalar_fallbacks": value("session.executions.scalar_fallback"),
             "cache": {
                 "memory_hit_rate": rate("cache.hits", "cache.misses"),
                 "disk_hit_rate": rate("cache.disk.hits", "cache.disk.misses"),

@@ -848,10 +848,7 @@ class Router(FrontDoor):
                 s.config.workers for s in self.shards if s.state == "up"
             ),
             "deadline_exceeded": total("deadline_exceeded"),
-            "degradations": {
-                key: sum((f.get("degradations") or {}).get(key, 0) for f in live)
-                for key in ("total", "deadline", "vector_fallback")
-            },
+            "scalar_fallbacks": total("scalar_fallbacks"),
             # Mean across live shards (rates cannot be exactly merged
             # without raw hit/miss counts; per-shard exact rates are in
             # the rollup rows below).

@@ -53,7 +53,6 @@ class ReplacementResult:
 
     group: ReuseGroup
     temps: list[Symbol] = field(default_factory=list)
-    loads_saved_per_iteration: int = 0
     sequentializes: bool = False
 
 
@@ -126,7 +125,6 @@ def _replace_invariant(
     return ReplacementResult(
         group=group,
         temps=[temp],
-        loads_saved_per_iteration=group.loads_saved(),
     )
 
 
@@ -179,7 +177,6 @@ def _replace_intra(
     return ReplacementResult(
         group=group,
         temps=[temp],
-        loads_saved_per_iteration=group.loads_saved(),
     )
 
 
@@ -220,11 +217,9 @@ def _replace_inter(
     for lag in range(span, 0, -1):
         loop.body.append(Assign(target=VarRef(temps[lag]), value=VarRef(temps[lag - 1])))
 
-    reads = sum(1 for o in group.occurrences if not o.is_write)
     return ReplacementResult(
         group=group,
         temps=temps,
-        loads_saved_per_iteration=max(0, reads - 1),
         sequentializes=loop.is_parallel,
     )
 

@@ -248,20 +248,22 @@ class TestBindValidation:
 
 class TestFallbackLadder:
     def test_generation_failure_falls_back_to_scalar(self, monkeypatch):
-        from repro.gpu.vector_exec import fallback_listener
-
         def boom(fn, plan=None, **kw):
             raise CodegenUnsupported("synthetic generation failure")
 
         monkeypatch.setattr(numpy_source, "get_or_compile", boom)
-        heard = []
-        with fallback_listener(lambda *event: heard.append(event)):
-            arrays, stats, info = execute_kernel(lower(SRC), _args())
+        metrics = MetricsRegistry()
+        arrays, stats, info = execute_kernel(lower(SRC), _args(), metrics=metrics)
         assert info.used == "scalar"
         assert info.fallback_reason == (
             "CodegenUnsupported: synthetic generation failure"
         )
-        assert heard == [("k", info.fallback_reason)]
+        # Counted once, by reason, in the registry it was handed.
+        assert [
+            (name, metrics.get(name).value)
+            for name in metrics.names()
+            if name.startswith("codegen.fallbacks.")
+        ] == [("codegen.fallbacks.synthetic_generation_failure", 1)]
         s_arrays, s_stats = run_kernel(lower(SRC), _args())
         np.testing.assert_array_equal(arrays["a"], s_arrays["a"])
         assert stats == s_stats

@@ -25,7 +25,7 @@ def exercised_registry() -> MetricsRegistry:
     # tune — the PR 5 autotuner.
     m.counter("tune.trials").inc(7)
     m.histogram("tune.trial_ms").observe(12.0)
-    # serve — PR 3/6 broker, placement, degradations; PR 8 latency.
+    # serve — broker, placement, latency.
     m.counter("serve.requests.run").inc(4)
     m.counter("serve.placement.decisions").inc(2)
     m.counter("serve.placement.chosen.kepler-k20xm").inc(2)

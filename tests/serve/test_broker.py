@@ -1,6 +1,6 @@
 """Broker semantics: admission, deadlines, one outcome per injected
-backend fault, degradation, and warm restarts through the shared disk
-cache."""
+backend fault, fallback accounting, and warm restarts through the shared
+disk cache."""
 
 import threading
 import time
@@ -287,24 +287,30 @@ class TestRun:
         assert response["error"]["code"] == "bad_request"
         assert "n" in response["error"]["message"]
 
-    def test_deadline_pressure_degrades_to_scalar(self):
-        with make_broker(degrade_threshold_ms=10_000.0) as broker:
-            response = broker.handle(self.run_request(deadline_ms=5_000))
-        assert response["ok"]
-        result = response["result"]
-        assert result["executor"]["used"] == "scalar"
-        assert result["executor"]["degraded"] == "deadline_pressure"
-        assert broker.metrics.get("serve.degradations").value == 1
-        assert (
-            broker.metrics.get("serve.degradations.deadline").value == 1
-        )
+    def test_deadline_passed_in_the_queue_answers_deadline_exceeded(self):
+        """The same rule as ``compile``: a run whose budget is gone before
+        it starts is not demoted to a slower tier, it is answered."""
+        release = threading.Event()
+        started = threading.Event()
+        with make_broker(workers=1) as broker:
 
-    def test_explicit_scalar_is_not_a_degradation(self):
-        with make_broker() as broker:
-            response = broker.handle(self.run_request(executor="scalar"))
-        assert response["ok"]
-        assert response["result"]["executor"]["used"] == "scalar"
-        assert broker.metrics.get("serve.degradations").value == 0
+            def stall(kernel, iteration):
+                started.set()
+                release.wait(timeout=30)
+
+            with fault_scope(stall):
+                first = broker.submit(compile_request(1))
+                assert started.wait(timeout=30)
+                second = broker.submit(self.run_request(2, deadline_ms=20))
+                time.sleep(0.05)
+                release.set()
+                assert first.result(timeout=30)["ok"]
+                response = second.result(timeout=30)
+        assert not response["ok"]
+        assert response["error"]["code"] == "deadline_exceeded"
+        assert "before the run" in response["error"]["message"]
+        assert broker.metrics.get("serve.deadline_exceeded").value == 1
+        assert broker.metrics.get("session.executions").value == 0
 
     def test_repeated_source_is_parsed_once(self, parse_count):
         calls = parse_count
@@ -450,3 +456,52 @@ class TestStats:
         assert result["broker"]["workers"] == 2
         assert result["metrics"]["serve.requests.compile"]["value"] == 1
         assert result["disk_cache"]["writes"] == 1
+
+
+class TestFallbackAccounting:
+    """Every scalar fallback is counted once per registry, with its
+    reason, and stays on the request's ``execute`` span."""
+
+    def test_fallbacks_agree_across_registry_response_and_trace(self):
+        from repro.loadgen import LoadProfile, _request_for, workload_specs
+
+        profile = LoadProfile()
+        _specs, runnable = workload_specs(profile)
+        requests = []
+        for spec in runnable:
+            request = _request_for("run", spec, profile)
+            del request["_benchmark"]
+            requests += [dict(request, executor="auto")] * 3
+        requests.append(dict(requests[0], executor="scalar"))
+        with make_broker(workers=1, flight_slow=len(requests)) as broker:
+            responses = []
+            for i, request in enumerate(requests):
+                response = broker.handle(
+                    dict(request, id=i, trace_id=f"fb-{i}")
+                )
+                assert response["ok"], response
+                responses.append(response)
+        fell_back = [
+            r for r in responses if r["result"]["executor"]["fallback_reason"]
+        ]
+        assert fell_back, "expected at least one codegen fallback"
+        m = broker.metrics
+        by_reason = sum(
+            m.get(name).value
+            for name in m.names()
+            if name.startswith("codegen.fallbacks.")
+        )
+        scalar_fallbacks = m.get("session.executions.scalar_fallback").value
+        assert scalar_fallbacks == by_reason == len(fell_back)
+        for response in fell_back:
+            record = broker.flight.get(response["trace_id"])
+            reasons = [
+                s["args"].get("fallback_reason")
+                for s in record.spans
+                if s["name"] == "execute"
+            ]
+            assert reasons == [response["result"]["executor"]["fallback_reason"]]
+        # An explicit scalar run is the oracle, not a fallback.
+        scalar = responses[-1]["result"]["executor"]
+        assert scalar["used"] == "scalar" and scalar["fallback_reason"] is None
+        assert m.get("session.executions.scalar_requested").value == 1

@@ -552,7 +552,7 @@ class TestRollups:
             for key in (
                 "ts", "uptime_s", "workers", "queue_limit", "queue_depth",
                 "stopping", "requests", "requests_total", "rejected",
-                "deadline_exceeded", "degradations", "cache",
+                "deadline_exceeded", "scalar_fallbacks", "cache",
                 "placement", "codegen_tiers", "latency_ms", "flight_recorded",
             ):
                 assert key in frame, key

@@ -6,9 +6,12 @@ decision's winner is exactly the candidate with the lowest modeled time,
 never a worse one.
 """
 
+import time
+
 import pytest
 
 from repro.errors import ConfigError, UnknownArchError, raise_for_response
+from repro.feedback.driver import fault_scope
 from repro.obs.tracer import Tracer
 from repro.serve.broker import Broker, BrokerConfig
 
@@ -241,3 +244,28 @@ class TestFleetTuneOp:
             )
         result = response["result"]
         assert set(result["per_arch_best"]) == {"cdna2-mi250"}
+
+
+class TestPlacementDeadline:
+    """Placement compiles every fleet variant inside the request's
+    deadline: a budget that runs out there answers ``deadline_exceeded``
+    at the next backend call instead of compiling the rest."""
+
+    @pytest.mark.parametrize("op", ["compile", "run"])
+    def test_budget_spent_in_placement_stops_it(self, op):
+        calls = []
+
+        def slow_backend(kernel, iteration):
+            calls.append(kernel)
+            time.sleep(0.05)
+
+        with make_broker(workers=1) as broker, fault_scope(slow_backend):
+            response = broker.handle(
+                {"id": 1, "op": op, "source": SRC, "env": {"n": 4096},
+                 "deadline_ms": 20}
+            )
+        assert not response["ok"]
+        assert response["error"]["code"] == "deadline_exceeded"
+        assert len(calls) == 1
+        assert broker.metrics.get("serve.deadline_exceeded").value == 1
+        assert broker.metrics.get("serve.placement.errors") is None

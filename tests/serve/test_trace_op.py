@@ -234,28 +234,6 @@ class TestFlightRetentionUnderLoad:
             assert flight["errors_retained"] == 0
 
 
-class TestDegradationAttribution:
-    def test_degradation_events_carry_the_trace_id(self):
-        # A sky-high degrade threshold forces the deadline-pressure
-        # demotion on every run request.
-        with make_broker(degrade_threshold_ms=10 ** 6) as broker:
-            response = broker.handle(run_request(trace_id="deg-1"))
-            assert response["ok"]
-            rec = broker.flight.get("deg-1")
-            assert rec.degradations, "expected a deadline_pressure event"
-            for event in rec.degradations:
-                assert event["trace_id"] == "deg-1"
-            assert any(
-                e["reason"] == "deadline_pressure" for e in rec.degradations
-            )
-
-    def test_untraced_requests_have_no_degradations(self):
-        with make_broker() as broker:
-            broker.handle(run_request(trace_id="clean-1"))
-            rec = broker.flight.get("clean-1")
-            assert rec.degradations == []
-
-
 class TestExecutionRecordTagging:
     def test_session_execution_record_carries_trace_id(self):
         with make_broker(workers=1) as broker:
@@ -297,9 +275,7 @@ class TestWatchOp:
             assert frame["workers"] == 2
             assert frame["flight_recorded"] >= 1
             assert "uptime_s" in frame and frame["uptime_s"] >= 0
-            assert set(frame["degradations"]) == {
-                "total", "deadline", "vector_fallback"
-            }
+            assert frame["scalar_fallbacks"] == 0
             assert set(frame["cache"]) == {
                 "memory_hit_rate", "disk_hit_rate", "fnobj_hit_rate"
             }

@@ -104,3 +104,22 @@ class TestPositionalPickles:
 
         with pytest.raises(TypeError):
             positional_pickle(Lazy)
+
+
+class TestVersion4Detail:
+    #: A pass report's ``ReplacementResult`` as a version-4 disk entry's
+    #: detail section pickled it, with its ``loads_saved_per_iteration``
+    #: estimate (default slotted-dataclass reduction, protocol 5).
+    V4_REPLACEMENT = (
+        b"\x80\x05\x95\x8b\x00\x00\x00\x00\x00\x00\x00\x8c#repro.transforms.scalar_replacement"
+        b"\x94\x8c\x11ReplacementResult\x94\x93\x94)\x81\x94N}\x94(\x8c\x05group\x94N"
+        b"\x8c\x05temps\x94]\x94\x8c\x19loads_saved_per_iteration\x94K\x02"
+        b"\x8c\x0esequentializes\x94\x88u\x86\x94b."
+    )
+
+    def test_v4_detail_cannot_load_so_v4_envelopes_are_misses(self):
+        from repro.pipeline.diskcache import FORMAT_VERSION
+
+        with pytest.raises(AttributeError, match="loads_saved_per_iteration"):
+            pickle.loads(self.V4_REPLACEMENT)
+        assert FORMAT_VERSION > 4
