@@ -64,8 +64,7 @@ consistent-hash router must finish with zero errors, balanced per-shard
 routing (busiest shard within 20% of fair), and a p99 under the ``slo``
 bound; a drain + restart of one shard *mid-run* must also finish with
 zero errors and a >= 0.9 warm hit rate after the shard rejoins (the
-shared disk tier carries its keys); and a hedged retry must beat a
-deliberately laggy primary.
+shared disk tier carries its keys).
 
 A ``fleet`` row gates the multi-arch serving layer
 (``docs/serving.md``): the CDNA2 profile's waves-per-SIMD table must
@@ -653,41 +652,10 @@ CLUSTER_BENCHMARKS = (
 )
 
 
-class _LaggyRegressShard:
-    """Delegates to an inner ``LocalShard`` but delivers every response
-    ``delay_s`` late — the slow replica in the hedging scenario."""
-
-    def __init__(self, inner, delay_s: float):
-        self._inner = inner
-        self._delay_s = delay_s
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def try_submit(self, request):
-        import threading
-        from concurrent.futures import Future
-
-        inner_future = self._inner.try_submit(request)
-        if inner_future is None:
-            return None
-        slow: Future = Future()
-
-        def deliver(done):
-            timer = threading.Timer(
-                self._delay_s, lambda: slow.set_result(done.result())
-            )
-            timer.daemon = True
-            timer.start()
-
-        inner_future.add_done_callback(deliver)
-        return slow
-
-
 def collect_cluster(attempts: int = 3) -> dict:
     """The sharded-serving row (``docs/sharding.md``).
 
-    Three sub-measurements against a two-shard consistent-hash router
+    Two sub-measurements against a two-shard consistent-hash router
     over one shared disk-cache namespace:
 
     * **steady** — the fixed-rate open-loop profile must finish with
@@ -698,9 +666,7 @@ def collect_cluster(attempts: int = 3) -> dict:
       mid-run must still complete every request with zero errors, and a
       post-restart compile probe over every distinct source must answer
       from a cache tier (>= 0.9 — the shared disk tier carries the
-      restarted shard's keys, so a rolling restart loses no warm state);
-    * **hedge** — against a deliberately laggy primary, the hedged
-      retry must win at least once and every request must still succeed.
+      restarted shard's keys, so a rolling restart loses no warm state).
 
     Like ``collect_slo``, the row measures wall clock: a failing attempt
     is re-measured (up to ``attempts`` total) so a transient load spike
@@ -721,13 +687,7 @@ def _measure_cluster() -> dict:
 
     from repro.loadgen import LoadProfile, run_load, workload_specs
     from repro.serve.broker import BrokerConfig
-    from repro.serve import hashring
-    from repro.serve.cluster import (
-        ClusterConfig,
-        LocalShard,
-        Router,
-        routing_key,
-    )
+    from repro.serve.cluster import ClusterConfig, Router
 
     profile = LoadProfile(
         rate_rps=25.0,
@@ -807,39 +767,13 @@ def _measure_cluster() -> dict:
             "drain_ms": drain_result.get("drain_ms"),
             "warm_after_restart": warm / len(specs),
         }
-
-        # 3. Hedging: make the shard that owns one key laggy; the hedge
-        # to the next rank (disk-warm from the runs above) must win.
-        request = {"op": "compile", "source": specs[0].source}
-        members = ["shard-0", "shard-1"]
-        owner = members.index(hashring.route(routing_key(request), members))
-        shards = [
-            LocalShard(i, BrokerConfig(workers=1, cache_dir=tmp))
-            for i in range(2)
-        ]
-        shards[owner] = _LaggyRegressShard(shards[owner], delay_s=0.4)
-        hedge_config = ClusterConfig(
-            shards=2, hedge_after_ms=50.0, hot_key_min_hits=10_000
-        )
-        with Router(hedge_config, shards=shards) as router:
-            ok = sum(
-                1 if router.handle(dict(request)).get("ok") else 0
-                for _ in range(3)
-            )
-            stanza = router.telemetry_snapshot()["cluster"]
-        row["hedge"] = {
-            "requests": 3,
-            "ok": ok,
-            "hedges": stanza["hedges"],
-            "hedge_wins": stanza["hedge_wins"],
-        }
     return row
 
 
 def check_cluster(row: dict) -> list[str]:
     """Absolute gates on the sharded-serving row."""
     problems: list[str] = []
-    steady, churn, hedge = row["steady"], row["churn"], row["hedge"]
+    steady, churn = row["steady"], row["churn"]
     for name, part in (("steady", steady), ("churn", churn)):
         if part["completed"] != part["scheduled"]:
             problems.append(
@@ -883,17 +817,6 @@ def check_cluster(row: dict) -> list[str]:
             f"cluster: warm hit rate after drain+restart is "
             f"{churn['warm_after_restart']} (gate: >= 0.9) — the shared "
             f"disk tier did not carry the restarted shard's keys"
-        )
-    if hedge["ok"] != hedge["requests"]:
-        problems.append(
-            f"cluster: {hedge['ok']} of {hedge['requests']} hedged "
-            f"requests succeeded against a laggy primary"
-        )
-    if hedge["hedge_wins"] < 1:
-        problems.append(
-            f"cluster: {hedge['hedge_wins']} hedge wins over "
-            f"{hedge['hedges']} hedges — the hedged retry never beat the "
-            f"laggy primary"
         )
     return problems
 
@@ -1202,8 +1125,7 @@ def main(argv: list[str] | None = None) -> int:
         f"balance {steady['balance_coefficient']:.2f}, p99 "
         f"{steady['p99_ms']:.1f} ms; mid-run drain+restart kept 0 errors "
         f"with warm hit rate {churn['warm_after_restart']:.2f} after "
-        f"rejoin; hedging won {doc['cluster']['hedge']['hedge_wins']} of "
-        f"{doc['cluster']['hedge']['hedges']} hedges"
+        f"rejoin"
     )
 
     if opts.output.exists():

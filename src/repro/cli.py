@@ -377,8 +377,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         }
         if args.replication is not None:
             kwargs["replication"] = args.replication
-        if args.hedge_after_ms is not None:
-            kwargs["hedge_after_ms"] = args.hedge_after_ms
         if args.tenant_rate is not None:
             kwargs["tenant_rate"] = args.tenant_rate
         if args.tenant_burst is not None:
@@ -566,9 +564,7 @@ def _render_top_frame(frame: dict, previous: dict | None) -> str:
             f"cluster   shards {cluster['up']}/{cluster['shards']}   "
             f"replication {cluster['replication']}   "
             f"hot keys {cluster['hot_keys']}   "
-            f"hedges {cluster['hedges']} "
-            f"(won {cluster['hedge_wins']}, wasted {cluster['hedge_wasted']})"
-            f"   failovers {cluster['failovers']}   "
+            f"failovers {cluster['failovers']}   "
             f"quota_rejected {cluster['quota_rejected']}   "
             f"drains {cluster['drains']}   restarts {cluster['restarts']}"
         )
@@ -583,9 +579,9 @@ def _render_top_frame(frame: dict, previous: dict | None) -> str:
             lines.append(
                 f"  {row['shard']:<7} {row['state']:<10} "
                 f"{row['routed']:>8} {row['requests_total']:>8} "
-                f"{row['queue_depth']:>6}  "
-                f"{pct(row['memory_hit_rate']):>6}  "
-                f"{pct(row['disk_hit_rate']):>6}"
+                f"{row.get('queue_depth', '-'):>6}  "
+                f"{pct(row.get('memory_hit_rate')):>6}  "
+                f"{pct(row.get('disk_hit_rate')):>6}"
             )
     latency = frame.get("latency_ms") or {}
     if latency:
@@ -1003,14 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shards a hot key may be served from (cluster mode; "
         "default: 2)",
-    )
-    p.add_argument(
-        "--hedge-after-ms",
-        dest="hedge_after_ms",
-        type=float,
-        default=None,
-        help="fixed hedged-retry delay in milliseconds (cluster mode; "
-        "default: adaptive, from the p95 shard service time)",
     )
     p.add_argument(
         "--tenant-rate",

@@ -59,7 +59,7 @@ METRIC_FAMILIES = (
     ("codegen", "codegen (generated-NumPy tier)"),
     ("tune", "tune (autotuner)"),
     ("serve", "serve (broker, deadlines, placement, latency)"),
-    ("cluster", "cluster (router, sharding, hedging, quotas)"),
+    ("cluster", "cluster (router, sharding, failover, quotas)"),
     ("loadgen", "loadgen (open-loop load generator)"),
 )
 

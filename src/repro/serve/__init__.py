@@ -27,8 +27,8 @@ sessions.
 * :mod:`repro.serve.cluster` — the sharded tier behind ``repro serve
   --shards N``: a consistent-hash router (the front door's other
   subclass) over N broker shards with
-  hot-key replication, hedged retries, per-tenant quotas and graceful
-  drain/restart (:mod:`repro.serve.hashring` provides the rendezvous
+  hot-key replication, failover past a lost shard, per-tenant quotas
+  and graceful drain/restart (:mod:`repro.serve.hashring` provides the rendezvous
   hashing, :mod:`repro.serve.quota` the token buckets — see
   ``docs/sharding.md``).
 

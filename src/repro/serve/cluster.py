@@ -15,16 +15,17 @@ shards, each a full broker — worker pool, deadlines, placement
   shards (:mod:`repro.serve.hashring`); the same key always lands on the
   same shard, so per-shard in-memory caches stay hot, and compile/run
   traffic for one kernel co-locates.
-* **Hot-key replication** — keys seen often enough (top-K by hit count)
-  rotate over their first ``replication`` ranks instead of pinning to
-  rank 0, so one viral kernel does not saturate a single shard.  The
-  rank order is a permutation per key, so replicas are always distinct
-  shards.
-* **Hedged retries** — after a p95-derived delay (of observed
-  router→shard service time) the router sends the same request to the
-  next-ranked shard; the first response wins and the loser is counted
-  (``cluster.hedges`` / ``cluster.hedge_wins`` / ``cluster.hedge_wasted``).
-  Duplicated work is safe: keyed ops are deterministic and cached.
+* **Hot-key replication** — keys seen often enough (the top
+  :data:`HOT_KEY_COUNT` by hit count, each with at least
+  :data:`HOT_KEY_MIN_HITS` hits) rotate over their first
+  ``replication`` ranks instead of pinning to rank 0, so one viral
+  kernel does not saturate a single shard.  The rank order is a
+  permutation per key, so replicas are always distinct shards.
+* **Failover** — a request waits for the shard it was placed on and
+  takes that shard's answer.  It moves to the next rank only when the
+  shard is gone or leaving: the submit is refused, the transport dies
+  under it, or the shard answers ``shutting_down``
+  (``cluster.failovers``).
 * **Admission quotas** — with a configured per-tenant rate, keyed
   requests charge a token bucket keyed by the protocol's ``tenant``
   field before routing (:mod:`repro.serve.quota`, the front door's
@@ -34,7 +35,8 @@ shards, each a full broker — worker pool, deadlines, placement
   shard draining (no new routes), waits out its in-flight requests,
   stops it, and optionally restarts it.  The restarted shard rejoins
   over the shared disk tier, so its warm keys survive — zero warm-cache
-  loss across the cycle.
+  loss across the cycle.  The router keeps the drained shard's last
+  counters, so the telemetry totals do not shrink when it restarts.
 * **Tracing** — the router stamps every forwarded request with its
   ``trace_id``, so the shard's span tree carries the router-visible
   correlation id: one request, one connected tree, findable via the
@@ -57,7 +59,7 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
 from . import hashring, protocol
@@ -79,6 +81,13 @@ __all__ = [
 #: Ops that carry a routable content key (everything else is control
 #: plane, handled by the router itself).
 KEYED_OPS = frozenset({"compile", "run", "tune"})
+
+#: Hot-key set size (top-K routing keys by hit count)…
+HOT_KEY_COUNT = 8
+#: …and the hit count below which a key is never considered hot.
+HOT_KEY_MIN_HITS = 3
+#: Keyed requests between recomputations of the hot set.
+_HOT_EVERY = 32
 
 
 def routing_key(request: dict) -> str:
@@ -104,32 +113,23 @@ def routing_key(request: dict) -> str:
 
 @dataclass(frozen=True, slots=True)
 class ClusterConfig:
-    """Router tuning knobs (see ``docs/sharding.md`` for semantics)."""
+    """Router settings: the shard fleet, hot-key replication, tenant
+    quotas and router capacity (see ``docs/sharding.md``)."""
 
     #: Number of broker shards behind the router.
     shards: int = 2
     #: Per-shard broker configuration.  Give it a ``cache_dir`` — the
     #: shared disk namespace is what makes drain/restart lossless.
     broker: BrokerConfig = field(default_factory=BrokerConfig)
-    #: Ranks a hot key may be served from (≥2 enables replication).
+    #: Ranks a hot key may be served from (≥2 enables replication;
+    #: 1 pins every key to its rendezvous owner).
     replication: int = 2
-    #: Hot-key set size (top-K keys by hit count)…
-    hot_key_count: int = 8
-    #: …and the hit count below which a key is never considered hot.
-    hot_key_min_hits: int = 3
-    #: Fixed hedge delay in ms; ``None`` derives it per request as
-    #: ``hedge_multiplier × p95(shard service ms)`` clamped to
-    #: ``[hedge_min_ms, hedge_max_ms]`` (no hedging until 20 samples).
-    hedge_after_ms: float | None = None
-    hedge_multiplier: float = 3.0
-    hedge_min_ms: float = 50.0
-    hedge_max_ms: float = 2_000.0
     #: Per-tenant admission: tokens/second and bucket ceiling.  ``None``
     #: rate disables quotas entirely.
     tenant_rate: float | None = None
     tenant_burst: float = 10.0
-    #: Router threads (each carries one in-flight request end to end,
-    #: including its hedge wait) and the extra requests allowed to queue.
+    #: Router threads (each carries one in-flight request end to end)
+    #: and the extra requests allowed to queue.
     router_workers: int = 16
     queue_limit: int = 64
     #: ``True`` → one ``repro serve --socket`` subprocess per shard;
@@ -141,6 +141,21 @@ class ClusterConfig:
     spawn_timeout_s: float = 30.0
 
 
+#: The ``watch`` request that reads one telemetry frame from a daemon.
+_WATCH_ONCE = {"op": "watch", "count": 1, "interval_ms": 1.0}
+
+
+def _add_counts(into: dict, frame: dict) -> None:
+    """Add a shard frame's cumulative counters (the scalar ones and the
+    per-arch / per-tier tallies) into ``into``."""
+    for key in ("deadline_exceeded", "scalar_fallbacks"):
+        into[key] = into.get(key, 0) + (frame.get(key) or 0)
+    for key in ("placement", "codegen_tiers"):
+        tally = into.setdefault(key, {})
+        for k, v in (frame.get(key) or {}).items():
+            tally[k] = tally.get(k, 0) + v
+
+
 class _ShardConnection:
     """One multiplexed connection to a shard daemon: requests are
     re-numbered onto an internal id space, a reader thread resolves each
@@ -149,8 +164,8 @@ class _ShardConnection:
 
     Unlike :class:`~repro.serve.client.SocketClient` (sequential, one
     request in flight) this carries every in-flight request the router
-    sends a shard, which is what makes hedging and fan-out possible over
-    a single descriptor.
+    sends a shard, so concurrent routed requests and the control-plane
+    fan-out share a single descriptor.
     """
 
     def __init__(self, path: str, *, connect_timeout: float = 5.0):
@@ -261,10 +276,15 @@ class LocalShard:
         except RuntimeError:  # pool already shut down under us
             return None
 
-    def drain(self, timeout: float = 60.0) -> None:
+    def drain(self, timeout: float = 60.0) -> dict | None:
+        """Stop taking requests, finish the in-flight ones and stop the
+        broker; returns its last telemetry frame (``None`` if it was
+        already stopped)."""
         broker, self.broker = self.broker, None
-        if broker is not None:
-            broker.drain()
+        if broker is None:
+            return None
+        broker.drain()
+        return broker.telemetry_snapshot()
 
     def restart(self) -> None:
         """Rejoin with a fresh broker over the *same* cache directory —
@@ -374,13 +394,17 @@ class ProcessShard:
         except ConnectionError:
             return None
 
-    def drain(self, timeout: float = 60.0) -> None:
-        """Wait out the in-flight requests on the data connection, then
-        shut the daemon down over a fresh connection (a ``shutdown`` on
-        the data connection would sever responses still being written)."""
+    def drain(self, timeout: float = 60.0) -> dict | None:
+        """Wait out the in-flight requests on the data connection, read
+        the daemon's last telemetry frame over it, then shut the daemon
+        down over a fresh connection (a ``shutdown`` on the data
+        connection would sever responses still being written).  Returns
+        that frame, or ``None`` when the daemon could not answer."""
         conn, self._conn = self._conn, None
+        frame = None
         if conn is not None:
             conn.wait_idle(timeout)
+            frame = self._control(_WATCH_ONCE, 5.0, conn)
             conn.close()
         proc = self._proc
         if proc is not None and proc.poll() is None:
@@ -394,6 +418,7 @@ class ProcessShard:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
+        return frame
 
     def restart(self) -> None:
         self.start()
@@ -401,20 +426,22 @@ class ProcessShard:
     def stop(self, timeout: float = 60.0) -> None:
         self.drain(timeout)
 
-    def _control(self, request: dict, timeout: float) -> dict | None:
-        future = self.try_submit(request)
-        if future is None:
+    def _control(
+        self, request: dict, timeout: float, conn: _ShardConnection | None = None
+    ) -> dict | None:
+        """A control-plane request's result over ``conn`` (default: the
+        data connection); ``None`` on any failure."""
+        conn = conn or self._conn
+        if conn is None:
             return None
         try:
-            response = future.result(timeout=timeout)
+            response = conn.submit(request).result(timeout=timeout)
         except (TimeoutError, ConnectionError):
             return None
         return response.get("result") if response.get("ok") else None
 
     def telemetry(self, timeout: float = 5.0) -> dict | None:
-        return self._control(
-            {"op": "watch", "count": 1, "interval_ms": 1.0}, timeout
-        )
+        return self._control(_WATCH_ONCE, timeout)
 
     def stats_snapshot(self, timeout: float = 5.0) -> dict | None:
         return self._control({"op": "stats"}, timeout)
@@ -428,7 +455,7 @@ class Router(FrontDoor):
 
     Shares the broker's front door (admission, rejection, answering and
     the ``submit`` / ``handle`` / ``drain`` surface); its own work is
-    routing, hedging, shard drains and the fan-out of ``stats``,
+    routing, failover, shard drains and the fan-out of ``stats``,
     ``trace`` and telemetry.  Rejections are flight-recorded here, so
     the router's ``trace`` op finds them before asking the shards.
     """
@@ -493,18 +520,13 @@ class Router(FrontDoor):
         self._key_hits: dict[str, int] = {}
         self._hot_keys: frozenset[str] = frozenset()
         self._keyed_seen = 0
-        self._HOT_EVERY = 32
+
+        # The drained shards' last counters (and requests served, per
+        # shard index), so the frame's totals survive a restart.
+        self._retired: dict = {}
+        self._retired_requests: dict[int, int] = {}
 
         m = self.metrics
-        self._hedges = m.counter(
-            "cluster.hedges", "hedged (duplicated) shard requests sent"
-        )
-        self._hedge_wins = m.counter(
-            "cluster.hedge_wins", "requests answered by the hedge first"
-        )
-        self._hedge_wasted = m.counter(
-            "cluster.hedge_wasted", "hedge losers (duplicated work discarded)"
-        )
         self._failovers = m.counter(
             "cluster.failovers", "requests rerouted past an unavailable shard"
         )
@@ -519,10 +541,6 @@ class Router(FrontDoor):
                 f"cluster.routed.{shard.shard_id}",
                 f"requests routed to {shard.shard_id}",
             )
-        self._service_ms = m.log_histogram(
-            "cluster.shard_ms",
-            help="router→shard service time (hedge-delay basis)",
-        )
 
     def _admit(self, request: dict) -> None:
         """Charge a keyed request to its tenant's token bucket."""
@@ -550,7 +568,6 @@ class Router(FrontDoor):
         """Count a hit; recompute the hot set every ``_HOT_EVERY`` keyed
         requests.  Returns this key's cumulative hit count (which also
         drives replica rotation)."""
-        cfg = self.config
         with self._lock:
             hits = self._key_hits.get(key, 0) + 1
             self._key_hits[key] = hits
@@ -564,17 +581,17 @@ class Router(FrontDoor):
                 )[:1024]
                 self._key_hits = dict(keep)
             if (
-                self._keyed_seen % self._HOT_EVERY == 0
-                or hits == cfg.hot_key_min_hits  # a key just became eligible
+                self._keyed_seen % _HOT_EVERY == 0
+                or hits == HOT_KEY_MIN_HITS  # a key just became eligible
             ):
                 eligible = [
                     (n, k)
                     for k, n in self._key_hits.items()
-                    if n >= cfg.hot_key_min_hits
+                    if n >= HOT_KEY_MIN_HITS
                 ]
                 eligible.sort(reverse=True)
                 self._hot_keys = frozenset(
-                    k for _, k in eligible[: cfg.hot_key_count]
+                    k for _, k in eligible[:HOT_KEY_COUNT]
                 )
             return hits
 
@@ -584,15 +601,6 @@ class Router(FrontDoor):
         return [
             alive[shard_id] for shard_id in hashring.rank(key, list(alive))
         ]
-
-    def _hedge_delay_s(self) -> float:
-        cfg = self.config
-        if cfg.hedge_after_ms is not None:
-            return cfg.hedge_after_ms / 1000.0
-        if self._service_ms.count < 20:
-            return cfg.hedge_max_ms / 1000.0
-        derived = self._service_ms.quantile(0.95) * cfg.hedge_multiplier
-        return min(cfg.hedge_max_ms, max(cfg.hedge_min_ms, derived)) / 1000.0
 
     def _route(self, request: dict, trace_id: str) -> dict:
         request_id = request.get("id")
@@ -610,25 +618,16 @@ class Router(FrontDoor):
         r = min(self.config.replication, len(order))
         if r > 1 and key in self._hot_keys:
             # Hot keys rotate over their replica set instead of pinning
-            # to rank 0; the backup for hedging stays within the set.
+            # to rank 0.
             rotation = hits % r
             order = [order[rotation]] + [
                 s for i, s in enumerate(order) if i != rotation
             ]
-        for i, shard in enumerate(order):
-            backup = order[i + 1] if i + 1 < len(order) else None
-            outcome = self._attempt(shard, backup, wire)
-            if outcome is not None:
-                response, winner = outcome
-                if (
-                    not response.get("ok")
-                    and response.get("error", {}).get("code")
-                    == protocol.SHUTTING_DOWN
-                ):
-                    self._failovers.inc()  # raced a drain; next rank
-                    continue
+        for shard in order:
+            response = self._attempt(shard, wire)
+            if response is not None:
                 response = dict(response)
-                response["shard"] = winner.index
+                response["shard"] = shard.index
                 return response
             self._failovers.inc()
         return protocol.error_response(
@@ -638,41 +637,26 @@ class Router(FrontDoor):
             f"unavailable; retry later",
         )
 
-    def _attempt(self, shard, backup, wire: dict):
-        """One placement attempt with hedging: wait on ``shard`` for the
-        hedge delay, then duplicate onto ``backup``; first response wins.
-        Returns ``(response, winning_shard)`` or ``None`` when every
-        transport failed (→ failover)."""
-        start = time.monotonic()
-        primary = shard.try_submit(wire)
-        if primary is None:
+    def _attempt(self, shard, wire: dict) -> dict | None:
+        """Send ``wire`` to ``shard`` and return its answer, however
+        long it takes (the shard's deadline rule bounds it).  ``None``
+        when the shard is gone or leaving — the submit is refused, the
+        transport dies, or it answers ``shutting_down`` — and the
+        request should fail over to the next rank."""
+        future = shard.try_submit(wire)
+        if future is None:
             return None
         self.metrics.counter(f"cluster.routed.{shard.shard_id}").inc()
-        in_flight = {primary: shard}
-        done, _ = wait([primary], timeout=self._hedge_delay_s())
-        if not done and backup is not None:
-            hedge = backup.try_submit(wire)
-            if hedge is not None:
-                self._hedges.inc()
-                self.metrics.counter(
-                    f"cluster.routed.{backup.shard_id}"
-                ).inc()
-                in_flight[hedge] = backup
-        while in_flight:
-            done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-            future = next(iter(done))
-            winner = in_flight.pop(future)
-            try:
-                response = future.result()
-            except ConnectionError:
-                continue  # transport death; maybe the other leg answers
-            self._service_ms.observe((time.monotonic() - start) * 1000.0)
-            if winner is not shard:
-                self._hedge_wins.inc()
-            for loser in in_flight:
-                loser.add_done_callback(lambda _f: self._hedge_wasted.inc())
-            return response, winner
-        return None
+        try:
+            response = future.result()
+        except ConnectionError:
+            return None
+        if (
+            not response.get("ok")
+            and response.get("error", {}).get("code") == protocol.SHUTTING_DOWN
+        ):
+            return None  # raced a drain
+        return response
 
     # -- control plane -----------------------------------------------------
 
@@ -717,7 +701,7 @@ class Router(FrontDoor):
             self._shards_up.set(up - 1)
         self._drains.inc()
         t0 = time.monotonic()
-        shard.drain()
+        self._retire(shard.index, shard.drain())
         shard.state = "down"
         if restart:
             shard.restart()
@@ -736,6 +720,17 @@ class Router(FrontDoor):
                 "drain_ms": round((time.monotonic() - t0) * 1000.0, 3),
             },
         )
+
+    def _retire(self, index: int, frame: dict | None) -> None:
+        """Fold a drained shard's last telemetry frame into the totals
+        the router keeps (a restarted shard counts from zero again)."""
+        if frame is None:
+            return
+        with self._lock:
+            _add_counts(self._retired, frame)
+            self._retired_requests[index] = self._retired_requests.get(
+                index, 0
+            ) + frame.get("requests_total", 0)
 
     def _handle_trace(self, request: dict) -> dict:
         """Fan the ``trace`` op out to the shards: a specific
@@ -804,40 +799,38 @@ class Router(FrontDoor):
     def _frame(self) -> dict:
         """The router's telemetry fields, shaped like the broker's (so
         ``repro top`` renders a router unchanged) plus a ``cluster``
-        stanza and per-shard rollup rows."""
+        stanza and per-shard rollup rows.  The cumulative counters add
+        the drained shards' retired totals to the live shards' frames."""
         value = self._value
         frames = [
             (shard, shard.telemetry(timeout=2.0) if shard.state == "up" else None)
             for shard in self.shards
         ]
         live = [f for _, f in frames if f is not None]
-
-        def total(key: str) -> float:
-            return number(sum(f.get(key) or 0 for f in live))
+        totals: dict = {}
+        with self._lock:
+            _add_counts(totals, self._retired)
+            retired_requests = dict(self._retired_requests)
+        for f in live:
+            _add_counts(totals, f)
 
         def mean_rate(key: str) -> float | None:
             values = [(f.get("cache") or {}).get(key) for f in live]
             values = [v for v in values if v is not None]
             return round(sum(values) / len(values), 4) if values else None
 
-        placement: dict = {}
-        tiers: dict = {}
-        for f in live:
-            for k, v in (f.get("placement") or {}).items():
-                placement[k] = placement.get(k, 0) + v
-            for k, v in (f.get("codegen_tiers") or {}).items():
-                tiers[k] = tiers.get(k, 0) + v
         shard_rows = []
         for shard, frame in frames:
             row: dict = {
                 "shard": shard.index,
                 "state": shard.state,
                 "routed": value(f"cluster.routed.{shard.shard_id}"),
+                "requests_total": retired_requests.get(shard.index, 0)
+                + (frame or {}).get("requests_total", 0),
             }
             if frame is not None:
                 cache = frame.get("cache") or {}
                 row.update(
-                    requests_total=frame.get("requests_total", 0),
                     queue_depth=frame.get("queue_depth", 0),
                     memory_hit_rate=cache.get("memory_hit_rate"),
                     disk_hit_rate=cache.get("disk_hit_rate"),
@@ -847,8 +840,8 @@ class Router(FrontDoor):
             "workers": sum(
                 s.config.workers for s in self.shards if s.state == "up"
             ),
-            "deadline_exceeded": total("deadline_exceeded"),
-            "scalar_fallbacks": total("scalar_fallbacks"),
+            "deadline_exceeded": number(totals["deadline_exceeded"]),
+            "scalar_fallbacks": number(totals["scalar_fallbacks"]),
             # Mean across live shards (rates cannot be exactly merged
             # without raw hit/miss counts; per-shard exact rates are in
             # the rollup rows below).
@@ -856,18 +849,19 @@ class Router(FrontDoor):
                 key: mean_rate(key)
                 for key in ("memory_hit_rate", "disk_hit_rate", "fnobj_hit_rate")
             },
-            "placement": placement,
-            "codegen_tiers": tiers,
-            # The shards' records plus the router's own (its refusals).
-            "flight_recorded": total("flight_recorded") + self.flight.recorded,
+            "placement": totals["placement"],
+            "codegen_tiers": totals["codegen_tiers"],
+            # The live shards' records (a drained shard's are gone) plus
+            # the router's own (its refusals).
+            "flight_recorded": number(
+                sum(f.get("flight_recorded") or 0 for f in live)
+            )
+            + self.flight.recorded,
             "cluster": {
                 "shards": len(self.shards),
                 "up": sum(1 for s in self.shards if s.state == "up"),
                 "replication": self.config.replication,
                 "hot_keys": len(self._hot_keys),
-                "hedges": value("cluster.hedges"),
-                "hedge_wins": value("cluster.hedge_wins"),
-                "hedge_wasted": value("cluster.hedge_wasted"),
                 "failovers": value("cluster.failovers"),
                 "quota_rejected": value("cluster.rejected.quota_exceeded"),
                 "drains": value("cluster.drains"),

@@ -122,7 +122,6 @@ STUB_ROWS = {
     "cluster": {
         "steady": {"completed": 30, "balance_coefficient": 1.0, "p99_ms": 50.0},
         "churn": {"warm_after_restart": 1.0},
-        "hedge": {"hedge_wins": 3, "hedges": 3},
     },
 }
 

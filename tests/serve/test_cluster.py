@@ -1,13 +1,14 @@
 """The sharded serving tier: routing determinism and cache
-co-location, hot-key replication, hedged retries, per-tenant quotas,
-failover, drain/restart with zero warm-cache loss, and the rollup
-surfaces (stats / telemetry / trace fan-out).
+co-location, hot-key replication, a slow owner answering for itself,
+per-tenant quotas, failover, drain/restart with zero warm-cache loss,
+and the rollup surfaces (stats / telemetry / trace fan-out).
 
-Everything here drives :class:`LocalShard` routers — in-process, no
-subprocesses — so the suite stays deterministic and fast.  A running
-``ProcessShard`` is covered only by the CLI smoke in CI (the regression
-ledger's ``cluster`` row uses local shards too); the command line it
-starts its daemon with is checked here, without spawning it.
+Almost everything here drives :class:`LocalShard` routers — in-process,
+no subprocesses — so the suite stays deterministic and fast.
+``TestProcessShards`` runs one real two-daemon cluster
+(:class:`ProcessShard`) and kills a shard's daemon under it; the command
+line a process shard starts its daemon with is also checked without
+spawning it.
 """
 
 import threading
@@ -59,14 +60,9 @@ def expected_shard(request: dict, n: int = 2) -> int:
 
 
 def quiet_config(**overrides) -> ClusterConfig:
-    """Two local shards, hot-key machinery effectively disabled so
-    placement is pure rendezvous hashing."""
-    defaults = dict(
-        shards=2,
-        broker=BrokerConfig(workers=1),
-        hot_key_min_hits=10_000,
-        hedge_after_ms=60_000.0,  # never hedge unless a test opts in
-    )
+    """Two local shards without hot-key replication, so placement is
+    pure rendezvous hashing."""
+    defaults = dict(shards=2, broker=BrokerConfig(workers=1), replication=1)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
@@ -173,8 +169,9 @@ class TestRouting:
 
 class TestHotKeyReplication:
     def test_hot_key_rotates_over_distinct_shards(self):
-        config = quiet_config(hot_key_min_hits=1, replication=2)
+        config = quiet_config(replication=2)
         with Router(config) as router:
+            # Hot from its third hit on, then alternating over both ranks.
             for i in range(6):
                 response = router.handle(
                     {"id": i, "op": "compile", "source": AXPY}
@@ -190,8 +187,7 @@ class TestHotKeyReplication:
             assert router.telemetry_snapshot()["cluster"]["hot_keys"] == 1
 
     def test_replication_one_disables_rotation(self):
-        config = quiet_config(hot_key_min_hits=1, replication=1)
-        with Router(config) as router:
+        with Router(quiet_config(replication=1)) as router:
             for i in range(5):
                 router.handle({"id": i, "op": "compile", "source": AXPY})
             request = {"op": "compile", "source": AXPY}
@@ -260,8 +256,7 @@ class TestQuotas:
 
 
 class _LaggyShard:
-    """Wraps a LocalShard, delaying every response by ``delay_s`` —
-    the slow replica a hedge is supposed to beat."""
+    """Wraps a LocalShard, delaying every response by ``delay_s``."""
 
     def __init__(self, inner: LocalShard, delay_s: float):
         self._inner = inner
@@ -325,40 +320,27 @@ class _DeadShard:
         return None
 
 
-class TestHedging:
-    def test_hedge_beats_a_laggy_shard(self):
+class TestSlowShard:
+    def test_slow_owner_answers_its_own_key(self):
+        """A slow shard is not a lost one: the request waits for its
+        owner, and the next rank never sees it."""
         request = {"id": 1, "op": "compile", "source": AXPY}
         slow = expected_shard(request)
+        other = 1 - slow
         broker_config = BrokerConfig(workers=1)
         shards = [LocalShard(0, broker_config), LocalShard(1, broker_config)]
-        shards[slow] = _LaggyShard(shards[slow], delay_s=1.5)
-        config = quiet_config(hedge_after_ms=50.0)
-        with Router(config, shards=shards) as router:
+        shards[slow] = _LaggyShard(shards[slow], delay_s=0.3)
+        with Router(quiet_config(), shards=shards) as router:
             t0 = time.monotonic()
-            response = router.handle(request)
+            response = router.submit(request).result(timeout=30)
             elapsed = time.monotonic() - t0
             assert response["ok"], response
-            # The hedge answered: the fast shard, well before the lag.
-            assert response["shard"] != slow
-            assert elapsed < 1.4
-            assert router.metrics.get("cluster.hedges").value == 1
-            assert router.metrics.get("cluster.hedge_wins").value == 1
-            # The laggy loser eventually completes and is counted.
-            deadline = time.monotonic() + 5.0
-            while (
-                router.metrics.get("cluster.hedge_wasted").value < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            assert router.metrics.get("cluster.hedge_wasted").value == 1
-
-    def test_fast_primary_never_hedges(self):
-        with Router(quiet_config(hedge_after_ms=5_000.0)) as router:
-            for i in range(3):
-                assert router.handle(
-                    {"id": i, "op": "compile", "source": source_variant(i)}
-                )["ok"]
-            assert router.metrics.get("cluster.hedges").value == 0
+            assert response["shard"] == slow
+            assert elapsed >= 0.3
+            metrics = router.metrics
+            assert metrics.get(f"cluster.routed.shard-{slow}").value == 1
+            assert metrics.get(f"cluster.routed.shard-{other}").value == 0
+            assert metrics.get("cluster.failovers").value == 0
 
 
 class TestFailover:
@@ -394,6 +376,50 @@ class TestFailover:
                 {"id": 1, "op": "compile", "source": AXPY}
             )
             assert response["error"]["code"] == protocol.SHARD_UNAVAILABLE
+
+
+class TestProcessShards:
+    def test_killed_daemon_fails_over_to_the_other_shard(self, tmp_path):
+        """Two real ``repro serve --socket`` daemons: SIGKILL the one
+        that owns a key, and the next request for it is answered by the
+        other shard from the shared disk tier."""
+        config = quiet_config(
+            process_shards=True,
+            broker=BrokerConfig(workers=1, cache_dir=str(tmp_path / "cache")),
+            socket_dir=str(tmp_path),
+        )
+        router = Router(config)
+        try:
+            owned = {}
+            for i in range(16):
+                request = {"op": "compile", "source": source_variant(i)}
+                owner = expected_shard(request)
+                if owner not in owned:
+                    response = router.submit(dict(request)).result(timeout=60)
+                    assert response["ok"] and response["shard"] == owner
+                    owned[owner] = request
+                if len(owned) == 2:
+                    break
+            victim = router.shards[0]
+            victim._proc.kill()
+            victim._proc.wait(timeout=10)
+            response = router.submit(dict(owned[0])).result(timeout=60)
+            assert response["ok"], response
+            assert response["shard"] == 1
+            assert response["result"]["cached"] == "disk"
+            assert router.metrics.get("cluster.failovers").value >= 1
+        finally:
+            stopper = threading.Thread(target=router.drain, daemon=True)
+            stopper.start()
+            stopper.join(timeout=60)
+            running = [s.index for s in router.shards if s._proc.poll() is None]
+            for shard in router.shards:
+                if shard._proc.poll() is None:
+                    shard._proc.kill()
+                    shard._proc.wait(timeout=10)
+        assert not stopper.is_alive()
+        assert running == []
+        assert router.metrics.get("cluster.shard_stop_errors") is None
 
 
 class TestDrainRestart:
@@ -561,6 +587,33 @@ class TestRollups:
             rows = frame["shards"]
             assert [row["shard"] for row in rows] == [0, 1]
             assert sum(row["routed"] for row in rows) == 1
+
+    def test_cumulative_totals_survive_a_drain_restart(self, tmp_path):
+        """A restarted shard counts from zero; the router keeps what the
+        drained shard had counted, so no total goes down."""
+        config = quiet_config(
+            broker=BrokerConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+        )
+        runs = {}
+        for i in range(16):
+            request = {"op": "run", "source": source_variant(i), "env": {"n": 64}}
+            runs.setdefault(expected_shard(request), request)
+            if len(runs) == 2:
+                break
+        with Router(config) as router:
+            for request in runs.values():
+                assert router.handle(dict(request))["ok"]
+            before = router.telemetry_snapshot()
+            router.drain_shard(1, restart=True)
+            after = router.telemetry_snapshot()
+        assert sum(before["codegen_tiers"].values()) == 2
+        for key in ("scalar_fallbacks", "deadline_exceeded"):
+            assert after[key] == before[key], key
+        for key in ("codegen_tiers", "placement"):
+            assert after[key] == before[key], key
+        assert [row["requests_total"] for row in after["shards"]] == [
+            row["requests_total"] for row in before["shards"]
+        ] == [1, 1]
 
     def test_flight_recorded_counts_the_routers_own_records(self):
         with Router(quiet_config()) as router:

@@ -46,9 +46,7 @@ class TestRenderers:
         assert f"fallback_reason={reason}" in execute
 
     def test_router_frame_sums_the_shards(self, ep_run):
-        config = ClusterConfig(
-            shards=2, broker=BrokerConfig(workers=1), hedge_after_ms=60_000.0
-        )
+        config = ClusterConfig(shards=2, broker=BrokerConfig(workers=1))
         with Router(config) as router:
             served(router, ep_run)
             frame = router.telemetry_snapshot()
@@ -56,3 +54,20 @@ class TestRenderers:
         screen = _render_top_frame(frame, None)
         assert "scalar_fallbacks 1" in screen
         assert "cluster   shards 2/2" in screen
+
+    def test_router_frame_with_a_drained_shard(self, ep_run):
+        """A shard drained without restart has no live frame; its row
+        still renders, with the requests it served before the drain."""
+        config = ClusterConfig(shards=2, broker=BrokerConfig(workers=1))
+        with Router(config) as router:
+            owner = router.handle(dict(ep_run, id=1))["shard"]
+            router.drain_shard(owner)
+            frame = router.telemetry_snapshot()
+        assert frame["scalar_fallbacks"] == 1
+        screen = _render_top_frame(frame, None)
+        assert "cluster   shards 1/2" in screen
+        (row,) = [
+            line for line in screen.splitlines()
+            if line.split()[:2] == [str(owner), "down"]
+        ]
+        assert row.split()[2:5] == ["1", "1", "-"]

@@ -15,7 +15,7 @@ TIERS = ("serve", "cluster")
 def front_door(tier: str, *, workers: int = 2, queue_limit: int = 32, **broker_fields):
     """A tier with ``workers`` pool threads and ``queue_limit`` waiting
     slots; ``broker_fields`` configure the broker (the router's shard,
-    which gets one worker).  The router never hedges."""
+    which gets one worker)."""
     if tier == "serve":
         return Broker(
             BrokerConfig(workers=workers, queue_limit=queue_limit, **broker_fields)
@@ -26,6 +26,5 @@ def front_door(tier: str, *, workers: int = 2, queue_limit: int = 32, **broker_f
             broker=BrokerConfig(workers=1, **broker_fields),
             router_workers=workers,
             queue_limit=queue_limit,
-            hedge_after_ms=60_000.0,
         )
     )
