@@ -27,6 +27,13 @@ program runs it once per distinct tuple of them.  Every other guard stays
 a cheap per-op check.  The generator counts both
 (``codegen.guards.static`` / ``.dynamic``).
 
+Within a block, integer subscript arithmetic is computed once: the first
+evaluation of a pure, guard-free subscript operation binds a temp, keyed
+on its code over earlier temps (local value numbering), and later loads
+and stores of the block read it.  The table is per block, like the
+variable-read cache, and drops what reads a variable when it is written.
+Each IR operation still counts its own guards and tallies.
+
 Bit-for-bit equality with the scalar oracle holds by construction: the
 program evaluates the tree in the interpreter's order, each operator
 replays the interpreter's semantics for its kinds (or raises
@@ -233,6 +240,10 @@ class _Generator:
         self.rank = 0
         self._blocks: list[list] = []  # [insert index, depth, loads, stores, flops]
         self._reads: dict[str, str] = {}  # per-block variable-read temps
+        #: Per-block value numbers of subscript arithmetic: an operation's
+        #: code over value numbers → (its temp, the variables it reads).
+        self._values: dict[str, tuple[str, frozenset[str]]] = {}
+        self._indexing = 0  # evaluating an array subscript
         self._region: int | None = None
         self._kernels = 0  # regions named so far
         self.census: dict[int | None, list[int]] = {}
@@ -263,6 +274,7 @@ class _Generator:
     def _open_block(self, depth: int) -> None:
         self._blocks.append([len(self._lines), depth, 0, 0, 0])
         self._reads = {}
+        self._values = {}
 
     def _close_block(self) -> None:
         at, depth, loads, stores, flops = self._blocks.pop()
@@ -271,13 +283,20 @@ class _Generator:
                 at, _IND * depth + f"{self._call('_cnt')}({loads}, {stores}, {flops})"
             )
         self._reads = {}
+        self._values = {}
 
     def _forget(self, names: set[str]) -> None:
-        """Drop the cached reads of variables a nested construct may have
-        written (an axis loop also narrows the lanes of everything it
-        wrote, which assignment already covers)."""
+        """Drop the cached reads of variables an assignment or a nested
+        construct may have written, and the value numbers that read them
+        (an axis loop also narrows the lanes of everything it wrote, which
+        assignment already covers)."""
         for name in names:
             self._reads.pop(name, None)
+        if self._values and names:
+            self._values = {
+                key: entry for key, entry in self._values.items()
+                if entry[1].isdisjoint(names)
+            }
 
     def _tally(self, slot: int) -> None:
         self._blocks[-1][slot] += 1
@@ -286,11 +305,11 @@ class _Generator:
         """Emit a nested ``def`` whose body ``emit(depth + 1)`` writes."""
         name = self._fresh("f")
         self._emit(depth, f"def {name}():")
-        saved = self._reads
+        saved = self._reads, self._values
         self._open_block(depth + 1)
         emit(depth + 1)
         self._close_block()
-        self._reads = saved
+        self._reads, self._values = saved
         return name
 
     # -- launch prologue ------------------------------------------------------
@@ -455,25 +474,14 @@ class _Generator:
         if isinstance(e, VarRef):
             return self._read(e.sym.name, depth)
         if isinstance(e, ArrayRef):
-            idx = self._subscripts(e, self._eval_all(e.indices, depth), depth, load=True)
+            vals = self._eval_all(e.indices, depth, subscripts=len(e.indices))
+            idx = self._subscripts(e, vals, depth, load=True)
             self._tally(2)
             return _Val(f"{self._array(e)}[{', '.join(idx)}]", self._sig[e.sym.name])
-        if isinstance(e, UnOp):
-            x = self.expr(e.operand, depth)
-            if e.op == "!":
-                return _Val(f"({x.code} == 0)", BOOL)
-            if e.op != "-":
-                raise CodegenUnsupported(f"unknown unary {e.op!r}")
-            x = self._int_of(x)
-            return _Val(f"(-{x.code})", x.kind)
-        if isinstance(e, BinOp):
-            if e.op in ("&&", "||"):
-                lhs = self.expr(e.left, depth)
-                self._masked += 1
-                thunk, _ = self._thunk(e.right, depth, lambda v: v.code)
-                self._masked -= 1
-                return _Val(f"{self._call('_lg')}({e.op!r}, {lhs.code}, {thunk})", BOOL)
-            return self._binop(e, depth)
+        if isinstance(e, (UnOp, BinOp)):
+            if self._indexing:
+                return self._numbered(e, depth)
+            return self._operator(e, depth)
         if isinstance(e, Select):
             return self._select(e, depth)
         if isinstance(e, Cast):
@@ -486,14 +494,63 @@ class _Generator:
             return self._intrinsic(e.func, self._eval_all(e.args, depth))
         raise CodegenUnsupported(f"unknown expression {type(e).__name__}")
 
-    def _eval_all(self, exprs, depth: int) -> list[_Val]:
-        """Codes for ``exprs``, evaluated left to right.  Codes are inline
+    def _operator(self, e: UnOp | BinOp, depth: int) -> _Val:
+        if isinstance(e, UnOp):
+            x = self.expr(e.operand, depth)
+            if e.op == "!":
+                return _Val(f"({x.code} == 0)", BOOL)
+            if e.op != "-":
+                raise CodegenUnsupported(f"unknown unary {e.op!r}")
+            x = self._int_of(x)
+            return _Val(f"(-{x.code})", x.kind)
+        if e.op in ("&&", "||"):
+            lhs = self.expr(e.left, depth)
+            self._masked += 1
+            thunk, _ = self._thunk(e.right, depth, lambda v: v.code)
+            self._masked -= 1
+            return _Val(f"{self._call('_lg')}({e.op!r}, {lhs.code}, {thunk})", BOOL)
+        return self._binop(e, depth)
+
+    def _numbered(self, e: UnOp | BinOp, depth: int) -> _Val:
+        """An operator inside a subscript.  Pure integer arithmetic that
+        checks nothing per op is value-numbered (see :meth:`_number`).
+        Each evaluation still counts its own guards and tallies, so the
+        guard census and ``_cnt`` stay per IR operation."""
+        counts = self.census.setdefault(self._region, [0, 0])
+        dynamic = counts[1]
+        value = self._operator(e, depth)
+        if value.kind in _INT_KINDS and counts[1] == dynamic:
+            value = replace(value, code=self._number(value.code, e, depth))
+        return value
+
+    def _number(self, code: str, e: Expr, depth: int) -> str:
+        """The block's temp for ``code``, the value of subscript
+        arithmetic ``e``, bound here on first sight.  ``code`` is an
+        operation over value numbers (single-assignment temps, launch
+        locals and literals), so equal codes are equal values, whichever
+        IR node produced them.  Anything but pure arithmetic keeps its
+        code."""
+        entry = self._values.get(code)
+        if entry is None:
+            names = _pure_names(e)
+            if names is None:
+                return code
+            entry = self._values[code] = (self._temp(depth, code), names)
+        return entry[0]
+
+    def _eval_all(self, exprs, depth: int, subscripts: int = 0) -> list[_Val]:
+        """Codes for ``exprs``, evaluated left to right (the last
+        ``subscripts`` of them are array subscripts).  Codes are inline
         expressions, so when a later operand had to emit statements first,
         each earlier non-trivial operand is bound to a temp placed before
         those statements — keeping the interpreter's evaluation order."""
         vals, ends = [], []
-        for e in exprs:
+        first = len(exprs) - subscripts
+        for n, e in enumerate(exprs):
+            index = n >= first
+            self._indexing += index
             vals.append(self.expr(e, depth))
+            self._indexing -= index
             ends.append(len(self._lines))
         for i in reversed(range(len(vals) - 1)):
             v = vals[i]
@@ -553,12 +610,12 @@ class _Generator:
         ternary arms) — called by the runtime under the proper lane mask."""
         name = self._fresh("f")
         self._emit(depth, f"def {name}():")
-        saved = self._reads
+        saved = self._reads, self._values
         self._open_block(depth + 1)
         value = self.expr(e, depth + 1)
         self._emit(depth + 1, f"return {result(value)}")
         self._close_block()
-        self._reads = saved
+        self._reads, self._values = saved
         return name, value
 
     # -- value plumbing -------------------------------------------------------
@@ -666,6 +723,8 @@ class _Generator:
             lower, lower_value = self._lower(ref, axis)
             if lower_value != 0:
                 code = f"({code} - {lower})"
+                if v.kind not in _FLOAT_KINDS:  # else code holds a checked conversion
+                    code = self._number(code, sub, depth)
             extent = self._extent(ref, axis)
             proved = (
                 not self._masked
@@ -703,7 +762,7 @@ class _Generator:
                 code = self._to_int(value, f"int({name})")
             self._emit(depth, f"{self._call('_si')}({name!r}, {code})")
         self._kinds[name] = _coerced(sym)
-        self._reads.pop(name, None)
+        self._forget({name})
 
     def stmt(self, s: Stmt, depth: int) -> None:
         if isinstance(s, Assign):
@@ -722,7 +781,7 @@ class _Generator:
                 name = s.sym.name
                 self._emit(depth, f"{self._call('_dd')}({name!r})")
                 self._kinds = _flow([s], self._kinds)
-                self._reads.pop(name, None)
+                self._forget({name})
         elif isinstance(s, If):
             cond = self.expr(s.cond, depth)
             before = self._kinds
@@ -784,7 +843,9 @@ class _Generator:
 
     def _store(self, ref: ArrayRef, value: Expr, depth: int) -> None:
         arr = self._array(ref)
-        value, *vals = self._eval_all((value, *ref.indices), depth)
+        value, *vals = self._eval_all(
+            (value, *ref.indices), depth, subscripts=len(ref.indices)
+        )
         idx = self._subscripts(ref, vals, depth, load=False)
         self._tally(3)
         target = self._sig[ref.sym.name]
@@ -850,6 +911,21 @@ class _Generator:
             prologue += [_IND * 2 + line for line in checks]
             prologue.append(_IND * 2 + "_remember(_checked, _launch)")
         return "\n".join(header + prologue + self._lines + [""])
+
+
+def _pure_names(e: Expr) -> frozenset[str] | None:
+    """The variables ``e`` reads when it is pure arithmetic (constants,
+    scalar reads, unary and binary operators but ``&&``/``||``), else
+    ``None``."""
+    names = set()
+    for node in e.walk():
+        if isinstance(node, VarRef):
+            names.add(node.sym.name)
+        elif isinstance(node, BinOp) and node.op in ("&&", "||"):
+            return None
+        elif not isinstance(node, (IntConst, UnOp, BinOp)):
+            return None
+    return frozenset(names)
 
 
 #: What a loop's ``cond_op`` adds to its bound to make ``range``'s stop.

@@ -54,6 +54,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -143,6 +144,12 @@ class ClusterConfig:
 
 #: The ``watch`` request that reads one telemetry frame from a daemon.
 _WATCH_ONCE = {"op": "watch", "count": 1, "interval_ms": 1.0}
+
+
+def _client_requests(frame: dict) -> int:
+    """A shard frame's request total without the ``watch`` probes that
+    read its telemetry (the router's own, for every frame it builds)."""
+    return frame.get("requests_total", 0) - frame.get("requests", {}).get("watch", 0)
 
 
 def _add_counts(into: dict, frame: dict) -> None:
@@ -478,7 +485,8 @@ class Router(FrontDoor):
             flight_slow=self.config.broker.flight_slow,
             flight_errors=self.config.broker.flight_errors,
         )
-        self._socket_dir: str | None = None
+        #: Directories the router made itself; :meth:`drain` removes them.
+        self._temp_dirs: list[str] = []
 
         if shards is not None:
             self.shards = list(shards)
@@ -488,17 +496,14 @@ class Router(FrontDoor):
                 # Without a shared disk namespace a restart would lose
                 # every warm key; default one rather than degrade.
                 broker = replace(
-                    broker,
-                    cache_dir=tempfile.mkdtemp(prefix="repro-cluster-cache-"),
+                    broker, cache_dir=self._temp_dir("repro-cluster-cache-")
                 )
-            self._socket_dir = self.config.socket_dir or tempfile.mkdtemp(
-                prefix="repro-cluster-"
-            )
+            socket_dir = self.config.socket_dir or self._temp_dir("repro-cluster-")
             self.shards = [
                 ProcessShard(
                     i,
                     broker,
-                    self._socket_dir,
+                    socket_dir,
                     spawn_timeout_s=self.config.spawn_timeout_s,
                 )
                 for i in range(self.config.shards)
@@ -541,6 +546,11 @@ class Router(FrontDoor):
                 f"cluster.routed.{shard.shard_id}",
                 f"requests routed to {shard.shard_id}",
             )
+
+    def _temp_dir(self, prefix: str) -> str:
+        path = tempfile.mkdtemp(prefix=prefix)
+        self._temp_dirs.append(path)
+        return path
 
     def _admit(self, request: dict) -> None:
         """Charge a keyed request to its tenant's token bucket."""
@@ -730,7 +740,7 @@ class Router(FrontDoor):
             _add_counts(self._retired, frame)
             self._retired_requests[index] = self._retired_requests.get(
                 index, 0
-            ) + frame.get("requests_total", 0)
+            ) + _client_requests(frame)
 
     def _handle_trace(self, request: dict) -> dict:
         """Fan the ``trace`` op out to the shards: a specific
@@ -826,7 +836,7 @@ class Router(FrontDoor):
                 "state": shard.state,
                 "routed": value(f"cluster.routed.{shard.shard_id}"),
                 "requests_total": retired_requests.get(shard.index, 0)
-                + (frame or {}).get("requests_total", 0),
+                + _client_requests(frame or {}),
             }
             if frame is not None:
                 cache = frame.get("cache") or {}
@@ -873,10 +883,13 @@ class Router(FrontDoor):
     # -- lifecycle ---------------------------------------------------------
 
     def drain(self) -> None:
-        """Stop admitting, answer everything in flight, stop the shards.
-        A shard that fails to stop (its process gone or not exiting) is
-        counted under ``cluster.shard_stop_errors.<type>`` and the drain
-        goes on to the next."""
+        """Stop admitting, answer everything in flight, stop the shards,
+        then remove the directories the router made (a socket or cache
+        directory the caller configured stays).  A shard that fails to
+        stop (its process gone or not exiting) is counted under
+        ``cluster.shard_stop_errors.<type>``, a directory that cannot be
+        removed under ``cluster.temp_dir_errors.<type>``, and the drain
+        goes on."""
         super().drain()
         for shard in self.shards:
             if shard.state == "up":
@@ -887,6 +900,11 @@ class Router(FrontDoor):
                     self._count("shard_stop_errors", type(exc).__name__)
                 shard.state = "down"
         self._shards_up.set(0)
+        while self._temp_dirs:
+            try:
+                shutil.rmtree(self._temp_dirs.pop())
+            except OSError as exc:
+                self._count("temp_dir_errors", type(exc).__name__)
 
 
 def run_cluster(config: ClusterConfig, socket_path: str | None = None) -> int:

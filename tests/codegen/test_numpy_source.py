@@ -10,6 +10,7 @@ sealed exec namespace, cache behaviour, and the fallback ladder.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,64 @@ class TestGeneratedSource:
         s_arrays, s_stats = run_kernel(lower(SRC), copy_args(args))
         np.testing.assert_array_equal(arrays["a"], s_arrays["a"])
         assert stats == s_stats
+
+
+_LOAD = re.compile(r"_A\d+\[([^\[\]]+)\]")
+_STORE = re.compile(r"_st\(_A\d+, \((.*?),\), ")
+_TEMP = re.compile(r"(_t\d+) = (.+)")
+_INT_OP = re.compile(r"\((\w+) [-+*] (\w+)\)")
+
+
+def _blocks(text: str) -> list[list[str]]:
+    """The lines of each ``def`` in a generated program, without the
+    lines of the ``def``s nested in it."""
+    done, open_ = [], []  # open_: (indent of the def line, its own lines)
+    for line in text.splitlines():
+        indent = len(line) - len(line.lstrip())
+        while open_ and indent <= open_[-1][0]:
+            done.append(open_.pop()[1])
+        if open_ and indent == open_[-1][0] + 4:
+            open_[-1][1].append(line.strip())
+        if line.lstrip().startswith("def "):
+            open_.append((indent, []))
+    return done + [lines for _, lines in open_]
+
+
+class TestSubscriptValueNumbering:
+    """A generated block computes each distinct subscript expression once:
+    loads and stores index with names, and the integer arithmetic those
+    names are bound to never repeats within the block."""
+
+    @pytest.mark.parametrize("name", ["BT", "355.seismic"])
+    def test_each_block_evaluates_each_subscript_once(self, name):
+        load_all()
+        spec = {s.name: s for s in list(SPEC.all()) + list(NAS.all())}[name]
+        fn, _ = build_test_args(spec)
+        uses = shared = 0
+        for block in _blocks(generate_source(fn).text):
+            defs = dict(m.groups() for line in block if (m := _TEMP.fullmatch(line)))
+            index = [
+                code
+                for line in block
+                for pattern in (_LOAD, _STORE)
+                for m in pattern.finditer(line)
+                for code in m[1].split(", ")
+            ]
+            assert all(code.isidentifier() or code.isdigit() for code in index), (
+                name, index,
+            )
+            # The integer arithmetic behind the subscripts, operands too.
+            arithmetic, todo = [], list(index)
+            while todo:
+                op = _INT_OP.fullmatch(defs.get(todo.pop(), ""))
+                if op is not None and op[0] not in arithmetic:
+                    arithmetic.append(op[0])
+                    todo += op.groups()
+            counts = {code: sum(line.count(code) for line in block) for code in arithmetic}
+            assert all(n == 1 for n in counts.values()), (name, counts)
+            uses += len(index)
+            shared += len(index) - len(set(index))
+        assert shared > uses / 2, (name, uses, shared)
 
 
 TWO_REGIONS = """

@@ -11,6 +11,7 @@ line a process shard starts its daemon with is also checked without
 spawning it.
 """
 
+import os
 import threading
 import time
 from concurrent.futures import Future
@@ -378,7 +379,64 @@ class TestFailover:
             assert response["error"]["code"] == protocol.SHARD_UNAVAILABLE
 
 
+def drain_or_kill(router: Router) -> list[int]:
+    """Drain a process-shard router within a minute, then kill any daemon
+    still running; returns the indices of the shards that were."""
+    stopper = threading.Thread(target=router.drain, daemon=True)
+    stopper.start()
+    stopper.join(timeout=60)
+    running = [s.index for s in router.shards if s._proc.poll() is None]
+    for shard in router.shards:
+        if shard._proc.poll() is None:
+            shard._proc.kill()
+            shard._proc.wait(timeout=10)
+    assert not stopper.is_alive()
+    return running
+
+
 class TestProcessShards:
+    def test_drain_removes_the_directories_the_router_made(self):
+        """Without a configured socket or cache directory the router
+        makes both; draining it removes them."""
+        router = Router(quiet_config(process_shards=True))
+        socket_dir = os.path.dirname(router.shards[0].socket_path)
+        cache_dir = router.shards[0].config.cache_dir
+        try:
+            assert os.path.isdir(socket_dir) and os.path.isdir(cache_dir)
+            response = router.submit({"op": "compile", "source": AXPY}).result(
+                timeout=60
+            )
+            assert response["ok"], response
+        finally:
+            running = drain_or_kill(router)
+        assert running == []
+        assert not os.path.exists(socket_dir)
+        assert not os.path.exists(cache_dir)
+        assert router.metrics.get("cluster.temp_dir_errors") is None
+
+    def test_telemetry_probes_are_not_counted_as_requests(self, tmp_path):
+        """Each frame the router builds sends every live daemon a
+        ``watch`` probe; a shard row's total counts client requests only."""
+        config = quiet_config(
+            process_shards=True,
+            broker=BrokerConfig(workers=1, cache_dir=str(tmp_path / "cache")),
+            socket_dir=str(tmp_path),
+        )
+        router = Router(config)
+        try:
+            for i in range(4):
+                request = {"op": "compile", "source": source_variant(i)}
+                assert router.submit(request).result(timeout=60)["ok"]
+            totals = [
+                [row["requests_total"] for row in router._frame()["shards"]]
+                for _ in range(5)
+            ]
+        finally:
+            running = drain_or_kill(router)
+        assert running == []
+        assert sum(totals[0]) == 4
+        assert totals == [totals[0]] * 5
+
     def test_killed_daemon_fails_over_to_the_other_shard(self, tmp_path):
         """Two real ``repro serve --socket`` daemons: SIGKILL the one
         that owns a key, and the next request for it is answered by the
@@ -409,17 +467,11 @@ class TestProcessShards:
             assert response["result"]["cached"] == "disk"
             assert router.metrics.get("cluster.failovers").value >= 1
         finally:
-            stopper = threading.Thread(target=router.drain, daemon=True)
-            stopper.start()
-            stopper.join(timeout=60)
-            running = [s.index for s in router.shards if s._proc.poll() is None]
-            for shard in router.shards:
-                if shard._proc.poll() is None:
-                    shard._proc.kill()
-                    shard._proc.wait(timeout=10)
-        assert not stopper.is_alive()
+            running = drain_or_kill(router)
         assert running == []
         assert router.metrics.get("cluster.shard_stop_errors") is None
+        # Directories the caller configured outlive the router.
+        assert (tmp_path / "cache").is_dir() and tmp_path.is_dir()
 
 
 class TestDrainRestart:

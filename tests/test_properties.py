@@ -410,6 +410,46 @@ def fallback_programs(draw):
     """
 
 
+@st.composite
+def subscript_reuse_programs(draw):
+    """Random parallel kernels repeating subscripts of a private scalar
+    ``m`` (one of them rebased against a declared lower bound) across
+    every place a generated block's value numbers must not leak through:
+    a reassignment of ``m``, an ``If`` arm that reassigns it under a lane
+    mask, a ternary or short-circuit right-hand side, and a sequential
+    loop whose bounds vary per lane.  ``b[n - 4]`` reads only a launch
+    parameter, so a temp leaking out of a nested block would be read
+    where it was never bound."""
+    d, e, o = (draw(st.integers(-1, 1)) for _ in range(3))
+    sub = f"m + {o}" if o >= 0 else f"m - {-o}"
+    lazy = draw(st.sampled_from(["?", "&&", "||"]))
+    if lazy == "?":
+        use = f"a[i] = a[i] + ((b[i] > 1.0) ? b[{sub}] : b[n - 4]);"
+    else:
+        use = (
+            f"if (b[i] > 1.0 {lazy} b[{sub}] > b[n - 4]) "
+            f"{{ a[i] = a[i] + c[{sub} + 1]; }}"
+        )
+    return f"""
+    kernel k(double a[n], const double b[n], const double c[1:n], int n) {{
+      #pragma acc kernels loop gang vector(64)
+      for (i = 3; i < n - 3; i++) {{
+        int m = i + {d};
+        a[i] = b[{sub}] * 0.5 + c[{sub} + 1];
+        m = m + {e};
+        a[i] = a[i] + b[{sub}] - c[{sub} + 1] * 0.25;
+        if (b[i] > 1.0) {{ a[i] = a[i] + b[{sub}] * b[n - 4]; m = m - {e}; }}
+        a[i] = a[i] + b[{sub}] + b[n - 4];
+        {use}
+        #pragma acc loop seq
+        for (k = i - 2; k < i; k++) {{
+          a[i] = a[i] + b[{sub}] * 0.125 + b[k + 1] - c[{sub} + 1];
+        }}
+      }}
+    }}
+    """
+
+
 class TestVectorExecutionProperty:
     def _run_both(self, src, n, seed, **kw):
         from repro.gpu.vector_exec import execute_kernel
@@ -424,6 +464,7 @@ class TestVectorExecutionProperty:
                 "b": b.copy(),
                 "q": np.zeros(n, dtype=np.int32),
                 "p": p.copy(),
+                "c": b[::-1].copy(),
                 "n": n,
             }
 
@@ -466,6 +507,17 @@ class TestVectorExecutionProperty:
         )
         assert info.used == "codegen"
         assert m.get("cache.fnobj.hits").value == 1
+        for name in s_arrays:
+            np.testing.assert_array_equal(s_arrays[name], v_arrays[name])
+        assert s_stats == v_stats
+
+    @given(subscript_reuse_programs(), st.integers(8, 24), st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_shared_subscripts_match_the_oracle(self, src, n, seed):
+        """Generated blocks compute each subscript once and share it; the
+        sharing must never reach past a write or out of its block."""
+        s_arrays, s_stats, v_arrays, v_stats, info = self._run_both(src, n, seed)
+        assert info.used == "codegen", info.fallback_reason
         for name in s_arrays:
             np.testing.assert_array_equal(s_arrays[name], v_arrays[name])
         assert s_stats == v_stats
