@@ -652,7 +652,7 @@ CLUSTER_BENCHMARKS = (
 )
 
 
-def collect_cluster(attempts: int = 3) -> dict:
+def collect_cluster() -> dict:
     """The sharded-serving row (``docs/sharding.md``).
 
     Two sub-measurements against a two-shard consistent-hash router
@@ -668,20 +668,9 @@ def collect_cluster(attempts: int = 3) -> dict:
       from a cache tier (>= 0.9 — the shared disk tier carries the
       restarted shard's keys, so a rolling restart loses no warm state).
 
-    Like ``collect_slo``, the row measures wall clock: a failing attempt
-    is re-measured (up to ``attempts`` total) so a transient load spike
-    cannot fail a healthy build; a real routing or drain bug fails every
-    attempt.
+    The row is measured once: every key is pinned to its rendezvous
+    owner, so the steady balance is deterministic.
     """
-    row: dict = {}
-    for _ in range(max(1, attempts)):
-        row = _measure_cluster()
-        if not check_cluster(row):
-            return row
-    return row
-
-
-def _measure_cluster() -> dict:
     import tempfile
     import threading
 

@@ -370,21 +370,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if getattr(args, "shards", None) and args.shards > 1:
         from .serve.cluster import ClusterConfig, run_cluster
 
-        kwargs: dict = {
-            "shards": args.shards,
-            "broker": _broker_config(args),
-            "process_shards": True,
-        }
-        if args.replication is not None:
-            kwargs["replication"] = args.replication
-        if args.tenant_rate is not None:
-            kwargs["tenant_rate"] = args.tenant_rate
-        if args.tenant_burst is not None:
-            kwargs["tenant_burst"] = args.tenant_burst
-        try:
-            config = ClusterConfig(**kwargs)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+        config = ClusterConfig(
+            shards=args.shards, broker=_broker_config(args), process_shards=True
+        )
         return run_cluster(config, socket_path=args.socket)
     from .serve.daemon import run_daemon
 
@@ -562,10 +550,7 @@ def _render_top_frame(frame: dict, previous: dict | None) -> str:
     if cluster:
         lines.append(
             f"cluster   shards {cluster['up']}/{cluster['shards']}   "
-            f"replication {cluster['replication']}   "
-            f"hot keys {cluster['hot_keys']}   "
             f"failovers {cluster['failovers']}   "
-            f"quota_rejected {cluster['quota_rejected']}   "
             f"drains {cluster['drains']}   restarts {cluster['restarts']}"
         )
     shards = frame.get("shards")
@@ -656,8 +641,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         overrides["prewarm"] = False
     if args.deadline_ms is not None:
         overrides["deadline_ms"] = args.deadline_ms
-    if args.tenant:
-        overrides["tenant"] = args.tenant
     if args.quick:
         profile = quick_profile(**overrides)
     else:
@@ -704,8 +687,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         request["arch"] = args.arch
     if getattr(args, "saturate", None) is not None:
         request["saturate"] = args.saturate
-    if args.tenant:
-        request["tenant"] = args.tenant
     env = _parse_env(args.env)
     if env:
         request["env"] = env
@@ -993,29 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         "over N broker subprocesses sharing one disk cache (see "
         "docs/sharding.md; default: a single in-process broker)",
     )
-    p.add_argument(
-        "--replication",
-        type=int,
-        default=None,
-        help="shards a hot key may be served from (cluster mode; "
-        "default: 2)",
-    )
-    p.add_argument(
-        "--tenant-rate",
-        dest="tenant_rate",
-        type=float,
-        default=None,
-        help="per-tenant quota refill rate in requests/s (cluster "
-        "mode; default: quotas disabled)",
-    )
-    p.add_argument(
-        "--tenant-burst",
-        dest="tenant_burst",
-        type=float,
-        default=None,
-        help="per-tenant quota burst ceiling (cluster mode; "
-        "default: 10)",
-    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1139,12 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, help="schedule RNG seed (default: 0)")
     p.add_argument(
-        "--tenant",
-        default=None,
-        help="stamp every request with this tenant name (exercises "
-        "per-tenant quotas on a cluster router)",
-    )
-    p.add_argument(
         "--quick",
         action="store_true",
         help="start from the CI smoke profile instead of the defaults",
@@ -1181,12 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arch",
         help="pin the request to a registered arch profile (the server "
         "answers unknown_arch for unregistered names)",
-    )
-    p.add_argument(
-        "--tenant",
-        default=None,
-        help="tenant name for the request (charged against per-tenant "
-        "quotas on a cluster router)",
     )
     p.add_argument(
         "--saturate",

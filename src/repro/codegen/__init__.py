@@ -2,7 +2,6 @@
 lowering pass, and a readable CUDA-like source renderer."""
 
 from .cuda_text import CudaRenderer, render_cuda
-from .opencl_text import OpenClRenderer, render_opencl
 from .kernelgen import CodegenOptions, KernelGenerator, generate_kernel
 from .vector_lower import AXIS, SEQ, KernelPlan, LoopPlan, RegionPlan, plan_kernel
 from .vir import (
@@ -25,9 +24,7 @@ __all__ = [
     "plan_kernel",
     "CodegenOptions",
     "CudaRenderer",
-    "OpenClRenderer",
     "render_cuda",
-    "render_opencl",
     "Instr",
     "KernelGenerator",
     "LaunchConfig",

@@ -122,17 +122,6 @@ class ExecutionFailedError(ProtocolError):
     code = "execution_error"
 
 
-class QuotaExceededError(ProtocolError):
-    """The tenant's admission token bucket is empty (``quota_exceeded``).
-
-    Retryable: the bucket refills at the configured per-tenant rate, so
-    the identical request succeeds once the client backs off.
-    """
-
-    code = "quota_exceeded"
-    retryable = True
-
-
 class ShardUnavailableError(ProtocolError):
     """No shard could take the request (``shard_unavailable``).
 
@@ -185,7 +174,6 @@ __all__ = [
     "QueueFullError",
     "CompileFailedError",
     "ExecutionFailedError",
-    "QuotaExceededError",
     "ShardUnavailableError",
     "ShuttingDownError",
     "InternalServiceError",
@@ -227,7 +215,6 @@ def _code_map() -> dict[str, type]:
         "execution_error": ExecutionFailedError,
         "tune_error": TuneError,
         "timing_unavailable": TimingUnavailable,
-        "quota_exceeded": QuotaExceededError,
         "shard_unavailable": ShardUnavailableError,
         "shutting_down": ShuttingDownError,
         "internal": InternalServiceError,

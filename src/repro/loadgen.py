@@ -65,10 +65,6 @@ class LoadProfile:
     #: Tune budget when the mix includes ``tune`` (kept tiny: tuning is
     #: minutes at default budgets).
     tune_budget: int = 2
-    #: ``tenant`` protocol field stamped on every request (``None`` →
-    #: anonymous) — lets a run exercise the cluster router's per-tenant
-    #: admission quotas.
-    tenant: str | None = None
     #: Schedule RNG seed — same seed, same arrivals, same request bodies.
     seed: int = 0
 
@@ -82,7 +78,6 @@ class LoadProfile:
             "deadline_ms": self.deadline_ms,
             "prewarm": self.prewarm,
             "tune_budget": self.tune_budget,
-            "tenant": self.tenant,
             "seed": self.seed,
         }
 
@@ -144,8 +139,6 @@ def _request_for(op: str, spec, profile: LoadProfile) -> dict:
     if op == "tune":
         request["budget"] = profile.tune_budget
         request["strategy"] = "beam"
-    if profile.tenant is not None:
-        request["tenant"] = profile.tenant
     request["_benchmark"] = spec.qualified_name  # stripped before sending
     return request
 
@@ -258,8 +251,6 @@ def _prewarm(send, schedule) -> int:
                 "source": src,
                 "env": env,
             }
-            if "tenant" in request:
-                seen[src]["tenant"] = request["tenant"]
     for request in seen.values():
         send(request)
     return len(seen)

@@ -59,7 +59,7 @@ METRIC_FAMILIES = (
     ("codegen", "codegen (generated-NumPy tier)"),
     ("tune", "tune (autotuner)"),
     ("serve", "serve (broker, deadlines, placement, latency)"),
-    ("cluster", "cluster (router, sharding, failover, quotas)"),
+    ("cluster", "cluster (router, sharding, failover, drains)"),
     ("loadgen", "loadgen (open-loop load generator)"),
 )
 

@@ -4,9 +4,9 @@ sessions.
 * :mod:`repro.serve.protocol` — the JSON-lines request/response schemas
   and error codes;
 * :mod:`repro.serve.frontdoor` — the front door both serving tiers
-  subclass: one admission path (validation, trace id, quota hook,
-  draining, bounded capacity), counted and flight-recorded rejections,
-  one exception → wire-code table, and the ``submit`` / ``handle`` /
+  subclass: one admission path (validation, trace id, draining,
+  bounded capacity), counted and flight-recorded rejections, one
+  exception → wire-code table, and the ``submit`` / ``handle`` /
   ``drain`` surface;
 * :mod:`repro.serve.broker` — the single-process tier: a worker pool of
   per-worker :class:`~repro.compiler.session.CompilerSession` objects
@@ -26,11 +26,9 @@ sessions.
   connect with;
 * :mod:`repro.serve.cluster` — the sharded tier behind ``repro serve
   --shards N``: a consistent-hash router (the front door's other
-  subclass) over N broker shards with
-  hot-key replication, failover past a lost shard, per-tenant quotas
-  and graceful drain/restart (:mod:`repro.serve.hashring` provides the rendezvous
-  hashing, :mod:`repro.serve.quota` the token buckets — see
-  ``docs/sharding.md``).
+  subclass) over N broker shards with failover past a lost shard and
+  graceful drain/restart (:mod:`repro.serve.hashring` provides the
+  rendezvous hashing — see ``docs/sharding.md``).
 
 See ``docs/serving.md`` for the protocol reference and the disk-cache
 layout, and ``docs/architecture.md`` for where this layer sits.

@@ -11,26 +11,15 @@ shards, each a full broker — worker pool, deadlines, placement
 ``docs/sharding.md`` for the architecture and failure matrix.
 
 * **Routing** — each request's content-addressed routing key (source +
-  config + kernel + arch + env shape) is rendezvous-hashed over the live
-  shards (:mod:`repro.serve.hashring`); the same key always lands on the
-  same shard, so per-shard in-memory caches stay hot, and compile/run
-  traffic for one kernel co-locates.
-* **Hot-key replication** — keys seen often enough (the top
-  :data:`HOT_KEY_COUNT` by hit count, each with at least
-  :data:`HOT_KEY_MIN_HITS` hits) rotate over their first
-  ``replication`` ranks instead of pinning to rank 0, so one viral
-  kernel does not saturate a single shard.  The rank order is a
-  permutation per key, so replicas are always distinct shards.
+  config + kernel + arch) is rendezvous-hashed over the live shards
+  (:mod:`repro.serve.hashring`); every request for a key goes to its
+  owner (rank 0), so per-shard in-memory caches stay hot, and
+  compile/run traffic for one kernel co-locates.
 * **Failover** — a request waits for the shard it was placed on and
   takes that shard's answer.  It moves to the next rank only when the
   shard is gone or leaving: the submit is refused, the transport dies
   under it, or the shard answers ``shutting_down``
   (``cluster.failovers``).
-* **Admission quotas** — with a configured per-tenant rate, keyed
-  requests charge a token bucket keyed by the protocol's ``tenant``
-  field before routing (:mod:`repro.serve.quota`, the front door's
-  admission check); an empty bucket answers the retryable
-  ``quota_exceeded``.
 * **Drain/restart** — the ``drain`` op (``repro cluster-drain``) marks a
   shard draining (no new routes), waits out its in-flight requests,
   stops it, and optionally restarts it.  The restarted shard rejoins
@@ -67,8 +56,6 @@ from . import hashring, protocol
 from .broker import Broker, BrokerConfig
 from .client import SocketClient
 from .frontdoor import FrontDoor, number
-from .protocol import ServeError
-from .quota import TenantQuotas
 
 __all__ = [
     "ClusterConfig",
@@ -78,18 +65,6 @@ __all__ = [
     "routing_key",
     "run_cluster",
 ]
-
-#: Ops that carry a routable content key (everything else is control
-#: plane, handled by the router itself).
-KEYED_OPS = frozenset({"compile", "run", "tune"})
-
-#: Hot-key set size (top-K routing keys by hit count)…
-HOT_KEY_COUNT = 8
-#: …and the hit count below which a key is never considered hot.
-HOT_KEY_MIN_HITS = 3
-#: Keyed requests between recomputations of the hot set.
-_HOT_EVERY = 32
-
 
 def routing_key(request: dict) -> str:
     """The content-addressed routing key of a keyed request.
@@ -114,21 +89,14 @@ def routing_key(request: dict) -> str:
 
 @dataclass(frozen=True, slots=True)
 class ClusterConfig:
-    """Router settings: the shard fleet, hot-key replication, tenant
-    quotas and router capacity (see ``docs/sharding.md``)."""
+    """Router settings: the shard fleet and router capacity (see
+    ``docs/sharding.md``)."""
 
     #: Number of broker shards behind the router.
     shards: int = 2
     #: Per-shard broker configuration.  Give it a ``cache_dir`` — the
     #: shared disk namespace is what makes drain/restart lossless.
     broker: BrokerConfig = field(default_factory=BrokerConfig)
-    #: Ranks a hot key may be served from (≥2 enables replication;
-    #: 1 pins every key to its rendezvous owner).
-    replication: int = 2
-    #: Per-tenant admission: tokens/second and bucket ceiling.  ``None``
-    #: rate disables quotas entirely.
-    tenant_rate: float | None = None
-    tenant_burst: float = 10.0
     #: Router threads (each carries one in-flight request end to end)
     #: and the extra requests allowed to queue.
     router_workers: int = 16
@@ -476,8 +444,6 @@ class Router(FrontDoor):
         self.config = config or ClusterConfig()
         if shards is None and self.config.shards < 1:
             raise ValueError("a cluster needs at least one shard")
-        if self.config.replication < 1:
-            raise ValueError("replication must be >= 1")
         super().__init__(
             "cluster",
             workers=self.config.router_workers,
@@ -514,18 +480,6 @@ class Router(FrontDoor):
                 for i in range(self.config.shards)
             ]
 
-        self._quotas = (
-            None
-            if self.config.tenant_rate is None
-            else TenantQuotas(self.config.tenant_rate, self.config.tenant_burst)
-        )
-
-        # Hot-key tracking: hit counts per routing key, with the top-K
-        # set recomputed every _HOT_EVERY keyed requests.
-        self._key_hits: dict[str, int] = {}
-        self._hot_keys: frozenset[str] = frozenset()
-        self._keyed_seen = 0
-
         # The drained shards' last counters (and requests served, per
         # shard index), so the frame's totals survive a restart.
         self._retired: dict = {}
@@ -552,58 +506,12 @@ class Router(FrontDoor):
         self._temp_dirs.append(path)
         return path
 
-    def _admit(self, request: dict) -> None:
-        """Charge a keyed request to its tenant's token bucket."""
-        if (
-            self._quotas is not None
-            and request["op"] in KEYED_OPS
-            and not self._quotas.try_acquire(request.get("tenant"))
-        ):
-            raise ServeError(
-                protocol.QUOTA_EXCEEDED,
-                f"tenant {request.get('tenant') or '(anonymous)'!s} is "
-                f"over its admission quota "
-                f"({self.config.tenant_rate}/s, burst "
-                f"{self.config.tenant_burst}); retry with backoff",
-            )
-
     def _dispatch(self, request: dict, trace_id: str, enqueue_t: float) -> dict:
         if request["op"] == "drain":
             return self._handle_drain(request)
         return self._route(request, trace_id)
 
     # -- routing -----------------------------------------------------------
-
-    def _note_key(self, key: str) -> int:
-        """Count a hit; recompute the hot set every ``_HOT_EVERY`` keyed
-        requests.  Returns this key's cumulative hit count (which also
-        drives replica rotation)."""
-        with self._lock:
-            hits = self._key_hits.get(key, 0) + 1
-            self._key_hits[key] = hits
-            self._keyed_seen += 1
-            if len(self._key_hits) > 4096:
-                # Bound the tracking map: keep the busiest quarter (the
-                # cold tail restarts its counts, which only delays
-                # hot-key promotion, never corrupts routing).
-                keep = sorted(
-                    self._key_hits.items(), key=lambda kv: -kv[1]
-                )[:1024]
-                self._key_hits = dict(keep)
-            if (
-                self._keyed_seen % _HOT_EVERY == 0
-                or hits == HOT_KEY_MIN_HITS  # a key just became eligible
-            ):
-                eligible = [
-                    (n, k)
-                    for k, n in self._key_hits.items()
-                    if n >= HOT_KEY_MIN_HITS
-                ]
-                eligible.sort(reverse=True)
-                self._hot_keys = frozenset(
-                    k for _, k in eligible[:HOT_KEY_COUNT]
-                )
-            return hits
 
     def _alive_in_rank_order(self, key: str) -> list:
         with self._lock:
@@ -615,7 +523,6 @@ class Router(FrontDoor):
     def _route(self, request: dict, trace_id: str) -> dict:
         request_id = request.get("id")
         key = routing_key(request)
-        hits = self._note_key(key)
         wire = dict(request)
         wire["trace_id"] = trace_id
         order = self._alive_in_rank_order(key)
@@ -625,14 +532,6 @@ class Router(FrontDoor):
                 protocol.SHARD_UNAVAILABLE,
                 "no shard is accepting requests (all draining or down)",
             )
-        r = min(self.config.replication, len(order))
-        if r > 1 and key in self._hot_keys:
-            # Hot keys rotate over their replica set instead of pinning
-            # to rank 0.
-            rotation = hits % r
-            order = [order[rotation]] + [
-                s for i, s in enumerate(order) if i != rotation
-            ]
         for shard in order:
             response = self._attempt(shard, wire)
             if response is not None:
@@ -787,14 +686,12 @@ class Router(FrontDoor):
                 if snapshot is not None:
                     entry["stats"] = snapshot
             shard_stats.append(entry)
-        out: dict = {
+        return {
             "router": {
                 "shards": len(self.shards),
                 "up": sum(1 for s in self.shards if s.state == "up"),
-                "replication": self.config.replication,
                 "pending": self.pending,
                 "stopping": self._stopping,
-                "hot_keys": len(self._hot_keys),
                 "process_shards": any(
                     s.kind == "process" for s in self.shards
                 ),
@@ -802,9 +699,6 @@ class Router(FrontDoor):
             "metrics": self.metrics.as_dict(),
             "shards": shard_stats,
         }
-        if self._quotas is not None:
-            out["router"]["quotas"] = self._quotas.snapshot()
-        return out
 
     def _frame(self) -> dict:
         """The router's telemetry fields, shaped like the broker's (so
@@ -870,10 +764,7 @@ class Router(FrontDoor):
             "cluster": {
                 "shards": len(self.shards),
                 "up": sum(1 for s in self.shards if s.state == "up"),
-                "replication": self.config.replication,
-                "hot_keys": len(self._hot_keys),
                 "failovers": value("cluster.failovers"),
-                "quota_rejected": value("cluster.rejected.quota_exceeded"),
                 "drains": value("cluster.drains"),
                 "restarts": value("cluster.restarts"),
             },
@@ -920,7 +811,7 @@ def run_cluster(config: ClusterConfig, socket_path: str | None = None) -> int:
     print(
         f"repro serve: cluster router over {len(router.shards)} "
         f"{'process' if config.process_shards else 'in-process'} shards, "
-        f"replication {config.replication}, cache dir "
+        f"cache dir "
         f"{cache or '(memory only)'}",
         file=sys.stderr,
     )

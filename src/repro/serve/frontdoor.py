@@ -5,11 +5,10 @@ answering (see ``docs/serving.md``, "Admission").
 compiler sessions) and :class:`~repro.serve.cluster.Router` (a
 consistent-hash router over broker shards) both subclass
 :class:`FrontDoor`.  It validates, assigns the ``trace_id``, counts,
-runs the tier's :meth:`FrontDoor._admit` check, bounds the requests in
-flight, counts and flight-records every refusal, answers the control
-ops every tier answers alike, maps whatever a handler raises through one
-exception → wire-code table, and builds the common fields of a
-telemetry frame.  A tier supplies :meth:`FrontDoor._dispatch` (the keyed
+bounds the requests in flight, counts and flight-records every refusal,
+answers the control ops every tier answers alike, maps whatever a
+handler raises through one exception → wire-code table, and builds the
+common fields of a telemetry frame.  A tier supplies :meth:`FrontDoor._dispatch` (the keyed
 ops and ``drain``), ``stats`` and :meth:`FrontDoor._frame`.
 """
 
@@ -116,7 +115,6 @@ class FrontDoor:
         try:
             protocol.validate_request(request)
             requests = self._requests_of(request["op"])
-            self._admit(request)
         except ServeError as exc:
             return _resolved(self._reject(request, exc.code, exc.message, trace_id))
         with self._lock:
@@ -172,10 +170,6 @@ class FrontDoor:
                 f"{self._tier}.requests.{op}", f"admitted {op} requests"
             )
         return counter
-
-    def _admit(self, request: dict) -> None:
-        """The tier's own admission check on a valid request; raises
-        :class:`ServeError` to refuse it."""
 
     def _reject(self, request, code: str, message: str, trace_id: str) -> dict:
         """Count and flight-record a refusal; returns its error response.

@@ -11,9 +11,9 @@ properties, and is trivially deterministic across processes:
   whose top-ranked shard changed: an expected ``1/N`` fraction on
   removal, ``1/(N+1)`` on addition.  Everything else keeps its shard,
   so warm in-memory caches survive membership churn.
-* **Replication for free** — the score order over shards is a full
+* **Distinct ranks** — the score order over shards is a full
   permutation per key, so the top ``r`` ranks are ``r`` *distinct*
-  shards: hot-key replicas never co-locate.
+  shards: failover past the owner never revisits a shard.
 * **Cross-process determinism** — scores come from SHA-256 over the
   UTF-8 bytes of ``"<shard>|<key>"``, never Python's randomized
   :func:`hash`, so every router process (and the test suite's subprocess

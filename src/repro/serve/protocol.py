@@ -11,8 +11,10 @@ Request envelope::
      "op": "compile" | "run" | "tune" | "stats" | "trace" | "watch"
            | "drain" | "shutdown",
      "trace_id": "<optional client-chosen correlation id>",
-     "tenant": "<optional tenant name for admission quotas>",
      ...op-specific fields...}
+
+A field the op does not read is ignored, so a client may send extra
+fields (a ``tenant`` name, say) without being refused.
 
 Response envelope::
 
@@ -29,8 +31,8 @@ one id correlates a slow response with its full span tree after the
 fact.
 
 ``retryable`` tells clients whether resubmitting the identical request
-can succeed: ``queue_full``, ``deadline_exceeded``, ``quota_exceeded``
-and ``shard_unavailable`` are backpressure (retry later, ideally with
+can succeed: ``queue_full``, ``deadline_exceeded`` and
+``shard_unavailable`` are backpressure (retry later, ideally with
 backoff); ``parse_error`` / ``bad_request`` / ``compile_error`` are
 permanent — the request itself is wrong.
 
@@ -76,9 +78,6 @@ TUNE_ERROR = "tune_error"
 TIMING_UNAVAILABLE = "timing_unavailable"
 #: The daemon is draining after a shutdown request.
 SHUTTING_DOWN = "shutting_down"
-#: The tenant's token bucket is empty — per-tenant admission throttling
-#: (the router's 429; retry after the bucket refills).
-QUOTA_EXCEEDED = "quota_exceeded"
 #: No shard could take the request (all candidates draining, down, or
 #: unreachable).  Retryable: shards rejoin after drain/restart.
 SHARD_UNAVAILABLE = "shard_unavailable"
@@ -90,7 +89,6 @@ RETRYABLE_CODES = frozenset(
     {
         QUEUE_FULL,
         DEADLINE_EXCEEDED,
-        QUOTA_EXCEEDED,
         SHARD_UNAVAILABLE,
     }
 )
@@ -109,10 +107,6 @@ VALID_OPS = (
 #: Longest accepted client-supplied ``trace_id`` (keeps log lines and
 #: flight-recorder keys bounded).
 MAX_TRACE_ID_LEN = 128
-
-#: Longest accepted ``tenant`` name (keys token buckets and metric
-#: labels; bounded for the same reason as trace ids).
-MAX_TENANT_LEN = 64
 
 
 class ServeError(ReproError):
@@ -161,17 +155,6 @@ def validate_request(obj: Any) -> dict:
             BAD_REQUEST,
             f"'trace_id' must be a non-empty string of at most "
             f"{MAX_TRACE_ID_LEN} characters",
-        )
-    tenant = obj.get("tenant")
-    if tenant is not None and (
-        not isinstance(tenant, str)
-        or not tenant
-        or len(tenant) > MAX_TENANT_LEN
-    ):
-        raise ServeError(
-            BAD_REQUEST,
-            f"'tenant' must be a non-empty string of at most "
-            f"{MAX_TENANT_LEN} characters",
         )
     if op == "trace":
         # Optional narrowing to one retained trace; optional Perfetto doc.

@@ -134,38 +134,3 @@ class TestCudaRenderer:
         text = render_cuda(fn.regions()[0], fn.symtab)
         assert "// dim: shared offset computation" in text
         assert "// small: 32-bit offsets" in text
-
-
-class TestOpenClRenderer:
-    def test_kernel_signature(self):
-        from repro.codegen import render_opencl
-
-        fn = lower(STENCIL_SRC)
-        text = render_opencl(fn.regions()[0], fn.symtab, name="stencil")
-        assert text.startswith("__kernel void stencil(")
-        assert "__global double*" in text
-        assert "const __global double* restrict b" in text
-
-    def test_work_item_indexing(self):
-        from repro.codegen import render_opencl
-
-        fn = lower(STENCIL_SRC)
-        text = render_opencl(fn.regions()[0], fn.symtab)
-        assert "get_group_id(0) * get_local_size(0) + get_local_id(0)" in text
-
-    def test_axis_numbers_increment(self):
-        from repro.codegen import render_opencl
-
-        src = """
-        kernel k(double a[n][m], int n, int m) {
-          #pragma acc kernels loop gang vector(2)
-          for (j = 0; j < m; j++) {
-            #pragma acc loop gang vector(32)
-            for (i = 0; i < n; i++) { a[i][j] = 0.0; }
-          }
-        }
-        """
-        fn = lower(src)
-        text = render_opencl(fn.regions()[0], fn.symtab)
-        assert "get_group_id(0)" in text
-        assert "get_group_id(1)" in text

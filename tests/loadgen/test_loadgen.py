@@ -290,25 +290,6 @@ class _ShardStampingBroker(_SerialBroker):
 
 
 class TestTenantAndShards:
-    def test_tenant_is_stamped_on_every_request(self):
-        from repro.loadgen import build_schedule
-
-        schedule = build_schedule(profile(tenant="acme"))
-        assert schedule
-        assert all(req["tenant"] == "acme" for _, req in schedule)
-
-    def test_no_tenant_field_without_a_tenant(self):
-        from repro.loadgen import build_schedule
-
-        schedule = build_schedule(profile())
-        assert all("tenant" not in req for _, req in schedule)
-
-    def test_tenant_appears_in_the_report_profile(self):
-        p = profile(rate_rps=10.0, duration_s=0.3, prewarm=False,
-                    tenant="acme")
-        report = run_load(p, broker=_SerialBroker(0.001))
-        assert report["profile"]["tenant"] == "acme"
-
     def test_per_shard_counts_and_balance(self):
         p = profile(rate_rps=40.0, duration_s=0.5, prewarm=False)
         report = run_load(p, broker=_ShardStampingBroker(0.001, shards=2))

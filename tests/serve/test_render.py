@@ -53,7 +53,10 @@ class TestRenderers:
         assert frame["scalar_fallbacks"] == 1
         screen = _render_top_frame(frame, None)
         assert "scalar_fallbacks 1" in screen
-        assert "cluster   shards 2/2" in screen
+        assert (
+            "cluster   shards 2/2   failovers 0   drains 0   restarts 0"
+            in screen.splitlines()
+        )
 
     def test_router_frame_with_a_drained_shard(self, ep_run):
         """A shard drained without restart has no live frame; its row
@@ -65,7 +68,10 @@ class TestRenderers:
             frame = router.telemetry_snapshot()
         assert frame["scalar_fallbacks"] == 1
         screen = _render_top_frame(frame, None)
-        assert "cluster   shards 1/2" in screen
+        assert (
+            "cluster   shards 1/2   failovers 0   drains 1   restarts 0"
+            in screen.splitlines()
+        )
         (row,) = [
             line for line in screen.splitlines()
             if line.split()[:2] == [str(owner), "down"]

@@ -19,7 +19,6 @@ from repro.errors import (
     InternalServiceError,
     ProtocolError,
     QueueFullError,
-    QuotaExceededError,
     ReproError,
     ShardUnavailableError,
     ShuttingDownError,
@@ -68,7 +67,7 @@ class TestCodeMapping:
             protocol.DEADLINE_EXCEEDED,
             protocol.COMPILE_ERROR, protocol.EXECUTION_ERROR,
             protocol.TUNE_ERROR, protocol.SHUTTING_DOWN, protocol.INTERNAL,
-            protocol.QUOTA_EXCEEDED, protocol.SHARD_UNAVAILABLE,
+            protocol.SHARD_UNAVAILABLE,
             protocol.TIMING_UNAVAILABLE,
         ]
         seen = {}
@@ -90,7 +89,7 @@ class TestCodeMapping:
             protocol.DEADLINE_EXCEEDED, protocol.COMPILE_ERROR,
             protocol.EXECUTION_ERROR, protocol.TUNE_ERROR,
             protocol.SHUTTING_DOWN, protocol.INTERNAL,
-            protocol.QUOTA_EXCEEDED, protocol.SHARD_UNAVAILABLE,
+            protocol.SHARD_UNAVAILABLE,
             protocol.TIMING_UNAVAILABLE,
         ):
             assert code_for(error_for(code, "msg")) == code
@@ -130,17 +129,12 @@ class TestCodeMapping:
         assert CompileFailedError.retryable is False
 
     def test_cluster_codes_are_retryable(self):
-        # Both answer conditions that clear on their own (quota refill,
-        # a shard rejoining), so clients are told to back off and retry.
-        assert code_for(QuotaExceededError("slow down")) == (
-            protocol.QUOTA_EXCEEDED
-        )
+        # A shard rejoins after a drain/restart, so clients are told to
+        # back off and retry.
         assert code_for(ShardUnavailableError("gone")) == (
             protocol.SHARD_UNAVAILABLE
         )
-        assert QuotaExceededError.retryable is True
         assert ShardUnavailableError.retryable is True
-        assert protocol.QUOTA_EXCEEDED in protocol.RETRYABLE_CODES
         assert protocol.SHARD_UNAVAILABLE in protocol.RETRYABLE_CODES
 
 
